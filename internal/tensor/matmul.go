@@ -29,6 +29,58 @@ func kernelWorkers(flops int) int {
 	return parallel.Workers()
 }
 
+// Four-tap micro-kernels. Every float32 GEMM here computes an output row
+// as a sequence of axpy updates ob += a[p]*B[p,:] over the nonzero taps
+// p, ascending. gemvTaps runs that sequence four taps at a time: axpy4
+// loads each output once, adds the four products one after another and
+// stores it once, so output traffic and per-tap loop overhead drop to a
+// quarter while every element sees the same float32 operations in the
+// same order. Zero taps are dropped before grouping, never added as 0*b:
+// 0*Inf is NaN and -0+0 is +0, so adding them would change results. One
+// difference remains: where an add meets two NaNs, which NaN's payload
+// survives depends on register allocation, so it may differ from the
+// single-tap loop (the result is NaN either way).
+
+// axpy4 adds a0*b0, a1*b1, a2*b2 and a3*b3 into ob, in that order, each
+// product and each add rounded to float32 exactly as four single-tap
+// passes round them.
+func axpy4(ob []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
+	b0, b1, b2, b3 = b0[:len(ob)], b1[:len(ob)], b2[:len(ob)], b3[:len(ob)]
+	for j, v := range ob {
+		v = a0*b0[j] + v
+		v = a1*b1[j] + v
+		v = a2*b2[j] + v
+		v = a3*b3[j] + v
+		ob[j] = v
+	}
+}
+
+// gemvTaps accumulates a[p]*b[p*ldb : p*ldb+len(ob)] into ob for every
+// nonzero a[p], in ascending p, four taps per pass over ob.
+func gemvTaps(ob, a, b []float32, ldb int) {
+	w := len(ob)
+	var off [4]int
+	var av [4]float32
+	nz := 0
+	for p, v := range a {
+		if v == 0 {
+			continue
+		}
+		off[nz&3], av[nz&3] = p*ldb, v
+		nz++
+		if nz&3 == 0 {
+			axpy4(ob, av[0], av[1], av[2], av[3],
+				b[off[0]:off[0]+w], b[off[1]:off[1]+w], b[off[2]:off[2]+w], b[off[3]:off[3]+w])
+		}
+	}
+	for t := nz &^ 3; t < nz; t++ {
+		a0, brow := av[t&3], b[off[t&3]:off[t&3]+w]
+		for j, bv := range brow {
+			ob[j] += a0 * bv
+		}
+	}
+}
+
 // matmulRows is the row-sharded matmul kernel body for output rows
 // [lo, hi): (m,k)x(k,n) operand slices ad/bd into od.
 func matmulRows(ad, bd, od []float32, k, n, lo, hi int) {
@@ -37,34 +89,15 @@ func matmulRows(ad, bd, od []float32, k, n, lo, hi int) {
 		orow := od[i*n : (i+1)*n]
 		clear(orow)
 		if n <= blockN {
-			// Single j-block: the sequential kernel's loops verbatim.
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n : (p+1)*n]
-				for j := range orow {
-					orow[j] += av * brow[j]
-				}
-			}
+			// Single j-block: the whole reduction is one tap sequence.
+			gemvTaps(orow, arow, bd, n)
 			continue
 		}
 		for p0 := 0; p0 < k; p0 += blockK {
 			p1 := min(p0+blockK, k)
 			for j0 := 0; j0 < n; j0 += blockN {
 				j1 := min(j0+blockN, n)
-				ob := orow[j0:j1]
-				for p := p0; p < p1; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := bd[p*n+j0 : p*n+j1]
-					for j, bv := range brow {
-						ob[j] += av * bv
-					}
-				}
+				gemvTaps(orow[j0:j1], arow[p0:p1], bd[p0*n+j0:], n)
 			}
 		}
 	}
@@ -107,18 +140,7 @@ func matmulPanels(ad, bd, od []float32, k, n, lo, hi, jw0, jw1 int, pack []float
 				copy(pack[(p-p0)*w:(p-p0+1)*w], bd[p*n+j0:p*n+j1])
 			}
 			for i := lo; i < hi; i++ {
-				arow := ad[i*k : (i+1)*k]
-				ob := od[i*n+j0 : i*n+j1]
-				for p := p0; p < p1; p++ {
-					av := arow[p]
-					if av == 0 {
-						continue
-					}
-					brow := pack[(p-p0)*w : (p-p0)*w+w]
-					for j, bv := range brow {
-						ob[j] += av * bv
-					}
-				}
+				gemvTaps(od[i*n+j0:i*n+j1], ad[i*k+p0:i*k+p1], pack, w)
 			}
 		}
 	}
@@ -228,19 +250,9 @@ func MatMulInto(dst, a, b *Tensor) (*Tensor, error) {
 	// is p-ascending in both paths, so results are bitwise identical.
 	parallel.Shard(workers, n, func(j0, j1 int) {
 		for i := 0; i < m; i++ {
-			arow := ad[i*k : (i+1)*k]
 			ob := od[i*n+j0 : i*n+j1]
 			clear(ob)
-			for p := 0; p < k; p++ {
-				av := arow[p]
-				if av == 0 {
-					continue
-				}
-				brow := bd[p*n+j0 : p*n+j1]
-				for j, bv := range brow {
-					ob[j] += av * bv
-				}
-			}
+			gemvTaps(ob, ad[i*k:(i+1)*k], bd[j0:], n)
 		}
 	})
 	return out, nil

@@ -35,32 +35,13 @@ func QMatMul(a []int8, za int32, m, k int, w []int8, n int, out []int8, requant 
 			arow := a[i*k : (i+1)*k]
 			clear(acc)
 			if n <= blockN {
-				for p := 0; p < k; p++ {
-					av := int32(arow[p]) - za
-					if av == 0 {
-						continue
-					}
-					wrow := w[p*n : (p+1)*n]
-					for j, wv := range wrow {
-						acc[j] += av * int32(wv)
-					}
-				}
+				qgemvTaps(acc, arow, za, w, n)
 			} else {
 				for p0 := 0; p0 < k; p0 += blockK {
 					p1 := min(p0+blockK, k)
 					for j0 := 0; j0 < n; j0 += blockN {
 						j1 := min(j0+blockN, n)
-						ab := acc[j0:j1]
-						for p := p0; p < p1; p++ {
-							av := int32(arow[p]) - za
-							if av == 0 {
-								continue
-							}
-							wrow := w[p*n+j0 : p*n+j1]
-							for j, wv := range wrow {
-								ab[j] += av * int32(wv)
-							}
-						}
+						qgemvTaps(acc[j0:j1], arow[p0:p1], za, w[p0*n+j0:], n)
 					}
 				}
 			}
@@ -68,6 +49,44 @@ func QMatMul(a []int8, za int32, m, k int, w []int8, n int, out []int8, requant 
 		}
 	})
 	return nil
+}
+
+// qaxpy4 adds a0*b0 + a1*b1 + a2*b2 + a3*b3 into acc: the int8 four-tap
+// micro-kernel. Wrapping int32 addition is associative, so the sums equal
+// four single-tap passes whatever the grouping.
+func qaxpy4(acc []int32, a0, a1, a2, a3 int32, b0, b1, b2, b3 []int8) {
+	b0, b1, b2, b3 = b0[:len(acc)], b1[:len(acc)], b2[:len(acc)], b3[:len(acc)]
+	for j, v := range acc {
+		acc[j] = v + a0*int32(b0[j]) + a1*int32(b1[j]) + a2*int32(b2[j]) + a3*int32(b3[j])
+	}
+}
+
+// qgemvTaps accumulates (a[p]-za)*b[p*ldb : p*ldb+len(acc)] into acc for
+// every a[p] other than the zero point, four taps per pass over acc: the
+// int8 counterpart of gemvTaps.
+func qgemvTaps(acc []int32, a []int8, za int32, b []int8, ldb int) {
+	w := len(acc)
+	var off [4]int
+	var av [4]int32
+	nz := 0
+	for p, q := range a {
+		v := int32(q) - za
+		if v == 0 {
+			continue
+		}
+		off[nz&3], av[nz&3] = p*ldb, v
+		nz++
+		if nz&3 == 0 {
+			qaxpy4(acc, av[0], av[1], av[2], av[3],
+				b[off[0]:off[0]+w], b[off[1]:off[1]+w], b[off[2]:off[2]+w], b[off[3]:off[3]+w])
+		}
+	}
+	for t := nz &^ 3; t < nz; t++ {
+		a0, brow := av[t&3], b[off[t&3]:off[t&3]+w]
+		for j, bv := range brow {
+			acc[j] += a0 * int32(bv)
+		}
+	}
 }
 
 // qpanelPool recycles int8 panel buffers for the parallel packed paths.
@@ -92,18 +111,7 @@ func qmatmulPanels(a []int8, za int32, w []int8, acc []int32, k, n, lo, hi, jw0,
 				copy(pack[(p-p0)*width:(p-p0+1)*width], w[p*n+j0:p*n+j1])
 			}
 			for i := lo; i < hi; i++ {
-				arow := a[i*k : (i+1)*k]
-				ab := acc[i*n+j0 : i*n+j1]
-				for p := p0; p < p1; p++ {
-					av := int32(arow[p]) - za
-					if av == 0 {
-						continue
-					}
-					wrow := pack[(p-p0)*width : (p-p0)*width+width]
-					for j, wv := range wrow {
-						ab[j] += av * int32(wv)
-					}
-				}
+				qgemvTaps(acc[i*n+j0:i*n+j1], a[i*k+p0:i*k+p1], za, pack, width)
 			}
 		}
 	}

@@ -238,7 +238,9 @@ func TestServerRejectsBadRequests(t *testing.T) {
 func TestEphemeralStreamDisconnectCancels(t *testing.T) {
 	svc := newTestService(t, t.TempDir(), nil)
 	defer svc.Stop()
-	ts := newTestServer(t, svc, 1)
+	srv := NewServer(svc, 1)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
 
 	baseline := runtime.NumGoroutine()
 
@@ -276,16 +278,17 @@ func TestEphemeralStreamDisconnectCancels(t *testing.T) {
 	http.DefaultClient.CloseIdleConnections()
 
 	// The handler goroutine, campaign goroutine, and worker pool must
-	// all unwind.
+	// all unwind. The handler frees its stream slot as it returns, so an
+	// empty slot pool means the handler itself has exited.
 	deadline := time.Now().Add(20 * time.Second)
 	for {
-		if n := runtime.NumGoroutine(); n <= baseline+3 {
+		if n := runtime.NumGoroutine(); n <= baseline+3 && len(srv.streamSlots) == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
-			t.Fatalf("goroutines leaked after disconnect: baseline %d, now %d\n%s",
-				baseline, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			t.Fatalf("goroutines leaked after disconnect: baseline %d, now %d, stream slots held %d\n%s",
+				baseline, runtime.NumGoroutine(), len(srv.streamSlots), buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

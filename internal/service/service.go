@@ -546,13 +546,14 @@ func (s *Service) settleRunError(id string, st Status, err error) {
 			s.park(id, st)
 			return
 		}
-		// API cancellation.
+		// API cancellation. Count it before the status write, so a
+		// watcher that sees the terminal state also sees the count.
+		s.Metrics.Inc(MetricJobsCancelled, 1)
 		st.State = StateCancelled
 		st.UpdatedUnix = time.Now().Unix()
 		if serr := s.store.SetStatus(id, st); serr != nil {
 			s.cfg.Logf("rangerd: %s: %v", id, serr)
 		}
-		s.Metrics.Inc(MetricJobsCancelled, 1)
 		s.hub.Close(id, st)
 		return
 	}
@@ -595,11 +596,13 @@ func (s *Service) complete(id string, st Status, b *batcher) {
 	}
 	st.State = StateCompleted
 	st.UpdatedUnix = time.Now().Unix()
+	// Count before the status write, so a watcher that sees the job
+	// completed also sees the count.
+	s.Metrics.Inc(MetricJobsCompleted, 1)
 	if err := s.store.SetStatus(id, st); err != nil {
 		s.cfg.Logf("rangerd: %s: %v", id, err)
 		return
 	}
-	s.Metrics.Inc(MetricJobsCompleted, 1)
 	s.cfg.Logf("rangerd: %s completed: %d trials, final hash %s", id, trials, st.LastHash)
 	s.hub.Close(id, st)
 }
@@ -610,9 +613,9 @@ func (s *Service) fail(id string, st Status, err error) {
 	st.State = StateFailed
 	st.Error = err.Error()
 	st.UpdatedUnix = time.Now().Unix()
+	s.Metrics.Inc(MetricJobsFailed, 1) // before the write, as in complete
 	if serr := s.store.SetStatus(id, st); serr != nil {
 		s.cfg.Logf("rangerd: %s: %v", id, serr)
 	}
-	s.Metrics.Inc(MetricJobsFailed, 1)
 	s.hub.Close(id, st)
 }

@@ -596,13 +596,13 @@ func (s *Service) complete(id string, st Status, b *batcher) {
 	}
 	st.State = StateCompleted
 	st.UpdatedUnix = time.Now().Unix()
-	// Count before the status write, so a watcher that sees the job
-	// completed also sees the count.
-	s.Metrics.Inc(MetricJobsCompleted, 1)
 	if err := s.store.SetStatus(id, st); err != nil {
 		s.cfg.Logf("rangerd: %s: %v", id, err)
 		return
 	}
+	// Counted only once the completed status is stored, so a watcher
+	// may see the state a moment before the count.
+	s.Metrics.Inc(MetricJobsCompleted, 1)
 	s.cfg.Logf("rangerd: %s completed: %d trials, final hash %s", id, trials, st.LastHash)
 	s.hub.Close(id, st)
 }
@@ -613,7 +613,9 @@ func (s *Service) fail(id string, st Status, err error) {
 	st.State = StateFailed
 	st.Error = err.Error()
 	st.UpdatedUnix = time.Now().Unix()
-	s.Metrics.Inc(MetricJobsFailed, 1) // before the write, as in complete
+	// Count before the status write, so a watcher that sees the job
+	// failed also sees the count; the job fails even if the write does.
+	s.Metrics.Inc(MetricJobsFailed, 1)
 	if serr := s.store.SetStatus(id, st); serr != nil {
 		s.cfg.Logf("rangerd: %s: %v", id, serr)
 	}

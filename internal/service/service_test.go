@@ -51,6 +51,24 @@ func waitTerminal(t *testing.T, svc *Service, id string, timeout time.Duration) 
 	}
 }
 
+// waitCounter polls a service counter until it reads want. A job's
+// completed count is taken after its status is stored, so a caller that
+// has just seen the status may read the counter a moment early.
+func waitCounter(t *testing.T, svc *Service, name string, want uint64, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		n := svc.Metrics.Counter(name)
+		if n == want {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d after %v, want %d", name, n, timeout, want)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // referenceOutcome runs the spec's campaign uninterrupted, outside the
 // service, as the byte-identity reference.
 func referenceOutcome(t *testing.T, spec JobSpec) OutcomeRecord {
@@ -105,9 +123,7 @@ func TestServiceRunsJobToCompletion(t *testing.T) {
 	if got := referenceOutcome(t, man.Spec); !reflect.DeepEqual(got, *st.Outcome) {
 		t.Fatalf("service outcome %+v != uninterrupted reference %+v", *st.Outcome, got)
 	}
-	if n := svc.Metrics.Counter(MetricJobsCompleted); n != 1 {
-		t.Fatalf("completed counter = %d", n)
-	}
+	waitCounter(t, svc, MetricJobsCompleted, 1, 5*time.Second)
 	if n := svc.Metrics.Counter(MetricBlocksPersisted); n != 3 {
 		t.Fatalf("blocks counter = %d", n)
 	}

@@ -157,10 +157,12 @@
 //
 // Inference: RunBatch (graph-level and on CompiledModel /
 // QuantizedModel) stacks consecutive same-shaped single-sample feeds
-// into one [B, ...] run — the batched GEMM packs each weight panel once
-// and reuses it across all B lanes instead of streaming the weights
-// per feed — and splits the batched fetch back into per-feed outputs,
-// falling back to per-feed runs whenever stacking does not apply.
+// into one [B, ...] run — the batched dense GEMM packs each weight
+// panel once and reuses it across all B lanes instead of streaming the
+// weights per feed, and a conv layer is one implicit-GEMM call over
+// every lane's output pixels — and splits the batched fetch back into
+// per-feed outputs, falling back to per-feed runs whenever stacking
+// does not apply.
 //
 // Campaigns: incremental workers pack Campaign.LaneWidth consecutive
 // depth-ordered trials into one lane-batched suffix replay, starting

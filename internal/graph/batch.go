@@ -8,7 +8,7 @@ import (
 
 // DefaultBatchLanes is how many single-sample feeds RunBatch stacks
 // into one lane-batched plan execution: enough lanes to amortize the
-// packed GEMM's weight-panel traffic, few enough that the batched
+// packed dense GEMM's weight-panel traffic, few enough that the batched
 // activations of the deepest zoo models stay cache-friendly.
 const DefaultBatchLanes = 8
 

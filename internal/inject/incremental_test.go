@@ -100,9 +100,35 @@ func TestReferenceNotClobberedAcrossInputs(t *testing.T) {
 // TestIncrementalTrialZeroAlloc is the allocs/trial regression gate: in
 // the steady state (buffers warmed over the same trial set), one fp32
 // incremental trial — reseed, sample, suffix replay with in-place
-// corruption, judge — must not allocate at all. Run without -race
-// (instrumentation allocates).
+// corruption, judge — must not allocate at all, over a late-layer fault
+// space (the common selective-injection shape) and over lenet's full
+// fault space, whose suffixes replay the conv and pooling steps. Run
+// without -race (instrumentation allocates).
 func TestIncrementalTrialZeroAlloc(t *testing.T) {
+	m, feeds := lenetInputs(t, 1)
+	checkTrialZeroAlloc(t, m, feeds, func(targets []string) *Campaign {
+		return &Campaign{Model: m, Trials: 1, Seed: 9, TargetNodes: targets}
+	})
+}
+
+// TestIncrementalTrialZeroAllocInt8 is the int8 counterpart of
+// TestIncrementalTrialZeroAlloc: a steady-state BitFlipInt8 trial on the
+// quantized plan must not allocate, on the late and the full fault
+// space.
+func TestIncrementalTrialZeroAllocInt8(t *testing.T) {
+	m, feeds := lenetInputs(t, 1)
+	calib := lenetCalibration(t, m, feeds)
+	checkTrialZeroAlloc(t, m, feeds, func(targets []string) *Campaign {
+		return &Campaign{Model: m, Trials: 1, Seed: 9, TargetNodes: targets,
+			Scenario: BitFlipInt8{Flips: 1}, Calibration: calib}
+	})
+}
+
+// checkTrialZeroAlloc warms one incremental trial runner per fault space
+// (the last three corruptible nodes, then every one) over a fixed trial
+// set and fails if a steady-state trial plus its judgement allocates.
+func checkTrialZeroAlloc(t *testing.T, m *models.Model, feeds []graph.Feeds, campaign func(targets []string) *Campaign) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
@@ -110,42 +136,45 @@ func TestIncrementalTrialZeroAlloc(t *testing.T) {
 	// count as trial allocations.
 	parallel.SetWorkers(1)
 	defer parallel.SetWorkers(0)
-	m, feeds := lenetInputs(t, 1)
-	// Late-layer fault space: the common selective-injection shape, and
-	// the configuration the ISSUE's zero-alloc acceptance names (early
-	// conv suffixes still pay header allocations inside Conv2D EvalInto).
-	late := lateCorruptibleNodes(t, m, 3)
-	c := &Campaign{Model: m, Trials: 1, Seed: 9, TargetNodes: late}
-	exec, err := c.newExec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := buildFaultSpace(m, feeds[0], nil, late)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := exec.prepare(feeds[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := exec.newTrial(feeds[0], fs).run
-	const trials = 64
-	for trial := 0; trial < trials; trial++ {
-		if _, err := run(0, trial); err != nil {
-			t.Fatal(err)
-		}
-	}
-	trial := 0
-	avg := testing.AllocsPerRun(trials-1, func() {
-		faulty, err := run(0, trial%trials)
+	for _, space := range []struct {
+		name    string
+		targets []string
+	}{
+		{"late", lateCorruptibleNodes(t, m, 3)},
+		{"full", nil},
+	} {
+		c := campaign(space.targets)
+		exec, err := c.newExec()
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.judgeTrial(ref, faulty)
-		trial++
-	})
-	if avg != 0 {
-		t.Fatalf("incremental trial loop allocates %.2f allocs/trial in steady state, want 0", avg)
+		fs, err := buildFaultSpace(m, feeds[0], nil, space.targets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := exec.prepare(feeds[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := exec.newTrial(feeds[0], fs).run
+		const trials = 64
+		for trial := 0; trial < trials; trial++ {
+			if _, err := run(0, trial); err != nil {
+				t.Fatal(err)
+			}
+		}
+		trial := 0
+		avg := testing.AllocsPerRun(trials-1, func() {
+			faulty, err := run(0, trial%trials)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.judgeTrial(ref, faulty)
+			trial++
+		})
+		if avg != 0 {
+			t.Errorf("%s fault space: incremental trial loop allocates %.2f allocs/trial in steady state, want 0", space.name, avg)
+		}
 	}
 }
 

@@ -17,7 +17,9 @@ const (
 )
 
 // Conv2DOp convolves an NHWC input (input 0) with an (KH,KW,inC,outC)
-// kernel (input 1) using im2col lowering.
+// kernel (input 1). Planned runs use the implicit-GEMM tensor.ConvInto;
+// Eval and EvalScratch, the legacy executor's path, keep im2col lowering
+// plus MatMulInto as the independent oracle the plan is checked against.
 type Conv2DOp struct {
 	Geom tensor.ConvGeom
 }

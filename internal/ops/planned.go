@@ -80,36 +80,15 @@ func (c *Conv2DOp) InferShape(ins [][]int) ([]int, error) {
 	return nhwcConvShape("conv2d", x, c.Geom, w[3])
 }
 
-// EvalInto implements graph.PlannedOp: the im2col patch matrix comes
-// from tmp and the matmul product lands directly in out.
-func (c *Conv2DOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, tmp *graph.Scratch) error {
+// EvalInto implements graph.PlannedOp: the implicit-GEMM kernel reads
+// the taps straight from the input and writes the product into out, so
+// the step needs no scratch (bit-identical to the im2col + MatMulInto
+// path of Eval; see tensor.ConvInto).
+func (c *Conv2DOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
 	if len(in) != 2 {
 		return fmt.Errorf("conv2d: want (input, kernel), got %d inputs", len(in))
 	}
-	x, w := in[0], in[1]
-	rowLen := c.Geom.KH * c.Geom.KW * x.Dim(3)
-	rows := out.Dim(0) * out.Dim(1) * out.Dim(2)
-	outC := out.Dim(3)
-	cols, err := tensor.Im2ColInto(tmp.Get(rows, rowLen), x, c.Geom)
-	if err != nil {
-		return err
-	}
-	wm, err := w.Reshape(rowLen, outC)
-	if err != nil {
-		return err
-	}
-	prod, err := tensor.FromSlice(out.Data(), rows, outC)
-	if err != nil {
-		return err
-	}
-	if rows >= tensor.PackMinRows {
-		// Panel-packed GEMM: the weight panel is packed once and reused
-		// across every patch row of every batch lane (bit-identical to
-		// MatMulInto; see matmulPanels).
-		_, err = tensor.MatMulPackInto(prod, cols, wm, tmp.GetFloats(tensor.PackPanelLen))
-		return err
-	}
-	_, err = tensor.MatMulInto(prod, cols, wm)
+	_, err := tensor.ConvInto(out, in[0], in[1], c.Geom)
 	return err
 }
 
@@ -287,7 +266,7 @@ func (p *MaxPoolOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.S
 	if len(in) != 1 {
 		return fmt.Errorf("maxpool: want 1 input, got %d", len(in))
 	}
-	_, _, err := p.evalInto(in[0], out)
+	_, err := p.evalInto(in[0], out, nil)
 	return err
 }
 

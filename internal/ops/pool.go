@@ -33,8 +33,7 @@ func (p *MaxPoolOp) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
 	if len(in) != 1 {
 		return nil, fmt.Errorf("maxpool: want 1 input, got %d", len(in))
 	}
-	out, _, err := p.evalInto(in[0], nil)
-	return out, err
+	return p.evalInto(in[0], nil, nil)
 }
 
 // EvalScratch implements graph.ScratchOp.
@@ -50,27 +49,29 @@ func (p *MaxPoolOp) EvalScratch(in []*tensor.Tensor, s *graph.Scratch) (*tensor.
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("maxpool: empty output for input %v geom %+v", x.Shape(), p.Geom)
 	}
-	out, _, err := p.evalInto(x, s.Get(x.Dim(0), oh, ow, x.Dim(3)))
-	return out, err
+	return p.evalInto(x, s.Get(x.Dim(0), oh, ow, x.Dim(3)), nil)
 }
 
-// evalInto pools x into out (nil allocates; every element is written) and
-// returns, for each output element, the flat input index that won the max
-// (used by the backward pass).
-func (p *MaxPoolOp) evalInto(x, out *tensor.Tensor) (*tensor.Tensor, []int, error) {
+// evalInto pools x into out (nil allocates; every element is written).
+// A non-nil arg, one entry per output element, receives the flat input
+// index that won each max (used by the backward pass); the forward paths
+// pass nil and so allocate nothing.
+func (p *MaxPoolOp) evalInto(x, out *tensor.Tensor, arg []int) (*tensor.Tensor, error) {
 	if x.Rank() != 4 {
-		return nil, nil, fmt.Errorf("maxpool: want NHWC, got %v", x.Shape())
+		return nil, fmt.Errorf("maxpool: want NHWC, got %v", x.Shape())
 	}
 	n, h, w, c := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	g := p.Geom
 	oh, ow := g.OutDims(h, w)
 	if oh <= 0 || ow <= 0 {
-		return nil, nil, fmt.Errorf("maxpool: empty output for input %v geom %+v", x.Shape(), g)
+		return nil, fmt.Errorf("maxpool: empty output for input %v geom %+v", x.Shape(), g)
 	}
 	if out == nil {
 		out = tensor.New(n, oh, ow, c)
 	}
-	arg := make([]int, out.Size())
+	if arg != nil && len(arg) != out.Size() {
+		return nil, fmt.Errorf("maxpool: %d argmax slots for %d outputs", len(arg), out.Size())
+	}
 	xd, od := x.Data(), out.Data()
 	for b := 0; b < n; b++ {
 		for oy := 0; oy < oh; oy++ {
@@ -96,19 +97,21 @@ func (p *MaxPoolOp) evalInto(x, out *tensor.Tensor) (*tensor.Tensor, []int, erro
 					}
 					oidx := ((b*oh+oy)*ow+ox)*c + ch
 					od[oidx] = best
-					arg[oidx] = bestIdx
+					if arg != nil {
+						arg[oidx] = bestIdx
+					}
 				}
 			}
 		}
 	}
-	return out, arg, nil
+	return out, nil
 }
 
 // Grad implements graph.GradOp: the gradient routes to the max element of
 // each window.
 func (p *MaxPoolOp) Grad(in []*tensor.Tensor, _, gout *tensor.Tensor) ([]*tensor.Tensor, error) {
-	_, arg, err := p.evalInto(in[0], nil)
-	if err != nil {
+	arg := make([]int, gout.Size())
+	if _, err := p.evalInto(in[0], nil, arg); err != nil {
 		return nil, err
 	}
 	dx := tensor.New(in[0].Shape()...)

@@ -256,12 +256,12 @@ func (DenseOp) QuantKernelStored(spec graph.QuantSpec) (graph.QuantKernel, []int
 			// identical results (exact integer arithmetic).
 			return tensor.QMatMulPack(x.Data(), za, m, k, wq, n, out.Data(), requant, tmp)
 		}
-		return tensor.QMatMul(x.Data(), za, x.Dim(0), k, wq, n, out.Data(), requant)
+		return tensor.QMatMul(x.Data(), za, x.Dim(0), k, wq, n, out.Data(), requant, tmp)
 	}, wq, nil
 }
 
-// QuantKernel implements graph.QuantizedOp: int8 im2col (padding with
-// the input zero point) plus the shared int8 GEMM.
+// QuantKernel implements graph.QuantizedOp: an int8 implicit-GEMM
+// convolution (tensor.QConvInto) with the shared requantization epilogue.
 func (c *Conv2DOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 	kernel, _, err := c.QuantKernelStored(spec)
 	return kernel, err
@@ -277,7 +277,6 @@ func (c *Conv2DOp) QuantKernelStored(spec graph.QuantSpec) (graph.QuantKernel, [
 	if w.Rank() != 4 {
 		return nil, nil, fmt.Errorf("conv2d: kernel rank %d", w.Rank())
 	}
-	rowLen := c.Geom.KH * c.Geom.KW * w.Dim(2)
 	n := w.Dim(3)
 	wq, wQ := quantizeWeights(w)
 	requant, err := gemmRequant(n, spec.In[0], wQ, spec.Out, spec.Epilogue)
@@ -286,21 +285,12 @@ func (c *Conv2DOp) QuantKernelStored(spec graph.QuantSpec) (graph.QuantKernel, [
 	}
 	geom := c.Geom
 	za := spec.In[0].Zero
-	pad := int8(za) // padding taps dequantize to exactly 0.0 and zero-skip
 	return func(ins []*tensor.QTensor, out *tensor.QTensor, tmp *tensor.QScratch) error {
 		x := ins[0]
 		if x == nil {
 			return fmt.Errorf("conv2d: missing quantized input")
 		}
-		rows := out.Size() / n
-		patch := tmp.Int8(rows * rowLen)
-		if err := tensor.QIm2ColInto(patch, x, geom, pad); err != nil {
-			return err
-		}
-		if rows >= tensor.PackMinRows {
-			return tensor.QMatMulPack(patch, za, rows, rowLen, wq, n, out.Data(), requant, tmp)
-		}
-		return tensor.QMatMul(patch, za, rows, rowLen, wq, n, out.Data(), requant)
+		return tensor.QConvInto(x, za, geom, wq, n, out.Data(), requant, tmp)
 	}, wq, nil
 }
 

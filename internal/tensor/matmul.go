@@ -73,6 +73,13 @@ func gemvTaps(ob, a, b []float32, ldb int) {
 				b[off[0]:off[0]+w], b[off[1]:off[1]+w], b[off[2]:off[2]+w], b[off[3]:off[3]+w])
 		}
 	}
+	axpyTail(ob, b, &av, &off, nz)
+}
+
+// axpyTail applies the last nz%4 taps a gather left in its four-tap ring,
+// one at a time in ascending order.
+func axpyTail(ob, b []float32, av *[4]float32, off *[4]int, nz int) {
+	w := len(ob)
 	for t := nz &^ 3; t < nz; t++ {
 		a0, brow := av[t&3], b[off[t&3]:off[t&3]+w]
 		for j, bv := range brow {
@@ -122,11 +129,11 @@ var panelPool = sync.Pool{New: func() any { return make([]float32, PackPanelLen)
 // matmulPanels is the lane-batched kernel body for output rows [lo, hi)
 // and columns [jw0, jw1): each B-panel block is copied once into the
 // contiguous pack buffer and then reused across every output row, so B
-// batched lanes (or B·OH·OW conv patch rows) amortize the weight
-// streaming that the row kernel repeats per row. Per output element the
-// reduction still runs p-ascending across ascending p-blocks — exactly
-// the sequence matmulRows uses — so results are bit-identical to the
-// batch-1 kernels at every blocking and worker count.
+// batched lanes amortize the weight streaming that the row kernel
+// repeats per row. Per output element the reduction still runs
+// p-ascending across ascending p-blocks — exactly the sequence
+// matmulRows uses — so results are bit-identical to the batch-1 kernels
+// at every blocking and worker count.
 func matmulPanels(ad, bd, od []float32, k, n, lo, hi, jw0, jw1 int, pack []float32) {
 	for j0 := jw0; j0 < jw1; j0 += blockN {
 		j1 := min(j0+blockN, jw1)

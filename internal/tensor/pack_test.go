@@ -153,7 +153,7 @@ func TestQMatMulPackIdentical(t *testing.T) {
 				want[i] = fold(v)
 			}
 			single := make([]int8, m*n)
-			if err := QMatMul(a, za, m, k, w, n, single, requant); err != nil {
+			if err := QMatMul(a, za, m, k, w, n, single, requant, nil); err != nil {
 				t.Fatal(err)
 			}
 			for i, v := range want {

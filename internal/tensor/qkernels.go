@@ -11,8 +11,8 @@ import (
 // float32 matmul: int8 operands, int32 accumulation, and a caller-
 // supplied requantization epilogue that collapses zero-point correction,
 // bias, activation, and Ranger's range restriction into the single pass
-// that writes each output row back to int8. QIm2ColInto lowers int8 NHWC
-// inputs to patch rows so quantized convolution reuses the same GEMM.
+// that writes each output row back to int8. QConvInto runs quantized
+// convolution as an implicit GEMM with the same micro-kernels.
 
 // QMatMul multiplies the (m,k) int8 matrix a by the (k,n) int8 matrix w,
 // accumulating acc[j] = Σ_p (a[p]-za)·w[p,j] in int32 and handing each
@@ -23,32 +23,43 @@ import (
 // zeros — the raw byte for real 0.0 is za, not 0. The per-term product
 // fits int32 for any reduction below ~65k taps, far past the zoo.
 // Rows are sharded across workers; integer accumulation makes results
-// identical at every worker count by construction.
-func QMatMul(a []int8, za int32, m, k int, w []int8, n int, out []int8, requant func(acc []int32, outRow []int8)) error {
+// identical at every worker count by construction. tmp, when non-nil,
+// provides the single-worker accumulator, so a steady-state call on one
+// worker allocates nothing.
+func QMatMul(a []int8, za int32, m, k int, w []int8, n int, out []int8, requant func(acc []int32, outRow []int8), tmp *QScratch) error {
 	if len(a) < m*k || len(w) < k*n || len(out) < m*n {
 		return fmt.Errorf("%w: qmatmul (%d,%d)x(%d,%d) over %d/%d/%d elements",
 			ErrShape, m, k, k, n, len(a), len(w), len(out))
 	}
-	parallel.Shard(kernelWorkers(m*k*n), m, func(lo, hi int) {
-		acc := make([]int32, n)
-		for i := lo; i < hi; i++ {
-			arow := a[i*k : (i+1)*k]
-			clear(acc)
-			if n <= blockN {
-				qgemvTaps(acc, arow, za, w, n)
-			} else {
-				for p0 := 0; p0 < k; p0 += blockK {
-					p1 := min(p0+blockK, k)
-					for j0 := 0; j0 < n; j0 += blockN {
-						j1 := min(j0+blockN, n)
-						qgemvTaps(acc[j0:j1], arow[p0:p1], za, w[p0*n+j0:], n)
-					}
+	if workers := kernelWorkers(m * k * n); workers > 1 && m > 1 {
+		parallel.Shard(workers, m, func(lo, hi int) {
+			qmatmulRows(a, za, k, w, n, out, make([]int32, n), lo, hi, requant)
+		})
+		return nil
+	}
+	qmatmulRows(a, za, k, w, n, out, tmp.Int32(n), 0, m, requant)
+	return nil
+}
+
+// qmatmulRows is QMatMul's body for rows [lo, hi); acc is the n-long
+// accumulator it reuses for every row.
+func qmatmulRows(a []int8, za int32, k int, w []int8, n int, out []int8, acc []int32, lo, hi int, requant func(acc []int32, outRow []int8)) {
+	for i := lo; i < hi; i++ {
+		arow := a[i*k : (i+1)*k]
+		clear(acc)
+		if n <= blockN {
+			qgemvTaps(acc, arow, za, w, n)
+		} else {
+			for p0 := 0; p0 < k; p0 += blockK {
+				p1 := min(p0+blockK, k)
+				for j0 := 0; j0 < n; j0 += blockN {
+					j1 := min(j0+blockN, n)
+					qgemvTaps(acc[j0:j1], arow[p0:p1], za, w[p0*n+j0:], n)
 				}
 			}
-			requant(acc, out[i*n:(i+1)*n])
 		}
-	})
-	return nil
+		requant(acc, out[i*n:(i+1)*n])
+	}
 }
 
 // qaxpy4 adds a0*b0 + a1*b1 + a2*b2 + a3*b3 into acc: the int8 four-tap
@@ -81,6 +92,12 @@ func qgemvTaps(acc []int32, a []int8, za int32, b []int8, ldb int) {
 				b[off[0]:off[0]+w], b[off[1]:off[1]+w], b[off[2]:off[2]+w], b[off[3]:off[3]+w])
 		}
 	}
+	qaxpyTail(acc, b, &av, &off, nz)
+}
+
+// qaxpyTail applies the last nz%4 taps left in an int8 four-tap ring.
+func qaxpyTail(acc []int32, b []int8, av *[4]int32, off *[4]int, nz int) {
+	w := len(acc)
 	for t := nz &^ 3; t < nz; t++ {
 		a0, brow := av[t&3], b[off[t&3]:off[t&3]+w]
 		for j, bv := range brow {
@@ -119,27 +136,21 @@ func qmatmulPanels(a []int8, za int32, w []int8, acc []int32, k, n, lo, hi, jw0,
 
 // QMatMulPack is the panel-packed, lane-batched form of QMatMul: weight
 // panel blocks are copied once into a contiguous buffer and reused
-// across all m rows (the B batched lanes, or a whole batch's im2col
-// patch rows), accumulating in int32 and requantizing per row exactly
-// like QMatMul. tmp, when non-nil, provides the accumulator matrix and
-// panel storage so steady-state calls allocate nothing. Integer
-// accumulation makes the results identical to QMatMul at every worker
-// count; below PackMinRows rows the call delegates to QMatMul.
+// across all m rows (the B batched lanes), accumulating in int32 and
+// requantizing per row exactly like QMatMul. tmp, when non-nil, provides
+// the accumulator matrix and panel storage so steady-state calls
+// allocate nothing. Integer accumulation makes the results identical to
+// QMatMul at every worker count; below PackMinRows rows the call
+// delegates to QMatMul.
 func QMatMulPack(a []int8, za int32, m, k int, w []int8, n int, out []int8, requant func(acc []int32, outRow []int8), tmp *QScratch) error {
 	if m < PackMinRows {
-		return QMatMul(a, za, m, k, w, n, out, requant)
+		return QMatMul(a, za, m, k, w, n, out, requant, tmp)
 	}
 	if len(a) < m*k || len(w) < k*n || len(out) < m*n {
 		return fmt.Errorf("%w: qmatmul (%d,%d)x(%d,%d) over %d/%d/%d elements",
 			ErrShape, m, k, k, n, len(a), len(w), len(out))
 	}
-	var acc []int32
-	var pack []int8
-	if tmp != nil {
-		acc, pack = tmp.Int32(m*n), tmp.Int8(PackPanelLen)
-	} else {
-		acc, pack = make([]int32, m*n), make([]int8, PackPanelLen)
-	}
+	acc, pack := tmp.Int32(m*n), tmp.Int8(PackPanelLen)
 	workers := kernelWorkers(m * k * n)
 	switch {
 	case workers <= 1:
@@ -171,50 +182,69 @@ func QMatMulPack(a []int8, za int32, m, k int, w []int8, n int, out []int8, requ
 	return nil
 }
 
-// QIm2ColInto lowers an int8 NHWC tensor into patch rows of length
-// KH*KW*C in dst (which must hold N*OH*OW rows). Padding taps are filled
-// with pad — the input's zero point, so padded positions dequantize to
-// exactly 0.0 like the float kernel's zero padding.
-func QIm2ColInto(dst []int8, x *QTensor, g ConvGeom, pad int8) error {
-	if x.Rank() != 4 {
-		return fmt.Errorf("%w: qim2col wants NHWC, got %v", ErrShape, x.shape)
+// QConvInto convolves the int8 NHWC input x with the (KH*KW*C, n) int8
+// kernel matrix w, accumulating acc[j] = Σ_p (x_p-za)·w[p,j] in int32
+// for each output pixel and handing the pixel's accumulator to requant,
+// which writes its n int8 outputs into out. It is the implicit-GEMM
+// counterpart of ConvInto: taps are read straight from x one kernel row
+// at a time, taps equal to the zero point are skipped, and padding taps
+// — which an im2col would fill with the zero point — are never visited,
+// so padded positions contribute exactly real 0.0. Integer accumulation
+// makes the results identical to an im2col plus QMatMul at every worker
+// count. tmp, when non-nil, provides the single-worker accumulator.
+func QConvInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []int8, requant func(acc []int32, outRow []int8), tmp *QScratch) error {
+	d, err := convDimsFor("qconv", x.shape, g, len(w), n)
+	if err != nil {
+		return err
 	}
-	n, h, w, c := x.shape[0], x.shape[1], x.shape[2], x.shape[3]
-	oh, ow := g.OutDims(h, w)
-	if oh <= 0 || ow <= 0 {
-		return fmt.Errorf("%w: qim2col output %dx%d for input %v geom %+v", ErrShape, oh, ow, x.shape, g)
-	}
-	rowLen := g.KH * g.KW * c
-	rows := n * oh * ow
-	if len(dst) < rows*rowLen {
-		return fmt.Errorf("%w: qim2col dst %d elements, want %d", ErrShape, len(dst), rows*rowLen)
+	rows := x.shape[0] * d.oh * d.ow
+	if len(out) < rows*n {
+		return fmt.Errorf("%w: qconv out %d elements, want %d", ErrShape, len(out), rows*n)
 	}
 	xd := x.data
-	parallel.Shard(kernelWorkers(rows*rowLen), rows, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			b := r / (oh * ow)
-			oy := r / ow % oh
-			ox := r % ow
-			row := r * rowLen
-			for i := row; i < row+rowLen; i++ {
-				dst[i] = pad
-			}
-			for ky := 0; ky < g.KH; ky++ {
-				iy := oy*g.SH - g.PadH + ky
-				if iy < 0 || iy >= h {
-					continue
-				}
-				for kx := 0; kx < g.KW; kx++ {
-					ix := ox*g.SW - g.PadW + kx
-					if ix < 0 || ix >= w {
+	if workers := kernelWorkers(rows * len(w)); workers > 1 && rows > 1 {
+		parallel.Shard(workers, rows, func(lo, hi int) {
+			qconvPixels(xd, za, w, out, make([]int32, n), d, lo, hi, requant)
+		})
+		return nil
+	}
+	qconvPixels(xd, za, w, out, tmp.Int32(n), d, 0, rows, requant)
+	return nil
+}
+
+// qconvPixels is QConvInto's body for output pixels [lo, hi), the int8
+// mirror of convPixels; acc is the n-long accumulator it reuses for
+// every pixel.
+func qconvPixels(xd []int8, za int32, wd, out []int8, acc []int32, d convDims, lo, hi int, requant func(acc []int32, outRow []int8)) {
+	c, n, kw := d.c, d.n, d.g.KW
+	for r := lo; r < hi; r++ {
+		clear(acc)
+		b, iy, ix, ky0, ky1, kx0, kx1 := d.window(r)
+		run := (kx1 - kx0) * c
+		for j0 := 0; j0 < n; j0 += blockN {
+			ab := acc[j0:min(j0+blockN, n)]
+			width := len(ab)
+			var off [4]int
+			var av [4]int32
+			nz := 0
+			for ky := ky0; ky < ky1; ky++ {
+				src := ((b*d.h+iy+ky)*d.w + ix + kx0) * c
+				p := ((ky*kw+kx0)*c)*n + j0
+				for t, q := range xd[src : src+run] {
+					v := int32(q) - za
+					if v == 0 {
 						continue
 					}
-					src := ((b*h+iy)*w + ix) * c
-					d := row + (ky*g.KW+kx)*c
-					copy(dst[d:d+c], xd[src:src+c])
+					off[nz&3], av[nz&3] = p+t*n, v
+					nz++
+					if nz&3 == 0 {
+						qaxpy4(ab, av[0], av[1], av[2], av[3],
+							wd[off[0]:off[0]+width], wd[off[1]:off[1]+width], wd[off[2]:off[2]+width], wd[off[3]:off[3]+width])
+					}
 				}
 			}
+			qaxpyTail(ab, wd, &av, &off, nz)
 		}
-	})
-	return nil
+		requant(acc, out[r*n:(r+1)*n])
+	}
 }

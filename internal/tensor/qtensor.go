@@ -216,7 +216,7 @@ func QLut(in, out QParams, f func(float32) float32) *[256]int8 {
 func LutIndex(q int8) int { return int(q) + 128 }
 
 // QScratch recycles the int8 and int32 temporary buffers of quantized
-// kernels (im2col patch matrices, GEMM accumulators) across runs.
+// kernels (GEMM accumulators and packed weight panels) across runs.
 type QScratch struct {
 	i8  [][]int8
 	i32 [][]int32
@@ -229,7 +229,11 @@ type QScratch struct {
 func (s *QScratch) Reset() { s.n8, s.n32 = 0, 0 }
 
 // Int8 returns a recycled int8 buffer of length n (contents arbitrary).
+// A nil scratch allocates a fresh buffer.
 func (s *QScratch) Int8(n int) []int8 {
+	if s == nil {
+		return make([]int8, n)
+	}
 	if s.n8 == len(s.i8) {
 		s.i8 = append(s.i8, make([]int8, n))
 	}
@@ -243,7 +247,11 @@ func (s *QScratch) Int8(n int) []int8 {
 }
 
 // Int32 returns a recycled int32 buffer of length n (contents arbitrary).
+// A nil scratch allocates a fresh buffer.
 func (s *QScratch) Int32(n int) []int32 {
+	if s == nil {
+		return make([]int32, n)
+	}
 	if s.n32 == len(s.i32) {
 		s.i32 = append(s.i32, make([]int32, n))
 	}

@@ -97,7 +97,7 @@ func TestQMatMulMatchesFloat(t *testing.T) {
 			real32 := float32(a) * pa.Scale * pw.Scale
 			outRow[j] = po.Quantize(real32)
 		}
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestQMatMulDeterministicAcrossWorkers(t *testing.T) {
 	}
 	run := func() []int8 {
 		out := make([]int8, m*n)
-		if err := QMatMul(a, -3, m, k, w, n, out, requant); err != nil {
+		if err := QMatMul(a, -3, m, k, w, n, out, requant, nil); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -143,30 +143,6 @@ func TestQMatMulDeterministicAcrossWorkers(t *testing.T) {
 			if got[j] != want[j] {
 				t.Fatalf("run %d: element %d differs", i, j)
 			}
-		}
-	}
-}
-
-func TestQIm2ColPadsWithZeroPoint(t *testing.T) {
-	p := QParamsFor(-1, 1)
-	x := NewQ(p, 1, 2, 2, 1)
-	for i, v := range []int8{10, 20, 30, 40} {
-		x.Data()[i] = v
-	}
-	g := ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1, PadH: 1, PadW: 1}
-	rows := 2 * 2
-	rowLen := 9
-	dst := make([]int8, rows*rowLen)
-	pad := int8(p.Zero)
-	if err := QIm2ColInto(dst, x, g, pad); err != nil {
-		t.Fatal(err)
-	}
-	// Top-left output position: only the bottom-right 2x2 of the window
-	// is in bounds.
-	want := []int8{pad, pad, pad, pad, 10, 20, pad, 30, 40}
-	for i, w := range want {
-		if dst[i] != w {
-			t.Fatalf("row 0 tap %d = %d, want %d", i, dst[i], w)
 		}
 	}
 }

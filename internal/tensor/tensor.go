@@ -1,5 +1,5 @@
 // Package tensor provides a dense float32 n-dimensional tensor and the
-// numeric kernels (matmul, im2col, pooling windows, elementwise maps) that
+// numeric kernels (matmul, convolution, pooling windows, elementwise maps) that
 // the operator layer builds on. It is deliberately small: just enough to
 // run and train the convolutional networks evaluated in the Ranger paper.
 package tensor

@@ -101,8 +101,11 @@
 // Calibrate is the Profiler pointed at every operator: the per-node
 // min/max become per-tensor int8 scale/zero-point. Quantize rewrites
 // the compiled plan — weights pre-quantized symmetric, activations
-// asymmetric, MatMul/Conv2D as int8 GEMMs with int32 accumulation, and
-// every other operator as a 256-entry lookup table — with
+// asymmetric, MatMul/Conv2D as int8 GEMMs with int32 accumulation
+// (conv computes neighbouring output pixels in pairs, both pixels'
+// operands packed into one int64 so one 64-bit multiply yields two
+// exact products), and every other operator as a 256-entry lookup
+// table — with
 // quantize/dequantize nodes at the graph boundaries, reusing the float
 // plan's shape layouts and liveness-based buffer reuse.
 //

@@ -203,6 +203,110 @@ func TestPersistentInt8WeightSurface(t *testing.T) {
 	}
 }
 
+// TestInt8StoredWeightFaultsReachConvOutput witnesses the int8
+// stored-weight surface at the conv kernels: for every stored conv
+// kernel of lenet and of alexnet (3x3 SAME convs), flipping the sign bit
+// of the largest-|w| element of the materialized weight buffer must
+// change the step's raw int8 output, and ClearOverrides must restore the
+// golden bytes. The plan observes every node, so each conv is its own
+// step. On alexnet the changed bytes must include a border column, whose
+// pixels the int8 conv kernel computes one at a time (their windows are
+// clipped by the padding), and an interior column, which it computes in
+// pixel pairs. Dense kernels are left out: a dense weight fault is
+// masked whenever the one input element it multiplies is zero.
+func TestInt8StoredWeightFaultsReachConvOutput(t *testing.T) {
+	for _, tc := range []struct {
+		model   string
+		ds      data.Dataset
+		borders bool
+	}{{"lenet", data.NewDigits(), false}, {"alexnet", data.NewObjects10(), true}} {
+		m, err := models.Build(tc.model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feeds := graph.Feeds{m.Input: tc.ds.Sample(data.Train, 0).X}
+		calib, err := core.CalibrateModel(m, 1, func(int) (graph.Feeds, error) { return feeds, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := graph.CompileWith(m.Graph, graph.CompileOptions{ObserveAll: true}, m.Output)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qp, err := graph.Quantize(plan, calib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names, _, err := qp.StoredWeights()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := qp.NewState()
+		shapes := map[string][]int{}
+		outputs := func() map[string][]int8 {
+			got := map[string][]int8{}
+			hook := func(n *graph.Node, out *tensor.QTensor) *tensor.QTensor {
+				got[n.Name()] = append([]int8(nil), out.Data()...)
+				shapes[n.Name()] = out.Shape()
+				return nil
+			}
+			if _, err := qp.RunHook(st, feeds, hook); err != nil {
+				t.Fatal(err)
+			}
+			return got
+		}
+		golden := outputs()
+		convs := 0
+		for _, name := range names {
+			shape := shapes[name]
+			if len(shape) != 4 {
+				continue
+			}
+			convs++
+			label := tc.model + "/" + name
+			buf, err := qp.MaterializeWeights(st, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(outputs(), golden) {
+				t.Fatalf("%s: freshly materialized weights changed the output", label)
+			}
+			big := 0
+			for i, v := range buf {
+				if abs8(v) > abs8(buf[big]) {
+					big = i
+				}
+			}
+			buf[big] ^= -128 // the sign bit
+			faulty := outputs()[name]
+			n, ow := shape[3], shape[2]
+			border, interior := false, false
+			for i, v := range faulty {
+				if v != golden[name][i] {
+					ox := i / n % ow
+					border = border || ox == 0 || ox == ow-1
+					interior = interior || (ox > 0 && ox < ow-1)
+				}
+			}
+			switch {
+			case !border && !interior:
+				t.Fatalf("%s: flipping the sign bit of w[%d] = %d left the step output unchanged", label, big, buf[big]^-128)
+			case tc.borders && !(border && interior):
+				t.Fatalf("%s: weight fault changed border columns %t, interior columns %t; want both", label, border, interior)
+			}
+			st.ClearOverrides()
+			if !reflect.DeepEqual(outputs(), golden) {
+				t.Fatalf("%s: output differs from golden after ClearOverrides", label)
+			}
+		}
+		if convs < 2 {
+			t.Fatalf("%s: %d stored conv kernels, want at least 2", tc.model, convs)
+		}
+	}
+}
+
+func abs8(v int8) int { return max(int(v), -int(v)) }
+
 func TestPersistentQuantParamSurface(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
 	calib := lenetCalibration(t, m, feeds)

@@ -24,7 +24,11 @@ func (cc convCase) String() string {
 // convCases spans strides 1, 2 and 4 with VALID and SAME padding, 1x1 to
 // 8x8 kernels, C in {1, 3, 16} and n in {1, 6, 9, 520} (520 > blockN, so
 // the j-blocked path runs), alternating batch 1 and 3, plus a rectangular
-// geometry whose padding differs per axis.
+// geometry whose padding differs per axis. For the int8 pixel pairs it
+// adds 3x3 convolutions with output widths 1, 2 and 3, one and two
+// output rows and batch 1 and 3 (odd and even pixel counts, pairs that
+// must not cross an image), VALID and SAME (border pixels, whose windows
+// differ from their neighbours', next to interior ones).
 func convCases() []convCase {
 	var cs []convCase
 	for _, s := range []int{1, 2, 4} {
@@ -35,6 +39,16 @@ func convCases() []convCase {
 						g := ConvGeom{KH: k, KW: k, SH: s, SW: s, PadH: pad, PadW: pad}
 						cs = append(cs, convCase{g: g, batch: 1 + 2*(len(cs)%2), h: 9, w: 10, c: c, n: n})
 					}
+				}
+			}
+		}
+	}
+	for _, ow := range []int{1, 2, 3} {
+		for _, pad := range []int{0, 1} {
+			for _, oh := range []int{1, 2} {
+				for _, batch := range []int{1, 3} {
+					g := ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1, PadH: pad, PadW: pad}
+					cs = append(cs, convCase{g: g, batch: batch, h: oh + 2 - 2*pad, w: ow + 2 - 2*pad, c: 3, n: 6})
 				}
 			}
 		}
@@ -187,6 +201,67 @@ func TestQConvIntoIdentical(t *testing.T) {
 		for _, workers := range []int{1, 2} {
 			parallel.SetWorkers(workers)
 			checkQConvInto(t, x, za, cc.g, w, cc.n, want, fmt.Sprintf("workers=%d %v", workers, cc))
+		}
+	}
+}
+
+// TestQConvIntoPairLaneExtremes drives the pixel-pair lanes to the ends
+// of the int32 accumulator. Each case is a 1x1 convolution with one
+// filter over a row of five pixels, so pixels (0,1) and (2,3) pair and
+// pixel 4 does not. Every operand is at an extreme: x is the zero point
+// or the far end of int8 (|x-za| = 255 for an int8 zero point), w is
+// -128 or 127. With mixed weights, pixel 0 sets the -128 taps and
+// pixel 1 the 127 taps, so the pair's lanes take opposite signs: low
+// positive and high negative for za = 127, the reverse for za = -128.
+// With all weights -128 every pixel sets every tap, which at
+// maxPairTaps channels puts both lanes at ±2147483520, the largest sum
+// the pair path admits. One channel more must leave the pair path (the
+// sums wrap in int32 exactly as the oracle's do), as must a zero point
+// outside int8.
+func TestQConvIntoPairLaneExtremes(t *testing.T) {
+	defer parallel.SetWorkers(0)
+	cases := []struct {
+		za int32
+		c  int
+	}{
+		{127, 7}, {-128, 7}, {127, maxPairTaps}, {-128, maxPairTaps},
+		{127, maxPairTaps + 1}, {-128, maxPairTaps + 1}, {1000, 16000},
+	}
+	g := ConvGeom{KH: 1, KW: 1, SH: 1, SW: 1}
+	for _, tc := range cases {
+		za, c := tc.za, tc.c
+		far := int8(-128)
+		if za < 0 {
+			far = 127
+		}
+		for _, mixed := range []bool{true, false} {
+			w := make([]int8, c)
+			x := NewQ(QParams{Scale: 1, Zero: za}, 1, 1, 5, c)
+			for ch := range w {
+				w[ch] = -128
+				if mixed && ch%2 == 1 {
+					w[ch] = 127
+				}
+				for px := 0; px < 5; px++ {
+					v := far
+					if mixed && px < 2 && (px == 0) != (w[ch] == -128) {
+						v = int8(za)
+					}
+					x.data[px*c+ch] = v
+				}
+			}
+			want := refQConv(x, za, g, w, 1)
+			label := fmt.Sprintf("za=%d c=%d mixed=%t", za, c, mixed)
+			if mixed && (want[0] > 0) == (want[1] > 0) {
+				t.Fatalf("%s: pair sums %d, %d do not differ in sign", label, want[0], want[1])
+			}
+			if !mixed && c == maxPairTaps && (want[2] != want[3] || (want[2] != 2147483520 && want[2] != -2147483520)) {
+				t.Fatalf("%s: pair sums %d, %d, want ±2147483520", label, want[2], want[3])
+			}
+			for _, workers := range []int{1, 2} {
+				parallel.SetWorkers(workers)
+				checkQConvInto(t, x, za, g, w, 1, want, fmt.Sprintf("workers=%d %s", workers, label))
+			}
 		}
 	}
 }

@@ -63,12 +63,14 @@ func qmatmulRows(a []int8, za int32, k int, w []int8, n int, out []int8, acc []i
 }
 
 // qaxpy4 adds a0*b0 + a1*b1 + a2*b2 + a3*b3 into acc: the int8 four-tap
-// micro-kernel. Wrapping int32 addition is associative, so the sums equal
-// four single-tap passes whatever the grouping.
-func qaxpy4(acc []int32, a0, a1, a2, a3 int32, b0, b1, b2, b3 []int8) {
+// micro-kernel, on int32 accumulators for one output row and on int64
+// ones for a pixel pair (see qconvPair). Wrapping integer addition is
+// associative, so the sums equal four single-tap passes whatever the
+// grouping.
+func qaxpy4[T int32 | int64](acc []T, a0, a1, a2, a3 T, b0, b1, b2, b3 []int8) {
 	b0, b1, b2, b3 = b0[:len(acc)], b1[:len(acc)], b2[:len(acc)], b3[:len(acc)]
 	for j, v := range acc {
-		acc[j] = v + a0*int32(b0[j]) + a1*int32(b1[j]) + a2*int32(b2[j]) + a3*int32(b3[j])
+		acc[j] = v + a0*T(b0[j]) + a1*T(b1[j]) + a2*T(b2[j]) + a3*T(b3[j])
 	}
 }
 
@@ -96,12 +98,12 @@ func qgemvTaps(acc []int32, a []int8, za int32, b []int8, ldb int) {
 }
 
 // qaxpyTail applies the last nz%4 taps left in an int8 four-tap ring.
-func qaxpyTail(acc []int32, b []int8, av *[4]int32, off *[4]int, nz int) {
+func qaxpyTail[T int32 | int64](acc []T, b []int8, av *[4]T, off *[4]int, nz int) {
 	w := len(acc)
 	for t := nz &^ 3; t < nz; t++ {
 		a0, brow := av[t&3], b[off[t&3]:off[t&3]+w]
 		for j, bv := range brow {
-			acc[j] += a0 * int32(bv)
+			acc[j] += a0 * T(bv)
 		}
 	}
 }
@@ -182,6 +184,12 @@ func QMatMulPack(a []int8, za int32, m, k int, w []int8, n int, out []int8, requ
 	return nil
 }
 
+// maxPairTaps is the largest window, in taps (KH*KW*C), that QConvInto
+// computes two pixels at a time. With |x-za| <= 255 and |w| <= 128 a
+// pixel's sum then stays within 65793*255*128 = 2147483520, so the low
+// lane of a pair's int64 sum never carries into the high lane.
+const maxPairTaps = 65793
+
 // QConvInto convolves the int8 NHWC input x with the (KH*KW*C, n) int8
 // kernel matrix w, accumulating acc[j] = Σ_p (x_p-za)·w[p,j] in int32
 // for each output pixel and handing the pixel's accumulator to requant,
@@ -189,9 +197,12 @@ func QMatMulPack(a []int8, za int32, m, k int, w []int8, n int, out []int8, requ
 // counterpart of ConvInto: taps are read straight from x one kernel row
 // at a time, taps equal to the zero point are skipped, and padding taps
 // — which an im2col would fill with the zero point — are never visited,
-// so padded positions contribute exactly real 0.0. Integer accumulation
-// makes the results identical to an im2col plus QMatMul at every worker
-// count. tmp, when non-nil, provides the single-worker accumulator.
+// so padded positions contribute exactly real 0.0. Neighbouring pixels
+// of one output row whose windows cover the same kernel rows and
+// columns are computed as a pair, two products per 64-bit multiply (see
+// qconvPair). Integer accumulation makes the results identical to an
+// im2col plus QMatMul at every worker count. tmp, when non-nil,
+// provides the single-worker accumulators.
 func QConvInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []int8, requant func(acc []int32, outRow []int8), tmp *QScratch) error {
 	d, err := convDimsFor("qconv", x.shape, g, len(w), n)
 	if err != nil {
@@ -202,49 +213,124 @@ func QConvInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []int8, re
 		return fmt.Errorf("%w: qconv out %d elements, want %d", ErrShape, len(out), rows*n)
 	}
 	xd := x.data
+	// A zero point outside int8 would break the lane bound.
+	pairs := g.KH*g.KW*d.c <= maxPairTaps && za >= -128 && za <= 127
 	if workers := kernelWorkers(rows * len(w)); workers > 1 && rows > 1 {
 		parallel.Shard(workers, rows, func(lo, hi int) {
-			qconvPixels(xd, za, w, out, make([]int32, n), d, lo, hi, requant)
+			var acc64 []int64
+			if pairs {
+				acc64 = make([]int64, n)
+			}
+			qconvPixels(xd, za, w, out, make([]int32, 2*n), acc64, d, lo, hi, requant)
 		})
 		return nil
 	}
-	qconvPixels(xd, za, w, out, tmp.Int32(n), d, 0, rows, requant)
+	var acc64 []int64
+	if pairs {
+		acc64 = tmp.Int64(n)
+	}
+	qconvPixels(xd, za, w, out, tmp.Int32(2*n), acc64, d, 0, rows, requant)
 	return nil
 }
 
 // qconvPixels is QConvInto's body for output pixels [lo, hi), the int8
-// mirror of convPixels; acc is the n-long accumulator it reuses for
-// every pixel.
-func qconvPixels(xd []int8, za int32, wd, out []int8, acc []int32, d convDims, lo, hi int, requant func(acc []int32, outRow []int8)) {
-	c, n, kw := d.c, d.n, d.g.KW
-	for r := lo; r < hi; r++ {
-		clear(acc)
+// mirror of convPixels. acc holds two n-long int32 rows. When acc64 (n
+// long) is non-nil, pixels r and r+1 of one output row with the same
+// valid window go through qconvPair; every other pixel — one whose
+// neighbour's window differs at the border, the last of a row, the last
+// of [lo, hi) — goes through qconvPixel.
+func qconvPixels(xd []int8, za int32, wd, out []int8, acc []int32, acc64 []int64, d convDims, lo, hi int, requant func(acc []int32, outRow []int8)) {
+	n := d.n
+	acc0, acc1 := acc[:n], acc[n:2*n]
+	for r := lo; r < hi; {
 		b, iy, ix, ky0, ky1, kx0, kx1 := d.window(r)
-		run := (kx1 - kx0) * c
-		for j0 := 0; j0 < n; j0 += blockN {
-			ab := acc[j0:min(j0+blockN, n)]
-			width := len(ab)
-			var off [4]int
-			var av [4]int32
-			nz := 0
-			for ky := ky0; ky < ky1; ky++ {
-				src := ((b*d.h+iy+ky)*d.w + ix + kx0) * c
-				p := ((ky*kw+kx0)*c)*n + j0
-				for t, q := range xd[src : src+run] {
-					v := int32(q) - za
-					if v == 0 {
-						continue
-					}
-					off[nz&3], av[nz&3] = p+t*n, v
-					nz++
-					if nz&3 == 0 {
-						qaxpy4(ab, av[0], av[1], av[2], av[3],
-							wd[off[0]:off[0]+width], wd[off[1]:off[1]+width], wd[off[2]:off[2]+width], wd[off[3]:off[3]+width])
-					}
+		if acc64 != nil && r+1 < hi && (r+1)%d.ow != 0 {
+			if _, _, _, _, _, nx0, nx1 := d.window(r + 1); nx0 == kx0 && nx1 == kx1 {
+				qconvPair(xd, za, wd, acc64, d, b, iy, ix, ky0, ky1, kx0, kx1)
+				for j, v := range acc64 {
+					l := int32(v)
+					acc0[j], acc1[j] = l, int32((v-int64(l))>>32)
+				}
+				requant(acc0, out[r*n:(r+1)*n])
+				requant(acc1, out[(r+1)*n:(r+2)*n])
+				r += 2
+				continue
+			}
+		}
+		qconvPixel(xd, za, wd, acc0, d, b, iy, ix, ky0, ky1, kx0, kx1)
+		requant(acc0, out[r*n:(r+1)*n])
+		r++
+	}
+}
+
+// qconvPixel accumulates one output pixel, whose window d.window
+// described, into the n-long acc.
+func qconvPixel(xd []int8, za int32, wd []int8, acc []int32, d convDims, b, iy, ix, ky0, ky1, kx0, kx1 int) {
+	c, n, kw := d.c, d.n, d.g.KW
+	clear(acc)
+	run := (kx1 - kx0) * c
+	for j0 := 0; j0 < n; j0 += blockN {
+		ab := acc[j0:min(j0+blockN, n)]
+		width := len(ab)
+		var off [4]int
+		var av [4]int32
+		nz := 0
+		for ky := ky0; ky < ky1; ky++ {
+			src := ((b*d.h+iy+ky)*d.w + ix + kx0) * c
+			p := ((ky*kw+kx0)*c)*n + j0
+			for t, q := range xd[src : src+run] {
+				v := int32(q) - za
+				if v == 0 {
+					continue
+				}
+				off[nz&3], av[nz&3] = p+t*n, v
+				nz++
+				if nz&3 == 0 {
+					qaxpy4(ab, av[0], av[1], av[2], av[3],
+						wd[off[0]:off[0]+width], wd[off[1]:off[1]+width], wd[off[2]:off[2]+width], wd[off[3]:off[3]+width])
 				}
 			}
-			qaxpyTail(ab, wd, &av, &off, nz)
 		}
-		requant(acc, out[r*n:(r+1)*n])
+		qaxpyTail(ab, wd, &av, &off, nz)
+	}
+}
+
+// qconvPair accumulates the pixel whose window d.window described and
+// its right-hand neighbour, which has the same valid window one stride
+// further along the input row, into the n-long acc: each tap packs both
+// pixels' operands into one int64, (x_r-za) + (x_{r+1}-za)<<32, so one
+// multiply by w[p,j] yields both products. acc[j] ends as lo + hi<<32
+// for the two pixels' sums lo and hi. Within maxPairTaps, lo fits int32,
+// so int32(acc[j]) is lo and (acc[j]-lo)>>32 is hi, each equal to the
+// int32 sum qconvPixel computes. A tap at the zero point in both pixels
+// is skipped.
+func qconvPair(xd []int8, za int32, wd []int8, acc []int64, d convDims, b, iy, ix, ky0, ky1, kx0, kx1 int) {
+	c, n, kw := d.c, d.n, d.g.KW
+	clear(acc)
+	run, next := (kx1-kx0)*c, d.g.SW*c
+	for j0 := 0; j0 < n; j0 += blockN {
+		ab := acc[j0:min(j0+blockN, n)]
+		width := len(ab)
+		var off [4]int
+		var av [4]int64
+		nz := 0
+		for ky := ky0; ky < ky1; ky++ {
+			src := ((b*d.h+iy+ky)*d.w + ix + kx0) * c
+			p := ((ky*kw+kx0)*c)*n + j0
+			x1 := xd[src+next : src+next+run]
+			for t, q := range xd[src : src+run] {
+				v := int64(int32(q)-za) + int64(int32(x1[t])-za)<<32
+				if v == 0 {
+					continue
+				}
+				off[nz&3], av[nz&3] = p+t*n, v
+				nz++
+				if nz&3 == 0 {
+					qaxpy4(ab, av[0], av[1], av[2], av[3],
+						wd[off[0]:off[0]+width], wd[off[1]:off[1]+width], wd[off[2]:off[2]+width], wd[off[3]:off[3]+width])
+				}
+			}
+		}
+		qaxpyTail(ab, wd, &av, &off, nz)
 	}
 }

@@ -60,11 +60,17 @@ func QParamsSymmetric(maxAbs float64) QParams {
 // RoundI32 rounds to the nearest int32, ties away from zero. It is the
 // single rounding rule of the quantized backend, so every path
 // (quantize, LUT building, requantization) is bit-consistent.
+//
+// It adds ±0.5 with the sign of v, taken from v's sign bit rather than
+// from a comparison: the two-branch form mispredicts whenever the
+// values it rounds straddle 0, as a feed on [0,1] with zero point -128
+// does. The result equals the branches' (v+0.5 when v >= 0, else
+// v-0.5) for every v, including ±0, exact .5 ties, NaN and ±Inf. The
+// two sums are the same float except at -0, where -0.5 and 0.5 both
+// truncate to 0.
 func RoundI32(v float32) int32 {
-	if v >= 0 {
-		return int32(v + 0.5)
-	}
-	return int32(v - 0.5)
+	half := math.Float32frombits(0x3f000000 | math.Float32bits(v)&0x80000000)
+	return int32(v + half)
 }
 
 // Quantize maps a real value into the int8 domain, saturating at the
@@ -215,18 +221,21 @@ func QLut(in, out QParams, f func(float32) float32) *[256]int8 {
 // LutIndex returns the table index of a stored int8 value.
 func LutIndex(q int8) int { return int(q) + 128 }
 
-// QScratch recycles the int8 and int32 temporary buffers of quantized
-// kernels (GEMM accumulators and packed weight panels) across runs.
+// QScratch recycles the int8, int32 and int64 temporary buffers of
+// quantized kernels (GEMM and convolution accumulators, packed weight
+// panels) across runs.
 type QScratch struct {
 	i8  [][]int8
 	i32 [][]int32
+	i64 [][]int64
 	n8  int
 	n32 int
+	n64 int
 }
 
 // Reset makes all buffers reusable; previously returned slices are
 // invalidated.
-func (s *QScratch) Reset() { s.n8, s.n32 = 0, 0 }
+func (s *QScratch) Reset() { s.n8, s.n32, s.n64 = 0, 0, 0 }
 
 // Int8 returns a recycled int8 buffer of length n (contents arbitrary).
 // A nil scratch allocates a fresh buffer.
@@ -234,16 +243,7 @@ func (s *QScratch) Int8(n int) []int8 {
 	if s == nil {
 		return make([]int8, n)
 	}
-	if s.n8 == len(s.i8) {
-		s.i8 = append(s.i8, make([]int8, n))
-	}
-	b := s.i8[s.n8]
-	if cap(b) < n {
-		b = make([]int8, n)
-		s.i8[s.n8] = b
-	}
-	s.n8++
-	return b[:n]
+	return recycled(&s.i8, &s.n8, n)
 }
 
 // Int32 returns a recycled int32 buffer of length n (contents arbitrary).
@@ -252,14 +252,29 @@ func (s *QScratch) Int32(n int) []int32 {
 	if s == nil {
 		return make([]int32, n)
 	}
-	if s.n32 == len(s.i32) {
-		s.i32 = append(s.i32, make([]int32, n))
+	return recycled(&s.i32, &s.n32, n)
+}
+
+// Int64 returns a recycled int64 buffer of length n (contents arbitrary).
+// A nil scratch allocates a fresh buffer.
+func (s *QScratch) Int64(n int) []int64 {
+	if s == nil {
+		return make([]int64, n)
 	}
-	b := s.i32[s.n32]
+	return recycled(&s.i64, &s.n64, n)
+}
+
+// recycled hands out the next buffer of bufs (used of them are taken),
+// growing the list or the buffer when it is missing or too short.
+func recycled[T any](bufs *[][]T, used *int, n int) []T {
+	if *used == len(*bufs) {
+		*bufs = append(*bufs, make([]T, n))
+	}
+	b := (*bufs)[*used]
 	if cap(b) < n {
-		b = make([]int32, n)
-		s.i32[s.n32] = b
+		b = make([]T, n)
+		(*bufs)[*used] = b
 	}
-	s.n32++
+	*used++
 	return b[:n]
 }

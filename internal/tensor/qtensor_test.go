@@ -151,11 +151,48 @@ func TestQScratchRecycles(t *testing.T) {
 	var s QScratch
 	b1 := s.Int8(16)
 	w1 := s.Int32(8)
+	d1 := s.Int64(8)
 	s.Reset()
 	b2 := s.Int8(10)
 	w2 := s.Int32(4)
-	if &b1[0] != &b2[0] || &w1[0] != &w2[0] {
+	d2 := s.Int64(4)
+	if &b1[0] != &b2[0] || &w1[0] != &w2[0] || &d1[0] != &d2[0] {
 		t.Fatal("scratch did not recycle buffers")
+	}
+}
+
+// TestRoundI32MatchesTwoBranchRule pins the branch-free RoundI32 to the
+// two-branch rule it replaced, on signed zeros, exact .5 ties, the
+// floats next to them, int32-range edges, NaNs and infinities, on
+// random bit patterns and on random values in the requantization range.
+func TestRoundI32MatchesTwoBranchRule(t *testing.T) {
+	twoBranch := func(v float32) int32 {
+		if v >= 0 {
+			return int32(v + 0.5)
+		}
+		return int32(v - 0.5)
+	}
+	nan := float32(math.NaN())
+	vs := []float32{
+		0, float32(math.Copysign(0, -1)), nan, -nan,
+		float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc12345), math.Float32frombits(0xffa00001),
+		math.MaxFloat32, -math.MaxFloat32, math.SmallestNonzeroFloat32,
+		2147483520, -2147483648, 2147483648, -2147483904,
+	}
+	for _, tie := range []float32{0.5, 1.5, 2.5, 126.5, 127.5, -127.5, -128.5, 8388607.5} {
+		for _, v := range []float32{tie, -tie} {
+			vs = append(vs, v, math.Nextafter32(v, 0), math.Nextafter32(v, 2*v))
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100000; i++ {
+		vs = append(vs, math.Float32frombits(rng.Uint32()), float32(rng.NormFloat64()*200))
+	}
+	for _, v := range vs {
+		if got, want := RoundI32(v), twoBranch(v); got != want {
+			t.Fatalf("RoundI32(%g [%#08x]) = %d, two-branch rule gives %d", v, math.Float32bits(v), got, want)
+		}
 	}
 }
 

@@ -129,7 +129,9 @@
 //
 // Campaign trials execute by checkpointed suffix replay by default: a
 // fault at plan step k leaves every earlier step byte-identical to the
-// clean pass, so per input the campaign runs the clean pass once,
+// clean pass. Per input, the campaign first sizes the fault space from
+// the compiled plan's inferred output shapes (no extra pass: nothing
+// executes before the clean pass), then runs the clean pass once,
 // checkpoints every intermediate value still live past its producing
 // step (one clone per value, derived from the plan's liveness
 // analysis), and each trial restores its earliest struck step's live

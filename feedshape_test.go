@@ -1,8 +1,8 @@
-// Satellite: ErrFeedShape must surface on every entry point that
-// accepts feeds — the per-call executor (Run and RunAll), compiled
-// plans, the quantized plan, batch evaluation, the compiled-model
-// facade, and campaigns — so the up-front validation cannot regress on
-// one path while holding on another.
+// ErrFeedShape must surface on every entry point that accepts feeds —
+// the per-call executor (Run and RunAll), compiled plans, the quantized
+// plan, batch evaluation, the compiled-model facade, and every campaign
+// entry point on both backends — so the up-front validation cannot
+// regress on one path while holding on another.
 package ranger_test
 
 import (
@@ -70,10 +70,24 @@ func TestErrFeedShapeOnEveryEntryPoint(t *testing.T) {
 	_, err = cm.RunBatch([]graph.Feeds{good, bad}, 2)
 	wantFeedShape(t, "Compiled.RunBatch", err)
 
-	// Campaigns validate feeds before sampling a single fault.
+	// Campaigns validate feeds before sampling a single fault: the fault
+	// space is sized from the campaign plan's layout signature.
+	ctx := context.Background()
 	c := &ranger.Campaign{Model: m, Trials: 3, Seed: 1}
-	_, err = c.Run(context.Background(), []graph.Feeds{bad})
+	_, err = c.Run(ctx, []graph.Feeds{bad})
 	wantFeedShape(t, "Campaign.Run", err)
+	_, err = c.RunSlice(ctx, []graph.Feeds{good, bad}, 0, 6)
+	wantFeedShape(t, "Campaign.RunSlice", err)
+	_, err = c.RunWithDetector(ctx, []graph.Feeds{bad}, neverDetector{})
+	wantFeedShape(t, "Campaign.RunWithDetector", err)
+	ac := &ranger.Campaign{Model: m, Trials: 3, Seed: 1, Adaptive: ranger.AdaptiveStratified}
+	_, err = ac.RunAdaptive(ctx, []graph.Feeds{bad})
+	wantFeedShape(t, "Campaign.RunAdaptive", err)
+	// A missing feed is typed too.
+	_, err = c.Run(ctx, []graph.Feeds{{}})
+	if !errors.Is(err, graph.ErrMissingFeed) {
+		t.Fatalf("Campaign.Run with no feeds: error %v does not wrap ErrMissingFeed", err)
+	}
 
 	// The quantized plan validates through the same layout signature.
 	calib, err := core.CalibrateModel(m, 1, func(int) (graph.Feeds, error) { return good, nil })
@@ -90,9 +104,20 @@ func TestErrFeedShapeOnEveryEntryPoint(t *testing.T) {
 	wantFeedShape(t, "Quantized.RunBatch", err)
 
 	qc := &ranger.Campaign{Model: m, Trials: 3, Seed: 1, Calibration: calib, Scenario: ranger.BitFlipInt8{Flips: 1}}
-	_, err = qc.Run(context.Background(), []graph.Feeds{bad})
+	_, err = qc.Run(ctx, []graph.Feeds{bad})
 	wantFeedShape(t, "quantized Campaign.Run", err)
+	qac := &ranger.Campaign{Model: m, Trials: 3, Seed: 1, Calibration: calib, Scenario: ranger.BitFlipInt8{Flips: 1}, Adaptive: ranger.AdaptiveStratified}
+	_, err = qac.RunAdaptive(ctx, []graph.Feeds{bad})
+	wantFeedShape(t, "quantized Campaign.RunAdaptive", err)
 }
+
+// neverDetector is a detector that observes nothing and never fires.
+type neverDetector struct{}
+
+func (neverDetector) Name() string                        { return "never" }
+func (neverDetector) Reset()                              {}
+func (neverDetector) Observe(*graph.Node, *tensor.Tensor) {}
+func (neverDetector) Detected() bool                      { return false }
 
 // TestErrFeedShapeOnBatchedFeeds is the lane-batched twin: a feed
 // carrying a leading batch axis B > 1 is valid on every plan entry point

@@ -269,7 +269,7 @@ func (c *Campaign) NewAdaptiveRun(inputs []graph.Feeds) (*AdaptiveRun, error) {
 	}
 	spaces := make([]*FaultSpace, len(inputs))
 	for i, feeds := range inputs {
-		fs, err := buildFaultSpace(c.Model, feeds, c.Exclude, c.TargetNodes)
+		fs, err := c.faultSpace(exec.plan, feeds)
 		if err != nil {
 			return nil, err
 		}

@@ -142,7 +142,7 @@ func (c *Campaign) RunWithDetector(ctx context.Context, inputs []graph.Feeds, de
 		if err := ctx.Err(); err != nil {
 			return DetectorOutcome{}, err
 		}
-		fs, err := buildFaultSpace(c.Model, feeds, c.Exclude, c.TargetNodes)
+		fs, err := c.faultSpace(plan, feeds)
 		if err != nil {
 			return DetectorOutcome{}, err
 		}

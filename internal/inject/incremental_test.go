@@ -148,7 +148,7 @@ func checkTrialZeroAlloc(t *testing.T, m *models.Model, feeds []graph.Feeds, cam
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs, err := buildFaultSpace(m, feeds[0], nil, space.targets)
+		fs, err := c.faultSpace(exec.plan, feeds[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func TestIncrementalLaneBatchedZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := buildFaultSpace(m, feeds[0], nil, late)
+	fs, err := c.faultSpace(exec.plan, feeds[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -347,7 +347,7 @@ func (o Outcome) RateAbove(thresholdDeg float64) float64 {
 // corruptibleFilter returns the predicate deciding whether a node is a
 // potential fault-injection target: no placeholders or variables, no
 // excluded nodes (the model's ExcludeFI plus the campaign's extras),
-// and the TargetNodes restriction when set. buildFaultSpace and the
+// and the TargetNodes restriction when set. The fault space and the
 // plan's observation points share this single predicate, which is what
 // keeps plan-backed campaign outcomes byte-identical: every node a site
 // can land on is guaranteed to be an observation point.
@@ -381,27 +381,42 @@ func corruptibleFilter(m *models.Model, extraExclude, targetNodes []string) func
 	}
 }
 
-// buildFaultSpace runs the graph once to discover which nodes execute for
-// the model output and how many output elements each produces. Sites are
-// then sampled uniformly over *elements* (not ops), matching the paper's
-// state-space accounting (its last-FC exclusion argument counts elements).
-func buildFaultSpace(m *models.Model, feeds graph.Feeds, extraExclude, targetNodes []string) (*FaultSpace, error) {
-	corruptible := corruptibleFilter(m, extraExclude, targetNodes)
+// faultSpace sizes one input's fault space from the compiled plan,
+// without executing anything: the corruptible nodes the plan
+// materializes, in graph order, each weighted by the element count of
+// its inferred output shape under these feeds. Every corruptible node is
+// an observation point and so owns a plan step, and plan steps follow
+// graph order restricted to the fetch's ancestors — exactly the nodes,
+// order and sizes an executed pass would observe. Sites are then sampled
+// uniformly over *elements* (not ops), matching the paper's state-space
+// accounting (its last-FC exclusion argument counts elements). Feeds are
+// checked by the plan's layout signature, so a mis-shaped or missing
+// feed fails here with graph.ErrFeedShape or graph.ErrMissingFeed.
+func (c *Campaign) faultSpace(plan *graph.Plan, feeds graph.Feeds) (*FaultSpace, error) {
+	shapes, err := plan.InferredShapes(feeds)
+	if err != nil {
+		return nil, fmt.Errorf("inject: size fault space: %w", err)
+	}
+	corruptible := corruptibleFilter(c.Model, c.Exclude, c.TargetNodes)
 	fs := &FaultSpace{}
-	e := graph.Executor{Hook: func(n *graph.Node, out *tensor.Tensor) *tensor.Tensor {
-		if !corruptible(n) {
-			return nil
+	for _, n := range c.Model.Graph.Nodes() {
+		if !corruptible(n) || plan.StepOf(n.Name()) < 0 {
+			continue
+		}
+		shape, ok := shapes[n.Name()]
+		if !ok {
+			return nil, fmt.Errorf("inject: fault-space node %q (%s) has no inferred shape", n.Name(), n.Op().Type())
+		}
+		size := 1
+		for _, d := range shape {
+			size *= d
 		}
 		fs.nodes = append(fs.nodes, n.Name())
-		fs.sizes = append(fs.sizes, out.Size())
-		fs.total += int64(out.Size())
-		return nil
-	}}
-	if _, err := e.Run(m.Graph, feeds, m.Output); err != nil {
-		return nil, fmt.Errorf("inject: dry run: %w", err)
+		fs.sizes = append(fs.sizes, size)
+		fs.total += int64(size)
 	}
 	if fs.total == 0 {
-		return nil, fmt.Errorf("inject: empty fault space for %s", m.Name)
+		return nil, fmt.Errorf("inject: empty fault space for %s", c.Model.Name)
 	}
 	return fs, nil
 }
@@ -425,7 +440,7 @@ func CorruptibleNodes(m *models.Model, extraExclude, targetNodes []string) []str
 
 // observeNames returns the node names a campaign plan must treat as
 // observation points: every potential fault-injection target, decided
-// by the same corruptibleFilter predicate buildFaultSpace samples from.
+// by the same corruptibleFilter predicate the fault space samples from.
 // Marking them non-fusable keeps every corruptible intermediate value
 // identical to the legacy executor's, so plan-backed campaign outcomes
 // are byte-identical.
@@ -531,7 +546,7 @@ func (c *Campaign) RunSlice(ctx context.Context, inputs []graph.Feeds, start, en
 		if err := ctx.Err(); err != nil {
 			return Outcome{}, err
 		}
-		fs, err := buildFaultSpace(c.Model, feeds, c.Exclude, c.TargetNodes)
+		fs, err := c.faultSpace(exec.plan, feeds)
 		if err != nil {
 			return Outcome{}, err
 		}
@@ -704,11 +719,14 @@ type trialRunner struct {
 
 // campaignExec abstracts the campaign's execution backend: the fp32
 // compiled plan, or the int8 quantized plan when Calibration is set.
+// plan is the compiled fp32 plan on both backends (the int8 plan is
+// quantized from it); fault spaces are sized from its inferred shapes.
 // prepare runs one input's clean pass (capturing the suffix-replay
 // checkpoint in incremental mode) and returns the SDC reference, which
 // stays valid until the next prepare call. newTrial builds a worker's
 // trialRunner.
 type campaignExec struct {
+	plan     *graph.Plan
 	prepare  func(feeds graph.Feeds) (*tensor.Tensor, error)
 	newTrial func(feeds graph.Feeds, fs *FaultSpace) trialRunner
 }
@@ -757,7 +775,7 @@ func (c *Campaign) newExec() (*campaignExec, error) {
 		}
 		return tr
 	}
-	return &campaignExec{prepare: prepare, newTrial: newTrial}, nil
+	return &campaignExec{plan: plan, prepare: prepare, newTrial: newTrial}, nil
 }
 
 // newExecInt8 builds the quantized campaign backend over an int8 plan
@@ -806,7 +824,7 @@ func (c *Campaign) newExecInt8(plan *graph.Plan) (*campaignExec, error) {
 		}
 		return tr
 	}
-	return &campaignExec{prepare: prepare, newTrial: newTrial}, nil
+	return &campaignExec{plan: plan, prepare: prepare, newTrial: newTrial}, nil
 }
 
 // laneSite is one sampled fault site tagged with the replay lane it

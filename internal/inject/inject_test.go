@@ -82,10 +82,7 @@ func TestCampaignDeterministicAcrossRuns(t *testing.T) {
 
 func TestFaultSpaceExcludesLastFC(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
-	fs, err := buildFaultSpace(m, feeds[0], nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := planFaultSpace(t, m, feeds[0], nil, nil)
 	excluded := make(map[string]bool)
 	for _, n := range m.ExcludeFI {
 		excluded[n] = true
@@ -107,14 +104,8 @@ func TestFaultSpaceExcludesLastFC(t *testing.T) {
 
 func TestFaultSpaceExtraExclude(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
-	base, err := buildFaultSpace(m, feeds[0], nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trimmed, err := buildFaultSpace(m, feeds[0], []string{base.nodes[0]}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := planFaultSpace(t, m, feeds[0], nil, nil)
+	trimmed := planFaultSpace(t, m, feeds[0], []string{base.nodes[0]}, nil)
 	if trimmed.total >= base.total {
 		t.Fatal("extra exclusion did not shrink the space")
 	}
@@ -256,10 +247,7 @@ func TestClipNodesAreInFaultSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := buildFaultSpace(pm, graph.Feeds{pm.Input: feeds[0][m.Input]}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := planFaultSpace(t, pm, graph.Feeds{pm.Input: feeds[0][m.Input]}, nil, nil)
 	inSpace := make(map[string]bool, len(fs.nodes))
 	for _, n := range fs.nodes {
 		inSpace[n] = true
@@ -315,10 +303,7 @@ func TestConsecutiveMultiBitFaults(t *testing.T) {
 
 func TestConsecutiveSitesShareOneElement(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
-	fs, err := buildFaultSpace(m, feeds[0], nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := planFaultSpace(t, m, feeds[0], nil, nil)
 	c := &Campaign{Model: m, Format: fixpoint.Q16, Scenario: ConsecutiveBits{Flips: 4}}
 	rng := newCampaignRNG(3)
 	for trial := 0; trial < 100; trial++ {
@@ -344,10 +329,7 @@ func TestConsecutiveSitesShareOneElement(t *testing.T) {
 
 func TestIndependentSitesSampleWholeWidth(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
-	fs, err := buildFaultSpace(m, feeds[0], nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := planFaultSpace(t, m, feeds[0], nil, nil)
 	c := &Campaign{Model: m, Format: fixpoint.Q16, Scenario: BitFlips{Flips: 1}}
 	rng := newCampaignRNG(4)
 	seenHigh := false

@@ -29,8 +29,10 @@ type Site struct {
 }
 
 // FaultSpace describes the sampleable output elements of a graph for one
-// input: the evaluated, non-excluded operator outputs. Scenarios draw
-// sites from it uniformly over elements, matching the paper's
+// input: the evaluated, non-excluded operator outputs, in execution
+// order. Campaigns size it from the compiled plan's inferred output
+// shapes for the input's feeds, without executing anything. Scenarios
+// draw sites from it uniformly over elements, matching the paper's
 // state-space accounting.
 type FaultSpace struct {
 	nodes []string

@@ -225,10 +225,7 @@ func (b bogusSiteScenario) Corrupt(_ fixpoint.Format, v float32, _ Site) (float3
 // last element.
 func TestShapeMismatchSurfacesError(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
-	fs, err := buildFaultSpace(m, feeds[0], nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fs := planFaultSpace(t, m, feeds[0], nil, nil)
 	scen := bogusSiteScenario{node: fs.Nodes()[0]}
 	for _, mode := range []IncrementalMode{IncrementalOn, IncrementalOff} {
 		c := &Campaign{Model: m, Scenario: scen, Trials: 1, Seed: 1, Incremental: mode}

@@ -2,10 +2,10 @@
 // fp32 backend (classifier and regressor) and the int8 quantized
 // backend, an adaptive campaign must produce an AdaptiveOutcome —
 // aggregate fold, per-stratum evidence, and post-stratified estimate —
-// byte-identical at every worker count and lane width, in both the
-// stratified and worst-case-directed modes. This is the adaptive twin
-// of the incremental/lane-batched golden suites: fixed seed ⇒ identical
-// outcomes, regardless of execution shape.
+// byte-identical at every worker count, in both the stratified and
+// worst-case-directed modes. This is the adaptive twin of the
+// incremental golden suites: fixed seed ⇒ identical outcomes,
+// regardless of execution shape.
 package ranger_test
 
 import (
@@ -17,16 +17,14 @@ import (
 	"ranger/internal/models"
 )
 
-// adaptiveGoldenShapes are the execution shapes swept against the
-// (workers=1, lanes=1) reference.
-var adaptiveGoldenShapes = []struct{ workers, lanes int }{
-	{1, 1}, {2, 1}, {2, 3}, {0, 8},
-}
+// adaptiveGoldenWorkers are the worker counts swept against the
+// single-worker reference.
+var adaptiveGoldenWorkers = []int{1, 2, 0}
 
-func adaptiveGoldenCampaign(m *models.Model, mode ranger.SamplingMode, workers, lanes int) *ranger.Campaign {
+func adaptiveGoldenCampaign(m *models.Model, mode ranger.SamplingMode, workers int) *ranger.Campaign {
 	return &ranger.Campaign{
 		Model: m, Trials: 48, Seed: 2027,
-		Workers: workers, LaneWidth: lanes,
+		Workers:  workers,
 		Adaptive: mode, CITarget: 0.2, Strata: 2,
 	}
 }
@@ -44,23 +42,23 @@ func TestGoldenAdaptiveCampaignDeterminism(t *testing.T) {
 			}
 			feeds := campaignFeeds(t, m)
 			for _, mode := range []ranger.SamplingMode{ranger.AdaptiveStratified, ranger.AdaptiveWorstCase} {
-				run := func(workers, lanes int) ranger.AdaptiveOutcome {
-					out, err := adaptiveGoldenCampaign(m, mode, workers, lanes).RunAdaptive(context.Background(), feeds)
+				run := func(workers int) ranger.AdaptiveOutcome {
+					out, err := adaptiveGoldenCampaign(m, mode, workers).RunAdaptive(context.Background(), feeds)
 					if err != nil {
 						t.Fatal(err)
 					}
 					return out
 				}
-				want := run(1, 1)
+				want := run(1)
 				if want.Trials == 0 || len(want.Strata) == 0 {
 					t.Fatalf("mode %v: empty adaptive outcome %+v", mode, want)
 				}
-				for _, shape := range adaptiveGoldenShapes {
-					got := run(shape.workers, shape.lanes)
+				for _, workers := range adaptiveGoldenWorkers {
+					got := run(workers)
 					outcomesEqual(t, name, want.Outcome, got.Outcome)
 					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("mode %v workers=%d lanes=%d: adaptive outcome differs:\n%+v\nvs\n%+v",
-							mode, shape.workers, shape.lanes, got, want)
+						t.Fatalf("mode %v workers=%d: adaptive outcome differs:\n%+v\nvs\n%+v",
+							mode, workers, got, want)
 					}
 				}
 			}
@@ -70,7 +68,7 @@ func TestGoldenAdaptiveCampaignDeterminism(t *testing.T) {
 
 // TestGoldenAdaptiveInt8CampaignDeterminism is the int8 twin: adaptive
 // campaigns striking stored int8 words must also be byte-identical at
-// every execution shape.
+// every worker count.
 func TestGoldenAdaptiveInt8CampaignDeterminism(t *testing.T) {
 	m, err := models.Build("lenet")
 	if err != nil {
@@ -83,8 +81,8 @@ func TestGoldenAdaptiveInt8CampaignDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers, lanes int) ranger.AdaptiveOutcome {
-		c := adaptiveGoldenCampaign(m, ranger.AdaptiveStratified, workers, lanes)
+	run := func(workers int) ranger.AdaptiveOutcome {
+		c := adaptiveGoldenCampaign(m, ranger.AdaptiveStratified, workers)
 		c.Scenario = ranger.BitFlipInt8{Flips: 1}
 		c.Calibration = calib
 		out, err := c.RunAdaptive(context.Background(), feeds)
@@ -93,7 +91,7 @@ func TestGoldenAdaptiveInt8CampaignDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	want := run(1, 1)
+	want := run(1)
 	if want.Trials == 0 {
 		t.Fatalf("empty int8 adaptive outcome %+v", want)
 	}
@@ -104,11 +102,11 @@ func TestGoldenAdaptiveInt8CampaignDeterminism(t *testing.T) {
 			t.Fatalf("int8 stratum spans bits %d-%d", sr.BitLo, sr.BitHi)
 		}
 	}
-	for _, shape := range adaptiveGoldenShapes {
-		got := run(shape.workers, shape.lanes)
+	for _, workers := range adaptiveGoldenWorkers {
+		got := run(workers)
 		outcomesEqual(t, "lenet int8", want.Outcome, got.Outcome)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d lanes=%d: int8 adaptive outcome differs", shape.workers, shape.lanes)
+			t.Fatalf("workers=%d: int8 adaptive outcome differs", workers)
 		}
 	}
 }

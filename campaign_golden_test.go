@@ -85,91 +85,6 @@ func TestGoldenIncrementalCampaignMatchesFullReplay(t *testing.T) {
 	}
 }
 
-// TestGoldenLaneBatchedCampaignMatchesBatch1 sweeps the zoo on the fp32
-// backend with lane batching: an incremental campaign packing up to
-// LaneWidth same-depth trials into one batched suffix replay must
-// produce an Outcome byte-identical to the same campaign at LaneWidth 1
-// (lane batching off), at every worker count. Combined with the suites
-// above, this anchors lane-batched execution to the original per-trial
-// semantics.
-func TestGoldenLaneBatchedCampaignMatchesBatch1(t *testing.T) {
-	for _, name := range goldenModels(t) {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			m, err := models.Build(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feeds := campaignFeeds(t, m)
-			run := func(laneWidth, workers int) ranger.Outcome {
-				c := &ranger.Campaign{
-					Model: m, Trials: campaignGoldenTrials, Seed: 2027,
-					Workers: workers, Incremental: ranger.IncrementalOn,
-					LaneWidth: laneWidth,
-				}
-				out, err := c.Run(context.Background(), feeds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
-			}
-			want := run(1, 1)
-			for _, workers := range []int{1, 2, 0} {
-				for _, b := range []int{1, 3, 8} {
-					got := run(b, workers)
-					outcomesEqual(t, name, want, got)
-					if !reflect.DeepEqual(want, got) {
-						t.Fatalf("workers=%d lanes=%d: outcome differs", workers, b)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestGoldenLaneBatchedInt8CampaignMatchesBatch1 is the int8 twin of the
-// lane-batched sweep: batched quantized suffix replays must match lane
-// width 1 byte for byte.
-func TestGoldenLaneBatchedInt8CampaignMatchesBatch1(t *testing.T) {
-	for _, name := range goldenModels(t) {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			m, err := models.Build(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feeds := campaignFeeds(t, m)
-			calib, err := ranger.CalibrateModel(m, len(feeds), func(i int) (ranger.Feeds, error) {
-				return feeds[i], nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			run := func(laneWidth, workers int) ranger.Outcome {
-				c := &ranger.Campaign{
-					Model: m, Trials: campaignGoldenTrials, Seed: 2027,
-					Scenario: ranger.BitFlipInt8{Flips: 1}, Calibration: calib,
-					Workers: workers, Incremental: ranger.IncrementalOn,
-					LaneWidth: laneWidth,
-				}
-				out, err := c.Run(context.Background(), feeds)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
-			}
-			want := run(1, 1)
-			for _, workers := range []int{1, 2, 0} {
-				for _, b := range []int{1, 3, 8} {
-					outcomesEqual(t, name+" int8", want, run(b, workers))
-				}
-			}
-		})
-	}
-}
-
 // TestGoldenIncrementalInt8CampaignMatchesFullReplay sweeps the zoo on
 // the int8 quantized backend.
 func TestGoldenIncrementalInt8CampaignMatchesFullReplay(t *testing.T) {

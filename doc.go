@@ -158,44 +158,17 @@
 // bit-identical to its own batch-1 run (int8 kernels accumulate in
 // exact int32 arithmetic, which is order-free). Placeholders declare
 // their batch dimension as 0 ("any"), so the same compiled plan accepts
-// [1, ...] and [B, ...] feeds. Two execution paths exploit this:
+// [1, ...] and [B, ...] feeds.
 //
-// Inference: RunBatch (graph-level and on CompiledModel /
-// QuantizedModel) stacks consecutive same-shaped single-sample feeds
-// into one [B, ...] run — the batched dense GEMM packs each weight
-// panel once and reuses it across all B lanes instead of streaming the
-// weights per feed, and a conv layer is one implicit-GEMM call over
-// every lane's output pixels — and splits the batched fetch back into
-// per-feed outputs, falling back to per-feed runs whenever stacking
-// does not apply.
-//
-// Campaigns: incremental workers pack Campaign.LaneWidth consecutive
-// depth-ordered trials into one lane-batched suffix replay, starting
-// from the chunk's earliest struck step. The checkpoint's live set is
-// replicated across B lanes (lazily, per node), each packed trial
-// corrupts its own lane in place, and one batched replay produces all
-// B faulty outputs, judged per lane into their trial slots. Lane
-// batching is on by default (LaneWidth 0 means DefaultLaneWidth, 8)
-// because outcomes are byte-identical at every width — the golden
-// campaign suite pins zoo × {fp32, int8} × worker counts × widths. The
-// cost is memory: each worker holds up to B× the checkpoint's live set
-// in batched buffers, so cap LaneWidth (or a JobSpec's lane_width) on
-// memory-constrained hosts, or set it to 1 to disable lane batching
-// entirely.
-//
-// Because each lane keeps the batch-1 reduction order (the price of
-// bit-identity), a lane-batched replay performs exactly the per-lane
-// kernel work of B batch-1 replays — lane batching amortizes what
-// surrounds the kernels (per-step dispatch, weight-panel packing, live
-// set restores), not the kernels themselves, so single-core throughput
-// gains appear where those overheads dominate (small late-layer
-// tensors) and flatten out where conv GEMMs do. rangerbench
-// -exp campaignspeed reports late-layer trials/sec at widths 1, 4,
-// and 16. Profiling the batched trial loop exposed the actual
-// dominant per-trial cost — math/rand's 607-word reseed, paid per
-// sampled trial — and replacing the per-trial streams with SplitMix64
-// (O(1) reseed) multiplied small-model campaign throughput by ~5×
-// at every lane width.
+// RunBatch (graph-level and on CompiledModel / QuantizedModel) exploits
+// this for inference: it stacks consecutive same-shaped single-sample
+// feeds into one [B, ...] run — the batched dense GEMM packs each
+// weight panel once and reuses it across all B lanes instead of
+// streaming the weights per feed, and a conv layer is one implicit-GEMM
+// call over every lane's output pixels — and splits the batched fetch
+// back into per-feed outputs, falling back to per-feed runs whenever
+// stacking does not apply. Fault campaigns do not batch: each trial is
+// one batch-1 suffix replay.
 //
 // # Adaptive campaign lifecycle
 //
@@ -229,8 +202,8 @@
 //
 // Allocation decisions are a pure function of the folded per-stratum
 // counts, so the determinism contract extends in full: a fixed seed
-// produces a byte-identical AdaptiveOutcome at every worker count and
-// lane width, and AdaptiveRun (NewAdaptiveRun → ReplayTrial* →
+// produces a byte-identical AdaptiveOutcome at every worker count, and
+// AdaptiveRun (NewAdaptiveRun → ReplayTrial* →
 // NextRound until Done) is the resumable form the rangerd service uses
 // — replaying persisted trial records reconstructs the exact
 // allocation state, so an interrupted adaptive job continues with the

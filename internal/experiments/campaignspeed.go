@@ -31,21 +31,6 @@ type CampaignSpeedRow struct {
 	LateFullTPS float64 `json:"late_full_trials_per_sec"`
 	LateIncTPS  float64 `json:"late_incremental_trials_per_sec"`
 	LateSpeedup float64 `json:"late_speedup"`
-	// Batch1TPS / Batch4TPS / Batch16TPS are late-layer incremental
-	// trials/sec at an explicit lane width of 1 (lane batching off), 4,
-	// and 16: consecutive depth-ordered trials packed into one batched
-	// suffix replay. Per-lane kernel work is pinned equal to batch-1 by
-	// the bit-identity contract (each lane keeps the batch-1 reduction
-	// order), so on one core these columns measure the second-order
-	// terms: per-step dispatch amortization and weight-panel reuse pull
-	// batched up, replaying each chunk from its earliest struck step
-	// pulls it down. Outcomes are byte-identical at every width (the
-	// golden campaign suite is the oracle); only throughput differs.
-	Batch1TPS  float64 `json:"late_batch1_trials_per_sec"`
-	Batch4TPS  float64 `json:"late_batch4_trials_per_sec"`
-	Batch16TPS float64 `json:"late_batch16_trials_per_sec"`
-	// BatchSpeedup is the better of the batched widths over lane width 1.
-	BatchSpeedup float64 `json:"batch_speedup"`
 }
 
 // CampaignSpeedResult reports campaign throughput across the zoo. It
@@ -67,16 +52,13 @@ func (r *CampaignSpeedResult) JSON() ([]byte, error) {
 func (r *CampaignSpeedResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Campaign throughput: full replay vs incremental suffix replay (%d trials, %d workers)\n", r.Trials, r.Workers)
-	b.WriteString("(late = fault space restricted to the last third of corruptible nodes;\n")
-	b.WriteString(" b1/b4/b16 = late incremental trials/sec at lane widths 1, 4, 16)\n\n")
-	fmt.Fprintf(&b, "%-12s %6s %10s %10s %8s %10s %10s %8s %9s %9s %9s %8s\n",
-		"model", "steps", "full t/s", "incr t/s", "speedup", "late-full", "late-incr", "speedup",
-		"b1 t/s", "b4 t/s", "b16 t/s", "b-spdup")
+	b.WriteString("(late = fault space restricted to the last third of corruptible nodes)\n\n")
+	fmt.Fprintf(&b, "%-12s %6s %10s %10s %8s %10s %10s %8s\n",
+		"model", "steps", "full t/s", "incr t/s", "speedup", "late-full", "late-incr", "speedup")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-12s %6d %10.0f %10.0f %7.2fx %10.0f %10.0f %7.2fx %9.0f %9.0f %9.0f %7.2fx\n",
+		fmt.Fprintf(&b, "%-12s %6d %10.0f %10.0f %7.2fx %10.0f %10.0f %7.2fx\n",
 			row.Model, row.Steps, row.FullTPS, row.IncTPS, row.Speedup,
-			row.LateFullTPS, row.LateIncTPS, row.LateSpeedup,
-			row.Batch1TPS, row.Batch4TPS, row.Batch16TPS, row.BatchSpeedup)
+			row.LateFullTPS, row.LateIncTPS, row.LateSpeedup)
 	}
 	return b.String()
 }
@@ -108,11 +90,10 @@ func CampaignSpeed(ctx context.Context, r *Runner) (*CampaignSpeedResult, error)
 			return nil, err
 		}
 		input := feeds[:1]
-		measure := func(targets []string, mode inject.IncrementalMode, laneWidth int) (float64, error) {
+		measure := func(targets []string, mode inject.IncrementalMode) (float64, error) {
 			c := &inject.Campaign{
 				Model: m, Trials: r.cfg.Trials, Seed: r.cfg.Seed,
 				Workers: r.cfg.Workers, TargetNodes: targets, Incremental: mode,
-				LaneWidth: laneWidth,
 			}
 			start := time.Now()
 			if _, err := c.Run(ctx, input); err != nil {
@@ -127,34 +108,23 @@ func CampaignSpeed(ctx context.Context, r *Runner) (*CampaignSpeedResult, error)
 		}
 		row.Steps = plan.Steps()
 		late := lateThirdNodes(m)
-		if row.FullTPS, err = measure(nil, inject.IncrementalOff, 0); err != nil {
+		if row.FullTPS, err = measure(nil, inject.IncrementalOff); err != nil {
 			return nil, fmt.Errorf("campaignspeed %s (full): %w", name, err)
 		}
-		if row.IncTPS, err = measure(nil, inject.IncrementalOn, 0); err != nil {
+		if row.IncTPS, err = measure(nil, inject.IncrementalOn); err != nil {
 			return nil, fmt.Errorf("campaignspeed %s (incremental): %w", name, err)
 		}
-		if row.LateFullTPS, err = measure(late, inject.IncrementalOff, 0); err != nil {
+		if row.LateFullTPS, err = measure(late, inject.IncrementalOff); err != nil {
 			return nil, fmt.Errorf("campaignspeed %s (late full): %w", name, err)
 		}
-		if row.LateIncTPS, err = measure(late, inject.IncrementalOn, 0); err != nil {
+		if row.LateIncTPS, err = measure(late, inject.IncrementalOn); err != nil {
 			return nil, fmt.Errorf("campaignspeed %s (late incremental): %w", name, err)
-		}
-		for _, bw := range []struct {
-			width int
-			tps   *float64
-		}{{1, &row.Batch1TPS}, {4, &row.Batch4TPS}, {16, &row.Batch16TPS}} {
-			if *bw.tps, err = measure(late, inject.IncrementalOn, bw.width); err != nil {
-				return nil, fmt.Errorf("campaignspeed %s (late lanes=%d): %w", name, bw.width, err)
-			}
 		}
 		if row.FullTPS > 0 {
 			row.Speedup = row.IncTPS / row.FullTPS
 		}
 		if row.LateFullTPS > 0 {
 			row.LateSpeedup = row.LateIncTPS / row.LateFullTPS
-		}
-		if row.Batch1TPS > 0 {
-			row.BatchSpeedup = max(row.Batch4TPS, row.Batch16TPS) / row.Batch1TPS
 		}
 		res.Rows = append(res.Rows, row)
 	}

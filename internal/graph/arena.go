@@ -59,8 +59,7 @@ func (s *Scratch) Get(shape ...int) *tensor.Tensor {
 // none fits) — Get without the tensor header, for kernels that want
 // plain scratch storage (pack panels). Contents are unspecified; the
 // buffer is only valid until the same node is evaluated again. Warm
-// calls allocate nothing, which is what keeps the lane-batched campaign
-// trial loop allocation-free.
+// calls allocate nothing.
 func (s *Scratch) GetFloats(n int) []float32 {
 	var buf []float32
 	if s.next < len(s.bufs) && cap(s.bufs[s.next]) >= n {

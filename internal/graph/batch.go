@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"slices"
+
 	"ranger/internal/parallel"
 
 	"ranger/internal/tensor"
@@ -163,7 +165,7 @@ func sameLaneShapes(a, b Feeds) bool {
 	}
 	for name, ta := range a {
 		tb, ok := b[name]
-		if !ok || !shapesEqual(ta.Shape(), tb.Shape()) {
+		if !ok || !slices.Equal(ta.Shape(), tb.Shape()) {
 			return false
 		}
 	}

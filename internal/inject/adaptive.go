@@ -26,8 +26,7 @@ import (
 // Determinism contract: trial t of stratum s always samples from the
 // private stream adaptiveSeed(Seed, s, t), and rounds are allocated by
 // a pure function of the per-stratum trial counts — so a fixed seed
-// yields byte-identical outcomes at every worker count and lane width,
-// and a resumed run that replays its durable per-stratum frontier
+// yields byte-identical outcomes at every worker count, and a resumed run that replays its durable per-stratum frontier
 // continues exactly where the original would have.
 
 // SamplingMode selects a campaign's sampling design; the zero value is
@@ -96,7 +95,7 @@ type planItem struct {
 // adaptiveSeed derives the sampling seed for stratum trial (s, local).
 // It mirrors trialSeed's Mix64 chain under a distinct domain constant,
 // so adaptive streams never collide with uniform ones and depend only
-// on the trial's stratum identity — not on rounds, workers, or lanes.
+// on the trial's stratum identity — not on rounds or workers.
 func adaptiveSeed(seed int64, stratum, local int) int64 {
 	h := parallel.Mix64(uint64(seed) ^ 0xA110C857A7A5EED)
 	h = parallel.Mix64(h ^ uint64(stratum+1))
@@ -438,9 +437,9 @@ func (ar *AdaptiveRun) ReplayTrial(stratum int, top1, top5, isReg bool, dev floa
 // trials, in allocation order — what durable consumers cross-check
 // against their streamed records). Execution groups the round's trials
 // by input (one clean pass each) and runs each group through the same
-// depth-grouped, lane-batched worker shard as uniform campaigns;
-// verdicts then fold in allocation order, so the Outcome is
-// byte-identical at every worker count and lane width. A round is
+// depth-grouped worker shard as uniform campaigns; verdicts then fold
+// in allocation order, so the Outcome is byte-identical at every worker
+// count. A round is
 // atomic: on error (including cancellation) nothing folds, mirroring
 // the Run contract. OnTrial streams each trial with its Stratum and Seq
 // filled in. A call when the run is Done is a no-op.

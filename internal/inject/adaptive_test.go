@@ -139,18 +139,17 @@ func TestAdaptiveRunConverges(t *testing.T) {
 	}
 }
 
-func TestAdaptiveDeterministicAcrossWorkersAndLanes(t *testing.T) {
+func TestAdaptiveDeterministicAcrossWorkers(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
-	run := func(workers, lanes int, mode SamplingMode) AdaptiveOutcome {
+	run := func(workers int, mode SamplingMode) AdaptiveOutcome {
 		c := &Campaign{
-			Model:     m,
-			Trials:    96,
-			Seed:      11,
-			Adaptive:  mode,
-			CITarget:  0.2,
-			Strata:    2,
-			Workers:   workers,
-			LaneWidth: lanes,
+			Model:    m,
+			Trials:   96,
+			Seed:     11,
+			Adaptive: mode,
+			CITarget: 0.2,
+			Strata:   2,
+			Workers:  workers,
 		}
 		out, err := c.RunAdaptive(context.Background(), feeds)
 		if err != nil {
@@ -159,11 +158,11 @@ func TestAdaptiveDeterministicAcrossWorkersAndLanes(t *testing.T) {
 		return out
 	}
 	for _, mode := range []SamplingMode{AdaptiveStratified, AdaptiveWorstCase} {
-		base := run(1, 1, mode)
-		for _, wl := range [][2]int{{2, 1}, {4, 3}, {0, 8}} {
-			if got := run(wl[0], wl[1], mode); !reflect.DeepEqual(base, got) {
-				t.Fatalf("mode %d: outcome differs at workers=%d lanes=%d:\n%+v\nvs\n%+v",
-					mode, wl[0], wl[1], base, got)
+		base := run(1, mode)
+		for _, workers := range []int{2, 4, 0} {
+			if got := run(workers, mode); !reflect.DeepEqual(base, got) {
+				t.Fatalf("mode %d: outcome differs at workers=%d:\n%+v\nvs\n%+v",
+					mode, workers, base, got)
 			}
 		}
 	}

@@ -178,69 +178,6 @@ func checkTrialZeroAlloc(t *testing.T, m *models.Model, feeds []graph.Feeds, cam
 	}
 }
 
-// TestIncrementalLaneBatchedZeroAlloc extends the zero-alloc gate to the
-// lane-batched hot path: once the worker's LaneReplay for a width is
-// warm, a B-trial batched chunk — reseed and sample B streams, one
-// batched suffix replay with per-lane in-place corruption, B per-lane
-// judgements — must not allocate at all. Allocations therefore cannot
-// scale with B. Run without -race (instrumentation allocates).
-func TestIncrementalLaneBatchedZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	parallel.SetWorkers(1)
-	defer parallel.SetWorkers(0)
-	m, feeds := lenetInputs(t, 1)
-	late := lateCorruptibleNodes(t, m, 3)
-	const lanes = 4
-	c := &Campaign{Model: m, Trials: 1, Seed: 9, TargetNodes: late, LaneWidth: lanes}
-	exec, err := c.newExec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := c.faultSpace(exec.plan, feeds[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := exec.prepare(feeds[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := exec.newTrial(feeds[0], fs)
-	if tr.runLanes == nil {
-		t.Fatal("incremental trial runner has no lane-batched path")
-	}
-	// Chunks of a fixed width keep the worker's LaneReplay, batched
-	// buffers, and sampling state shapes stable across iterations.
-	const chunks = 16
-	trials := make([]int, lanes)
-	runChunk := func(chunk int) {
-		for l := range trials {
-			trials[l] = chunk*lanes + l
-		}
-		batched, err := tr.runLanes(0, trials)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := batched.Data()
-		laneSize := len(data) / lanes
-		for l := 0; l < lanes; l++ {
-			c.judgeData(ref, data[l*laneSize:(l+1)*laneSize])
-		}
-	}
-	for chunk := 0; chunk < chunks; chunk++ {
-		runChunk(chunk)
-	}
-	chunk := 0
-	avg := testing.AllocsPerRun(chunks-1, func() {
-		runChunk(chunk % chunks)
-		chunk++
-	})
-	if avg != 0 {
-		t.Fatalf("lane-batched chunk allocates %.2f allocs/chunk in steady state, want 0", avg)
-	}
-}
-
 // lateCorruptibleNodes returns the last n corruptible node names of the
 // model — a late-layer fault space.
 func lateCorruptibleNodes(t *testing.T, m *models.Model, n int) []string {

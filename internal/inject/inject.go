@@ -50,7 +50,7 @@ func trialSeed(seed int64, input, trial int) int64 {
 // models (≈80% of a late-layer lenet campaign's CPU). SplitMix64 seeds
 // in one assignment, and each (input, trial) stream is keyed by an
 // already-mixed 64-bit trialSeed, so the streams stay independent and
-// byte-identical at every worker count and lane width.
+// byte-identical at every worker count.
 type splitmixSource struct{ state uint64 }
 
 func (s *splitmixSource) Seed(seed int64) { s.state = uint64(seed) }
@@ -133,18 +133,6 @@ type Campaign struct {
 	// trade the checkpoint's memory (one clean copy of the live
 	// activations per input) for full per-trial replay.
 	Incremental IncrementalMode
-	// LaneWidth sets how many consecutive depth-ordered trials an
-	// incremental worker packs into one lane-batched suffix replay: B
-	// trials stack along a leading batch axis, each corrupting its own
-	// lane, and one batched replay (from the chunk's earliest struck
-	// step) produces all B faulty outputs. Every lane is bit-identical
-	// to its batch-1 trial (the kernels are lane-wise with unchanged
-	// per-lane reduction order), so the Outcome is byte-identical at
-	// every width. Each worker holds up to LaneWidth× the checkpoint's
-	// live set in batched buffers — cap it to bound memory. 0 means
-	// DefaultLaneWidth; 1 disables lane batching; ignored (batch-1)
-	// under IncrementalOff.
-	LaneWidth int
 	// Adaptive selects the sampling design. The zero value,
 	// SamplingUniform, is the classic uniform grid over the fault space
 	// (Trials injections per input, run by Run/RunSlice).
@@ -209,22 +197,8 @@ const (
 	IncrementalOff
 )
 
-// DefaultLaneWidth is the lane-batched replay width campaigns use when
-// LaneWidth is 0: wide enough that the weight panels a batched GEMM
-// packs once amortize across many lanes, small enough that a worker's
-// batched live set stays modest on the deepest zoo models.
-const DefaultLaneWidth = 8
-
 // incremental reports whether suffix replay is enabled.
 func (c *Campaign) incremental() bool { return c.Incremental == IncrementalOn }
-
-// laneWidth returns the effective lane-batched replay width.
-func (c *Campaign) laneWidth() int {
-	if c.LaneWidth == 0 {
-		return DefaultLaneWidth
-	}
-	return c.LaneWidth
-}
 
 // format returns the effective datapath encoding.
 func (c *Campaign) format() fixpoint.Format {
@@ -259,9 +233,6 @@ func (c *Campaign) regSDCThreshold() float64 {
 func (c *Campaign) validate(inputs []graph.Feeds) error {
 	if c.Trials <= 0 {
 		return fmt.Errorf("inject: trials = %d", c.Trials)
-	}
-	if c.LaneWidth < 0 {
-		return fmt.Errorf("inject: lane width = %d", c.LaneWidth)
 	}
 	if len(inputs) == 0 {
 		return fmt.Errorf("inject: no inputs")
@@ -483,8 +454,7 @@ func (c *Campaign) sampleFaultSites(fs *FaultSpace, rng *rand.Rand) map[string][
 // replays only the plan suffix at or after its earliest fault site,
 // corrupting struck elements in place (no per-trial cloning); workers
 // group their trial blocks by injection depth so deep-layer faults
-// replay only a handful of steps back to back, and pack LaneWidth
-// consecutive depth-ordered trials into one lane-batched replay. Trials are sharded across
+// replay only a handful of steps back to back. Trials are sharded across
 // workers, each trial sampling from its own hash(Seed, input, trial)
 // stream and judged into an index slot, then reduced in trial order — the
 // Outcome is byte-identical at every worker count, between the
@@ -577,12 +547,13 @@ func (c *Campaign) RunSlice(ctx context.Context, inputs []graph.Feeds, start, en
 }
 
 // runShard executes one input's block of len(verdicts) trials across
-// workers, with depth grouping and lane batching. Slot i's trial
-// identity is (ii, t0+i) under uniform sampling, or plan[i] when a
-// stratified plan is set (t0 is then 0 and the plan item carries the
-// sampling seed and stratum constraint). Verdicts land in their slots;
-// emit, when non-nil, is called under a shard-wide mutex as each slot's
-// verdict lands. The first per-trial error is returned after all
+// workers, one trial at a time, each worker grouping its block by
+// injection depth under suffix replay. Slot i's trial identity is
+// (ii, t0+i) under uniform sampling, or plan[i] when a stratified plan
+// is set (t0 is then 0 and the plan item carries the sampling seed and
+// stratum constraint). Verdicts land in their slots; emit, when
+// non-nil, is called under a shard-wide mutex as each slot's verdict
+// lands. The first per-trial error is returned after all
 // workers finish, so a shard never half-reports.
 func (c *Campaign) runShard(ctx context.Context, exec *campaignExec, feeds graph.Feeds, ref *tensor.Tensor, fs *FaultSpace, ii, t0, workers int, plan []plannedTrial, verdicts []trialVerdict, emit func(slot int)) error {
 	n := len(verdicts)
@@ -609,74 +580,23 @@ func (c *Campaign) runShard(ctx context.Context, exec *campaignExec, feeds graph
 			}
 			return i
 		}
-		emitLocked := func(slot int) {
+		for i := lo; i < hi; i++ {
+			slot := slotAt(i)
+			if err := ctx.Err(); err != nil {
+				errs[slot] = err
+				return
+			}
+			faulty, err := tr.run(ii, t0+slot)
+			if err != nil {
+				errs[slot] = err
+				continue
+			}
+			verdicts[slot] = c.judgeData(ref, faulty.Data())
 			if emit != nil {
 				cbMu.Lock()
 				emit(slot)
 				cbMu.Unlock()
 			}
-		}
-		laneW := 1
-		if tr.runLanes != nil && c.incremental() {
-			laneW = c.laneWidth()
-		}
-		var laneTrials, laneSlots []int
-		for i := lo; i < hi; {
-			if err := ctx.Err(); err != nil {
-				errs[slotAt(i)] = err
-				return
-			}
-			// Pack a chunk of exactly laneW consecutive depth-ordered
-			// slots; the replay starts at the chunk's earliest struck
-			// step, so deeper lanes recompute a few checkpoint-clean
-			// steps — still bit-identical to their batch-1 runs (and
-			// depth ordering keeps the chunk's depths adjacent, so the
-			// waste is small). Only full chunks batch: a fixed width
-			// means each worker warms exactly one lane replay (batched
-			// layout, feeds, and replicated live set) and reuses it
-			// for every chunk; the short block tail runs batch-1.
-			// Verdicts land in trial slots either way, so the Outcome
-			// is unchanged at every lane width.
-			j := i + 1
-			if laneW > 1 && hi-i >= laneW {
-				j = i + laneW
-			}
-			if j-i == 1 {
-				slot := slotAt(i)
-				faulty, err := tr.run(ii, t0+slot)
-				if err != nil {
-					errs[slot] = err
-					i = j
-					continue
-				}
-				verdicts[slot] = c.judgeData(ref, faulty.Data())
-				emitLocked(slot)
-				i = j
-				continue
-			}
-			laneTrials, laneSlots = laneTrials[:0], laneSlots[:0]
-			for p := i; p < j; p++ {
-				slot := slotAt(p)
-				laneSlots = append(laneSlots, slot)
-				laneTrials = append(laneTrials, t0+slot)
-			}
-			batched, err := tr.runLanes(ii, laneTrials)
-			if err != nil {
-				// A batched replay fails as a unit: every packed
-				// trial reports the error.
-				for _, slot := range laneSlots {
-					errs[slot] = err
-				}
-				i = j
-				continue
-			}
-			data := batched.Data()
-			laneSize := len(data) / len(laneSlots)
-			for l, slot := range laneSlots {
-				verdicts[slot] = c.judgeData(ref, data[l*laneSize:(l+1)*laneSize])
-				emitLocked(slot)
-			}
-			i = j
 		}
 	})
 	for slot := 0; slot < n; slot++ {
@@ -702,19 +622,15 @@ func min64(a, b int64) int64 {
 }
 
 // trialRunner is one worker's trial-execution surface. run executes a
-// single (input, trial) and returns the faulty fetch; runLanes packs
-// len(trials) trials into one lane-batched suffix replay and returns
-// the lane-major stacked faulty fetches (nil when the backend cannot
-// lane-batch — full replay has no checkpoint to batch). Returned
-// tensors stay valid until the worker's next trial; depth probes a
-// trial's earliest struck plan step. setPlan installs a stratified
-// sampling plan: trial indices passed to run/runLanes/depth then index
-// the plan instead of naming uniform-grid trials.
+// single (input, trial) and returns the faulty fetch, valid until the
+// worker's next trial; depth probes a trial's earliest struck plan
+// step. setPlan installs a stratified sampling plan: trial indices
+// passed to run/depth then index the plan instead of naming
+// uniform-grid trials.
 type trialRunner struct {
-	run      func(input, trial int) (*tensor.Tensor, error)
-	runLanes func(input int, trials []int) (*tensor.Tensor, error)
-	depth    func(input, trial int) int
-	setPlan  func(plan []plannedTrial)
+	run     func(input, trial int) (*tensor.Tensor, error)
+	depth   func(input, trial int) int
+	setPlan func(plan []plannedTrial)
 }
 
 // campaignExec abstracts the campaign's execution backend: the fp32
@@ -766,14 +682,9 @@ func (c *Campaign) newExec() (*campaignExec, error) {
 			ckpt:  ckpt, // captured by the preceding prepare
 			feeds: feeds,
 			sites: newTrialSites(c, fs, plan.StepOf, plan.Steps()),
-			lanes: 1,
 		}
 		w.makeHook()
-		tr := trialRunner{run: w.run, depth: w.depth, setPlan: func(p []plannedTrial) { w.sites.plan = p }}
-		if w.ckpt != nil {
-			tr.runLanes = w.runLanes
-		}
-		return tr
+		return trialRunner{run: w.run, depth: w.depth, setPlan: func(p []plannedTrial) { w.sites.plan = p }}
 	}
 	return &campaignExec{plan: plan, prepare: prepare, newTrial: newTrial}, nil
 }
@@ -815,31 +726,18 @@ func (c *Campaign) newExecInt8(plan *graph.Plan) (*campaignExec, error) {
 			feeds: feeds,
 			scen:  scen,
 			sites: newTrialSites(c, fs, qp.StepOf, qp.Steps()),
-			lanes: 1,
 		}
 		w.makeHook()
-		tr := trialRunner{run: w.run, depth: w.depth, setPlan: func(p []plannedTrial) { w.sites.plan = p }}
-		if w.ckpt != nil {
-			tr.runLanes = w.runLanes
-		}
-		return tr
+		return trialRunner{run: w.run, depth: w.depth, setPlan: func(p []plannedTrial) { w.sites.plan = p }}
 	}
 	return &campaignExec{plan: plan, prepare: prepare, newTrial: newTrial}, nil
 }
 
-// laneSite is one sampled fault site tagged with the replay lane it
-// strikes: lane 0 for batch-1 trials, lane l for the l-th trial of a
-// lane-batched replay.
-type laneSite struct {
-	lane int
-	s    Site
-}
-
 // trialSites is a worker's reusable fault-sampling state: the sampled
 // site buffer, the per-node site groups (sampling order preserved
-// within each node, lanes appended in trial order), and the earliest
-// injected plan step across all lanes. All storage recycles across
-// trials, so steady-state sampling allocates nothing.
+// within each node), and the trial's earliest injected plan step. All
+// storage recycles across trials, so steady-state sampling allocates
+// nothing.
 type trialSites struct {
 	scen    Scenario
 	format  fixpoint.Format
@@ -848,11 +746,11 @@ type trialSites struct {
 	nSteps  int
 	rng     *rand.Rand
 	buf     []Site
-	byNode  map[string][]laneSite
+	byNode  map[string][]Site
 	used    []string
 	minStep int
 	// plan, when non-nil, switches sampling to a stratified plan: the
-	// "trial" index passed to appendTrial indexes plan, whose item
+	// "trial" index passed to sample indexes plan, whose item
 	// carries the trial's private sampling seed and stratum constraint.
 	// The scenario must then implement StratumScenario (checked by
 	// NewAdaptiveRun before any plan is built).
@@ -870,24 +768,19 @@ func newTrialSites(c *Campaign, fs *FaultSpace, stepOf func(string) int, nSteps 
 	}
 }
 
-// reset clears the per-node groups and the replay boundary ahead of a
-// fresh sampling pass, recycling all storage.
-func (ts *trialSites) reset() {
+// sample prepares one trial's sites: it draws them from the trial's
+// private hash(seed, input, trial) stream (reseeding the worker's RNG
+// reproduces exactly the stream a fresh trialRNG would emit), groups
+// them by node and sets minStep to the trial's earliest struck step.
+// Sites naming nodes the plan does not produce are ignored, as the
+// name-keyed hook lookup always ignored them. The previous trial's
+// groups are cleared first, recycling all storage.
+func (ts *trialSites) sample(seed int64, input, trial int) {
 	for _, name := range ts.used {
 		ts.byNode[name] = ts.byNode[name][:0]
 	}
 	ts.used = ts.used[:0]
 	ts.minStep = ts.nSteps
-}
-
-// appendTrial draws one trial's fault sites from its private hash(seed,
-// input, trial) stream (reseeding the worker's RNG reproduces exactly
-// the stream a fresh trialRNG would emit) and folds them into the
-// per-node groups tagged with the given replay lane, lowering minStep
-// to the trial's earliest struck step. Sites naming nodes the plan does
-// not produce are ignored, as the name-keyed hook lookup always ignored
-// them.
-func (ts *trialSites) appendTrial(lane int, seed int64, input, trial int) {
 	if ts.plan != nil {
 		pt := ts.plan[trial]
 		ts.rng.Seed(pt.seed)
@@ -901,7 +794,7 @@ func (ts *trialSites) appendTrial(lane int, seed int64, input, trial int) {
 		}
 	}
 	if ts.byNode == nil {
-		ts.byNode = make(map[string][]laneSite, len(ts.buf))
+		ts.byNode = make(map[string][]Site, len(ts.buf))
 	}
 	for _, s := range ts.buf {
 		si := ts.stepOf(s.Node)
@@ -911,27 +804,10 @@ func (ts *trialSites) appendTrial(lane int, seed int64, input, trial int) {
 		if len(ts.byNode[s.Node]) == 0 {
 			ts.used = append(ts.used, s.Node)
 		}
-		ts.byNode[s.Node] = append(ts.byNode[s.Node], laneSite{lane, s})
+		ts.byNode[s.Node] = append(ts.byNode[s.Node], s)
 		if si < ts.minStep {
 			ts.minStep = si
 		}
-	}
-}
-
-// sample prepares one batch-1 trial's sites (lane 0).
-func (ts *trialSites) sample(seed int64, input, trial int) {
-	ts.reset()
-	ts.appendTrial(0, seed, input, trial)
-}
-
-// sampleLanes prepares a lane-batched replay's sites: trial trials[l]
-// strikes lane l. minStep becomes the earliest struck step across all
-// lanes — replaying a lane from earlier than its own boundary is still
-// bit-identical, since the extra steps recompute checkpoint values.
-func (ts *trialSites) sampleLanes(seed int64, input int, trials []int) {
-	ts.reset()
-	for l, trial := range trials {
-		ts.appendTrial(l, seed, input, trial)
 	}
 }
 
@@ -954,8 +830,6 @@ type fp32Worker struct {
 	ckpt  *graph.Checkpoint // nil when Incremental is off
 	feeds graph.Feeds
 	sites trialSites
-	lanes int // lanes in the current replay: 1, or len(trials) in runLanes
-	lrs   map[int]*graph.LaneReplay
 	undo  []undoF32
 	err   error
 	hook  graph.Hook
@@ -965,11 +839,7 @@ type fp32Worker struct {
 // reads the refreshed sampling state. Corruption is in place — the
 // struck tensors are slot-backed (or per-run allocations) that every
 // replay fully rewrites, and restore() reverts the bytes before the
-// next trial anyway — so the hot path never clones a tensor. Under a
-// lane-batched replay the observed tensor stacks w.lanes lanes, each
-// site strikes element Elem of its own lane, and the bounds check is
-// against the per-lane size — a batch-1 site out of bounds is equally
-// out of bounds in every lane.
+// next trial anyway — so the hot path never clones a tensor.
 func (w *fp32Worker) makeHook() {
 	w.hook = func(n *graph.Node, out *tensor.Tensor) *tensor.Tensor {
 		ss := w.sites.byNode[n.Name()]
@@ -977,21 +847,18 @@ func (w *fp32Worker) makeHook() {
 			return nil
 		}
 		data := out.Data()
-		laneSize := len(data) / w.lanes
-		for _, ls := range ss {
-			s := ls.s
-			if s.Elem < 0 || s.Elem >= laneSize {
-				w.err = siteBoundsError(s, laneSize)
+		for _, s := range ss {
+			if s.Elem < 0 || s.Elem >= len(data) {
+				w.err = siteBoundsError(s, len(data))
 				return nil
 			}
-			idx := ls.lane*laneSize + s.Elem
-			v, err := w.sites.scen.Corrupt(w.sites.format, data[idx], s)
+			v, err := w.sites.scen.Corrupt(w.sites.format, data[s.Elem], s)
 			if err != nil {
 				w.err = fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
 				return nil
 			}
-			w.undo = append(w.undo, undoF32{data, idx, data[idx]})
-			data[idx] = v
+			w.undo = append(w.undo, undoF32{data, s.Elem, data[s.Elem]})
+			data[s.Elem] = v
 		}
 		return nil
 	}
@@ -1011,7 +878,6 @@ func (w *fp32Worker) restore() {
 func (w *fp32Worker) run(input, trial int) (*tensor.Tensor, error) {
 	w.restore()
 	w.err = nil
-	w.lanes = 1
 	w.sites.sample(w.c.Seed, input, trial)
 	var outs []*tensor.Tensor
 	var err error
@@ -1025,40 +891,6 @@ func (w *fp32Worker) run(input, trial int) (*tensor.Tensor, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("inject: faulty run: %w", err)
-	}
-	return outs[0], nil
-}
-
-// runLanes executes len(trials) trials as one lane-batched suffix
-// replay: trial trials[l] corrupts lane l, and the returned tensor
-// stacks the faulty outputs lane-major ([B, ...], valid until the
-// worker's next trial). Lane l is bit-identical to run(input,
-// trials[l]). Replays are cached per lane count against the worker's
-// checkpoint, so repeated chunks of the same width reuse the batched
-// feeds, layout, and replicated live values.
-func (w *fp32Worker) runLanes(input int, trials []int) (*tensor.Tensor, error) {
-	w.restore()
-	w.err = nil
-	b := len(trials)
-	lr := w.lrs[b]
-	if lr == nil {
-		var err error
-		if lr, err = w.plan.NewLaneReplay(w.ckpt, b); err != nil {
-			return nil, err
-		}
-		if w.lrs == nil {
-			w.lrs = make(map[int]*graph.LaneReplay)
-		}
-		w.lrs[b] = lr
-	}
-	w.lanes = b
-	w.sites.sampleLanes(w.c.Seed, input, trials)
-	outs, err := lr.RunFrom(w.st, w.sites.minStep, w.hook)
-	if w.err != nil {
-		return nil, w.err
-	}
-	if err != nil {
-		return nil, fmt.Errorf("inject: faulty lane replay: %w", err)
 	}
 	return outs[0], nil
 }
@@ -1093,8 +925,6 @@ type int8Worker struct {
 	feeds graph.Feeds
 	scen  Int8Scenario
 	sites trialSites
-	lanes int // lanes in the current replay: 1, or len(trials) in runLanes
-	lrs   map[int]*graph.QLaneReplay
 	undo  []undoI8
 	err   error
 	hook  graph.QHook
@@ -1107,21 +937,18 @@ func (w *int8Worker) makeHook() {
 			return nil
 		}
 		data := out.Data()
-		laneSize := len(data) / w.lanes
-		for _, ls := range ss {
-			s := ls.s
-			if s.Elem < 0 || s.Elem >= laneSize {
-				w.err = siteBoundsError(s, laneSize)
+		for _, s := range ss {
+			if s.Elem < 0 || s.Elem >= len(data) {
+				w.err = siteBoundsError(s, len(data))
 				return nil
 			}
-			idx := ls.lane*laneSize + s.Elem
-			q, err := w.scen.CorruptInt8(data[idx], s)
+			q, err := w.scen.CorruptInt8(data[s.Elem], s)
 			if err != nil {
 				w.err = fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
 				return nil
 			}
-			w.undo = append(w.undo, undoI8{data, idx, data[idx]})
-			data[idx] = q
+			w.undo = append(w.undo, undoI8{data, s.Elem, data[s.Elem]})
+			data[s.Elem] = q
 		}
 		return nil
 	}
@@ -1138,7 +965,6 @@ func (w *int8Worker) restore() {
 func (w *int8Worker) run(input, trial int) (*tensor.Tensor, error) {
 	w.restore()
 	w.err = nil
-	w.lanes = 1
 	w.sites.sample(w.c.Seed, input, trial)
 	var outs []*tensor.Tensor
 	var err error
@@ -1152,36 +978,6 @@ func (w *int8Worker) run(input, trial int) (*tensor.Tensor, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("inject: faulty run: %w", err)
-	}
-	return outs[0], nil
-}
-
-// runLanes mirrors fp32Worker.runLanes on the quantized plan: faults
-// strike the stored int8 lanes in place and the batched dequantized
-// fetch stacks the faulty outputs lane-major.
-func (w *int8Worker) runLanes(input int, trials []int) (*tensor.Tensor, error) {
-	w.restore()
-	w.err = nil
-	b := len(trials)
-	lr := w.lrs[b]
-	if lr == nil {
-		var err error
-		if lr, err = w.qp.NewLaneReplay(w.ckpt, b); err != nil {
-			return nil, err
-		}
-		if w.lrs == nil {
-			w.lrs = make(map[int]*graph.QLaneReplay)
-		}
-		w.lrs[b] = lr
-	}
-	w.lanes = b
-	w.sites.sampleLanes(w.c.Seed, input, trials)
-	outs, err := lr.RunFrom(w.st, w.sites.minStep, w.hook)
-	if w.err != nil {
-		return nil, w.err
-	}
-	if err != nil {
-		return nil, fmt.Errorf("inject: faulty lane replay: %w", err)
 	}
 	return outs[0], nil
 }
@@ -1230,10 +1026,8 @@ func (c *Campaign) judgeTrial(ref, faulty *tensor.Tensor) trialVerdict {
 	return c.judgeData(ref, faulty.Data())
 }
 
-// judgeData judges one faulty output given as raw data — a whole
-// batch-1 fetch, or one lane of a lane-batched fetch (the per-lane
-// slice of a [B, ...] tensor is exactly that lane's batch-1 output).
-// It allocates nothing.
+// judgeData judges one faulty output given as its raw fetch data. It
+// allocates nothing.
 func (c *Campaign) judgeData(ref *tensor.Tensor, faulty []float32) trialVerdict {
 	var v trialVerdict
 	switch c.Model.Kind {

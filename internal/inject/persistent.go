@@ -44,8 +44,8 @@ import (
 // everything before that step is untouched by construction. The repair
 // path reuses the same checkpoints, so a scrub replays only the
 // affected layer suffix instead of re-running the model. Campaign
-// .Incremental and .LaneWidth are ignored here (sequences are
-// inherently sequential within themselves).
+// .Incremental is ignored here (sequences are inherently sequential
+// within themselves).
 
 // DefaultSequenceLen is how many inferences a persistent sequence runs
 // when Campaign.SequenceLen is 0: long enough that detection latency

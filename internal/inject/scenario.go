@@ -122,8 +122,7 @@ type SiteAppender interface {
 // scenario draw from the full space exactly as AppendSites would. The
 // statelessness contract carries over: the draw must be a pure function
 // of the rng stream, so stratified trials stay bit-reproducible at
-// every worker count and lane width. All built-in scenarios implement
-// it.
+// every worker count. All built-in scenarios implement it.
 type StratumScenario interface {
 	Scenario
 	// AppendStratumSites appends one execution's fault sites to buf,

@@ -224,6 +224,7 @@ func TestSpecValidation(t *testing.T) {
 		{Model: "lenet", Trials: 4, Backend: "int8", Scenario: "bitflip", Untrained: true}, // fp32 scenario on int8
 		{Model: "lenet", Trials: 4, Protect: "nosuch", Untrained: true},                    // unknown protection
 		{Model: "lenet", Trials: 4, Format: "q8", Untrained: true},                         // unknown format
+		{Model: "lenet", Trials: 4, LaneWidth: -1, Untrained: true},                        // negative lane width
 	}
 	for i, spec := range bad {
 		if _, err := normalizeSpec(spec, 4); err == nil {

@@ -93,13 +93,10 @@ type JobSpec struct {
 	// BlockTrials overrides the daemon's trials-per-block durability
 	// granularity for this job.
 	BlockTrials int `json:"block_trials,omitempty"`
-	// LaneWidth caps how many same-depth trials pack into one
-	// lane-batched suffix replay (0 = campaign default, 1 = disable).
-	// Outcomes are byte-identical at every width, so resumed jobs may
-	// safely run under a different LaneWidth than the one that produced
-	// earlier blocks; the spec records it because it shapes memory use
-	// (each campaign worker holds up to LaneWidth× the model's live
-	// activation set).
+	// LaneWidth is accepted and ignored: campaigns run each trial as its
+	// own batch-1 replay. The field is kept so that manifests sealed with
+	// it still hash and verify, since a seal covers the canonical spec
+	// JSON.
 	LaneWidth int `json:"lane_width,omitempty"`
 	// Adaptive selects stratified sampling with sequential early
 	// stopping: "" (classic uniform grid), "stratified", or "worstcase".

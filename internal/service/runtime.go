@@ -99,12 +99,11 @@ func buildRuntime(spec JobSpec, campaignWorkers int) (*jobRuntime, error) {
 		return nil, fmt.Errorf("service: scenario: %w", err)
 	}
 	c := &inject.Campaign{
-		Model:     m,
-		Scenario:  scen,
-		Trials:    spec.Trials,
-		Seed:      spec.Seed,
-		Workers:   campaignWorkers,
-		LaneWidth: spec.LaneWidth,
+		Model:    m,
+		Scenario: scen,
+		Trials:   spec.Trials,
+		Seed:     spec.Seed,
+		Workers:  campaignWorkers,
 	}
 	if spec.Surface != "" {
 		surf, err := inject.NewSurface(spec.Surface)

@@ -169,6 +169,7 @@ func TestResumeByteIdenticalFP32(t *testing.T) {
 	svc.Start()
 	spec := testSpec(12, 2) // grid 24
 	spec.BlockTrials = 6    // 4 blocks
+	spec.LaneWidth = 8      // accepted and ignored; recorded in the sealed spec
 	man, err := svc.Submit(spec)
 	if err != nil {
 		t.Fatalf("Submit: %v", err)

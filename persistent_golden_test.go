@@ -51,10 +51,10 @@ func TestGoldenPersistentWeightCampaignWorkers(t *testing.T) {
 			}
 			feeds := campaignFeeds(t, m)
 			det := persistentDetector(t, m, feeds)
-			run := func(workers, laneWidth int, repair bool) ranger.PersistentOutcome {
+			run := func(workers int, repair bool) ranger.PersistentOutcome {
 				c := &ranger.Campaign{
 					Model: m, Trials: persistentGoldenSequences, Seed: 2027,
-					Workers: workers, LaneWidth: laneWidth, Surface: ranger.WeightSurface{},
+					Workers: workers, Surface: ranger.WeightSurface{},
 					SequenceLen: 4, Repair: repair, Detector: det,
 				}
 				out, err := c.RunPersistent(context.Background(), feeds)
@@ -64,15 +64,13 @@ func TestGoldenPersistentWeightCampaignWorkers(t *testing.T) {
 				return out
 			}
 			for _, repair := range []bool{false, true} {
-				want := run(1, 1, repair)
+				want := run(1, repair)
 				if want.Sequences != persistentGoldenSequences {
 					t.Fatalf("repair=%v: ran %d sequences", repair, want.Sequences)
 				}
 				for _, workers := range []int{1, 2, 0} {
-					for _, lanes := range []int{1, 8} {
-						if got := run(workers, lanes, repair); !reflect.DeepEqual(want, got) {
-							t.Fatalf("repair=%v workers=%d lanes=%d: outcome %+v != %+v", repair, workers, lanes, got, want)
-						}
+					if got := run(workers, repair); !reflect.DeepEqual(want, got) {
+						t.Fatalf("repair=%v workers=%d: outcome %+v != %+v", repair, workers, got, want)
 					}
 				}
 			}
@@ -99,11 +97,11 @@ func TestGoldenPersistentInt8CampaignWorkers(t *testing.T) {
 	for _, surf := range []ranger.Surface{ranger.WeightSurface{}, ranger.QuantParamSurface{}} {
 		surf := surf
 		t.Run(surf.Name(), func(t *testing.T) {
-			run := func(workers, laneWidth int) ranger.PersistentOutcome {
+			run := func(workers int) ranger.PersistentOutcome {
 				c := &ranger.Campaign{
 					Model: m, Trials: persistentGoldenSequences, Seed: 2027,
 					Scenario: ranger.BitFlipInt8{Flips: 1}, Calibration: calib,
-					Workers: workers, LaneWidth: laneWidth, Surface: surf,
+					Workers: workers, Surface: surf,
 					SequenceLen: 4, Repair: true, Detector: det,
 				}
 				out, err := c.RunPersistent(context.Background(), feeds)
@@ -112,15 +110,13 @@ func TestGoldenPersistentInt8CampaignWorkers(t *testing.T) {
 				}
 				return out
 			}
-			want := run(1, 1)
+			want := run(1)
 			if want.Sequences != persistentGoldenSequences {
 				t.Fatalf("ran %d sequences", want.Sequences)
 			}
 			for _, workers := range []int{1, 2, 0} {
-				for _, lanes := range []int{1, 8} {
-					if got := run(workers, lanes); !reflect.DeepEqual(want, got) {
-						t.Fatalf("workers=%d lanes=%d: outcome %+v != %+v", workers, lanes, got, want)
-					}
+				if got := run(workers); !reflect.DeepEqual(want, got) {
+					t.Fatalf("workers=%d: outcome %+v != %+v", workers, got, want)
 				}
 			}
 		})

@@ -1,9 +1,10 @@
 // Golden equivalence suite for incremental fault campaigns: for every
-// zoo architecture, on the fp32 and int8 backends, at 1/2/default
-// workers, a suffix-replay campaign must produce an Outcome
-// byte-identical to full per-trial replay. Full replay is itself pinned
-// to the pre-plan executor by the inject package's outcome pin, so this
-// suite anchors the entire incremental path to the original semantics.
+// zoo architecture, at 1/2/default workers, a suffix-replay campaign
+// must reproduce a reference Outcome bit for bit. On fp32 the reference
+// is the same campaign run with a never-firing detector attached, whose
+// trials replay every plan step from step 0 on the detector's
+// observe-all plan. On int8 it is a per-model literal captured from
+// full per-trial replay of the quantized plan.
 package ranger_test
 
 import (
@@ -50,8 +51,18 @@ func outcomesEqual(t *testing.T, ctxt string, want, got ranger.Outcome) {
 	}
 }
 
+// silentDetector observes every node and never fires, so a detector
+// campaign's embedded Outcome is exactly the plain campaign's.
+type silentDetector struct{}
+
+func (silentDetector) Name() string                              { return "silent" }
+func (silentDetector) Reset()                                    {}
+func (silentDetector) Observe(*ranger.GraphNode, *ranger.Tensor) {}
+func (silentDetector) Detected() bool                            { return false }
+func (silentDetector) CloneDetector() ranger.Detector            { return silentDetector{} }
+
 // TestGoldenIncrementalCampaignMatchesFullReplay sweeps the zoo on the
-// fp32 backend.
+// fp32 backend against the detector path's full replay.
 func TestGoldenIncrementalCampaignMatchesFullReplay(t *testing.T) {
 	for _, name := range goldenModels(t) {
 		name := name
@@ -62,20 +73,19 @@ func TestGoldenIncrementalCampaignMatchesFullReplay(t *testing.T) {
 				t.Fatal(err)
 			}
 			feeds := campaignFeeds(t, m)
-			run := func(mode ranger.IncrementalMode, workers int) ranger.Outcome {
-				c := &ranger.Campaign{
-					Model: m, Trials: campaignGoldenTrials, Seed: 2027,
-					Workers: workers, Incremental: mode,
-				}
-				out, err := c.Run(context.Background(), feeds)
+			campaign := func(workers int) *ranger.Campaign {
+				return &ranger.Campaign{Model: m, Trials: campaignGoldenTrials, Seed: 2027, Workers: workers}
+			}
+			full, err := campaign(1).RunWithDetector(context.Background(), feeds, silentDetector{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := full.Outcome
+			for _, workers := range []int{1, 2, 0} {
+				got, err := campaign(workers).Run(context.Background(), feeds)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return out
-			}
-			want := run(ranger.IncrementalOff, 1)
-			for _, workers := range []int{1, 2, 0} {
-				got := run(ranger.IncrementalOn, workers)
 				outcomesEqual(t, name, want, got)
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("workers=%d: outcome differs", workers)
@@ -85,13 +95,42 @@ func TestGoldenIncrementalCampaignMatchesFullReplay(t *testing.T) {
 	}
 }
 
+// int8GoldenOutcomes are the int8 campaigns' Outcomes (12 BitFlipInt8
+// trials per input, seed 2027), captured from full per-trial replay of
+// the quantized plan.
+var int8GoldenOutcomes = map[string]ranger.Outcome{
+	"lenet":      {Trials: 24},
+	"alexnet":    {Trials: 24},
+	"vgg11":      {Trials: 24},
+	"vgg16":      {Trials: 24},
+	"resnet18":   {Trials: 24},
+	"squeezenet": {Trials: 24},
+	"dave": {Trials: 24, Deviations: []float64{
+		0.23130094114789682, 0.23130094114789682, 0.23130094114789682, 0, 0, 0, 0, 0,
+		0.8480994665986058, 0, 0, 0, 0.07709960223792706, 0, 0, 0,
+		0.07709960223792706, 0, 0, 0, 0, 0.539699350099605, 1.387798816698211, 0,
+	}},
+	"comma": {Trials: 24, Deviations: []float64{
+		0.008899986743927002, 0.008899986743927002, 0.004449963569641113, 0,
+		0.11569982767105103, 0, 0.004449963569641113, 0,
+		0.008899986743927002, 0, 0.008899986743927002, 0.004450023174285889,
+		0.004449993371963501, 0.004449993371963501, 0.017799973487854004, 0.006675004959106445,
+		0.006675004959106445, 0.004449993371963501, 0.020024985074996948, 0.004449993371963501,
+		0, 0, 0.013349980115890503, 0.0022250115871429443,
+	}},
+}
+
 // TestGoldenIncrementalInt8CampaignMatchesFullReplay sweeps the zoo on
-// the int8 quantized backend.
+// the int8 quantized backend against the captured full-replay Outcomes.
 func TestGoldenIncrementalInt8CampaignMatchesFullReplay(t *testing.T) {
 	for _, name := range goldenModels(t) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
+			want, ok := int8GoldenOutcomes[name]
+			if !ok {
+				t.Fatalf("no int8 golden outcome for %s", name)
+			}
 			m, err := models.Build(name)
 			if err != nil {
 				t.Fatal(err)
@@ -103,21 +142,17 @@ func TestGoldenIncrementalInt8CampaignMatchesFullReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(mode ranger.IncrementalMode, workers int) ranger.Outcome {
+			for _, workers := range []int{1, 2, 0} {
 				c := &ranger.Campaign{
 					Model: m, Trials: campaignGoldenTrials, Seed: 2027,
 					Scenario: ranger.BitFlipInt8{Flips: 1}, Calibration: calib,
-					Workers: workers, Incremental: mode,
+					Workers: workers,
 				}
-				out, err := c.Run(context.Background(), feeds)
+				got, err := c.Run(context.Background(), feeds)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return out
-			}
-			want := run(ranger.IncrementalOff, 1)
-			for _, workers := range []int{1, 2, 0} {
-				outcomesEqual(t, name+" int8", want, run(ranger.IncrementalOn, workers))
+				outcomesEqual(t, name+" int8", want, got)
 			}
 		})
 	}

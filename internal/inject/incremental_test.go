@@ -14,9 +14,31 @@ import (
 	"ranger/internal/tensor"
 )
 
+// silentDetector observes every node and never fires, so a detector
+// campaign's embedded Outcome is exactly the plain campaign's.
+type silentDetector struct{}
+
+func (silentDetector) Name() string                        { return "silent" }
+func (silentDetector) Reset()                              {}
+func (silentDetector) Observe(*graph.Node, *tensor.Tensor) {}
+func (silentDetector) Detected() bool                      { return false }
+func (silentDetector) CloneDetector() Detector             { return silentDetector{} }
+
+// fullReplayOutcome runs c with a never-firing detector attached: every
+// trial then replays the whole observe-all plan from step 0, the
+// reference the suffix-replay campaign must match.
+func fullReplayOutcome(t *testing.T, c *Campaign, feeds []graph.Feeds) Outcome {
+	t.Helper()
+	out, err := c.RunWithDetector(context.Background(), feeds, silentDetector{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Outcome
+}
+
 // TestIncrementalMatchesFullReplay is the white-box equivalence check
-// behind the campaign's incremental default: suffix replay and full
-// replay must produce deeply equal Outcomes on classifier and regressor
+// behind suffix replay: a campaign must produce an Outcome deeply equal
+// to the detector path's full replay, on classifier and regressor
 // campaigns at several worker counts. (The root campaign_golden_test.go
 // sweeps the whole zoo on both backends.)
 func TestIncrementalMatchesFullReplay(t *testing.T) {
@@ -39,17 +61,14 @@ func TestIncrementalMatchesFullReplay(t *testing.T) {
 		{"regressor", comma, commaFeeds},
 	}
 	for _, tc := range cases {
-		run := func(mode IncrementalMode, workers int) Outcome {
-			c := &Campaign{Model: tc.m, Trials: 18, Seed: 99, Workers: workers, Incremental: mode}
-			out, err := c.Run(context.Background(), tc.feeds)
+		want := fullReplayOutcome(t, &Campaign{Model: tc.m, Trials: 18, Seed: 99, Workers: 1}, tc.feeds)
+		for _, workers := range []int{1, 2, 0} {
+			c := &Campaign{Model: tc.m, Trials: 18, Seed: 99, Workers: workers}
+			got, err := c.Run(context.Background(), tc.feeds)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			return out
-		}
-		want := run(IncrementalOff, 1)
-		for _, workers := range []int{1, 2, 0} {
-			if got := run(IncrementalOn, workers); !reflect.DeepEqual(want, got) {
+			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("%s workers=%d: incremental %+v != full %+v", tc.name, workers, got, want)
 			}
 		}
@@ -57,8 +76,7 @@ func TestIncrementalMatchesFullReplay(t *testing.T) {
 }
 
 // TestReferenceNotClobberedAcrossInputs is the regression test for the
-// fp32/int8 reference asymmetry: on both backends, in both replay
-// modes, the reference returned by prepare for input 0 must keep its
+// fp32/int8 reference asymmetry: on both backends the reference returned by prepare for input 0 must keep its
 // bits after input 1's clean pass reuses the backend's state.
 func TestReferenceNotClobberedAcrossInputs(t *testing.T) {
 	m, feeds := lenetInputs(t, 2)
@@ -67,10 +85,8 @@ func TestReferenceNotClobberedAcrossInputs(t *testing.T) {
 		name string
 		c    *Campaign
 	}{
-		{"fp32-incremental", &Campaign{Model: m, Trials: 1, Seed: 1}},
-		{"fp32-full", &Campaign{Model: m, Trials: 1, Seed: 1, Incremental: IncrementalOff}},
-		{"int8-incremental", &Campaign{Model: m, Trials: 1, Seed: 1, Scenario: BitFlipInt8{Flips: 1}, Calibration: calib}},
-		{"int8-full", &Campaign{Model: m, Trials: 1, Seed: 1, Scenario: BitFlipInt8{Flips: 1}, Calibration: calib, Incremental: IncrementalOff}},
+		{"fp32", &Campaign{Model: m, Trials: 1, Seed: 1}},
+		{"int8", &Campaign{Model: m, Trials: 1, Seed: 1, Scenario: BitFlipInt8{Flips: 1}, Calibration: calib}},
 	}
 	for _, tc := range cases {
 		exec, err := tc.c.newExec()
@@ -169,7 +185,7 @@ func checkTrialZeroAlloc(t *testing.T, m *models.Model, feeds []graph.Feeds, cam
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.judgeTrial(ref, faulty)
+			c.judgeData(ref, faulty.Data())
 			trial++
 		})
 		if avg != 0 {
@@ -261,7 +277,7 @@ func TestArgmaxDataMatchesTensor(t *testing.T) {
 
 // TestDepthOrderKeepsOutcomeAndStreamsAllTrials checks the depth-grouped
 // schedule end to end: every trial index streams exactly once and the
-// Outcome matches the ungrouped full replay.
+// Outcome matches the detector path's full replay.
 func TestDepthOrderKeepsOutcomeAndStreamsAllTrials(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
 	seen := make(map[int]int)
@@ -280,11 +296,7 @@ func TestDepthOrderKeepsOutcomeAndStreamsAllTrials(t *testing.T) {
 			t.Fatalf("trial %d streamed %d times", trial, n)
 		}
 	}
-	full := &Campaign{Model: m, Trials: 30, Seed: 5, Workers: 3, Incremental: IncrementalOff}
-	want, err := full.Run(context.Background(), feeds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := fullReplayOutcome(t, &Campaign{Model: m, Trials: 30, Seed: 5, Workers: 3}, feeds)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("depth-grouped outcome %+v != full-replay %+v", got, want)
 	}

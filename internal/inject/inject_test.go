@@ -301,13 +301,23 @@ func TestConsecutiveMultiBitFaults(t *testing.T) {
 	}
 }
 
+// sitesByNode groups sampled sites by node, keeping sampling order
+// within each node.
+func sitesByNode(drawn []Site) map[string][]Site {
+	sites := make(map[string][]Site, len(drawn))
+	for _, s := range drawn {
+		sites[s.Node] = append(sites[s.Node], s)
+	}
+	return sites
+}
+
 func TestConsecutiveSitesShareOneElement(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
 	fs := planFaultSpace(t, m, feeds[0], nil, nil)
 	c := &Campaign{Model: m, Format: fixpoint.Q16, Scenario: ConsecutiveBits{Flips: 4}}
-	rng := newCampaignRNG(3)
+	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
-		sites := c.sampleFaultSites(fs, rng)
+		sites := sitesByNode(c.scenario().Sample(fs, c.format(), rng))
 		if len(sites) != 1 {
 			t.Fatalf("consecutive flips span %d nodes, want 1", len(sites))
 		}
@@ -331,10 +341,10 @@ func TestIndependentSitesSampleWholeWidth(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
 	fs := planFaultSpace(t, m, feeds[0], nil, nil)
 	c := &Campaign{Model: m, Format: fixpoint.Q16, Scenario: BitFlips{Flips: 1}}
-	rng := newCampaignRNG(4)
+	rng := rand.New(rand.NewSource(4))
 	seenHigh := false
 	for trial := 0; trial < 300; trial++ {
-		for _, ss := range c.sampleFaultSites(fs, rng) {
+		for _, ss := range sitesByNode(c.scenario().Sample(fs, c.format(), rng)) {
 			for _, s := range ss {
 				if s.Bit >= 12 {
 					seenHigh = true

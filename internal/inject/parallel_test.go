@@ -117,19 +117,45 @@ func TestRegressorCampaignDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
+// TestRunWithDetectorDeterministicAcrossWorkerCounts pins the detector
+// path's DetectorOutcome across worker counts and its streaming: OnTrial
+// must deliver every (input, trial) exactly once, and the streamed
+// Detected flags must add up to DetectedFaulty.
 func TestRunWithDetectorDeterministicAcrossWorkerCounts(t *testing.T) {
 	m, feeds := lenetInputs(t, 2)
 	run := func(workers int) DetectorOutcome {
-		c := &Campaign{Model: m, Trials: 15, Seed: 33, Workers: workers}
+		type key struct{ input, trial int }
+		seen := make(map[key]int)
+		detected := 0
+		c := &Campaign{Model: m, Trials: 15, Seed: 33, Workers: workers, OnTrial: func(tr TrialResult) {
+			seen[key{tr.Input, tr.Trial}]++
+			if tr.Detected {
+				detected++
+			}
+		}}
 		out, err := c.RunWithDetector(context.Background(), feeds, &countingDetector{threshold: 1e6})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(seen) != 30 {
+			t.Fatalf("workers=%d: streamed %d distinct trials, want 30", workers, len(seen))
+		}
+		for k, n := range seen {
+			if n != 1 || k.input < 0 || k.input >= 2 || k.trial < 0 || k.trial >= 15 {
+				t.Fatalf("workers=%d: trial %+v streamed %d times", workers, k, n)
+			}
+		}
+		if detected != out.DetectedFaulty {
+			t.Fatalf("workers=%d: streamed %d detections, outcome counts %d", workers, detected, out.DetectedFaulty)
 		}
 		return out
 	}
 	want := run(1)
 	if want.Trials != 30 || len(want.TrialSDC) != 30 || want.CleanRuns != 2 {
 		t.Fatalf("accounting wrong: %+v", want)
+	}
+	if want.DetectedFaulty == 0 {
+		t.Fatal("detector never fired; the streaming check is vacuous")
 	}
 	for _, workers := range []int{2, 4} {
 		got := run(workers)

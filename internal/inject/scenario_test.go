@@ -50,7 +50,7 @@ func TestConsecutiveSamplingAtWordBoundary(t *testing.T) {
 		width := format.Bits()
 		for _, flips := range []int{width - 1, width, width + 5} {
 			scen := ConsecutiveBits{Flips: flips}
-			rng := newCampaignRNG(int64(flips))
+			rng := rand.New(rand.NewSource(int64(flips)))
 			for trial := 0; trial < 200; trial++ {
 				sites := scen.Sample(space, format, rng)
 				k := flips
@@ -86,7 +86,7 @@ func TestIndependentFlipsMayCollide(t *testing.T) {
 	space := singleElementSpace() // one element: collisions only need a bit match
 	format := fixpoint.Q16
 	scen := BitFlips{Flips: format.Bits() + 1} // pigeonhole: > width draws over one word
-	rng := newCampaignRNG(1)
+	rng := rand.New(rand.NewSource(1))
 	sites := scen.Sample(space, format, rng)
 	if len(sites) != format.Bits()+1 {
 		t.Fatalf("sites = %d, want %d (no dedupe)", len(sites), format.Bits()+1)
@@ -122,7 +122,7 @@ func TestRandomValueScenarioReplacesWord(t *testing.T) {
 	space := singleElementSpace()
 	format := fixpoint.Q32
 	scen := RandomValue{Faults: 1}
-	rng := newCampaignRNG(7)
+	rng := rand.New(rand.NewSource(7))
 	changed := 0
 	for trial := 0; trial < 50; trial++ {
 		sites := scen.Sample(space, format, rng)
@@ -227,14 +227,11 @@ func TestShapeMismatchSurfacesError(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
 	fs := planFaultSpace(t, m, feeds[0], nil, nil)
 	scen := bogusSiteScenario{node: fs.Nodes()[0]}
-	for _, mode := range []IncrementalMode{IncrementalOn, IncrementalOff} {
-		c := &Campaign{Model: m, Scenario: scen, Trials: 1, Seed: 1, Incremental: mode}
-		if _, err := c.Run(context.Background(), feeds); !errors.Is(err, ErrFaultSpaceMismatch) {
-			t.Fatalf("incremental=%v: want ErrFaultSpaceMismatch, got %v", mode == IncrementalOn, err)
-		}
+	c := &Campaign{Model: m, Scenario: scen, Trials: 1, Seed: 1}
+	if _, err := c.Run(context.Background(), feeds); !errors.Is(err, ErrFaultSpaceMismatch) {
+		t.Fatalf("want ErrFaultSpaceMismatch, got %v", err)
 	}
 	// Detector path shares the same typed error.
-	c := &Campaign{Model: m, Scenario: scen, Trials: 1, Seed: 1}
 	if _, err := c.RunWithDetector(context.Background(), feeds, &uncloneableDetector{}); !errors.Is(err, ErrFaultSpaceMismatch) {
 		t.Fatalf("detector path: want ErrFaultSpaceMismatch, got %v", err)
 	}

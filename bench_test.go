@@ -609,8 +609,7 @@ func BenchmarkPlanProtectedLegacyExecutor(b *testing.B) {
 // BenchmarkCampaignTrialThroughput measures the fault-campaign trial
 // hot path — the workload behind every SDC table in the paper — on an
 // untrained lenet (campaign mechanics only, so it runs in the -short CI
-// smoke) with a late-layer fault space, comparing full per-trial replay
-// against checkpointed suffix replay. Reported metrics: trials/s and
+// smoke) with a late-layer fault space. Reported metrics: trials/s and
 // allocs/trial (averaged over whole campaign runs, so it includes the
 // per-campaign compile/checkpoint setup; the strict steady-state gate
 // is TestIncrementalTrialZeroAlloc in internal/inject).
@@ -631,41 +630,30 @@ func BenchmarkCampaignTrialThroughput(b *testing.B) {
 	if testing.Short() {
 		trials = 64
 	}
-	for _, mode := range []struct {
-		name string
-		inc  inject.IncrementalMode
-	}{
-		{"full", inject.IncrementalOff},
-		{"incremental", inject.IncrementalOn},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			c := &inject.Campaign{
-				Model: m, Trials: trials, Seed: 42,
-				TargetNodes: late, Incremental: mode.inc,
-			}
-			// Warm once so plan compilation and state growth do not
-			// count toward the measured per-trial costs.
+	b.Run("incremental", func(b *testing.B) {
+		c := &inject.Campaign{Model: m, Trials: trials, Seed: 42, TargetNodes: late}
+		// Warm once so plan compilation and state growth do not
+		// count toward the measured per-trial costs.
+		if _, err := c.Run(context.Background(), feeds); err != nil {
+			b.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
 			if _, err := c.Run(context.Background(), feeds); err != nil {
 				b.Fatal(err)
 			}
-			var before, after runtime.MemStats
-			runtime.GC()
-			runtime.ReadMemStats(&before)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Run(context.Background(), feeds); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			total := float64(b.N) * float64(trials)
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(total/sec, "trials/s")
-			}
-			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/trial")
-		})
-	}
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		total := float64(b.N) * float64(trials)
+		if sec := b.Elapsed().Seconds(); sec > 0 {
+			b.ReportMetric(total/sec, "trials/s")
+		}
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/trial")
+	})
 }
 
 // Micro-benchmarks for the substrate hot paths.

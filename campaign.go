@@ -12,23 +12,7 @@ import (
 // primary model: one random bit flip in a Q32 datapath), then call Run
 // or RunWithDetector with a cancellable context. Set OnTrial — or use
 // Stream — to receive per-trial results while a long campaign runs.
-// Campaigns default to incremental execution (checkpointed suffix
-// replay); set Incremental: ranger.IncrementalOff to force full
-// per-trial replay. Outcomes are byte-identical either way.
 type Campaign = inject.Campaign
-
-// IncrementalMode selects a campaign's trial execution strategy; the
-// zero value (IncrementalOn) enables checkpointed suffix replay.
-type IncrementalMode = inject.IncrementalMode
-
-// The incremental-campaign toggle values.
-const (
-	// IncrementalOn — the default — replays only the plan suffix at or
-	// after each trial's earliest fault site.
-	IncrementalOn = inject.IncrementalOn
-	// IncrementalOff replays the full compiled plan for every trial.
-	IncrementalOff = inject.IncrementalOff
-)
 
 // ErrFaultSpaceMismatch reports a sampled fault site outside the struck
 // tensor (the fault space disagrees with the executed shapes); branch

@@ -9,15 +9,12 @@
 //	rangerbench -exp tab6 -cpuprofile bench.pprof
 //
 // Experiment ids: fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 tab2 tab3
-// tab4 tab5 tab6 alt overhead quantoverhead campaignspeed adaptive
-// persistent. The
+// tab4 tab5 tab6 alt overhead quantoverhead adaptive persistent. The
 // overhead experiment reports protected-vs-unprotected inference
 // latency under the legacy executor and under compiled plans with
 // fusion disabled and enabled; quantoverhead reports fp32 vs int8 vs
 // int8+restriction latency and bitflip-int8 campaign outcomes on the
-// post-training-quantized backend; campaignspeed reports fault-campaign
-// throughput (trials/sec) under full replay vs checkpointed suffix
-// replay; adaptive compares the stratified adaptive-campaign engine
+// post-training-quantized backend; adaptive compares the stratified adaptive-campaign engine
 // against uniform sampling (trials to the same per-stratum Wilson CI
 // target); persistent sweeps the persistent fault surfaces
 // (weight-memory and quant-param faults observed over inference
@@ -26,8 +23,8 @@
 // $RANGER_CACHE (or the user cache dir), so the first run is slower.
 // -cpuprofile writes a pprof CPU profile for local hot-path analysis.
 // -json FILE additionally writes the machine-readable results of
-// experiments that support it (overhead, quantoverhead, campaignspeed,
-// adaptive, persistent) as a {"id": result} JSON
+// experiments that support it (overhead, quantoverhead, adaptive,
+// persistent) as a {"id": result} JSON
 // object — the format the BENCH_*.json bench trajectory ingests.
 // Interrupting (Ctrl-C) cancels the in-flight campaign promptly.
 package main
@@ -127,7 +124,7 @@ func run(ctx context.Context, args []string) error {
 			}
 		}
 		if !any {
-			return fmt.Errorf("-json: none of the selected experiments emit machine-readable results (overhead, quantoverhead, campaignspeed, adaptive, and persistent do)")
+			return fmt.Errorf("-json: none of the selected experiments emit machine-readable results (overhead, quantoverhead, adaptive, and persistent do)")
 		}
 	}
 	fmt.Printf("rangerbench: %d experiments, %d trials x %d inputs per campaign, %d workers\n\n",

@@ -90,11 +90,6 @@ var experimentFns = map[string]experimentEntry{
 	// rates with and without restriction. Emits JSON for the bench
 	// trajectory.
 	"quantoverhead": wrapJSONExperiment(experiments.QuantOverhead),
-	// campaignspeed measures fault-campaign throughput (trials/sec):
-	// full per-trial replay vs checkpointed suffix replay, over the full
-	// and late-layer fault spaces. Emits machine-readable JSON through
-	// rangerbench -json for the bench trajectory.
-	"campaignspeed": wrapJSONExperiment(experiments.CampaignSpeed),
 	// adaptive compares the stratified adaptive-campaign engine against
 	// uniform sampling: trials to reach the same per-stratum Wilson CI
 	// target. Emits JSON for the bench trajectory.
@@ -108,7 +103,7 @@ var experimentFns = map[string]experimentEntry{
 }
 
 // experimentOrder fixes the paper's presentation order.
-var experimentOrder = []string{"fig4", "fig6", "fig7", "fig8", "tab2", "tab3", "tab4", "fig9", "fig10", "tab5", "fig11", "fig12", "tab6", "alt", "overhead", "quantoverhead", "campaignspeed", "adaptive", "persistent"}
+var experimentOrder = []string{"fig4", "fig6", "fig7", "fig8", "tab2", "tab3", "tab4", "fig9", "fig10", "tab5", "fig11", "fig12", "tab6", "alt", "overhead", "quantoverhead", "adaptive", "persistent"}
 
 // ExperimentIDs lists every experiment id in the paper's presentation
 // order.

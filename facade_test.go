@@ -66,7 +66,7 @@ func TestFacadeScenarioAndProtectorRegistries(t *testing.T) {
 			t.Fatalf("NewProtector(%q): %v", name, err)
 		}
 	}
-	if len(ranger.ExperimentIDs()) != 19 {
+	if len(ranger.ExperimentIDs()) != 18 {
 		t.Fatalf("experiment ids = %v", ranger.ExperimentIDs())
 	}
 }

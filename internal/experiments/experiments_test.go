@@ -255,35 +255,3 @@ func TestRenderersProduceOutput(t *testing.T) {
 		}
 	}
 }
-
-func TestCampaignSpeedReportsThroughput(t *testing.T) {
-	if testing.Short() {
-		t.Skip("campaignspeed sweeps the trained zoo")
-	}
-	r := testRunner(t)
-	res, err := CampaignSpeed(context.Background(), r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != len(models.Names()) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(models.Names()))
-	}
-	for _, row := range res.Rows {
-		if row.FullTPS <= 0 || row.IncTPS <= 0 || row.LateFullTPS <= 0 || row.LateIncTPS <= 0 {
-			t.Fatalf("%s: non-positive throughput: %+v", row.Model, row)
-		}
-		if row.Steps <= 0 {
-			t.Fatalf("%s: steps = %d", row.Model, row.Steps)
-		}
-	}
-	if res.Render() == "" {
-		t.Fatal("empty render")
-	}
-	blob, err := res.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(blob), "incremental_trials_per_sec") {
-		t.Fatalf("JSON missing throughput fields: %s", blob)
-	}
-}

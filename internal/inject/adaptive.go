@@ -262,7 +262,7 @@ func (c *Campaign) NewAdaptiveRun(inputs []graph.Feeds) (*AdaptiveRun, error) {
 	if bands == 0 {
 		bands = DefaultStrataBands
 	}
-	exec, err := c.newExec()
+	exec, err := c.newExec(nil)
 	if err != nil {
 		return nil, err
 	}
@@ -490,7 +490,7 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 				ar.c.OnTrial(tr)
 			}
 		}
-		if err := ar.c.runShard(ctx, ar.exec, feeds, ref, ar.spaces[ii], ii, 0, workers, pts, sub, emit); err != nil {
+		if err := ar.c.runShard(ctx, ar.exec, ref, ar.spaces[ii], ii, 0, workers, pts, sub, emit); err != nil {
 			return Outcome{}, err
 		}
 		for k, idx := range idxs {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"ranger/internal/graph"
 	"ranger/internal/parallel"
@@ -32,10 +31,12 @@ type Detector interface {
 }
 
 // CloneableDetector is implemented by detectors whose per-execution state
-// can be duplicated. RunWithDetector shards trials across workers (one
-// clone per worker) when the detector supports it and falls back to
-// sequential execution otherwise — order-dependent detectors such as
-// training-data collectors stay correct by simply not implementing it.
+// can be duplicated. Detector campaigns (RunWithDetector, and persistent
+// campaigns with Campaign.Detector) shard trials across workers when
+// the detector supports it, each worker observing with its own clone;
+// otherwise they run one worker, which sees the trials in trial order —
+// order-dependent detectors such as training-data collectors stay
+// correct by simply not implementing it.
 type CloneableDetector interface {
 	Detector
 	// CloneDetector returns a detector sharing the receiver's
@@ -101,8 +102,12 @@ func (d DetectorOutcome) CoverageOfSDCsOK() (float64, bool) {
 // (undetected-and-uncorrected) faulty outputs; UncorrectedSDC applies the
 // detect-and-re-execute recovery model. For regressors, detected trials'
 // recorded deviations are zeroed (corrected by re-execution).
-// Trials shard across workers when det implements CloneableDetector (one
-// clone per worker); otherwise they run sequentially. Either way each
+//
+// Trials run on the same worker engine as Run: each replays the input's
+// clean checkpoint on a plan that observes every node, from step 0 so
+// the detector sees every node's output. Trials shard across workers
+// when det implements CloneableDetector (one clone per worker);
+// otherwise they run on one worker in trial order. Either way each
 // trial samples from its own hash(Seed, input, trial) stream and results
 // fold in trial order, so the DetectorOutcome is identical at every
 // worker count. Cancelling ctx makes the call return promptly with
@@ -124,40 +129,34 @@ func (c *Campaign) RunWithDetector(ctx context.Context, inputs []graph.Feeds, de
 		return DetectorOutcome{}, err
 	}
 	workers := 1
-	cloneable, ok := det.(CloneableDetector)
-	if ok {
+	if _, ok := det.(CloneableDetector); ok {
 		workers = parallel.Resolve(c.Workers)
 	}
-	// Detectors observe every operator output, so the campaign plan marks
-	// every node as an observation point (no fusion); the plan still
-	// provides the static buffer assignment and is shared by all workers.
-	plan, err := graph.CompileWith(c.Model.Graph, graph.CompileOptions{ObserveAll: true}, c.Model.Output)
+	exec, err := c.newExec(det)
 	if err != nil {
-		return DetectorOutcome{}, fmt.Errorf("inject: compile %s: %w", c.Model.Name, err)
+		return DetectorOutcome{}, err
 	}
+	observe := func(n *graph.Node, t *tensor.Tensor) *tensor.Tensor {
+		det.Observe(n, t)
+		return nil
+	}
+	fpState := exec.plan.NewState()
 	var out DetectorOutcome
-	cleanState := plan.NewState()
-	var cbMu sync.Mutex
 	for ii, feeds := range inputs {
 		if err := ctx.Err(); err != nil {
 			return DetectorOutcome{}, err
 		}
-		fs, err := c.faultSpace(plan, feeds)
+		fs, err := c.faultSpace(exec.plan, feeds)
 		if err != nil {
 			return DetectorOutcome{}, err
 		}
-		refOuts, err := plan.Run(cleanState, feeds)
+		ref, err := exec.prepare(feeds)
 		if err != nil {
 			return DetectorOutcome{}, fmt.Errorf("inject: clean run: %w", err)
 		}
-		ref := refOuts[0].Clone()
-
 		// False-positive check on the clean execution.
 		det.Reset()
-		if _, err := plan.RunHook(cleanState, feeds, func(n *graph.Node, t *tensor.Tensor) *tensor.Tensor {
-			det.Observe(n, t)
-			return nil
-		}); err != nil {
+		if _, err := exec.plan.RunHook(fpState, feeds, observe); err != nil {
 			return DetectorOutcome{}, err
 		}
 		out.CleanRuns++
@@ -165,55 +164,20 @@ func (c *Campaign) RunWithDetector(ctx context.Context, inputs []graph.Feeds, de
 			out.FalsePositives++
 		}
 
-		type detVerdict struct {
-			trialVerdict
-			detected bool
+		verdicts := make([]trialVerdict, c.Trials)
+		var emit func(slot int)
+		if c.OnTrial != nil {
+			ii := ii
+			emit = func(slot int) { c.OnTrial(verdicts[slot].result(ii, slot)) }
 		}
-		verdicts := make([]detVerdict, c.Trials)
-		errs := make([]error, c.Trials)
-		parallel.Shard(workers, c.Trials, func(lo, hi int) {
-			d := det
-			if workers > 1 {
-				d = cloneable.CloneDetector()
-			}
-			st := plan.NewState()
-			for trial := lo; trial < hi; trial++ {
-				if err := ctx.Err(); err != nil {
-					errs[trial] = err
-					return
-				}
-				sites := c.sampleFaultSites(fs, trialRNG(c.Seed, ii, trial))
-				d.Reset()
-				faulty, err := c.runWithFaultsObserved(plan, st, feeds, sites, d)
-				if err != nil {
-					errs[trial] = err
-					continue
-				}
-				verdicts[trial] = detVerdict{
-					trialVerdict: c.judgeTrial(ref, faulty),
-					detected:     d.Detected(),
-				}
-				if c.OnTrial != nil {
-					tr := verdicts[trial].result(ii, trial)
-					tr.Detected = verdicts[trial].detected
-					cbMu.Lock()
-					c.OnTrial(tr)
-					cbMu.Unlock()
-				}
-			}
-		})
-		for trial := 0; trial < c.Trials; trial++ {
-			if errs[trial] != nil {
-				return DetectorOutcome{}, errs[trial]
-			}
-			v := verdicts[trial]
+		if err := c.runShard(ctx, exec, ref, fs, ii, 0, workers, nil, verdicts, emit); err != nil {
+			return DetectorOutcome{}, err
+		}
+		for _, v := range verdicts {
 			if v.detected {
 				out.DetectedFaulty++
 			}
-			wasSDC := v.top1
-			if v.isReg {
-				wasSDC = v.dev > c.regSDCThreshold()
-			}
+			wasSDC := c.isSDC(v)
 			out.TrialSDC = append(out.TrialSDC, wasSDC)
 			if wasSDC && !v.detected {
 				out.UncorrectedSDC++
@@ -232,43 +196,4 @@ func (c *Campaign) RunWithDetector(ctx context.Context, inputs []graph.Feeds, de
 		return DetectorOutcome{}, err
 	}
 	return out, nil
-}
-
-// runWithFaultsObserved is runWithFaults with a detector observing every
-// node output after fault application.
-func (c *Campaign) runWithFaultsObserved(plan *graph.Plan, st *graph.PlanState, feeds graph.Feeds, sites map[string][]Site, det Detector) (*tensor.Tensor, error) {
-	scen, format := c.scenario(), c.format()
-	var hookErr error
-	hook := func(n *graph.Node, out *tensor.Tensor) *tensor.Tensor {
-		result := out
-		if ss, ok := sites[n.Name()]; ok && hookErr == nil {
-			repl := out.Clone()
-			for _, s := range ss {
-				if s.Elem < 0 || s.Elem >= repl.Size() {
-					hookErr = siteBoundsError(s, repl.Size())
-					return nil
-				}
-				v, err := scen.Corrupt(format, repl.Data()[s.Elem], s)
-				if err != nil {
-					hookErr = fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
-					return nil
-				}
-				repl.Data()[s.Elem] = v
-			}
-			result = repl
-		}
-		det.Observe(n, result)
-		if result != out {
-			return result
-		}
-		return nil
-	}
-	outs, err := plan.RunHook(st, feeds, hook)
-	if hookErr != nil {
-		return nil, hookErr
-	}
-	if err != nil {
-		return nil, fmt.Errorf("inject: faulty run: %w", err)
-	}
-	return outs[0], nil
 }

@@ -44,7 +44,7 @@ func dryRunFaultSpace(m *models.Model, feeds graph.Feeds, extraExclude, targetNo
 func planFaultSpace(t *testing.T, m *models.Model, feeds graph.Feeds, extraExclude, targetNodes []string) *FaultSpace {
 	t.Helper()
 	c := &Campaign{Model: m, Exclude: extraExclude, TargetNodes: targetNodes}
-	plan, err := c.compile()
+	plan, err := c.compile(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,11 @@ func TestPlanFaultSpaceMatchesExecutorDryRun(t *testing.T) {
 						t.Fatal(err)
 					}
 					c := &Campaign{Model: m, Exclude: exclude, TargetNodes: target.nodes}
-					observe, err := c.compile()
+					observe, err := c.compile(nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					observeAll, err := graph.CompileWith(m.Graph, graph.CompileOptions{ObserveAll: true}, m.Output)
+					observeAll, err := c.compile(silentDetector{})
 					if err != nil {
 						t.Fatal(err)
 					}

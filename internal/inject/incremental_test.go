@@ -89,7 +89,7 @@ func TestReferenceNotClobberedAcrossInputs(t *testing.T) {
 		{"int8", &Campaign{Model: m, Trials: 1, Seed: 1, Scenario: BitFlipInt8{Flips: 1}, Calibration: calib}},
 	}
 	for _, tc := range cases {
-		exec, err := tc.c.newExec()
+		exec, err := tc.c.newExec(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -160,7 +160,7 @@ func checkTrialZeroAlloc(t *testing.T, m *models.Model, feeds []graph.Feeds, cam
 		{"full", nil},
 	} {
 		c := campaign(space.targets)
-		exec, err := c.newExec()
+		exec, err := c.newExec(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func checkTrialZeroAlloc(t *testing.T, m *models.Model, feeds []graph.Feeds, cam
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := exec.newTrial(feeds[0], fs).run
+		run := exec.newTrial(fs).run
 		const trials = 64
 		for trial := 0; trial < trials; trial++ {
 			if _, err := run(0, trial); err != nil {

@@ -25,12 +25,6 @@ import (
 	"ranger/internal/tensor"
 )
 
-// newCampaignRNG builds a deterministic site-sampling stream; retained
-// for single-stream sampling helpers and their tests.
-func newCampaignRNG(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
-}
-
 // trialSeed derives the fault-sampling seed for one (input, trial) pair
 // as hash(seed, input, trial). Each trial owns an independent stream, so
 // trials are embarrassingly parallel while the sampled fault sites stay
@@ -65,13 +59,6 @@ func (s *splitmixSource) Uint64() uint64 {
 }
 
 func (s *splitmixSource) Int63() int64 { return int64(s.Uint64() >> 1) }
-
-// trialRNG builds the fault-sampling stream for one (input, trial) pair;
-// workers instead reseed one long-lived *rand.Rand with trialSeed, which
-// produces the identical stream without a per-trial allocation.
-func trialRNG(seed int64, input, trial int) *rand.Rand {
-	return rand.New(&splitmixSource{state: uint64(trialSeed(seed, input, trial))})
-}
 
 // ErrFaultSpaceMismatch reports a sampled fault site whose element index
 // lies outside the struck tensor: the fault space was built against
@@ -124,15 +111,6 @@ type Campaign struct {
 	// The Scenario must then implement Int8Scenario (bitflip-int8,
 	// stuckat-int8); Format is ignored.
 	Calibration graph.Calibration
-	// Incremental toggles checkpointed suffix replay, the default trial
-	// execution strategy (the zero value is IncrementalOn): the clean
-	// pass checkpoints every live intermediate value and each trial
-	// replays only the plan steps at or after its earliest fault site,
-	// with workers grouping their trial blocks by injection depth.
-	// Outcomes are byte-identical either way; set IncrementalOff to
-	// trade the checkpoint's memory (one clean copy of the live
-	// activations per input) for full per-trial replay.
-	Incremental IncrementalMode
 	// Adaptive selects the sampling design. The zero value,
 	// SamplingUniform, is the classic uniform grid over the fault space
 	// (Trials injections per input, run by Run/RunSlice).
@@ -175,8 +153,9 @@ type Campaign struct {
 	// inferences-to-detection measurement. nil means sequences run their
 	// full length and every SDC counts as undetected. A detector that
 	// does not implement CloneableDetector forces sequential execution.
-	// Persistent surfaces only; transient detector campaigns go through
-	// RunWithDetector.
+	// Persistent surfaces only; transient campaigns pass their detector
+	// to RunWithDetector, which runs it on the same suffix-replay
+	// workers as Run, replaying every trial from step 0.
 	Detector Detector
 	// OnSequence, when non-nil, streams each persistent sequence's
 	// result as it completes. Calls are serialized but arrive in
@@ -184,21 +163,6 @@ type Campaign struct {
 	// order.
 	OnSequence func(SequenceResult)
 }
-
-// IncrementalMode selects the campaign's trial execution strategy; the
-// zero value enables checkpointed suffix replay.
-type IncrementalMode int
-
-const (
-	// IncrementalOn (the zero value, so the default) replays only the
-	// plan suffix at or after each trial's earliest fault site.
-	IncrementalOn IncrementalMode = iota
-	// IncrementalOff replays the full compiled plan for every trial.
-	IncrementalOff
-)
-
-// incremental reports whether suffix replay is enabled.
-func (c *Campaign) incremental() bool { return c.Incremental == IncrementalOn }
 
 // format returns the effective datapath encoding.
 func (c *Campaign) format() fixpoint.Format {
@@ -268,7 +232,8 @@ type TrialResult struct {
 	Deviation float64
 	// IsRegression marks regressor trials (Deviation is meaningful).
 	IsRegression bool
-	// Detected reports detector-attached runs (RunWithDetector only).
+	// Detected reports whether the campaign's detector flagged the
+	// trial (RunWithDetector only; always false elsewhere).
 	Detected bool
 }
 
@@ -420,25 +385,19 @@ func (c *Campaign) observeNames() []string {
 }
 
 // compile builds the campaign's shared execution plan: compiled once per
-// Run, reused across every trial and worker.
-func (c *Campaign) compile() (*graph.Plan, error) {
-	plan, err := graph.CompileWith(c.Model.Graph, graph.CompileOptions{Observe: c.observeNames()}, c.Model.Output)
+// Run, reused across every trial and worker. A detector observes every
+// operator output, so a detector campaign's plan marks every node as an
+// observation point (no fusion).
+func (c *Campaign) compile(det Detector) (*graph.Plan, error) {
+	opts := graph.CompileOptions{Observe: c.observeNames()}
+	if det != nil {
+		opts = graph.CompileOptions{ObserveAll: true}
+	}
+	plan, err := graph.CompileWith(c.Model.Graph, opts, c.Model.Output)
 	if err != nil {
 		return nil, fmt.Errorf("inject: compile %s: %w", c.Model.Name, err)
 	}
 	return plan, nil
-}
-
-// sampleFaultSites draws one execution's fault sites from the campaign's
-// scenario and groups them by node for the executor hook, preserving
-// sampling order within each node.
-func (c *Campaign) sampleFaultSites(fs *FaultSpace, rng *rand.Rand) map[string][]Site {
-	drawn := c.scenario().Sample(fs, c.format(), rng)
-	sites := make(map[string][]Site, len(drawn))
-	for _, s := range drawn {
-		sites[s.Node] = append(sites[s.Node], s)
-	}
-	return sites
 }
 
 // Run executes the campaign over the given inputs. Each input's fault-free
@@ -449,16 +408,16 @@ func (c *Campaign) sampleFaultSites(fs *FaultSpace, rng *rand.Rand) map[string][
 // every corruptible node stays an observation point) and the plan is
 // reused across all trials and workers. When Calibration is set the plan
 // is additionally quantized to int8 and faults strike the quantized
-// representation. Under the default Incremental mode the clean pass
-// checkpoints each input's live intermediate values and every trial
-// replays only the plan suffix at or after its earliest fault site,
-// corrupting struck elements in place (no per-trial cloning); workers
-// group their trial blocks by injection depth so deep-layer faults
-// replay only a handful of steps back to back. Trials are sharded across
-// workers, each trial sampling from its own hash(Seed, input, trial)
-// stream and judged into an index slot, then reduced in trial order — the
-// Outcome is byte-identical at every worker count, between the
-// incremental and full-replay strategies, and to the pre-plan executor.
+// representation. The clean pass checkpoints each input's live
+// intermediate values and every trial replays only the plan suffix at
+// or after its earliest fault site, corrupting struck elements in place
+// (no per-trial cloning); workers group their trial blocks by injection
+// depth so deep-layer faults replay only a handful of steps back to
+// back. Trials are sharded across workers, each trial sampling from its
+// own hash(Seed, input, trial) stream and judged into an index slot,
+// then reduced in trial order — the Outcome is byte-identical at every
+// worker count, to a full replay from step 0, and to the pre-plan
+// executor.
 // Cancelling ctx makes Run return promptly with ctx.Err() and a zero
 // Outcome — never a partial one — no matter where in the campaign the
 // cancellation lands; workers observe the context between trials.
@@ -499,7 +458,7 @@ func (c *Campaign) RunSlice(ctx context.Context, inputs []graph.Feeds, start, en
 	if start < 0 || end > total || start > end {
 		return Outcome{}, fmt.Errorf("inject: slice [%d,%d) outside grid [0,%d)", start, end, total)
 	}
-	exec, err := c.newExec()
+	exec, err := c.newExec(nil)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -530,7 +489,7 @@ func (c *Campaign) RunSlice(ctx context.Context, inputs []graph.Feeds, start, en
 			ii := ii
 			emit = func(slot int) { c.OnTrial(verdicts[slot].result(ii, t0+slot)) }
 		}
-		if err := c.runShard(ctx, exec, feeds, ref, fs, ii, t0, workers, nil, verdicts, emit); err != nil {
+		if err := c.runShard(ctx, exec, ref, fs, ii, t0, workers, nil, verdicts, emit); err != nil {
 			return Outcome{}, err
 		}
 		for slot := 0; slot < n; slot++ {
@@ -548,40 +507,30 @@ func (c *Campaign) RunSlice(ctx context.Context, inputs []graph.Feeds, start, en
 
 // runShard executes one input's block of len(verdicts) trials across
 // workers, one trial at a time, each worker grouping its block by
-// injection depth under suffix replay. Slot i's trial identity is
+// injection depth. Slot i's trial identity is
 // (ii, t0+i) under uniform sampling, or plan[i] when a stratified plan
 // is set (t0 is then 0 and the plan item carries the sampling seed and
 // stratum constraint). Verdicts land in their slots; emit, when
 // non-nil, is called under a shard-wide mutex as each slot's verdict
 // lands. The first per-trial error is returned after all
 // workers finish, so a shard never half-reports.
-func (c *Campaign) runShard(ctx context.Context, exec *campaignExec, feeds graph.Feeds, ref *tensor.Tensor, fs *FaultSpace, ii, t0, workers int, plan []plannedTrial, verdicts []trialVerdict, emit func(slot int)) error {
+func (c *Campaign) runShard(ctx context.Context, exec *campaignExec, ref *tensor.Tensor, fs *FaultSpace, ii, t0, workers int, plan []plannedTrial, verdicts []trialVerdict, emit func(slot int)) error {
 	n := len(verdicts)
 	errs := make([]error, n)
 	var cbMu sync.Mutex
 	parallel.Shard(workers, n, func(lo, hi int) {
-		tr := exec.newTrial(feeds, fs)
+		tr := exec.newTrial(fs)
 		if plan != nil {
 			tr.setPlan(plan)
 		}
-		// Group this worker's block by injection depth (suffix
-		// replay only): execution order changes, but verdicts and
-		// errors land in their trial slots, so the caller's reduction
-		// stays in trial order and the Outcome is unchanged.
-		var order []int
-		if c.incremental() {
-			order = parallel.OrderByKey(lo, hi, func(slot int) int {
-				return tr.depth(ii, t0+slot)
-			})
-		}
-		slotAt := func(i int) int {
-			if order != nil {
-				return order[i-lo]
-			}
-			return i
-		}
-		for i := lo; i < hi; i++ {
-			slot := slotAt(i)
+		// Group this worker's block by injection depth: execution
+		// order changes, but verdicts and errors land in their trial
+		// slots, so the caller's reduction stays in trial order and the
+		// Outcome is unchanged.
+		order := parallel.OrderByKey(lo, hi, func(slot int) int {
+			return tr.depth(ii, t0+slot)
+		})
+		for _, slot := range order {
 			if err := ctx.Err(); err != nil {
 				errs[slot] = err
 				return
@@ -591,7 +540,11 @@ func (c *Campaign) runShard(ctx context.Context, exec *campaignExec, feeds graph
 				errs[slot] = err
 				continue
 			}
-			verdicts[slot] = c.judgeData(ref, faulty.Data())
+			v := c.judgeData(ref, faulty.Data())
+			if tr.detected != nil {
+				v.detected = tr.detected()
+			}
+			verdicts[slot] = v
 			if emit != nil {
 				cbMu.Lock()
 				emit(slot)
@@ -626,31 +579,36 @@ func min64(a, b int64) int64 {
 // worker's next trial; depth probes a trial's earliest struck plan
 // step. setPlan installs a stratified sampling plan: trial indices
 // passed to run/depth then index the plan instead of naming
-// uniform-grid trials.
+// uniform-grid trials. detected, non-nil on detector campaigns, reports
+// whether the worker's detector flagged the last run.
 type trialRunner struct {
-	run     func(input, trial int) (*tensor.Tensor, error)
-	depth   func(input, trial int) int
-	setPlan func(plan []plannedTrial)
+	run      func(input, trial int) (*tensor.Tensor, error)
+	depth    func(input, trial int) int
+	setPlan  func(plan []plannedTrial)
+	detected func() bool
 }
 
 // campaignExec abstracts the campaign's execution backend: the fp32
 // compiled plan, or the int8 quantized plan when Calibration is set.
 // plan is the compiled fp32 plan on both backends (the int8 plan is
 // quantized from it); fault spaces are sized from its inferred shapes.
-// prepare runs one input's clean pass (capturing the suffix-replay
-// checkpoint in incremental mode) and returns the SDC reference, which
-// stays valid until the next prepare call. newTrial builds a worker's
+// prepare runs one input's clean pass, capturing the suffix-replay
+// checkpoint, and returns the SDC reference (checkpoint-owned, so it
+// stays valid after later prepare calls). newTrial builds a worker's
 // trialRunner.
 type campaignExec struct {
 	plan     *graph.Plan
 	prepare  func(feeds graph.Feeds) (*tensor.Tensor, error)
-	newTrial func(feeds graph.Feeds, fs *FaultSpace) trialRunner
+	newTrial func(fs *FaultSpace) trialRunner
 }
 
 // newExec builds the campaign's execution backend, compiling the shared
-// plan once.
-func (c *Campaign) newExec() (*campaignExec, error) {
-	plan, err := c.compile()
+// plan once. det, when non-nil, rides along on the fp32 backend: every
+// worker observes its trials with its own clone of det, or with det
+// itself when it is not a CloneableDetector (the caller then runs one
+// worker).
+func (c *Campaign) newExec(det Detector) (*campaignExec, error) {
+	plan, err := c.compile(det)
 	if err != nil {
 		return nil, err
 	}
@@ -658,33 +616,33 @@ func (c *Campaign) newExec() (*campaignExec, error) {
 		return c.newExecInt8(plan)
 	}
 	cleanState := plan.NewState()
-	var ckpt *graph.Checkpoint // current input's checkpoint (incremental mode)
+	var ckpt *graph.Checkpoint // current input's checkpoint
 	prepare := func(feeds graph.Feeds) (*tensor.Tensor, error) {
-		if c.incremental() {
-			cp, err := plan.Checkpoint(cleanState, feeds)
-			if err != nil {
-				return nil, err
-			}
-			ckpt = cp
-			return cp.Output(0), nil
-		}
-		outs, err := plan.Run(cleanState, feeds)
+		cp, err := plan.Checkpoint(cleanState, feeds)
 		if err != nil {
 			return nil, err
 		}
-		return outs[0].Clone(), nil
+		ckpt = cp
+		return cp.Output(0), nil
 	}
-	newTrial := func(feeds graph.Feeds, fs *FaultSpace) trialRunner {
+	newTrial := func(fs *FaultSpace) trialRunner {
 		w := &fp32Worker{
 			c:     c,
 			plan:  plan,
 			st:    plan.NewState(),
 			ckpt:  ckpt, // captured by the preceding prepare
-			feeds: feeds,
+			det:   det,
 			sites: newTrialSites(c, fs, plan.StepOf, plan.Steps()),
 		}
+		if cd, ok := det.(CloneableDetector); ok {
+			w.det = cd.CloneDetector()
+		}
 		w.makeHook()
-		return trialRunner{run: w.run, depth: w.depth, setPlan: func(p []plannedTrial) { w.sites.plan = p }}
+		tr := trialRunner{run: w.run, depth: w.depth, setPlan: func(p []plannedTrial) { w.sites.plan = p }}
+		if w.det != nil {
+			tr.detected = w.det.Detected
+		}
+		return tr
 	}
 	return &campaignExec{plan: plan, prepare: prepare, newTrial: newTrial}, nil
 }
@@ -700,30 +658,19 @@ func (c *Campaign) newExecInt8(plan *graph.Plan) (*campaignExec, error) {
 	cleanState := qp.NewState()
 	var ckpt *graph.QCheckpoint
 	prepare := func(feeds graph.Feeds) (*tensor.Tensor, error) {
-		if c.incremental() {
-			cp, err := qp.Checkpoint(cleanState, feeds)
-			if err != nil {
-				return nil, err
-			}
-			ckpt = cp
-			return cp.Output(0), nil
-		}
-		// QPlan.Run dequantizes into fresh tensors, so — unlike the fp32
-		// plan's slot-backed outputs — the reference is already safe to
-		// retain across the input's trials and later prepare calls.
-		outs, err := qp.Run(cleanState, feeds)
+		cp, err := qp.Checkpoint(cleanState, feeds)
 		if err != nil {
 			return nil, err
 		}
-		return outs[0], nil
+		ckpt = cp
+		return cp.Output(0), nil
 	}
-	newTrial := func(feeds graph.Feeds, fs *FaultSpace) trialRunner {
+	newTrial := func(fs *FaultSpace) trialRunner {
 		w := &int8Worker{
 			c:     c,
 			qp:    qp,
 			st:    qp.NewState(),
 			ckpt:  ckpt,
-			feeds: feeds,
 			scen:  scen,
 			sites: newTrialSites(c, fs, qp.StepOf, qp.Steps()),
 		}
@@ -769,8 +716,8 @@ func newTrialSites(c *Campaign, fs *FaultSpace, stepOf func(string) int, nSteps 
 }
 
 // sample prepares one trial's sites: it draws them from the trial's
-// private hash(seed, input, trial) stream (reseeding the worker's RNG
-// reproduces exactly the stream a fresh trialRNG would emit), groups
+// private hash(seed, input, trial) stream (the worker's RNG reseeded
+// with trialSeed, so no trial allocates a generator), groups
 // them by node and sets minStep to the trial's earliest struck step.
 // Sites naming nodes the plan does not produce are ignored, as the
 // name-keyed hook lookup always ignored them. The previous trial's
@@ -822,13 +769,15 @@ type undoF32 struct {
 
 // fp32Worker owns one worker's fp32 trial execution: a private plan
 // state, the reusable sampling and undo buffers, and the in-place
-// corruption hook. After warmup a trial allocates nothing.
+// corruption hook. After warmup a trial allocates nothing. det, when
+// set, observes every node of every trial, so its trials replay from
+// step 0.
 type fp32Worker struct {
 	c     *Campaign
 	plan  *graph.Plan
 	st    *graph.PlanState
-	ckpt  *graph.Checkpoint // nil when Incremental is off
-	feeds graph.Feeds
+	ckpt  *graph.Checkpoint
+	det   Detector
 	sites trialSites
 	undo  []undoF32
 	err   error
@@ -839,26 +788,29 @@ type fp32Worker struct {
 // reads the refreshed sampling state. Corruption is in place — the
 // struck tensors are slot-backed (or per-run allocations) that every
 // replay fully rewrites, and restore() reverts the bytes before the
-// next trial anyway — so the hot path never clones a tensor.
+// next trial anyway — so the hot path never clones a tensor. The
+// detector, if any, then observes the node's (possibly faulty) output.
 func (w *fp32Worker) makeHook() {
 	w.hook = func(n *graph.Node, out *tensor.Tensor) *tensor.Tensor {
 		ss := w.sites.byNode[n.Name()]
-		if len(ss) == 0 || w.err != nil {
-			return nil
+		if len(ss) > 0 && w.err == nil {
+			data := out.Data()
+			for _, s := range ss {
+				if s.Elem < 0 || s.Elem >= len(data) {
+					w.err = siteBoundsError(s, len(data))
+					return nil
+				}
+				v, err := w.sites.scen.Corrupt(w.sites.format, data[s.Elem], s)
+				if err != nil {
+					w.err = fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
+					return nil
+				}
+				w.undo = append(w.undo, undoF32{data, s.Elem, data[s.Elem]})
+				data[s.Elem] = v
+			}
 		}
-		data := out.Data()
-		for _, s := range ss {
-			if s.Elem < 0 || s.Elem >= len(data) {
-				w.err = siteBoundsError(s, len(data))
-				return nil
-			}
-			v, err := w.sites.scen.Corrupt(w.sites.format, data[s.Elem], s)
-			if err != nil {
-				w.err = fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
-				return nil
-			}
-			w.undo = append(w.undo, undoF32{data, s.Elem, data[s.Elem]})
-			data[s.Elem] = v
+		if w.det != nil {
+			w.det.Observe(n, out)
 		}
 		return nil
 	}
@@ -879,13 +831,12 @@ func (w *fp32Worker) run(input, trial int) (*tensor.Tensor, error) {
 	w.restore()
 	w.err = nil
 	w.sites.sample(w.c.Seed, input, trial)
-	var outs []*tensor.Tensor
-	var err error
-	if w.ckpt != nil {
-		outs, err = w.plan.RunFrom(w.st, w.ckpt, w.sites.minStep, w.hook)
-	} else {
-		outs, err = w.plan.RunHook(w.st, w.feeds, w.hook)
+	start := w.sites.minStep
+	if w.det != nil {
+		w.det.Reset()
+		start = 0
 	}
+	outs, err := w.plan.RunFrom(w.st, w.ckpt, start, w.hook)
 	if w.err != nil {
 		return nil, w.err
 	}
@@ -902,8 +853,13 @@ func (w *fp32Worker) run(input, trial int) (*tensor.Tensor, error) {
 // — which is sound because Scenario sampling must be a pure function
 // of the trial's private stream (the documented statelessness
 // contract), and cheap because a sampling pass is a handful of RNG
-// draws against a plan suffix of tensor kernels.
+// draws against a plan suffix of tensor kernels. Detector trials all
+// replay from step 0, so they keep trial order — which a non-cloneable
+// detector, seeing every trial on one worker, may depend on.
 func (w *fp32Worker) depth(input, trial int) int {
+	if w.det != nil {
+		return 0
+	}
 	w.sites.sample(w.c.Seed, input, trial)
 	return w.sites.minStep
 }
@@ -921,8 +877,7 @@ type int8Worker struct {
 	c     *Campaign
 	qp    *graph.QPlan
 	st    *graph.QPlanState
-	ckpt  *graph.QCheckpoint // nil when Incremental is off
-	feeds graph.Feeds
+	ckpt  *graph.QCheckpoint
 	scen  Int8Scenario
 	sites trialSites
 	undo  []undoI8
@@ -966,13 +921,7 @@ func (w *int8Worker) run(input, trial int) (*tensor.Tensor, error) {
 	w.restore()
 	w.err = nil
 	w.sites.sample(w.c.Seed, input, trial)
-	var outs []*tensor.Tensor
-	var err error
-	if w.ckpt != nil {
-		outs, err = w.qp.RunFrom(w.st, w.ckpt, w.sites.minStep, w.hook)
-	} else {
-		outs, err = w.qp.RunHook(w.st, w.feeds, w.hook)
-	}
+	outs, err := w.qp.RunFrom(w.st, w.ckpt, w.sites.minStep, w.hook)
 	if w.err != nil {
 		return nil, w.err
 	}
@@ -993,6 +942,7 @@ type trialVerdict struct {
 	top1, top5 bool
 	dev        float64
 	isReg      bool
+	detected   bool
 }
 
 // apply folds the verdict into an Outcome.
@@ -1018,12 +968,8 @@ func (v trialVerdict) result(input, trial int) TrialResult {
 		Top5SDC:      v.top5,
 		Deviation:    v.dev,
 		IsRegression: v.isReg,
+		Detected:     v.detected,
 	}
-}
-
-// judgeTrial compares the faulty output against the fault-free reference.
-func (c *Campaign) judgeTrial(ref, faulty *tensor.Tensor) trialVerdict {
-	return c.judgeData(ref, faulty.Data())
 }
 
 // judgeData judges one faulty output given as its raw fetch data. It

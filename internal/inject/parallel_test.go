@@ -2,6 +2,7 @@ package inject
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -190,6 +191,13 @@ func TestRunWithDetectorSequentialFallback(t *testing.T) {
 	if det.observations == 0 {
 		t.Fatal("detector never observed")
 	}
+}
+
+// trialRNG builds the fault-sampling stream for one (input, trial) pair;
+// workers instead reseed one long-lived *rand.Rand with trialSeed, which
+// produces the identical stream without a per-trial allocation.
+func trialRNG(seed int64, input, trial int) *rand.Rand {
+	return rand.New(&splitmixSource{state: uint64(trialSeed(seed, input, trial))})
 }
 
 func TestTrialRNGIndependence(t *testing.T) {

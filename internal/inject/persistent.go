@@ -43,9 +43,7 @@ import (
 // the corrupted state — which is byte-identical to a full run because
 // everything before that step is untouched by construction. The repair
 // path reuses the same checkpoints, so a scrub replays only the
-// affected layer suffix instead of re-running the model. Campaign
-// .Incremental is ignored here (sequences are inherently sequential
-// within themselves).
+// affected layer suffix instead of re-running the model.
 
 // DefaultSequenceLen is how many inferences a persistent sequence runs
 // when Campaign.SequenceLen is 0: long enough that detection latency
@@ -324,7 +322,7 @@ func (c *Campaign) filterSurfaceNodes(names []string, sizes []int) ([]string, []
 // for its surface and numeric backend, capturing one checkpoint per
 // input.
 func (c *Campaign) newPersistentExec(inputs []graph.Feeds) (*persistentExec, error) {
-	plan, err := c.compile()
+	plan, err := c.compile(nil)
 	if err != nil {
 		return nil, err
 	}

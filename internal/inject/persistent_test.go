@@ -416,7 +416,7 @@ func FuzzWeightCorruptUndo(f *testing.F) {
 			c.Calibration = calib
 		}
 		// Snapshot the golden fp32 weights the campaign must not touch.
-		plan, err := c.compile()
+		plan, err := c.compile(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

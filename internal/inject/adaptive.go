@@ -65,23 +65,28 @@ const DefaultRoundTrials = 256
 // hands each open stratum before moving to the next.
 const stratumQuantum = 32
 
+// stratumBand confines a stratified trial's primary fault site to one
+// fault-space node (by index) and an inclusive bit band.
+type stratumBand struct {
+	node         int
+	bitLo, bitHi int
+}
+
 // stratumDef is one stratum of the sampling frame: a fault-space node
 // crossed with an inclusive bit band. Its weight is the stratum's share
 // of the uniform sampling measure (node elements × band bits).
 type stratumDef struct {
-	node         int // fault-space node index
-	name         string
-	bitLo, bitHi int
-	weight       float64
+	stratumBand
+	name   string
+	weight float64
 }
 
 // plannedTrial is one allocated adaptive trial as the execution workers
 // see it: the trial's private sampling seed plus its stratum
 // constraint.
 type plannedTrial struct {
-	seed         int64
-	node         int
-	bitLo, bitHi int
+	seed int64
+	stratumBand
 }
 
 // planItem is one allocated adaptive trial as the engine tracks it.
@@ -113,8 +118,8 @@ func buildStrata(fs *FaultSpace, bits, bands int) []stratumDef {
 	if bands < 1 {
 		bands = 1
 	}
-	type band struct{ lo, hi int }
-	bds := make([]band, 0, bands)
+	type bitRange struct{ lo, hi int }
+	bds := make([]bitRange, 0, bands)
 	base, rem := bits/bands, bits%bands
 	hi := bits - 1
 	for b := 0; b < bands; b++ {
@@ -122,7 +127,7 @@ func buildStrata(fs *FaultSpace, bits, bands int) []stratumDef {
 		if b < rem {
 			w++
 		}
-		bds = append(bds, band{hi - w + 1, hi})
+		bds = append(bds, bitRange{hi - w + 1, hi})
 		hi -= w
 	}
 	nodes := fs.Nodes()
@@ -132,11 +137,9 @@ func buildStrata(fs *FaultSpace, bits, bands int) []stratumDef {
 		nw := float64(fs.NodeSize(ni)) / total
 		for _, bd := range bds {
 			defs = append(defs, stratumDef{
-				node:   ni,
-				name:   name,
-				bitLo:  bd.lo,
-				bitHi:  bd.hi,
-				weight: nw * float64(bd.hi-bd.lo+1) / float64(bits),
+				stratumBand: stratumBand{node: ni, bitLo: bd.lo, bitHi: bd.hi},
+				name:        name,
+				weight:      nw * float64(bd.hi-bd.lo+1) / float64(bits),
 			})
 		}
 	}
@@ -191,13 +194,11 @@ type AdaptiveOutcome struct {
 // build one with NewAdaptiveRun, optionally replay a durable frontier
 // through ReplayTrial, then call NextRound until Done.
 type AdaptiveRun struct {
+	strata
 	c      *Campaign
 	inputs []graph.Feeds
 	exec   *campaignExec
 	spaces []*FaultSpace
-	defs   []stratumDef
-	acc    []stats.Stratum
-	target float64
 	budget int64
 
 	seq     int64
@@ -244,23 +245,9 @@ func (c *Campaign) NewAdaptiveRun(inputs []graph.Feeds) (*AdaptiveRun, error) {
 	if err := c.validate(inputs); err != nil {
 		return nil, err
 	}
-	scen := c.scenario()
-	if _, ok := scen.(StratumScenario); !ok {
-		return nil, fmt.Errorf("inject: scenario %q does not support stratified sampling", scen.Name())
-	}
-	if c.CITarget < 0 || c.CITarget >= 1 {
-		return nil, fmt.Errorf("inject: CI target %v outside (0,1)", c.CITarget)
-	}
-	if c.Strata < 0 {
-		return nil, fmt.Errorf("inject: strata = %d", c.Strata)
-	}
-	target := c.CITarget
-	if target == 0 {
-		target = DefaultCITarget
-	}
-	bands := c.Strata
-	if bands == 0 {
-		bands = DefaultStrataBands
+	target, bands, err := c.stratifiedConfig()
+	if err != nil {
+		return nil, err
 	}
 	exec, err := c.newExec(nil)
 	if err != nil {
@@ -281,61 +268,78 @@ func (c *Campaign) NewAdaptiveRun(inputs []graph.Feeds) (*AdaptiveRun, error) {
 	if c.Calibration != nil {
 		bits = 8 // faults strike the stored int8 word
 	}
-	defs := buildStrata(spaces[0], bits, bands)
-	acc := make([]stats.Stratum, len(defs))
-	for i := range acc {
-		acc[i].Weight = defs[i].weight
-	}
 	return &AdaptiveRun{
+		strata: newStrata(buildStrata(spaces[0], bits, bands), target),
 		c:      c,
 		inputs: inputs,
 		exec:   exec,
 		spaces: spaces,
-		defs:   defs,
-		acc:    acc,
-		target: target,
 		budget: c.GridSize(inputs),
 	}, nil
 }
 
-// Seq returns the number of trials folded so far (replayed plus live) —
-// the durable frontier of an adaptive job.
-func (ar *AdaptiveRun) Seq() int64 { return ar.seq }
-
-// Done reports whether the run is finished: every stratum's Wilson CI
-// half-width is at or below the target, or the budget is spent.
-func (ar *AdaptiveRun) Done() bool {
-	if ar.seq >= ar.budget {
-		return true
+// stratifiedConfig checks a stratified campaign's scenario, CITarget and
+// Strata, and returns the effective CI half-width target and bit bands
+// per fault-space node.
+func (c *Campaign) stratifiedConfig() (target float64, bands int, err error) {
+	scen := c.scenario()
+	if _, ok := scen.(StratumScenario); !ok {
+		return 0, 0, fmt.Errorf("inject: scenario %q does not support stratified sampling", scen.Name())
 	}
-	for i := range ar.acc {
-		if ar.acc[i].HalfWidth() > ar.target {
+	if c.CITarget < 0 || c.CITarget >= 1 {
+		return 0, 0, fmt.Errorf("inject: CI target %v outside (0,1)", c.CITarget)
+	}
+	if c.Strata < 0 {
+		return 0, 0, fmt.Errorf("inject: strata = %d", c.Strata)
+	}
+	target, bands = c.CITarget, c.Strata
+	if target == 0 {
+		target = DefaultCITarget
+	}
+	if bands == 0 {
+		bands = DefaultStrataBands
+	}
+	return target, bands, nil
+}
+
+// strata is a stratified design's frame and evidence: the stratum
+// definitions, one Wilson accumulator per stratum, and the CI
+// half-width target at which a stratum closes. The activation-surface
+// AdaptiveRun and the stratified persistent engine share it.
+type strata struct {
+	defs   []stratumDef
+	acc    []stats.Stratum
+	target float64
+}
+
+// newStrata starts empty accumulators over defs, each weighted by its
+// stratum's share of the uniform measure.
+func newStrata(defs []stratumDef, target float64) strata {
+	acc := make([]stats.Stratum, len(defs))
+	for i := range acc {
+		acc[i].Weight = defs[i].weight
+	}
+	return strata{defs: defs, acc: acc, target: target}
+}
+
+// converged reports whether every stratum's Wilson CI half-width is at
+// or below the target.
+func (st *strata) converged() bool {
+	for i := range st.acc {
+		if st.acc[i].HalfWidth() > st.target {
 			return false
 		}
 	}
 	return true
 }
 
-func (ar *AdaptiveRun) roundTrials() int {
-	if ar.RoundTrials > 0 {
-		return ar.RoundTrials
-	}
-	return DefaultRoundTrials
-}
-
-// openStrata returns the indices of strata still above the target, in
-// allocation order.
-func (ar *AdaptiveRun) openStrata() []int {
-	return openStrataOrder(ar.c.Adaptive, ar.defs, ar.acc, ar.target)
-}
-
-// openStrataOrder returns the indices of strata still above the target,
-// in allocation order: stratum order for AdaptiveStratified, descending
+// open returns the indices of strata still above the target, in
+// allocation order: stratum order for AdaptiveStratified, descending
 // Wilson upper bound (then higher bit band, then stratum order) for
 // AdaptiveWorstCase — the strata that could still hide the largest SDC
-// rate drain the round's budget first. Shared by the activation-surface
-// AdaptiveRun and the stratified persistent engine.
-func openStrataOrder(mode SamplingMode, defs []stratumDef, acc []stats.Stratum, target float64) []int {
+// rate drain the round's budget first.
+func (st *strata) open(mode SamplingMode) []int {
+	defs, acc, target := st.defs, st.acc, st.target
 	open := make([]int, 0, len(acc))
 	for i := range acc {
 		if acc[i].HalfWidth() > target {
@@ -371,44 +375,93 @@ func openStrataOrder(mode SamplingMode, defs []stratumDef, acc []stats.Stratum, 
 	return open
 }
 
-// allocateRound plans the next round: repeated passes over the open
-// strata, each pass handing a stratum up to stratumQuantum trials,
-// until the round budget — min(RoundTrials, remaining budget) — is
-// filled. The plan is a pure function of the per-stratum (N, K) counts
-// and the global sequence position, which is what makes adaptive runs
-// reproducible and resumable: replaying a frontier restores exactly the
-// state the allocator consumes.
-func (ar *AdaptiveRun) allocateRound() []planItem {
-	roundCap := ar.budget - ar.seq
-	if rt := int64(ar.roundTrials()); roundCap > rt {
-		roundCap = rt
-	}
-	if roundCap <= 0 {
-		return nil
-	}
-	open := ar.openStrata()
-	if len(open) == 0 {
-		return nil
-	}
-	inRound := make([]int, len(ar.defs))
-	plan := make([]planItem, 0, roundCap)
-	for int64(len(plan)) < roundCap {
+// allocate hands out one round of n trials in repeated passes over the
+// open strata, each pass giving a stratum up to stratumQuantum trials.
+// add receives each trial's stratum and its stratum-local index (the
+// stratum's folded trials plus those already allocated this round). The
+// allocation is a pure function of the per-stratum counts, which is
+// what makes stratified runs reproducible and resumable. open must be
+// non-empty.
+func (st *strata) allocate(open []int, n int, add func(stratum, local int)) {
+	inRound := make([]int, len(st.defs))
+	for k := 0; k < n; {
 		for _, si := range open {
-			for q := 0; q < stratumQuantum && int64(len(plan)) < roundCap; q++ {
-				local := ar.acc[si].N + inRound[si]
+			for q := 0; q < stratumQuantum && k < n; q++ {
+				add(si, st.acc[si].N+inRound[si])
 				inRound[si]++
-				plan = append(plan, planItem{
-					stratum: si,
-					local:   local,
-					seq:     ar.seq + int64(len(plan)),
-					input:   local % len(ar.inputs),
-				})
+				k++
 			}
-			if int64(len(plan)) >= roundCap {
+			if k >= n {
 				break
 			}
 		}
 	}
+}
+
+// results reports each stratum's evidence, in stratum order, and
+// whether every stratum reached the target.
+func (st *strata) results(surface string) ([]StratumResult, bool) {
+	res := make([]StratumResult, len(st.defs))
+	all := true
+	for i, def := range st.defs {
+		s := st.acc[i]
+		conv := s.HalfWidth() <= st.target
+		all = all && conv
+		res[i] = StratumResult{
+			Surface:   surface,
+			Node:      def.name,
+			BitLo:     def.bitLo,
+			BitHi:     def.bitHi,
+			Weight:    def.weight,
+			Trials:    s.N,
+			SDCs:      s.K,
+			Estimate:  s.Proportion(),
+			Converged: conv,
+		}
+	}
+	return res, all
+}
+
+// Seq returns the number of trials folded so far (replayed plus live) —
+// the durable frontier of an adaptive job.
+func (ar *AdaptiveRun) Seq() int64 { return ar.seq }
+
+// Done reports whether the run is finished: every stratum's Wilson CI
+// half-width is at or below the target, or the budget is spent.
+func (ar *AdaptiveRun) Done() bool {
+	return ar.seq >= ar.budget || ar.converged()
+}
+
+func (ar *AdaptiveRun) roundTrials() int {
+	if ar.RoundTrials > 0 {
+		return ar.RoundTrials
+	}
+	return DefaultRoundTrials
+}
+
+// allocateRound plans the next round of min(RoundTrials, remaining
+// budget) trials over the open strata (strata.allocate). The plan
+// depends only on the per-stratum counts and the global sequence
+// position, so replaying a frontier restores exactly the state the
+// allocator consumes.
+func (ar *AdaptiveRun) allocateRound() []planItem {
+	n := int(min64(ar.budget-ar.seq, int64(ar.roundTrials())))
+	if n <= 0 {
+		return nil
+	}
+	open := ar.open(ar.c.Adaptive)
+	if len(open) == 0 {
+		return nil
+	}
+	plan := make([]planItem, 0, n)
+	ar.allocate(open, n, func(si, local int) {
+		plan = append(plan, planItem{
+			stratum: si,
+			local:   local,
+			seq:     ar.seq + int64(len(plan)),
+			input:   local % len(ar.inputs),
+		})
+	})
 	return plan
 }
 
@@ -471,12 +524,9 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 		pts := make([]plannedTrial, len(idxs))
 		for k, idx := range idxs {
 			it := plan[idx]
-			def := ar.defs[it.stratum]
 			pts[k] = plannedTrial{
-				seed:  adaptiveSeed(ar.c.Seed, it.stratum, it.local),
-				node:  def.node,
-				bitLo: def.bitLo,
-				bitHi: def.bitHi,
+				seed:        adaptiveSeed(ar.c.Seed, it.stratum, it.local),
+				stratumBand: ar.defs[it.stratum].stratumBand,
 			}
 		}
 		sub := make([]trialVerdict, len(idxs))
@@ -519,32 +569,13 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 // per-stratum evidence, and the post-stratified population estimate.
 func (ar *AdaptiveRun) Result() AdaptiveOutcome {
 	res := AdaptiveOutcome{
-		Outcome:   ar.out,
-		Estimate:  stats.Stratified(ar.acc),
-		CITarget:  ar.target,
-		Converged: true,
-		Rounds:    ar.rounds,
-		Budget:    ar.budget,
+		Outcome:  ar.out,
+		Estimate: stats.Stratified(ar.acc),
+		CITarget: ar.target,
+		Rounds:   ar.rounds,
+		Budget:   ar.budget,
 	}
-	res.Strata = make([]StratumResult, len(ar.defs))
-	for i, def := range ar.defs {
-		s := ar.acc[i]
-		conv := s.HalfWidth() <= ar.target
-		if !conv {
-			res.Converged = false
-		}
-		res.Strata[i] = StratumResult{
-			Surface:   ar.c.surface().Name(),
-			Node:      def.name,
-			BitLo:     def.bitLo,
-			BitHi:     def.bitHi,
-			Weight:    def.weight,
-			Trials:    s.N,
-			SDCs:      s.K,
-			Estimate:  s.Proportion(),
-			Converged: conv,
-		}
-	}
+	res.Strata, res.Converged = ar.results(ar.c.surface().Name())
 	return res
 }
 
@@ -606,10 +637,7 @@ func (c *Campaign) UniformTrialsToTarget(ctx context.Context, inputs []graph.Fee
 		nodeIdx[name] = i
 	}
 	nBands := len(ar.defs) / len(fs.Nodes())
-	acc := make([]stats.Stratum, len(ar.defs))
-	for i := range acc {
-		acc[i].Weight = ar.defs[i].weight
-	}
+	uniform := newStrata(ar.defs, ar.target)
 	// classify re-samples a trial's private stream and returns the
 	// stratum its primary (first) site lands in. Calls arrive through
 	// OnTrial, which the shard serializes, so the shared rng is safe.
@@ -618,11 +646,7 @@ func (c *Campaign) UniformTrialsToTarget(ctx context.Context, inputs []graph.Fee
 	var buf []Site
 	classify := func(trial int) int {
 		rng.Seed(trialSeed(c.Seed, 0, trial))
-		if ap, ok := scen.(SiteAppender); ok {
-			buf = ap.AppendSites(buf[:0], fs, c.format(), rng)
-		} else {
-			buf = scen.Sample(fs, c.format(), rng)
-		}
+		buf = drawSites(buf, scen, fs, c.format(), rng, nil)
 		s := buf[0]
 		ni := nodeIdx[s.Node]
 		for b := 0; b < nBands; b++ {
@@ -641,15 +665,7 @@ func (c *Campaign) UniformTrialsToTarget(ctx context.Context, inputs []graph.Fee
 		if tr.IsRegression {
 			sdc = tr.Deviation > c.regSDCThreshold()
 		}
-		acc[classify(tr.Trial)].Add(sdc)
-	}
-	converged := func() bool {
-		for i := range acc {
-			if acc[i].HalfWidth() > ar.target {
-				return false
-			}
-		}
-		return true
+		uniform.acc[classify(tr.Trial)].Add(sdc)
 	}
 	const chunk = 512
 	done := int64(0)
@@ -659,7 +675,7 @@ func (c *Campaign) UniformTrialsToTarget(ctx context.Context, inputs []graph.Fee
 			return 0, false, err
 		}
 		done += n
-		if converged() {
+		if uniform.converged() {
 			return done, true, nil
 		}
 	}

@@ -728,18 +728,13 @@ func (ts *trialSites) sample(seed int64, input, trial int) {
 	}
 	ts.used = ts.used[:0]
 	ts.minStep = ts.nSteps
+	s, b := trialSeed(seed, input, trial), (*stratumBand)(nil)
 	if ts.plan != nil {
-		pt := ts.plan[trial]
-		ts.rng.Seed(pt.seed)
-		ts.buf = ts.scen.(StratumScenario).AppendStratumSites(ts.buf[:0], ts.space, ts.format, ts.rng, pt.node, pt.bitLo, pt.bitHi)
-	} else {
-		ts.rng.Seed(trialSeed(seed, input, trial))
-		if ap, ok := ts.scen.(SiteAppender); ok {
-			ts.buf = ap.AppendSites(ts.buf[:0], ts.space, ts.format, ts.rng)
-		} else {
-			ts.buf = ts.scen.Sample(ts.space, ts.format, ts.rng)
-		}
+		pt := &ts.plan[trial]
+		s, b = pt.seed, &pt.stratumBand
 	}
+	ts.rng.Seed(s)
+	ts.buf = drawSites(ts.buf, ts.scen, ts.space, ts.format, ts.rng, b)
 	if ts.byNode == nil {
 		ts.byNode = make(map[string][]Site, len(ts.buf))
 	}

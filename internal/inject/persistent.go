@@ -11,7 +11,6 @@ import (
 
 	"ranger/internal/graph"
 	"ranger/internal/parallel"
-	"ranger/internal/stats"
 	"ranger/internal/tensor"
 )
 
@@ -730,14 +729,12 @@ func (w *quantParamWorker) clear() { w.repair() }
 
 // plannedSeq is one allocated persistent sequence: its global position,
 // its private sampling seed, and (under stratified sampling) its
-// stratum constraint.
+// stratum and the stratum's site constraint.
 type plannedSeq struct {
 	seq     int64
 	seed    int64
 	stratum int // -1 under uniform sampling
-	node    int
-	bitLo   int
-	bitHi   int
+	stratumBand
 }
 
 // bitsEqual reports byte-exact equality of two float32 slices (bit
@@ -828,8 +825,7 @@ func (c *Campaign) runPersistentShard(ctx context.Context, exec *persistentExec,
 	}
 	errs := make([]error, len(plan))
 	var cbMu sync.Mutex
-	scen := c.scenario()
-	format := c.format()
+	scen, format := c.scenario(), c.format()
 	parallel.Shard(workers, len(plan), func(lo, hi int) {
 		w, err := exec.newWorker()
 		if err != nil {
@@ -847,16 +843,14 @@ func (c *Campaign) runPersistentShard(ctx context.Context, exec *persistentExec,
 				errs[i] = err
 				return
 			}
-			ps := plan[i]
-			rng.Seed(ps.seed)
+			ps := &plan[i]
+			var b *stratumBand
 			if ps.stratum >= 0 {
-				buf = scen.(StratumScenario).AppendStratumSites(buf[:0], exec.space, format, rng, ps.node, ps.bitLo, ps.bitHi)
-			} else if ap, ok := scen.(SiteAppender); ok {
-				buf = ap.AppendSites(buf[:0], exec.space, format, rng)
-			} else {
-				buf = scen.Sample(exec.space, format, rng)
+				b = &ps.stratumBand
 			}
-			r, err := c.runSequence(w, det, exec.refs, ps, buf)
+			rng.Seed(ps.seed)
+			buf = drawSites(buf, scen, exec.space, format, rng, b)
+			r, err := c.runSequence(w, det, exec.refs, *ps, buf)
 			if err != nil {
 				errs[i] = err
 				continue
@@ -950,73 +944,40 @@ func (c *Campaign) runPersistentStratified(ctx context.Context, inputs []graph.F
 	if err := c.validatePersistent(inputs); err != nil {
 		return PersistentOutcome{}, err
 	}
-	scen := c.scenario()
-	if _, ok := scen.(StratumScenario); !ok {
-		return PersistentOutcome{}, fmt.Errorf("inject: scenario %q does not support stratified sampling", scen.Name())
-	}
-	if c.CITarget < 0 || c.CITarget >= 1 {
-		return PersistentOutcome{}, fmt.Errorf("inject: CI target %v outside (0,1)", c.CITarget)
-	}
-	if c.Strata < 0 {
-		return PersistentOutcome{}, fmt.Errorf("inject: strata = %d", c.Strata)
-	}
-	target := c.CITarget
-	if target == 0 {
-		target = DefaultCITarget
-	}
-	bands := c.Strata
-	if bands == 0 {
-		bands = DefaultStrataBands
+	target, bands, err := c.stratifiedConfig()
+	if err != nil {
+		return PersistentOutcome{}, err
 	}
 	exec, err := c.newPersistentExec(inputs)
 	if err != nil {
 		return PersistentOutcome{}, err
 	}
-	defs := buildStrata(exec.space, exec.bits, bands)
-	acc := make([]stats.Stratum, len(defs))
-	for i := range acc {
-		acc[i].Weight = defs[i].weight
-	}
+	st := newStrata(buildStrata(exec.space, exec.bits, bands), target)
 	budget := c.PersistentGridSize()
 	var out PersistentOutcome
 	var seq int64
 	for seq < budget {
-		open := openStrataOrder(c.Adaptive, defs, acc, target)
+		open := st.open(c.Adaptive)
 		if len(open) == 0 {
 			break
 		}
-		roundCap := budget - seq
-		if roundCap > DefaultRoundTrials {
-			roundCap = DefaultRoundTrials
-		}
-		inRound := make([]int, len(defs))
-		plan := make([]plannedSeq, 0, roundCap)
-		for int64(len(plan)) < roundCap {
-			for _, si := range open {
-				for q := 0; q < stratumQuantum && int64(len(plan)) < roundCap; q++ {
-					local := acc[si].N + inRound[si]
-					inRound[si]++
-					plan = append(plan, plannedSeq{
-						seq:     seq + int64(len(plan)),
-						seed:    adaptiveSeed(c.Seed, si, local),
-						stratum: si,
-						node:    defs[si].node,
-						bitLo:   defs[si].bitLo,
-						bitHi:   defs[si].bitHi,
-					})
-				}
-				if int64(len(plan)) >= roundCap {
-					break
-				}
-			}
-		}
+		n := int(min64(budget-seq, DefaultRoundTrials))
+		plan := make([]plannedSeq, 0, n)
+		st.allocate(open, n, func(si, local int) {
+			plan = append(plan, plannedSeq{
+				seq:         seq + int64(len(plan)),
+				seed:        adaptiveSeed(c.Seed, si, local),
+				stratum:     si,
+				stratumBand: st.defs[si].stratumBand,
+			})
+		})
 		results := make([]SequenceResult, len(plan))
 		if err := c.runPersistentShard(ctx, exec, plan, results); err != nil {
 			return PersistentOutcome{}, err
 		}
 		for i := range results {
 			results[i].Apply(&out)
-			acc[plan[i].stratum].Add(results[i].sdc())
+			st.acc[plan[i].stratum].Add(results[i].sdc())
 		}
 		seq += int64(len(plan))
 		out.Rounds++
@@ -1024,26 +985,6 @@ func (c *Campaign) runPersistentStratified(ctx context.Context, inputs []graph.F
 	if err := ctx.Err(); err != nil {
 		return PersistentOutcome{}, err
 	}
-	surfName := c.surface().Name()
-	out.Strata = make([]StratumResult, len(defs))
-	out.Converged = true
-	for i, def := range defs {
-		s := acc[i]
-		conv := s.HalfWidth() <= target
-		if !conv {
-			out.Converged = false
-		}
-		out.Strata[i] = StratumResult{
-			Surface:   surfName,
-			Node:      def.name,
-			BitLo:     def.bitLo,
-			BitHi:     def.bitHi,
-			Weight:    def.weight,
-			Trials:    s.N,
-			SDCs:      s.K,
-			Estimate:  s.Proportion(),
-			Converged: conv,
-		}
-	}
+	out.Strata, out.Converged = st.results(c.surface().Name())
 	return out, nil
 }

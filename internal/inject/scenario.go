@@ -131,6 +131,21 @@ type StratumScenario interface {
 	AppendStratumSites(buf []Site, space *FaultSpace, format fixpoint.Format, rng *rand.Rand, node, bitLo, bitHi int) []Site
 }
 
+// drawSites draws one execution's fault sites from rng into buf (whose
+// contents it discards): with the primary site confined to the stratum
+// b when b is non-nil (the scenario must then implement
+// StratumScenario), otherwise uniformly over the space, through
+// SiteAppender when the scenario implements it.
+func drawSites(buf []Site, scen Scenario, space *FaultSpace, format fixpoint.Format, rng *rand.Rand, b *stratumBand) []Site {
+	if b != nil {
+		return scen.(StratumScenario).AppendStratumSites(buf[:0], space, format, rng, b.node, b.bitLo, b.bitHi)
+	}
+	if ap, ok := scen.(SiteAppender); ok {
+		return ap.AppendSites(buf[:0], space, format, rng)
+	}
+	return scen.Sample(space, format, rng)
+}
+
 // DefaultScenario returns the paper's primary fault model: one random
 // bit flip per execution.
 func DefaultScenario() Scenario { return BitFlips{Flips: 1} }

@@ -728,13 +728,14 @@ func (ts *trialSites) sample(seed int64, input, trial int) {
 	}
 	ts.used = ts.used[:0]
 	ts.minStep = ts.nSteps
-	s, b := trialSeed(seed, input, trial), (*stratumBand)(nil)
+	var band *stratumBand
+	s := trialSeed(seed, input, trial)
 	if ts.plan != nil {
 		pt := &ts.plan[trial]
-		s, b = pt.seed, &pt.stratumBand
+		s, band = pt.seed, &pt.stratumBand
 	}
 	ts.rng.Seed(s)
-	ts.buf = drawSites(ts.buf, ts.scen, ts.space, ts.format, ts.rng, b)
+	ts.buf = drawSites(ts.buf, ts.scen, ts.space, ts.format, ts.rng, band)
 	if ts.byNode == nil {
 		ts.byNode = make(map[string][]Site, len(ts.buf))
 	}

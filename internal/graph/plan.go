@@ -657,6 +657,7 @@ type PlanState struct {
 	// with a corrupted weight while the shared plan (and every other
 	// state) keeps the golden copy. See Plan.OverrideVar.
 	vars map[int]*tensor.Tensor
+	cone coneState // RunCone's differing-value record
 }
 
 // NewState returns a fresh execution state for the plan.
@@ -752,80 +753,98 @@ func (p *Plan) RunHook(st *PlanState, feeds Feeds, hook Hook) ([]*tensor.Tensor,
 // checkpoint capture path. The returned slice is owned by the state and
 // reused by the next run.
 func (p *Plan) runFrom(st *PlanState, layout *planLayout, feeds Feeds, start int, hook Hook, onStep func(si int, out *tensor.Tensor)) ([]*tensor.Tensor, error) {
+	st.useLayout(layout)
+	for si := start; si < len(p.steps); si++ {
+		out, err := p.runStep(st, layout, feeds, si, hook)
+		if err != nil {
+			return nil, err
+		}
+		if onStep != nil {
+			onStep(si, out)
+		}
+	}
+	for i, id := range p.fetchID {
+		st.fetch[i] = st.cache[id]
+	}
+	return st.fetch, nil
+}
+
+// useLayout points the state at layout, dropping the cached output
+// headers when the layout changed.
+func (st *PlanState) useLayout(layout *planLayout) {
 	if st.layout != layout {
 		for i := range st.outT {
 			st.outT[i] = nil
 		}
 		st.layout = layout
 	}
-	for si := start; si < len(p.steps); si++ {
-		s := &p.steps[si]
-		var out *tensor.Tensor
-		switch op := s.anchor.op.(type) {
-		case *Placeholder:
-			out = feeds[s.node.name]
-		case *Variable:
-			if t := st.vars[s.node.id]; t != nil {
-				out = t
-				break
-			}
-			if op.Value == nil {
-				return nil, fmt.Errorf("graph: variable %q has no value", s.node.name)
-			}
-			out = op.Value
-		default:
-			st.ins = st.ins[:0]
-			for _, id := range s.inIDs {
-				in := st.cache[id]
-				if in == nil {
-					return nil, fmt.Errorf("graph: input of %q not evaluated", s.anchor.name)
-				}
-				st.ins = append(st.ins, in)
-			}
-			if s.planned != nil && s.slot >= 0 && layout.shapes[si] != nil {
-				ot, err := st.outTensor(si, layout)
-				if err != nil {
-					return nil, err
-				}
-				if err := s.planned.EvalInto(st.ins, ot, st.tmp(si)); err != nil {
-					return nil, fmt.Errorf("eval %q (%s): %w", s.anchor.name, s.anchor.op.Type(), err)
-				}
-				out = ot
-			} else {
-				t, err := s.anchor.op.Eval(st.ins)
-				if err != nil {
-					return nil, fmt.Errorf("eval %q (%s): %w", s.anchor.name, s.anchor.op.Type(), err)
-				}
-				out = t
-			}
-			if len(s.epilogue) > 0 {
-				stages := st.stageBuf(si, s.epilogue)
-				for k, e := range s.epilogue {
-					if e.aux == nil {
-						continue
-					}
-					vec := st.auxTensor(e.aux)
-					r := out.Rank()
-					if vec == nil || vec.Rank() != 1 || r == 0 || vec.Size() != out.Dim(r-1) {
-						return nil, fmt.Errorf("graph: fused bias for %q: vector/shape mismatch", s.node.name)
-					}
-					stages[k].Vec, stages[k].C = vec.Data(), vec.Size()
-				}
-				tensor.Epilogue(stages).Apply(out.Data())
-			}
+}
+
+// runStep executes step si — its kernel, fused epilogue and observation
+// hook — reading its inputs from the state's cache, and stores the
+// step's final output (after any hook substitution) in the cache. It is
+// the one step body shared by full, suffix and cone replay.
+func (p *Plan) runStep(st *PlanState, layout *planLayout, feeds Feeds, si int, hook Hook) (*tensor.Tensor, error) {
+	s := &p.steps[si]
+	var out *tensor.Tensor
+	switch op := s.anchor.op.(type) {
+	case *Placeholder:
+		out = feeds[s.node.name]
+	case *Variable:
+		if t := st.vars[s.node.id]; t != nil {
+			out = t
+			break
 		}
-		if hook != nil && s.observe {
-			if repl := hook(s.node, out); repl != nil {
-				out = repl
+		if op.Value == nil {
+			return nil, fmt.Errorf("graph: variable %q has no value", s.node.name)
+		}
+		out = op.Value
+	default:
+		st.ins = st.ins[:0]
+		for _, id := range s.inIDs {
+			in := st.cache[id]
+			if in == nil {
+				return nil, fmt.Errorf("graph: input of %q not evaluated", s.anchor.name)
 			}
+			st.ins = append(st.ins, in)
 		}
-		if onStep != nil {
-			onStep(si, out)
+		if s.planned != nil && s.slot >= 0 && layout.shapes[si] != nil {
+			ot, err := st.outTensor(si, layout)
+			if err != nil {
+				return nil, err
+			}
+			if err := s.planned.EvalInto(st.ins, ot, st.tmp(si)); err != nil {
+				return nil, fmt.Errorf("eval %q (%s): %w", s.anchor.name, s.anchor.op.Type(), err)
+			}
+			out = ot
+		} else {
+			t, err := s.anchor.op.Eval(st.ins)
+			if err != nil {
+				return nil, fmt.Errorf("eval %q (%s): %w", s.anchor.name, s.anchor.op.Type(), err)
+			}
+			out = t
 		}
-		st.cache[s.node.id] = out
+		if len(s.epilogue) > 0 {
+			stages := st.stageBuf(si, s.epilogue)
+			for k, e := range s.epilogue {
+				if e.aux == nil {
+					continue
+				}
+				vec := st.auxTensor(e.aux)
+				r := out.Rank()
+				if vec == nil || vec.Rank() != 1 || r == 0 || vec.Size() != out.Dim(r-1) {
+					return nil, fmt.Errorf("graph: fused bias for %q: vector/shape mismatch", s.node.name)
+				}
+				stages[k].Vec, stages[k].C = vec.Data(), vec.Size()
+			}
+			tensor.Epilogue(stages).Apply(out.Data())
+		}
 	}
-	for i, id := range p.fetchID {
-		st.fetch[i] = st.cache[id]
+	if hook != nil && s.observe {
+		if repl := hook(s.node, out); repl != nil {
+			out = repl
+		}
 	}
-	return st.fetch, nil
+	st.cache[s.node.id] = out
+	return out, nil
 }

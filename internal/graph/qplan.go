@@ -320,6 +320,7 @@ type QPlanState struct {
 	// ClearOverrides drops both — scrub-from-golden repair.
 	kernels []QuantKernel
 	qOver   []*tensor.QParams
+	cone    coneState // RunCone's differing-value record
 }
 
 // NewState returns a fresh execution state for the quantized plan.
@@ -425,6 +426,22 @@ func (q *QPlan) RunHook(st *QPlanState, feeds Feeds, hook QHook) ([]*tensor.Tens
 // when non-nil, observes every executed step's final output — the
 // checkpoint capture path.
 func (q *QPlan) runFrom(st *QPlanState, layout *planLayout, feeds Feeds, start int, hook QHook, onStep func(si int, out *tensor.QTensor)) error {
+	st.useLayout(layout)
+	for si := start; si < len(q.steps); si++ {
+		out, err := q.runStep(st, layout, feeds, si, hook)
+		if err != nil {
+			return err
+		}
+		if onStep != nil {
+			onStep(si, out)
+		}
+	}
+	return nil
+}
+
+// useLayout points the state at layout, dropping the cached output
+// headers and dequantization buffers when the layout changed.
+func (st *QPlanState) useLayout(layout *planLayout) {
 	if st.layout != layout {
 		for i := range st.outT {
 			st.outT[i] = nil
@@ -436,53 +453,55 @@ func (q *QPlan) runFrom(st *QPlanState, layout *planLayout, feeds Feeds, start i
 		}
 		st.layout = layout
 	}
-	for si := start; si < len(q.steps); si++ {
-		s := &q.steps[si]
-		if layout.shapes[s.srcIdx] == nil {
-			return fmt.Errorf("graph: quantized step %q has no inferred shape", s.node.name)
-		}
-		out, err := st.stepOut(si, layout)
-		if err != nil {
-			return err
-		}
-		kernel := s.kernel
-		if st.kernels != nil && st.kernels[si] != nil {
-			kernel = st.kernels[si]
-		}
-		if kernel == nil {
-			// Placeholder: quantize the feed (presence and shape were
-			// validated by the layout signature).
-			if _, err := tensor.QuantizeInto(out, feeds[s.node.name]); err != nil {
-				return fmt.Errorf("graph: quantize feed %q: %w", s.node.name, err)
-			}
-		} else {
-			st.ins = st.ins[:0]
-			for _, id := range s.inIDs {
-				if id < 0 {
-					st.ins = append(st.ins, nil)
-					continue
-				}
-				in := st.cache[id]
-				if in == nil {
-					return fmt.Errorf("graph: input of %q not evaluated", s.node.name)
-				}
-				st.ins = append(st.ins, in)
-			}
-			if err := kernel(st.ins, out, st.tmp(si)); err != nil {
-				return fmt.Errorf("eval int8 %q (%s): %w", s.node.name, s.node.op.Type(), err)
-			}
-		}
-		if hook != nil && s.observe {
-			if repl := hook(s.node, out); repl != nil {
-				out = repl
-			}
-		}
-		if onStep != nil {
-			onStep(si, out)
-		}
-		st.cache[s.node.id] = out
+}
+
+// runStep executes quantized step si — its kernel (or the state's
+// override) and observation hook — reading its inputs from the state's
+// cache, and stores the step's final output in the cache. It is the one
+// step body shared by full, suffix and cone replay.
+func (q *QPlan) runStep(st *QPlanState, layout *planLayout, feeds Feeds, si int, hook QHook) (*tensor.QTensor, error) {
+	s := &q.steps[si]
+	if layout.shapes[s.srcIdx] == nil {
+		return nil, fmt.Errorf("graph: quantized step %q has no inferred shape", s.node.name)
 	}
-	return nil
+	out, err := st.stepOut(si, layout)
+	if err != nil {
+		return nil, err
+	}
+	kernel := s.kernel
+	if st.kernels != nil && st.kernels[si] != nil {
+		kernel = st.kernels[si]
+	}
+	if kernel == nil {
+		// Placeholder: quantize the feed (presence and shape were
+		// validated by the layout signature).
+		if _, err := tensor.QuantizeInto(out, feeds[s.node.name]); err != nil {
+			return nil, fmt.Errorf("graph: quantize feed %q: %w", s.node.name, err)
+		}
+	} else {
+		st.ins = st.ins[:0]
+		for _, id := range s.inIDs {
+			if id < 0 {
+				st.ins = append(st.ins, nil)
+				continue
+			}
+			in := st.cache[id]
+			if in == nil {
+				return nil, fmt.Errorf("graph: input of %q not evaluated", s.node.name)
+			}
+			st.ins = append(st.ins, in)
+		}
+		if err := kernel(st.ins, out, st.tmp(si)); err != nil {
+			return nil, fmt.Errorf("eval int8 %q (%s): %w", s.node.name, s.node.op.Type(), err)
+		}
+	}
+	if hook != nil && s.observe {
+		if repl := hook(s.node, out); repl != nil {
+			out = repl
+		}
+	}
+	st.cache[s.node.id] = out
+	return out, nil
 }
 
 // ensureOverrides lazily allocates the state's override tables.

@@ -301,3 +301,153 @@ func TestDepthOrderKeepsOutcomeAndStreamsAllTrials(t *testing.T) {
 		t.Fatalf("depth-grouped outcome %+v != full-replay %+v", got, want)
 	}
 }
+
+// TestTrialMaskedMatchesFullReplay cross-checks the streamed per-trial
+// Masked flag and verdicts of cone replay against full replay. On fp32,
+// Run (cone replay) must agree trial by trial with RunWithDetector
+// under a never-firing detector (every trial replayed from step 0,
+// Masked from a bit comparison with the reference); on int8, with a
+// test-side RunFrom loop over the same sampled sites. Every masked
+// trial must be judged benign, and ReplayStart must be the trial's
+// earliest struck step (0 on the detector path).
+func TestTrialMaskedMatchesFullReplay(t *testing.T) {
+	ctx := context.Background()
+	type key struct{ input, trial int }
+	record := func(c *Campaign) map[key]TrialResult {
+		got := make(map[key]TrialResult)
+		c.OnTrial = func(tr TrialResult) { got[key{tr.Input, tr.Trial}] = tr }
+		return got
+	}
+	checkMasked := func(t *testing.T, tr TrialResult) {
+		t.Helper()
+		if tr.Masked && (tr.Top1SDC || tr.Top5SDC || tr.Deviation != 0) {
+			t.Fatalf("trial %+v is masked but judged an SDC", tr)
+		}
+	}
+	sameVerdict := func(a, b TrialResult) bool {
+		return a.Masked == b.Masked && a.Top1SDC == b.Top1SDC && a.Top5SDC == b.Top5SDC &&
+			math.Float64bits(a.Deviation) == math.Float64bits(b.Deviation)
+	}
+
+	lenet, lenetFeeds := lenetInputs(t, 2)
+	squeeze, err := models.Build("squeezenet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	imnet := data.NewImNet()
+	squeezeFeeds := []graph.Feeds{
+		{squeeze.Input: imnet.Sample(data.Train, 0).X},
+		{squeeze.Input: imnet.Sample(data.Train, 1).X},
+	}
+	for _, tc := range []struct {
+		m     *models.Model
+		feeds []graph.Feeds
+	}{{lenet, lenetFeeds}, {squeeze, squeezeFeeds}} {
+		t.Run(tc.m.Name+"/fp32", func(t *testing.T) {
+			cone := &Campaign{Model: tc.m, Trials: 40, Seed: 11}
+			coneTrials := record(cone)
+			if _, err := cone.Run(ctx, tc.feeds); err != nil {
+				t.Fatal(err)
+			}
+			full := &Campaign{Model: tc.m, Trials: 40, Seed: 11}
+			fullTrials := record(full)
+			if _, err := full.RunWithDetector(ctx, tc.feeds, silentDetector{}); err != nil {
+				t.Fatal(err)
+			}
+			exec, err := cone.newExec(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			masked := 0
+			for ii, feeds := range tc.feeds {
+				fs, err := cone.faultSpace(exec.plan, feeds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr := exec.newTrial(fs)
+				for trial := 0; trial < cone.Trials; trial++ {
+					k := key{ii, trial}
+					c, f := coneTrials[k], fullTrials[k]
+					if !sameVerdict(c, f) {
+						t.Fatalf("trial %v: cone %+v, full replay %+v", k, c, f)
+					}
+					if f.ReplayStart != 0 {
+						t.Fatalf("trial %v: detector trial replayed from step %d", k, f.ReplayStart)
+					}
+					if want := tr.depth(ii, trial); c.ReplayStart != want {
+						t.Fatalf("trial %v: ReplayStart %d, earliest struck step %d", k, c.ReplayStart, want)
+					}
+					checkMasked(t, c)
+					if c.Masked {
+						masked++
+					}
+				}
+			}
+			if n := len(tc.feeds) * cone.Trials; masked == 0 || masked == n {
+				t.Fatalf("%d of %d trials masked; want both outcomes", masked, n)
+			}
+		})
+	}
+
+	t.Run("lenet/int8", func(t *testing.T) {
+		calib := lenetCalibration(t, lenet, lenetFeeds)
+		c := &Campaign{Model: lenet, Trials: 40, Seed: 11, Scenario: BitFlipInt8{Flips: 1}, Calibration: calib}
+		coneTrials := record(c)
+		if _, err := c.Run(ctx, lenetFeeds); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := c.compile(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qp, err := graph.Quantize(plan, calib)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scen := c.scenario().(Int8Scenario)
+		st := qp.NewState()
+		masked := 0
+		for ii, feeds := range lenetFeeds {
+			fs, err := c.faultSpace(plan, feeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck, err := qp.Checkpoint(qp.NewState(), feeds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := newTrialSites(c, fs, qp.StepOf, qp.Steps())
+			hook := func(n *graph.Node, out *tensor.QTensor) *tensor.QTensor {
+				d := out.Data()
+				for _, s := range ts.byNode[n.Name()] {
+					q, err := scen.CorruptInt8(d[s.Elem], s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					d[s.Elem] = q
+				}
+				return nil
+			}
+			for trial := 0; trial < c.Trials; trial++ {
+				ts.sample(c.Seed, ii, trial)
+				outs, err := qp.RunFrom(st, ck, ts.minStep, hook)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v := c.judgeData(ck.Output(0), outs[0].Data())
+				v.start, v.masked = ts.minStep, bitsEqual(outs[0].Data(), ck.Output(0).Data())
+				want, got := v.result(ii, trial), coneTrials[key{ii, trial}]
+				if !sameVerdict(want, got) || want.ReplayStart != got.ReplayStart {
+					t.Fatalf("trial %d/%d: cone %+v, suffix replay %+v", ii, trial, got, want)
+				}
+				checkMasked(t, got)
+				if got.Masked {
+					masked++
+				}
+			}
+		}
+		if n := len(lenetFeeds) * c.Trials; masked == 0 || masked == n {
+			t.Fatalf("%d of %d int8 trials masked; want both outcomes", masked, n)
+		}
+	})
+}

@@ -235,6 +235,13 @@ type TrialResult struct {
 	// Detected reports whether the campaign's detector flagged the
 	// trial (RunWithDetector only; always false elsewhere).
 	Detected bool
+	// Masked reports that the faulty fetch was bit-identical to the
+	// clean reference: the model's own operators absorbed the fault.
+	Masked bool
+	// ReplayStart is the plan step the trial's replay began at: its
+	// earliest struck step, or 0 on detector campaigns, which replay
+	// every node.
+	ReplayStart int
 }
 
 // Outcome aggregates a campaign's results. For classifiers Top1SDC and
@@ -409,15 +416,18 @@ func (c *Campaign) compile(det Detector) (*graph.Plan, error) {
 // reused across all trials and workers. When Calibration is set the plan
 // is additionally quantized to int8 and faults strike the quantized
 // representation. The clean pass checkpoints each input's live
-// intermediate values and every trial replays only the plan suffix at
-// or after its earliest fault site, corrupting struck elements in place
-// (no per-trial cloning); workers group their trial blocks by injection
-// depth so deep-layer faults replay only a handful of steps back to
-// back. Trials are sharded across workers, each trial sampling from its
-// own hash(Seed, input, trial) stream and judged into an index slot,
-// then reduced in trial order — the Outcome is byte-identical at every
-// worker count, to a full replay from step 0, and to the pre-plan
-// executor.
+// intermediate values and every trial replays only its fault's forward
+// cone (graph.Plan.RunCone): replay starts at the earliest struck step,
+// corrupting struck elements in place (no per-trial cloning), executes
+// only the steps that read a corrupted value, and stops as soon as no
+// corrupted value is left — a fault the operators absorb bit-exactly
+// (TrialResult.Masked) costs only the steps up to where it vanished.
+// Workers group their trial blocks by injection depth so deep-layer
+// faults replay back to back. Trials are sharded across workers, each
+// trial sampling from its own hash(Seed, input, trial) stream and
+// judged into an index slot, then reduced in trial order — the Outcome
+// is byte-identical at every worker count, to a full replay from step
+// 0, and to the pre-plan executor.
 // Cancelling ctx makes Run return promptly with ctx.Err() and a zero
 // Outcome — never a partial one — no matter where in the campaign the
 // cancellation lands; workers observe the context between trials.
@@ -541,6 +551,7 @@ func (c *Campaign) runShard(ctx context.Context, exec *campaignExec, ref *tensor
 				continue
 			}
 			v := c.judgeData(ref, faulty.Data())
+			v.start, v.masked = tr.replay()
 			if tr.detected != nil {
 				v.detected = tr.detected()
 			}
@@ -576,13 +587,15 @@ func min64(a, b int64) int64 {
 
 // trialRunner is one worker's trial-execution surface. run executes a
 // single (input, trial) and returns the faulty fetch, valid until the
-// worker's next trial; depth probes a trial's earliest struck plan
-// step. setPlan installs a stratified sampling plan: trial indices
-// passed to run/depth then index the plan instead of naming
-// uniform-grid trials. detected, non-nil on detector campaigns, reports
-// whether the worker's detector flagged the last run.
+// worker's next trial; replay reports the last run's start step and
+// whether its fetch was bit-identical to the reference; depth probes a
+// trial's earliest struck plan step. setPlan installs a stratified
+// sampling plan: trial indices passed to run/depth then index the plan
+// instead of naming uniform-grid trials. detected, non-nil on detector
+// campaigns, reports whether the worker's detector flagged the last run.
 type trialRunner struct {
 	run      func(input, trial int) (*tensor.Tensor, error)
+	replay   func() (start int, masked bool)
 	depth    func(input, trial int) int
 	setPlan  func(plan []plannedTrial)
 	detected func() bool
@@ -638,7 +651,7 @@ func (c *Campaign) newExec(det Detector) (*campaignExec, error) {
 			w.det = cd.CloneDetector()
 		}
 		w.makeHook()
-		tr := trialRunner{run: w.run, depth: w.depth, setPlan: func(p []plannedTrial) { w.sites.plan = p }}
+		tr := trialRunner{run: w.run, replay: w.replay.last, depth: w.depth, setPlan: func(p []plannedTrial) { w.sites.plan = p }}
 		if w.det != nil {
 			tr.detected = w.det.Detected
 		}
@@ -675,16 +688,16 @@ func (c *Campaign) newExecInt8(plan *graph.Plan) (*campaignExec, error) {
 			sites: newTrialSites(c, fs, qp.StepOf, qp.Steps()),
 		}
 		w.makeHook()
-		return trialRunner{run: w.run, depth: w.depth, setPlan: func(p []plannedTrial) { w.sites.plan = p }}
+		return trialRunner{run: w.run, replay: w.replay.last, depth: w.depth, setPlan: func(p []plannedTrial) { w.sites.plan = p }}
 	}
 	return &campaignExec{plan: plan, prepare: prepare, newTrial: newTrial}, nil
 }
 
 // trialSites is a worker's reusable fault-sampling state: the sampled
 // site buffer, the per-node site groups (sampling order preserved
-// within each node), and the trial's earliest injected plan step. All
-// storage recycles across trials, so steady-state sampling allocates
-// nothing.
+// within each node), the struck plan steps and the trial's earliest
+// one. All storage recycles across trials, so steady-state sampling
+// allocates nothing.
 type trialSites struct {
 	scen    Scenario
 	format  fixpoint.Format
@@ -695,6 +708,7 @@ type trialSites struct {
 	buf     []Site
 	byNode  map[string][]Site
 	used    []string
+	struck  graph.Bits
 	minStep int
 	// plan, when non-nil, switches sampling to a stratified plan: the
 	// "trial" index passed to sample indexes plan, whose item
@@ -712,13 +726,15 @@ func newTrialSites(c *Campaign, fs *FaultSpace, stepOf func(string) int, nSteps 
 		stepOf: stepOf,
 		nSteps: nSteps,
 		rng:    rand.New(&splitmixSource{}),
+		struck: graph.NewBits(nSteps),
 	}
 }
 
 // sample prepares one trial's sites: it draws them from the trial's
 // private hash(seed, input, trial) stream (the worker's RNG reseeded
 // with trialSeed, so no trial allocates a generator), groups
-// them by node and sets minStep to the trial's earliest struck step.
+// them by node, marks their plan steps in struck and sets minStep to
+// the trial's earliest struck step.
 // Sites naming nodes the plan does not produce are ignored, as the
 // name-keyed hook lookup always ignored them. The previous trial's
 // groups are cleared first, recycling all storage.
@@ -727,6 +743,7 @@ func (ts *trialSites) sample(seed int64, input, trial int) {
 		ts.byNode[name] = ts.byNode[name][:0]
 	}
 	ts.used = ts.used[:0]
+	clear(ts.struck)
 	ts.minStep = ts.nSteps
 	var band *stratumBand
 	s := trialSeed(seed, input, trial)
@@ -748,6 +765,7 @@ func (ts *trialSites) sample(seed int64, input, trial int) {
 			ts.used = append(ts.used, s.Node)
 		}
 		ts.byNode[s.Node] = append(ts.byNode[s.Node], s)
+		ts.struck.Set(si)
 		if si < ts.minStep {
 			ts.minStep = si
 		}
@@ -763,21 +781,33 @@ type undoF32 struct {
 	v    float32
 }
 
+// replayInfo is what a worker's last trial replay reports beside its
+// fetch: the step it began at and whether the fetch was bit-identical
+// to the reference.
+type replayInfo struct {
+	start  int
+	masked bool
+}
+
+func (r *replayInfo) last() (int, bool) { return r.start, r.masked }
+
 // fp32Worker owns one worker's fp32 trial execution: a private plan
 // state, the reusable sampling and undo buffers, and the in-place
-// corruption hook. After warmup a trial allocates nothing. det, when
-// set, observes every node of every trial, so its trials replay from
-// step 0.
+// corruption hook. After warmup a trial allocates nothing. Trials
+// replay only their fault's cone (Plan.RunCone); det, when set,
+// observes every node of every trial, so its trials replay in full
+// from step 0.
 type fp32Worker struct {
-	c     *Campaign
-	plan  *graph.Plan
-	st    *graph.PlanState
-	ckpt  *graph.Checkpoint
-	det   Detector
-	sites trialSites
-	undo  []undoF32
-	err   error
-	hook  graph.Hook
+	c      *Campaign
+	plan   *graph.Plan
+	st     *graph.PlanState
+	ckpt   *graph.Checkpoint
+	det    Detector
+	sites  trialSites
+	undo   []undoF32
+	err    error
+	hook   graph.Hook
+	replay replayInfo
 }
 
 // makeHook builds the worker's corruption hook once; per trial it only
@@ -827,12 +857,19 @@ func (w *fp32Worker) run(input, trial int) (*tensor.Tensor, error) {
 	w.restore()
 	w.err = nil
 	w.sites.sample(w.c.Seed, input, trial)
-	start := w.sites.minStep
+	var outs []*tensor.Tensor
+	var err error
 	if w.det != nil {
 		w.det.Reset()
-		start = 0
+		w.replay.start = 0
+		outs, err = w.plan.RunFrom(w.st, w.ckpt, 0, w.hook)
+		if err == nil {
+			w.replay.masked = bitsEqual(outs[0].Data(), w.ckpt.Output(0).Data())
+		}
+	} else {
+		w.replay.start = w.sites.minStep
+		outs, w.replay.masked, err = w.plan.RunCone(w.st, w.ckpt, w.sites.struck, w.hook)
 	}
-	outs, err := w.plan.RunFrom(w.st, w.ckpt, start, w.hook)
 	if w.err != nil {
 		return nil, w.err
 	}
@@ -868,17 +905,19 @@ type undoI8 struct {
 }
 
 // int8Worker mirrors fp32Worker on the quantized plan: faults strike
-// the stored int8 words in place through the scenario's CorruptInt8.
+// the stored int8 words in place through the scenario's CorruptInt8,
+// and trials replay their fault's cone (QPlan.RunCone).
 type int8Worker struct {
-	c     *Campaign
-	qp    *graph.QPlan
-	st    *graph.QPlanState
-	ckpt  *graph.QCheckpoint
-	scen  Int8Scenario
-	sites trialSites
-	undo  []undoI8
-	err   error
-	hook  graph.QHook
+	c      *Campaign
+	qp     *graph.QPlan
+	st     *graph.QPlanState
+	ckpt   *graph.QCheckpoint
+	scen   Int8Scenario
+	sites  trialSites
+	undo   []undoI8
+	err    error
+	hook   graph.QHook
+	replay replayInfo
 }
 
 func (w *int8Worker) makeHook() {
@@ -917,7 +956,9 @@ func (w *int8Worker) run(input, trial int) (*tensor.Tensor, error) {
 	w.restore()
 	w.err = nil
 	w.sites.sample(w.c.Seed, input, trial)
-	outs, err := w.qp.RunFrom(w.st, w.ckpt, w.sites.minStep, w.hook)
+	w.replay.start = w.sites.minStep
+	outs, masked, err := w.qp.RunCone(w.st, w.ckpt, w.sites.struck, w.hook)
+	w.replay.masked = masked
 	if w.err != nil {
 		return nil, w.err
 	}
@@ -939,6 +980,8 @@ type trialVerdict struct {
 	dev        float64
 	isReg      bool
 	detected   bool
+	masked     bool
+	start      int
 }
 
 // apply folds the verdict into an Outcome.
@@ -965,6 +1008,8 @@ func (v trialVerdict) result(input, trial int) TrialResult {
 		Deviation:    v.dev,
 		IsRegression: v.isReg,
 		Detected:     v.detected,
+		Masked:       v.masked,
+		ReplayStart:  v.start,
 	}
 }
 

@@ -127,28 +127,39 @@
 //
 // # Incremental campaign lifecycle
 //
-// Campaign trials execute by checkpointed cone replay: a fault at plan
-// step k leaves every earlier step byte-identical to the clean pass.
-// Per input, the campaign first sizes the fault space from the compiled
-// plan's inferred output shapes (no extra pass: nothing executes before
-// the clean pass), then runs the clean pass once and checkpoints every
+// Campaign trials execute by checkpointed window replay: a fault at
+// plan step k leaves every earlier step byte-identical to the clean
+// pass, and a flipped element differs in one pixel, which each later
+// step spreads only as far as its receptive field. Per input, the
+// campaign first sizes the fault space from the compiled plan's
+// inferred output shapes (no extra pass: nothing executes before the
+// clean pass), then runs the clean pass once and checkpoints every
 // intermediate value still live past its producing step (one clone per
-// value, derived from the plan's liveness analysis). Each trial marks
-// its struck plan steps, restores the live set at the earliest one, and
-// replays only the fault's forward cone (Plan.RunCone, QPlan.RunCone):
-// a later step executes only if it is struck or reads a value that
-// differs from the checkpoint's, an executed step whose output bits
-// equal the clean value ends the corruption there, and replay stops
-// once no differing value is still read. A fault the operators absorb
+// value, derived from the plan's liveness analysis). Each trial records
+// its struck steps and elements (graph.Strikes), restores the live set
+// at the earliest struck step, and replays only the fault's forward
+// cone (Plan.RunCone, QPlan.RunCone), tracking for every value the
+// rows × columns window of pixels that may differ from the
+// checkpoint's. A step with clean inputs binds the checkpoint's value;
+// a struck step with clean inputs copies it and lets the hook corrupt
+// the copy; any other step copies it and recomputes only the output
+// window its differing inputs reach (graph.WindowOp: Conv2D, the pools,
+// Add, Concat and the elementwise ops; other ops recompute the whole
+// value). The window is then compared with the clean value and shrunk
+// to the pixels that actually differ, and replay stops once no
+// differing value is still read. A fault the operators absorb
 // bit-exactly is reported as TrialResult.Masked; on the trained zoo's
-// plain models 38–54% of fp32 single-bit-flip trials are (comma: 16%)
-// and 42–100% of int8 ones. Struck elements are corrupted in place with
-// element-level save/restore instead of tensor cloning, and each
-// worker's trial block is grouped by injection depth; the trial loop is
-// allocation-free in the steady state. Outcomes stay byte-identical to
-// full replay — and to the pre-plan executor — at every worker count on
-// both backends: trials are judged into trial-indexed slots and reduced
-// in trial order regardless of the depth-grouped execution order.
+// plain models (seed 1, one validation input) 14–67% of fp32
+// single-bit-flip trials are and 35–100% of int8 ones, and window
+// replay computes 0.7–6.4% (fp32) and 1.1–14.1% (int8) of the output
+// elements a suffix replay would. Struck elements are corrupted in
+// place with element-level save/restore instead of tensor cloning, and
+// each worker's trial block is grouped by injection depth; the trial
+// loop is allocation-free in the steady state. Outcomes stay
+// byte-identical to full replay — and to the pre-plan executor — at
+// every worker count on both backends: trials are judged into
+// trial-indexed slots and reduced in trial order regardless of the
+// depth-grouped execution order.
 //
 // Detector campaigns (RunWithDetector) run on the same workers: the
 // detector observes every node, so each of their trials replays every

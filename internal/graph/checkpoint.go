@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"ranger/internal/tensor"
 )
@@ -22,17 +21,23 @@ import (
 // replay: the restored values are the clean pass's own bits, and every
 // kernel is deterministic in its inputs.
 //
-// RunCone narrows the suffix to the fault's forward cone. Past step k,
-// a step whose inputs all equal the clean pass's bits would recompute
-// the clean value, so it binds the checkpoint's value instead of
-// running; and an executed step whose output bits equal the clean value
-// ends the corruption there. Once no differing value is still read,
-// replay stops and the trial is masked: its output is bit-identical to
-// the reference. On the trained zoo's plain models (200 single-bit-flip
-// trials per model over every node, one validation input) 38–54% of
-// fp32 trials are masked this way (comma: 16%) and 42–100% of int8
-// trials, and cone replay executes 32–56% (fp32) and 42–73% (int8) of
-// the steps a suffix replay would.
+// RunCone narrows the suffix to the fault's forward cone, pixel window
+// by pixel window. Past step k, a step whose inputs all equal the clean
+// pass's bits would recompute the clean value, so it binds the
+// checkpoint's value instead of running. A flipped element differs in
+// one pixel, and each later step spreads it only as far as its
+// receptive field (window.go), so an executed step starts from the
+// checkpoint's value and recomputes only the output pixels its
+// differing inputs reach; the pixels that still differ after it bound
+// the next window, and a window that shrinks to nothing ends the
+// corruption there. Once no differing value is still read, replay
+// stops and the trial is masked: its output is bit-identical to the
+// reference. On the trained zoo's plain models (200 single-bit-flip
+// trials per model over every node, one validation input, seed 1)
+// 14–67% of fp32 trials are masked this way and 35–100% of int8 trials;
+// cone replay executes 26–56% (fp32) and 37–75% (int8) of the steps a
+// suffix replay would, and computes 0.7–6.4% (fp32) and 1.1–14.1%
+// (int8) of their output elements.
 
 var errCheckpointPlan = errors.New("graph: checkpoint belongs to a different plan")
 
@@ -131,53 +136,74 @@ func (p *Plan) RunFrom(st *PlanState, ck *Checkpoint, startStep int, hook Hook) 
 	return p.runFrom(st, ck.layout, ck.feeds, startStep, hook, nil)
 }
 
-// RunCone replays only the forward cone of a fault: struck marks the
-// plan steps whose outputs the hook corrupts, and replay starts at the
-// first of them with the checkpoint's live set restored, like RunFrom.
-// A later step executes only if it is struck, reads a value that
-// differs from the checkpoint's (an input or a fused bias vector), or
-// the state overrides its Variable; every other step's value is the
-// checkpoint's own. After each executed step its output bits are
-// compared with the clean value: equal bits make the value clean again,
-// so a fault that an operator absorbs (a ReLU zeroing a flipped negative,
-// a MaxPool dropping a corrupted non-maximum) stops propagating there.
-// Once past the last struck step with no differing value left alive,
-// replay stops.
+// RunCone replays only the forward cone of a fault, pixel window by
+// pixel window. strikes names the step output elements the hook
+// corrupts; replay starts at the earliest struck step (or the earliest
+// reader of a Variable the state overrides) with the checkpoint's live
+// set restored, like RunFrom. Each value carries the window of pixels
+// where it may differ from the checkpoint's (see Window); overridden
+// Variables differ everywhere. A step whose inputs are all clean and
+// that is not struck binds the checkpoint's value instead of running. A
+// struck step with clean inputs is not computed either: its slot is
+// filled from the checkpoint and the hook corrupts it, so it differs
+// only at its struck pixels. Any other step fills its slot from the
+// checkpoint and recomputes only the output window its differing inputs
+// map to (WindowOp; other ops recompute the whole value). Every pixel
+// outside that window reads only clean inputs, so the checkpoint's bits
+// are its recomputed bits. The window is then compared with the
+// checkpoint and shrunk to the pixels that actually differ, so a fault
+// an operator absorbs (a ReLU zeroing a flipped negative, a MaxPool
+// dropping a corrupted non-maximum) stops propagating there. Once past
+// the last struck step with no differing value left alive, replay
+// stops.
 //
 // The outputs are bit-identical to RunFrom from the first struck step,
-// provided hook alters only struck steps' outputs; hook is called only
+// provided hook alters only the struck elements; hook is called only
 // for executed observation points. masked reports that every fetch is
 // bit-identical to the checkpoint's clean output (clean fetches are
-// returned as Checkpoint.Output itself). Values a state override
-// shadows count as differing. The returned slice is owned by the state
-// and reused by the next run.
-func (p *Plan) RunCone(st *PlanState, ck *Checkpoint, struck Bits, hook Hook) (outs []*tensor.Tensor, masked bool, err error) {
+// returned as Checkpoint.Output itself). The returned slice is owned by
+// the state and reused by the next run.
+func (p *Plan) RunCone(st *PlanState, ck *Checkpoint, strikes *Strikes, hook Hook) (outs []*tensor.Tensor, masked bool, err error) {
 	if err := p.checkReplay(st, ck); err != nil {
 		return nil, false, err
 	}
 	n := len(p.steps)
-	start, last := struck.span(n)
+	start, last := strikes.span(n)
+	if start == n {
+		last = 0
+	}
+	start = p.overrideDepth(st, start)
 	if err := p.restore(st, ck, start); err != nil {
 		return nil, false, err
 	}
 	c := &st.cone
 	c.reset(p.g.Len())
-	for id := range st.vars {
-		c.mark(id, true)
+	for id, t := range st.vars {
+		_, h, w, _ := Pixels(t)
+		c.set(id, Window{0, h, 0, w})
 	}
 	st.useLayout(ck.layout)
 	for si := start; si < n; si++ {
 		s := &p.steps[si]
 		id := s.node.id
-		if struck.has(si) || st.vars[id] != nil || c.readsDirty(s.inIDs) || c.auxDirty(s.epilogue) {
-			out, err := p.runStep(st, ck.layout, ck.feeds, si, hook)
-			if err != nil {
-				return nil, false, err
-			}
-			ref := ck.vals[id]
-			c.mark(id, ref != nil && !sameBits(out.Data(), ref.Data()))
+		if t := st.vars[id]; t != nil {
+			st.cache[id] = t
 		} else {
-			st.cache[id] = ck.vals[id]
+			win := c.outWindow(s.window, s.inIDs, ck.layout.shapes[si])
+			for _, e := range s.epilogue {
+				if e.aux != nil && c.differs(e.aux.id) {
+					win = everywhere
+				}
+			}
+			if win.Empty() && !strikes.has(si) {
+				st.cache[id] = ck.vals[id]
+			} else {
+				w, err := p.coneStep(st, ck, si, win, strikes, hook)
+				if err != nil {
+					return nil, false, err
+				}
+				c.set(id, w)
+			}
 		}
 		if si >= last && !c.alive(p.lastUse, si) {
 			break
@@ -186,11 +212,85 @@ func (p *Plan) RunCone(st *PlanState, ck *Checkpoint, struck Bits, hook Hook) (o
 	masked = true
 	for i, id := range p.fetchID {
 		st.fetch[i] = ck.outs[i]
-		if c.dirty.has(id) {
+		if c.differs(id) {
 			st.fetch[i], masked = st.cache[id], false
 		}
 	}
 	return st.fetch, masked, nil
+}
+
+// coneStep executes step si of a cone replay on the output window win
+// its differing inputs reach (empty when only the hook corrupts the
+// step) and returns the window where the step's output then differs
+// from the checkpoint's.
+func (p *Plan) coneStep(st *PlanState, ck *Checkpoint, si int, win Window, strikes *Strikes, hook Hook) (Window, error) {
+	s := &p.steps[si]
+	layout := ck.layout
+	ref := ck.vals[s.node.id]
+	var out *tensor.Tensor
+	if ref == nil || s.planned == nil || s.slot < 0 || layout.shapes[si] == nil {
+		// No clean value to start from, or no slot to fill it into:
+		// compute the whole value.
+		win = everywhere
+	} else {
+		_, h, w, _ := PixelDims(layout.shapes[si])
+		if win.clip(h, w) == (Window{0, h, 0, w}) {
+			win = everywhere
+		}
+	}
+	if win == everywhere {
+		t, err := p.evalStep(st, layout, ck.feeds, si, everywhere)
+		if err != nil {
+			return Window{}, err
+		}
+		out = t
+	} else {
+		ot, err := st.outTensor(si, layout)
+		if err != nil {
+			return Window{}, err
+		}
+		copy(ot.Data(), ref.Data())
+		out = ot
+		if !win.Empty() {
+			if _, err := p.evalStep(st, layout, ck.feeds, si, win); err != nil {
+				return Window{}, err
+			}
+		}
+	}
+	res := p.finishStep(st, si, out, hook)
+	if ref == nil {
+		return Window{}, nil // nothing after this step reads the value
+	}
+	n, h, w, c := Pixels(res)
+	if res != out || res.Size() != ref.Size() {
+		return Window{0, h, 0, w}, nil // the hook substituted a value
+	}
+	win = win.Union(strikes.pixels(si, n, h, w, c))
+	return differing(res.Data(), ref.Data(), n, h, w, c, win, sameF32), nil
+}
+
+// overrideDepth returns the earliest step before start that reads a
+// Variable the state overrides (as an input or a fused bias vector), or
+// start if none does: cone replay must start there, since the
+// checkpoint holds only clean values.
+func (p *Plan) overrideDepth(st *PlanState, start int) int {
+	if len(st.vars) == 0 {
+		return start
+	}
+	for si := 0; si < start; si++ {
+		s := &p.steps[si]
+		for _, id := range s.inIDs {
+			if st.vars[id] != nil {
+				return si
+			}
+		}
+		for _, e := range s.epilogue {
+			if e.aux != nil && st.vars[e.aux.id] != nil {
+				return si
+			}
+		}
+	}
+	return start
 }
 
 // checkReplay rejects a state or checkpoint of another plan.
@@ -312,22 +412,25 @@ func (q *QPlan) RunFrom(st *QPlanState, ck *QCheckpoint, startStep int, hook QHo
 	return st.fetch, nil
 }
 
-// RunCone is Plan.RunCone for a quantized plan: a step's output is
-// clean again when its int8 data and quantization parameters equal the
-// checkpoint's, and a step whose kernel or output parameters the state
-// overrides always executes. Clean fetches are returned as
-// QCheckpoint.Output; differing ones are dequantized into state-owned
-// buffers, as RunFrom returns them.
-func (q *QPlan) RunCone(st *QPlanState, ck *QCheckpoint, struck Bits, hook QHook) (outs []*tensor.Tensor, masked bool, err error) {
+// RunCone is Plan.RunCone for a quantized plan. A step whose kernel or
+// output parameters the state overrides always executes, over its whole
+// value, and replay starts no later than the first of them. A value
+// differs everywhere when its quantization parameters differ from the
+// checkpoint's, and otherwise where its int8 data does. Clean fetches
+// are returned as QCheckpoint.Output; differing ones are dequantized
+// into state-owned buffers, as RunFrom returns them.
+func (q *QPlan) RunCone(st *QPlanState, ck *QCheckpoint, strikes *Strikes, hook QHook) (outs []*tensor.Tensor, masked bool, err error) {
 	if err := q.checkReplay(st, ck); err != nil {
 		return nil, false, err
 	}
 	n := len(q.steps)
-	start, last := struck.span(n)
-	for si := n - 1; si > last && st.kernels != nil; si-- {
+	start, last := strikes.span(n)
+	if start == n {
+		last = 0
+	}
+	for si := 0; si < n && st.kernels != nil; si++ {
 		if st.overrides(si) {
-			last = si // an overridden step must still run
-			break
+			start, last = min(start, si), max(last, si)
 		}
 	}
 	if err := q.restore(st, ck, start); err != nil {
@@ -337,16 +440,19 @@ func (q *QPlan) RunCone(st *QPlanState, ck *QCheckpoint, struck Bits, hook QHook
 	c.reset(len(q.lastUse))
 	st.useLayout(ck.layout)
 	for si := start; si < n; si++ {
-		id := q.steps[si].node.id
-		if struck.has(si) || st.overrides(si) || c.readsDirty(q.steps[si].inIDs) {
-			out, err := q.runStep(st, ck.layout, ck.feeds, si, hook)
+		s := &q.steps[si]
+		win := everywhere
+		if !st.overrides(si) {
+			win = c.outWindow(s.window, s.inIDs, ck.layout.shapes[s.srcIdx])
+		}
+		if win.Empty() && !strikes.has(si) {
+			st.cache[s.node.id] = ck.vals[s.node.id]
+		} else {
+			w, err := q.coneStep(st, ck, si, win, strikes, hook)
 			if err != nil {
 				return nil, false, err
 			}
-			ref := ck.vals[id]
-			c.mark(id, ref != nil && !sameQBits(out, ref))
-		} else {
-			st.cache[id] = ck.vals[id]
+			c.set(s.node.id, w)
 		}
 		if si >= last && !c.alive(q.lastUse, si) {
 			break
@@ -355,7 +461,7 @@ func (q *QPlan) RunCone(st *QPlanState, ck *QCheckpoint, struck Bits, hook QHook
 	masked = true
 	for i, id := range q.fetchID {
 		st.fetch[i] = ck.outs[i]
-		if c.dirty.has(id) {
+		if c.differs(id) {
 			masked = false
 			if err := st.dequantizeFetch(i, st.cache[id]); err != nil {
 				return nil, false, err
@@ -363,6 +469,45 @@ func (q *QPlan) RunCone(st *QPlanState, ck *QCheckpoint, struck Bits, hook QHook
 		}
 	}
 	return st.fetch, masked, nil
+}
+
+// coneStep is Plan.coneStep for a quantized step: every quantized step
+// is slot-backed, so only a value the checkpoint did not keep is
+// computed whole.
+func (q *QPlan) coneStep(st *QPlanState, ck *QCheckpoint, si int, win Window, strikes *Strikes, hook QHook) (Window, error) {
+	s := &q.steps[si]
+	shape := ck.layout.shapes[s.srcIdx]
+	if shape == nil {
+		return Window{}, fmt.Errorf("graph: quantized step %q has no inferred shape", s.node.name)
+	}
+	out, err := st.stepOut(si, ck.layout)
+	if err != nil {
+		return Window{}, err
+	}
+	ref := ck.vals[s.node.id]
+	n, h, w, c := PixelDims(shape)
+	whole := Window{0, h, 0, w}
+	if ref == nil {
+		win = everywhere
+	}
+	if win = win.clip(h, w); win != whole {
+		copy(out.Data(), ref.Data())
+	}
+	if !win.Empty() {
+		if err := q.evalStep(st, ck.feeds, si, out, win); err != nil {
+			return Window{}, err
+		}
+	}
+	res := q.finishStep(st, si, out, hook)
+	switch {
+	case ref == nil:
+		return Window{}, nil // nothing after this step reads the value
+	case res != out || res.Size() != ref.Size() ||
+		math.Float32bits(res.P.Scale) != math.Float32bits(ref.P.Scale) || res.P.Zero != ref.P.Zero:
+		return whole, nil
+	}
+	win = win.Union(strikes.pixels(si, n, h, w, c))
+	return differing(res.Data(), ref.Data(), n, h, w, c, win, sameI8), nil
 }
 
 // checkReplay rejects a state or checkpoint of another quantized plan.
@@ -415,25 +560,21 @@ func (st *QPlanState) overrides(si int) bool {
 	return st.kernels != nil && (st.kernels[si] != nil || st.qOver[si] != nil)
 }
 
-// Bits is a fixed-size bitset. RunCone takes the struck plan steps as
-// one; cone replay also tracks its differing values in one, by node id.
-type Bits []uint64
+// bitset is a fixed-size bitset: Strikes holds its struck steps in one.
+type bitset []uint64
 
-// NewBits returns a cleared bitset holding indices [0, n).
-func NewBits(n int) Bits { return make(Bits, (n+63)/64) }
+// newBitset returns a cleared bitset holding indices [0, n).
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
-// Set adds index i.
-func (b Bits) Set(i int) { b[i>>6] |= 1 << (i & 63) }
-
-// unset removes index i.
-func (b Bits) unset(i int) { b[i>>6] &^= 1 << (i & 63) }
+// set adds index i.
+func (b bitset) set(i int) { b[i>>6] |= 1 << (i & 63) }
 
 // has reports whether index i is set; indices past the end are unset.
-func (b Bits) has(i int) bool { return i>>6 < len(b) && b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) has(i int) bool { return i>>6 < len(b) && b[i>>6]&(1<<(i&63)) != 0 }
 
 // span returns the first and last set index below n, or (n, n) when
 // none is set.
-func (b Bits) span(n int) (first, last int) {
+func (b bitset) span(n int) (first, last int) {
 	first, last = n, n
 	for w, word := range b {
 		for ; word != 0; word &= word - 1 {
@@ -448,94 +589,4 @@ func (b Bits) span(n int) (first, last int) {
 		}
 	}
 	return first, last
-}
-
-// coneState is cone replay's record of which values differ from the
-// checkpoint's. It lives in the worker state, so replays after the
-// first allocate nothing.
-type coneState struct {
-	dirty Bits  // by node id: the cached value differs from the checkpoint's
-	ids   []int // node ids marked dirty this replay (a superset of dirty)
-}
-
-// reset clears the previous replay's marks for a graph of nodes nodes.
-func (c *coneState) reset(nodes int) {
-	if len(c.dirty)<<6 < nodes {
-		c.dirty = NewBits(nodes)
-	}
-	for _, id := range c.ids {
-		c.dirty.unset(id)
-	}
-	c.ids = c.ids[:0]
-}
-
-// mark records whether node id's value differs from the checkpoint's.
-func (c *coneState) mark(id int, dirty bool) {
-	switch {
-	case !dirty:
-		c.dirty.unset(id)
-	case !c.dirty.has(id):
-		c.dirty.Set(id)
-		c.ids = append(c.ids, id)
-	}
-}
-
-// readsDirty reports whether any of the node ids (negative ones are
-// constants) differs from the checkpoint's.
-func (c *coneState) readsDirty(ids []int) bool {
-	for _, id := range ids {
-		if id >= 0 && c.dirty.has(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// auxDirty reports whether a fused bias vector differs from the
-// checkpoint's.
-func (c *coneState) auxDirty(epilogue []stageSpec) bool {
-	for _, e := range epilogue {
-		if e.aux != nil && c.dirty.has(e.aux.id) {
-			return true
-		}
-	}
-	return false
-}
-
-// alive drops the differing values no step after si reads and reports
-// whether any remain.
-func (c *coneState) alive(lastUse []int, si int) bool {
-	keep := c.ids[:0]
-	for _, id := range c.ids {
-		if !c.dirty.has(id) {
-			continue
-		}
-		if lastUse[id] <= si {
-			c.dirty.unset(id)
-			continue
-		}
-		keep = append(keep, id)
-	}
-	c.ids = keep
-	return len(keep) > 0
-}
-
-// sameBits reports bit-for-bit equality of two float32 slices.
-func sameBits(a, b []float32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameQBits reports equality of two quantized values: int8 data and
-// quantization parameters, the scale compared bit for bit.
-func sameQBits(a, b *tensor.QTensor) bool {
-	return math.Float32bits(a.P.Scale) == math.Float32bits(b.P.Scale) &&
-		a.P.Zero == b.P.Zero && slices.Equal(a.Data(), b.Data())
 }

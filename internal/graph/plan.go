@@ -51,6 +51,28 @@ type FusableOp interface {
 	FuseSpec() (tensor.Stage, bool)
 }
 
+// WindowOp is an optional Op extension for operators each of whose
+// output pixels reads a bounded box of input pixels (convolution,
+// pooling, elementwise and channel-stacking ops). Cone replay maps the
+// windows of a step's differing inputs through OutWindow and recomputes
+// only the resulting output pixels; every other output pixel reads only
+// clean inputs, so the checkpoint's value stands for it. The op's int8
+// kernel (QuantizedOp) must then compute at least the window it is
+// given. Steps of ops without the extension recompute the whole value.
+type WindowOp interface {
+	PlannedOp
+	// OutWindow returns the window of output pixels (of an output shaped
+	// out) that read any pixel of input i's window in. ok is false when
+	// the op's configuration has no windowed kernel; its steps then
+	// recompute the whole value.
+	OutWindow(i int, in Window, out []int) (w Window, ok bool)
+	// EvalWindow is EvalInto restricted to the output pixels in win
+	// (non-empty and within the output): it writes exactly those pixels,
+	// bit-identical to EvalInto, and leaves every other pixel of out as
+	// it was.
+	EvalWindow(inputs []*tensor.Tensor, out *tensor.Tensor, win Window, tmp *Scratch) error
+}
+
 // ErrFeedShape reports a feed tensor whose shape contradicts the
 // placeholder's declared shape. It is returned (wrapped) by Executor and
 // Plan runs before any kernel executes, instead of a panic deep inside
@@ -122,6 +144,7 @@ type planStep struct {
 	node     *Node     // the node whose value this step produces (chain end)
 	anchor   *Node     // the node whose kernel evaluates (chain head)
 	planned  PlannedOp // anchor's EvalInto, when implemented
+	window   WindowOp  // anchor's windowed kernel, when implemented
 	inIDs    []int     // anchor input node ids
 	epilogue []stageSpec
 	slot     int  // statically assigned output slot; -1 = not slot-backed
@@ -230,12 +253,13 @@ func CompileWith(g *Graph, opts CompileOptions, fetches ...string) (*Plan, error
 			}
 		}
 		planned, _ := n.op.(PlannedOp)
+		window, _ := n.op.(WindowOp)
 		inIDs := make([]int, len(n.inputs))
 		for i, in := range n.inputs {
 			inIDs[i] = in.id
 		}
 		p.steps = append(p.steps, planStep{
-			node: n, anchor: n, planned: planned, inIDs: inIDs,
+			node: n, anchor: n, planned: planned, window: window, inIDs: inIDs,
 			slot: -1, observe: observed[n.id],
 		})
 		stepOf[n.id] = len(p.steps) - 1
@@ -783,68 +807,98 @@ func (st *PlanState) useLayout(layout *planLayout) {
 // runStep executes step si — its kernel, fused epilogue and observation
 // hook — reading its inputs from the state's cache, and stores the
 // step's final output (after any hook substitution) in the cache. It is
-// the one step body shared by full, suffix and cone replay.
+// the one step body shared by full and suffix replay; cone replay runs
+// its parts, evalStep and finishStep, on windows.
 func (p *Plan) runStep(st *PlanState, layout *planLayout, feeds Feeds, si int, hook Hook) (*tensor.Tensor, error) {
+	out, err := p.evalStep(st, layout, feeds, si, everywhere)
+	if err != nil {
+		return nil, err
+	}
+	return p.finishStep(st, si, out, hook), nil
+}
+
+// evalStep computes step si's output — kernel and fused epilogue — from
+// the inputs in the state's cache. A window other than everywhere
+// restricts both to its pixels (the step must then be slot-backed with
+// a WindowOp anchor), leaving the rest of the slot as it was.
+func (p *Plan) evalStep(st *PlanState, layout *planLayout, feeds Feeds, si int, win Window) (*tensor.Tensor, error) {
 	s := &p.steps[si]
-	var out *tensor.Tensor
 	switch op := s.anchor.op.(type) {
 	case *Placeholder:
-		out = feeds[s.node.name]
+		return feeds[s.node.name], nil
 	case *Variable:
 		if t := st.vars[s.node.id]; t != nil {
-			out = t
-			break
+			return t, nil
 		}
 		if op.Value == nil {
 			return nil, fmt.Errorf("graph: variable %q has no value", s.node.name)
 		}
-		out = op.Value
-	default:
-		st.ins = st.ins[:0]
-		for _, id := range s.inIDs {
-			in := st.cache[id]
-			if in == nil {
-				return nil, fmt.Errorf("graph: input of %q not evaluated", s.anchor.name)
-			}
-			st.ins = append(st.ins, in)
+		return op.Value, nil
+	}
+	st.ins = st.ins[:0]
+	for _, id := range s.inIDs {
+		in := st.cache[id]
+		if in == nil {
+			return nil, fmt.Errorf("graph: input of %q not evaluated", s.anchor.name)
 		}
-		if s.planned != nil && s.slot >= 0 && layout.shapes[si] != nil {
-			ot, err := st.outTensor(si, layout)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.planned.EvalInto(st.ins, ot, st.tmp(si)); err != nil {
-				return nil, fmt.Errorf("eval %q (%s): %w", s.anchor.name, s.anchor.op.Type(), err)
-			}
-			out = ot
+		st.ins = append(st.ins, in)
+	}
+	whole := win == everywhere
+	var out *tensor.Tensor
+	if s.planned != nil && s.slot >= 0 && layout.shapes[si] != nil {
+		ot, err := st.outTensor(si, layout)
+		if err != nil {
+			return nil, err
+		}
+		if whole {
+			err = s.planned.EvalInto(st.ins, ot, st.tmp(si))
 		} else {
-			t, err := s.anchor.op.Eval(st.ins)
-			if err != nil {
-				return nil, fmt.Errorf("eval %q (%s): %w", s.anchor.name, s.anchor.op.Type(), err)
-			}
-			out = t
+			err = s.window.EvalWindow(st.ins, ot, win, st.tmp(si))
 		}
-		if len(s.epilogue) > 0 {
-			stages := st.stageBuf(si, s.epilogue)
-			for k, e := range s.epilogue {
-				if e.aux == nil {
-					continue
-				}
-				vec := st.auxTensor(e.aux)
-				r := out.Rank()
-				if vec == nil || vec.Rank() != 1 || r == 0 || vec.Size() != out.Dim(r-1) {
-					return nil, fmt.Errorf("graph: fused bias for %q: vector/shape mismatch", s.node.name)
-				}
-				stages[k].Vec, stages[k].C = vec.Data(), vec.Size()
+		if err != nil {
+			return nil, fmt.Errorf("eval %q (%s): %w", s.anchor.name, s.anchor.op.Type(), err)
+		}
+		out = ot
+	} else {
+		t, err := s.anchor.op.Eval(st.ins)
+		if err != nil {
+			return nil, fmt.Errorf("eval %q (%s): %w", s.anchor.name, s.anchor.op.Type(), err)
+		}
+		out = t
+	}
+	if len(s.epilogue) > 0 {
+		stages := st.stageBuf(si, s.epilogue)
+		for k, e := range s.epilogue {
+			if e.aux == nil {
+				continue
 			}
-			tensor.Epilogue(stages).Apply(out.Data())
+			vec := st.auxTensor(e.aux)
+			r := out.Rank()
+			if vec == nil || vec.Rank() != 1 || r == 0 || vec.Size() != out.Dim(r-1) {
+				return nil, fmt.Errorf("graph: fused bias for %q: vector/shape mismatch", s.node.name)
+			}
+			stages[k].Vec, stages[k].C = vec.Data(), vec.Size()
+		}
+		epi, data := tensor.Epilogue(stages), out.Data()
+		if whole {
+			epi.Apply(data)
+		} else {
+			n, h, w, c := Pixels(out)
+			win.Spans(n, h, w, c, func(lo, hi int) { epi.Apply(data[lo:hi]) })
 		}
 	}
+	return out, nil
+}
+
+// finishStep hands step si's output to the observation hook and caches
+// the final value (the hook's replacement, if any), which it returns.
+func (p *Plan) finishStep(st *PlanState, si int, out *tensor.Tensor, hook Hook) *tensor.Tensor {
+	s := &p.steps[si]
 	if hook != nil && s.observe {
 		if repl := hook(s.node, out); repl != nil {
 			out = repl
 		}
 	}
 	st.cache[s.node.id] = out
-	return out, nil
+	return out
 }

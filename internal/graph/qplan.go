@@ -55,9 +55,13 @@ type QuantSpec struct {
 
 // QuantKernel evaluates one quantized step: ins are the runtime input
 // tensors aligned with the op's inputs (nil at constant positions), out
-// is the step's slot-backed output (fully overwritten), and tmp
-// recycles int8/int32 temporaries.
-type QuantKernel func(ins []*tensor.QTensor, out *tensor.QTensor, tmp *tensor.QScratch) error
+// is the step's slot-backed output, and tmp recycles int8/int32
+// temporaries. The kernel must compute at least the output pixels in
+// win, a non-empty window within out; other pixels may be left as they
+// are. Full and suffix replay pass the whole output (Whole); cone
+// replay passes the pixels its differing inputs reach, and only to
+// kernels of WindowOp operators.
+type QuantKernel func(ins []*tensor.QTensor, out *tensor.QTensor, win Window, tmp *tensor.QScratch) error
 
 // QuantizedOp is an optional Op extension: operators that can compile an
 // int8 kernel participate in plan quantization. Ops without it make
@@ -88,6 +92,7 @@ type qStep struct {
 	srcIdx  int         // index into the source plan's steps (layout lookup)
 	inIDs   []int       // runtime input node ids; -1 at constant positions
 	kernel  QuantKernel // nil for placeholder (quantize) steps
+	window  WindowOp    // the anchor's window geometry, when implemented
 	outQ    tensor.QParams
 	slot    int
 	observe bool
@@ -206,7 +211,7 @@ func Quantize(p *Plan, calib Calibration) (*QPlan, error) {
 			return nil, fmt.Errorf("graph: quantize %q (%s): %w", s.anchor.name, s.anchor.op.Type(), err)
 		}
 		q.steps = append(q.steps, qStep{
-			node: s.node, srcIdx: si, inIDs: inIDs, kernel: kernel,
+			node: s.node, srcIdx: si, inIDs: inIDs, kernel: kernel, window: s.window,
 			outQ: spec.Out, slot: -1, observe: s.observe,
 		})
 		q.specs = append(q.specs, qSpecEntry{op: qop, spec: spec})
@@ -458,16 +463,29 @@ func (st *QPlanState) useLayout(layout *planLayout) {
 // runStep executes quantized step si — its kernel (or the state's
 // override) and observation hook — reading its inputs from the state's
 // cache, and stores the step's final output in the cache. It is the one
-// step body shared by full, suffix and cone replay.
+// step body shared by full and suffix replay; cone replay runs its
+// parts, evalStep and finishStep, on windows.
 func (q *QPlan) runStep(st *QPlanState, layout *planLayout, feeds Feeds, si int, hook QHook) (*tensor.QTensor, error) {
 	s := &q.steps[si]
-	if layout.shapes[s.srcIdx] == nil {
+	shape := layout.shapes[s.srcIdx]
+	if shape == nil {
 		return nil, fmt.Errorf("graph: quantized step %q has no inferred shape", s.node.name)
 	}
 	out, err := st.stepOut(si, layout)
 	if err != nil {
 		return nil, err
 	}
+	if err := q.evalStep(st, feeds, si, out, Whole(shape)); err != nil {
+		return nil, err
+	}
+	return q.finishStep(st, si, out, hook), nil
+}
+
+// evalStep runs step si's kernel (or the state's override) into out,
+// computing at least the pixels in win, from the inputs in the state's
+// cache. A placeholder step quantizes its whole feed.
+func (q *QPlan) evalStep(st *QPlanState, feeds Feeds, si int, out *tensor.QTensor, win Window) error {
+	s := &q.steps[si]
 	kernel := s.kernel
 	if st.kernels != nil && st.kernels[si] != nil {
 		kernel = st.kernels[si]
@@ -476,32 +494,39 @@ func (q *QPlan) runStep(st *QPlanState, layout *planLayout, feeds Feeds, si int,
 		// Placeholder: quantize the feed (presence and shape were
 		// validated by the layout signature).
 		if _, err := tensor.QuantizeInto(out, feeds[s.node.name]); err != nil {
-			return nil, fmt.Errorf("graph: quantize feed %q: %w", s.node.name, err)
+			return fmt.Errorf("graph: quantize feed %q: %w", s.node.name, err)
 		}
-	} else {
-		st.ins = st.ins[:0]
-		for _, id := range s.inIDs {
-			if id < 0 {
-				st.ins = append(st.ins, nil)
-				continue
-			}
-			in := st.cache[id]
-			if in == nil {
-				return nil, fmt.Errorf("graph: input of %q not evaluated", s.node.name)
-			}
-			st.ins = append(st.ins, in)
-		}
-		if err := kernel(st.ins, out, st.tmp(si)); err != nil {
-			return nil, fmt.Errorf("eval int8 %q (%s): %w", s.node.name, s.node.op.Type(), err)
-		}
+		return nil
 	}
+	st.ins = st.ins[:0]
+	for _, id := range s.inIDs {
+		if id < 0 {
+			st.ins = append(st.ins, nil)
+			continue
+		}
+		in := st.cache[id]
+		if in == nil {
+			return fmt.Errorf("graph: input of %q not evaluated", s.node.name)
+		}
+		st.ins = append(st.ins, in)
+	}
+	if err := kernel(st.ins, out, win, st.tmp(si)); err != nil {
+		return fmt.Errorf("eval int8 %q (%s): %w", s.node.name, s.node.op.Type(), err)
+	}
+	return nil
+}
+
+// finishStep hands step si's output to the observation hook and caches
+// the final value (the hook's replacement, if any), which it returns.
+func (q *QPlan) finishStep(st *QPlanState, si int, out *tensor.QTensor, hook QHook) *tensor.QTensor {
+	s := &q.steps[si]
 	if hook != nil && s.observe {
 		if repl := hook(s.node, out); repl != nil {
 			out = repl
 		}
 	}
 	st.cache[s.node.id] = out
-	return out, nil
+	return out
 }
 
 // ensureOverrides lazily allocates the state's override tables.

@@ -17,6 +17,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"time"
 
 	"ranger/internal/fixpoint"
 	"ranger/internal/graph"
@@ -242,6 +243,10 @@ type TrialResult struct {
 	// earliest struck step, or 0 on detector campaigns, which replay
 	// every node.
 	ReplayStart int
+	// Elapsed is the trial's own execution time: sampling its sites and
+	// replaying it. It is wall-clock and varies run to run, so it stays
+	// out of Outcome and the records derived from the trial.
+	Elapsed time.Duration
 }
 
 // Outcome aggregates a campaign's results. For classifiers Top1SDC and
@@ -417,11 +422,13 @@ func (c *Campaign) compile(det Detector) (*graph.Plan, error) {
 // is additionally quantized to int8 and faults strike the quantized
 // representation. The clean pass checkpoints each input's live
 // intermediate values and every trial replays only its fault's forward
-// cone (graph.Plan.RunCone): replay starts at the earliest struck step,
-// corrupting struck elements in place (no per-trial cloning), executes
-// only the steps that read a corrupted value, and stops as soon as no
-// corrupted value is left — a fault the operators absorb bit-exactly
-// (TrialResult.Masked) costs only the steps up to where it vanished.
+// cone, window by window (graph.Plan.RunCone): replay starts at the
+// earliest struck step, corrupting struck elements in place (no
+// per-trial cloning), executes only the steps that read a corrupted
+// value, recomputes only the output pixels the corrupted ones reach,
+// and stops as soon as no corrupted value is left — a fault the
+// operators absorb bit-exactly (TrialResult.Masked) costs only the
+// pixels up to where it vanished.
 // Workers group their trial blocks by injection depth so deep-layer
 // faults replay back to back. Trials are sharded across workers, each
 // trial sampling from its own hash(Seed, input, trial) stream and
@@ -545,13 +552,16 @@ func (c *Campaign) runShard(ctx context.Context, exec *campaignExec, ref *tensor
 				errs[slot] = err
 				return
 			}
+			t := time.Now()
 			faulty, err := tr.run(ii, t0+slot)
+			elapsed := time.Since(t)
 			if err != nil {
 				errs[slot] = err
 				continue
 			}
 			v := c.judgeData(ref, faulty.Data())
 			v.start, v.masked = tr.replay()
+			v.elapsed = elapsed
 			if tr.detected != nil {
 				v.detected = tr.detected()
 			}
@@ -708,7 +718,7 @@ type trialSites struct {
 	buf     []Site
 	byNode  map[string][]Site
 	used    []string
-	struck  graph.Bits
+	strikes *graph.Strikes
 	minStep int
 	// plan, when non-nil, switches sampling to a stratified plan: the
 	// "trial" index passed to sample indexes plan, whose item
@@ -720,21 +730,21 @@ type trialSites struct {
 
 func newTrialSites(c *Campaign, fs *FaultSpace, stepOf func(string) int, nSteps int) trialSites {
 	return trialSites{
-		scen:   c.scenario(),
-		format: c.format(),
-		space:  fs,
-		stepOf: stepOf,
-		nSteps: nSteps,
-		rng:    rand.New(&splitmixSource{}),
-		struck: graph.NewBits(nSteps),
+		scen:    c.scenario(),
+		format:  c.format(),
+		space:   fs,
+		stepOf:  stepOf,
+		nSteps:  nSteps,
+		rng:     rand.New(&splitmixSource{}),
+		strikes: graph.NewStrikes(nSteps),
 	}
 }
 
 // sample prepares one trial's sites: it draws them from the trial's
 // private hash(seed, input, trial) stream (the worker's RNG reseeded
 // with trialSeed, so no trial allocates a generator), groups
-// them by node, marks their plan steps in struck and sets minStep to
-// the trial's earliest struck step.
+// them by node, records each site's plan step and element in strikes
+// and sets minStep to the trial's earliest struck step.
 // Sites naming nodes the plan does not produce are ignored, as the
 // name-keyed hook lookup always ignored them. The previous trial's
 // groups are cleared first, recycling all storage.
@@ -743,7 +753,7 @@ func (ts *trialSites) sample(seed int64, input, trial int) {
 		ts.byNode[name] = ts.byNode[name][:0]
 	}
 	ts.used = ts.used[:0]
-	clear(ts.struck)
+	ts.strikes.Reset()
 	ts.minStep = ts.nSteps
 	var band *stratumBand
 	s := trialSeed(seed, input, trial)
@@ -765,7 +775,7 @@ func (ts *trialSites) sample(seed int64, input, trial int) {
 			ts.used = append(ts.used, s.Node)
 		}
 		ts.byNode[s.Node] = append(ts.byNode[s.Node], s)
-		ts.struck.Set(si)
+		ts.strikes.Add(si, s.Elem)
 		if si < ts.minStep {
 			ts.minStep = si
 		}
@@ -794,7 +804,8 @@ func (r *replayInfo) last() (int, bool) { return r.start, r.masked }
 // fp32Worker owns one worker's fp32 trial execution: a private plan
 // state, the reusable sampling and undo buffers, and the in-place
 // corruption hook. After warmup a trial allocates nothing. Trials
-// replay only their fault's cone (Plan.RunCone); det, when set,
+// replay only their fault's cone, window by window (Plan.RunCone,
+// told the struck elements through the sampled Strikes); det, when set,
 // observes every node of every trial, so its trials replay in full
 // from step 0.
 type fp32Worker struct {
@@ -813,9 +824,10 @@ type fp32Worker struct {
 // makeHook builds the worker's corruption hook once; per trial it only
 // reads the refreshed sampling state. Corruption is in place — the
 // struck tensors are slot-backed (or per-run allocations) that every
-// replay fully rewrites, and restore() reverts the bytes before the
-// next trial anyway — so the hot path never clones a tensor. The
-// detector, if any, then observes the node's (possibly faulty) output.
+// replay refills from the checkpoint or recomputes, and restore()
+// reverts the bytes before the next trial anyway — so the hot path
+// never clones a tensor. The detector, if any, then observes the
+// node's (possibly faulty) output.
 func (w *fp32Worker) makeHook() {
 	w.hook = func(n *graph.Node, out *tensor.Tensor) *tensor.Tensor {
 		ss := w.sites.byNode[n.Name()]
@@ -868,7 +880,7 @@ func (w *fp32Worker) run(input, trial int) (*tensor.Tensor, error) {
 		}
 	} else {
 		w.replay.start = w.sites.minStep
-		outs, w.replay.masked, err = w.plan.RunCone(w.st, w.ckpt, w.sites.struck, w.hook)
+		outs, w.replay.masked, err = w.plan.RunCone(w.st, w.ckpt, w.sites.strikes, w.hook)
 	}
 	if w.err != nil {
 		return nil, w.err
@@ -957,7 +969,7 @@ func (w *int8Worker) run(input, trial int) (*tensor.Tensor, error) {
 	w.err = nil
 	w.sites.sample(w.c.Seed, input, trial)
 	w.replay.start = w.sites.minStep
-	outs, masked, err := w.qp.RunCone(w.st, w.ckpt, w.sites.struck, w.hook)
+	outs, masked, err := w.qp.RunCone(w.st, w.ckpt, w.sites.strikes, w.hook)
 	w.replay.masked = masked
 	if w.err != nil {
 		return nil, w.err
@@ -982,6 +994,7 @@ type trialVerdict struct {
 	detected   bool
 	masked     bool
 	start      int
+	elapsed    time.Duration
 }
 
 // apply folds the verdict into an Outcome.
@@ -1010,6 +1023,7 @@ func (v trialVerdict) result(input, trial int) TrialResult {
 		Detected:     v.detected,
 		Masked:       v.masked,
 		ReplayStart:  v.start,
+		Elapsed:      v.elapsed,
 	}
 }
 

@@ -522,6 +522,7 @@ func (c *Campaign) newPersistentInt8Weight(plan *graph.Plan, inputs []graph.Feed
 			scen:    scen,
 			outNode: outNode,
 			bufs:    map[string][]int8{},
+			strikes: graph.NewStrikes(qp.Steps()),
 		}, nil
 	}
 	return &persistentExec{space: fs, bits: 8, refs: refs, newWorker: newWorker}, nil
@@ -538,6 +539,7 @@ type int8WeightWorker struct {
 	scen    Int8Scenario
 	outNode *graph.Node
 	bufs    map[string][]int8 // this sequence's materialized weight buffers
+	strikes *graph.Strikes
 }
 
 func (w *int8WeightWorker) inject(sites []Site) (int, error) {
@@ -568,7 +570,7 @@ func (w *int8WeightWorker) inject(sites []Site) (int, error) {
 }
 
 func (w *int8WeightWorker) runInf(input, depth int, det Detector) ([]float32, error) {
-	outs, err := w.qp.RunFrom(w.st, w.ckpts[input], depth, nil)
+	outs, err := runCone(w.qp, w.st, w.ckpts[input], w.strikes, depth)
 	if err != nil {
 		return nil, fmt.Errorf("inject: faulty run: %w", err)
 	}
@@ -576,6 +578,21 @@ func (w *int8WeightWorker) runInf(input, depth int, det Detector) ([]float32, er
 		det.Observe(w.outNode, outs[0])
 	}
 	return outs[0].Data(), nil
+}
+
+// runCone replays one inference of an int8 persistent sequence through
+// the fault's cone: depth, the fault's step, is the struck set, and
+// every step whose kernel or parameters the state overrides executes.
+// The detector sees only the dequantized output, so no step needs to
+// run for it. The outputs equal RunFrom(depth)'s bit for bit; clean
+// fetches are checkpoint-owned and must not be mutated.
+func runCone(qp *graph.QPlan, st *graph.QPlanState, ck *graph.QCheckpoint, strikes *graph.Strikes, depth int) ([]*tensor.Tensor, error) {
+	strikes.Reset()
+	if depth < qp.Steps() {
+		strikes.Add(depth, -1)
+	}
+	outs, _, err := qp.RunCone(st, ck, strikes, nil)
+	return outs, err
 }
 
 func (w *int8WeightWorker) repair() {
@@ -627,6 +644,7 @@ func (c *Campaign) newPersistentQuantParam(plan *graph.Plan, inputs []graph.Feed
 			ckpts:   ckpts,
 			scen:    scen,
 			outNode: outNode,
+			strikes: graph.NewStrikes(qp.Steps()),
 		}, nil
 	}
 	return &persistentExec{space: fs, bits: 8, refs: refs, newWorker: newWorker}, nil
@@ -666,6 +684,7 @@ type quantParamWorker struct {
 	ckpts   []*graph.QCheckpoint
 	scen    Int8Scenario
 	outNode *graph.Node
+	strikes *graph.Strikes
 
 	stagedNodes []string
 	staged      map[string][quantParamBytes]byte
@@ -713,7 +732,7 @@ func (w *quantParamWorker) inject(sites []Site) (int, error) {
 }
 
 func (w *quantParamWorker) runInf(input, depth int, det Detector) ([]float32, error) {
-	outs, err := w.qp.RunFrom(w.st, w.ckpts[input], depth, nil)
+	outs, err := runCone(w.qp, w.st, w.ckpts[input], w.strikes, depth)
 	if err != nil {
 		return nil, fmt.Errorf("inject: faulty run: %w", err)
 	}

@@ -72,10 +72,20 @@ func (p *MaxPoolOp) evalInto(x, out *tensor.Tensor, arg []int) (*tensor.Tensor, 
 	if arg != nil && len(arg) != out.Size() {
 		return nil, fmt.Errorf("maxpool: %d argmax slots for %d outputs", len(arg), out.Size())
 	}
+	p.pool(x, out, arg, graph.Window{Y1: oh, X1: ow})
+	return out, nil
+}
+
+// pool writes the max of every output pixel in win (and, when arg is
+// non-nil, its winning input index) and leaves the other pixels alone.
+func (p *MaxPoolOp) pool(x, out *tensor.Tensor, arg []int, win graph.Window) {
+	n, h, w, c := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
+	g := p.Geom
+	oh, ow := out.Dim(1), out.Dim(2)
 	xd, od := x.Data(), out.Data()
 	for b := 0; b < n; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
+		for oy := win.Y0; oy < win.Y1; oy++ {
+			for ox := win.X0; ox < win.X1; ox++ {
 				for ch := 0; ch < c; ch++ {
 					best := float32(math.Inf(-1))
 					bestIdx := -1
@@ -104,7 +114,6 @@ func (p *MaxPoolOp) evalInto(x, out *tensor.Tensor, arg []int) (*tensor.Tensor, 
 			}
 		}
 	}
-	return out, nil
 }
 
 // Grad implements graph.GradOp: the gradient routes to the max element of
@@ -172,17 +181,21 @@ func (p *AvgPoolOp) eval(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor,
 	return out, nil
 }
 
-// fill average-pools x into out, clearing it first (reused buffers hold
-// stale data).
+// fill average-pools x into out.
 func (p *AvgPoolOp) fill(x, out *tensor.Tensor) {
+	p.pool(x, out, graph.Window{Y1: out.Dim(1), X1: out.Dim(2)})
+}
+
+// pool writes the mean of every output pixel in win (0 for a window
+// lying wholly in padding) and leaves the other pixels alone.
+func (p *AvgPoolOp) pool(x, out *tensor.Tensor, win graph.Window) {
 	n, h, w, c := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	g := p.Geom
-	oh, ow := g.OutDims(h, w)
-	clear(out.Data())
+	oh, ow := out.Dim(1), out.Dim(2)
 	xd, od := x.Data(), out.Data()
 	for b := 0; b < n; b++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
+		for oy := win.Y0; oy < win.Y1; oy++ {
+			for ox := win.X0; ox < win.X1; ox++ {
 				for ch := 0; ch < c; ch++ {
 					var sum float32
 					count := 0
@@ -200,9 +213,11 @@ func (p *AvgPoolOp) fill(x, out *tensor.Tensor) {
 							count++
 						}
 					}
+					var v float32
 					if count > 0 {
-						od[((b*oh+oy)*ow+ox)*c+ch] = sum / float32(count)
+						v = sum / float32(count)
 					}
+					od[((b*oh+oy)*ow+ox)*c+ch] = v
 				}
 			}
 		}

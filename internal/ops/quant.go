@@ -69,7 +69,7 @@ func lutKernel(opName string, inQ, outQ tensor.QParams, opF func(float32) float3
 		return nil, fmt.Errorf("%s: %w", opName, err)
 	}
 	lut := tensor.QLut(inQ, outQ, f)
-	return func(ins []*tensor.QTensor, out *tensor.QTensor, _ *tensor.QScratch) error {
+	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, _ *tensor.QScratch) error {
 		if len(ins) != 1 || ins[0] == nil {
 			return fmt.Errorf("%s: want 1 runtime input", opName)
 		}
@@ -77,9 +77,12 @@ func lutKernel(opName string, inQ, outQ tensor.QParams, opF func(float32) float3
 		if len(xd) != len(od) {
 			return fmt.Errorf("%s: %d elements into %d", opName, len(xd), len(od))
 		}
-		for i, q := range xd {
-			od[i] = lut[tensor.LutIndex(q)]
-		}
+		n, h, w, c := graph.Pixels(out)
+		win.Spans(n, h, w, c, func(lo, hi int) {
+			for i, q := range xd[lo:hi] {
+				od[lo+i] = lut[tensor.LutIndex(q)]
+			}
+		})
 		return nil
 	}, nil
 }
@@ -246,7 +249,8 @@ func (DenseOp) QuantKernelStored(spec graph.QuantSpec) (graph.QuantKernel, []int
 		return nil, nil, err
 	}
 	za := spec.In[0].Zero
-	return func(ins []*tensor.QTensor, out *tensor.QTensor, tmp *tensor.QScratch) error {
+	// Dense has no window geometry: it always computes the whole output.
+	return func(ins []*tensor.QTensor, out *tensor.QTensor, _ graph.Window, tmp *tensor.QScratch) error {
 		x := ins[0]
 		if x == nil || x.Rank() != 2 || x.Dim(1) != k {
 			return fmt.Errorf("matmul: quantized input does not match (?,%d)", k)
@@ -285,12 +289,15 @@ func (c *Conv2DOp) QuantKernelStored(spec graph.QuantSpec) (graph.QuantKernel, [
 	}
 	geom := c.Geom
 	za := spec.In[0].Zero
-	return func(ins []*tensor.QTensor, out *tensor.QTensor, tmp *tensor.QScratch) error {
+	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, tmp *tensor.QScratch) error {
 		x := ins[0]
-		if x == nil {
-			return fmt.Errorf("conv2d: missing quantized input")
+		if x == nil || out.Rank() != 4 {
+			return fmt.Errorf("conv2d: want a quantized input and an NHWC output")
 		}
-		return tensor.QConvInto(x, za, geom, wq, n, out.Data(), requant, tmp)
+		if win == (graph.Window{Y1: out.Dim(1), X1: out.Dim(2)}) {
+			return tensor.QConvInto(x, za, geom, wq, n, out.Data(), requant, tmp)
+		}
+		return tensor.QConvWindowInto(x, za, geom, wq, n, out.Data(), requant, tmp, win.Y0, win.Y1, win.X0, win.X1)
 	}, wq, nil
 }
 
@@ -310,16 +317,19 @@ func (BiasAddOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 	c := len(bd)
 	inQ, outQ := spec.In[0], spec.Out
 	epi := tensor.Epilogue(spec.Epilogue)
-	return func(ins []*tensor.QTensor, out *tensor.QTensor, _ *tensor.QScratch) error {
+	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, _ *tensor.QScratch) error {
 		x := ins[0]
 		if x == nil || x.Size() != out.Size() {
 			return fmt.Errorf("biasadd: quantized input/output mismatch")
 		}
 		xd, od := x.Data(), out.Data()
-		for i, q := range xd {
-			v := inQ.Dequantize(q) + bd[i%c]
-			od[i] = outQ.Quantize(epi.ApplyAt(v, i))
-		}
+		pn, ph, pw, pc := graph.Pixels(out)
+		win.Spans(pn, ph, pw, pc, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				v := inQ.Dequantize(xd[i]) + bd[i%c]
+				od[i] = outQ.Quantize(epi.ApplyAt(v, i))
+			}
+		})
 		return nil
 	}, nil
 }
@@ -335,17 +345,20 @@ func (AddOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 	}
 	outQ := spec.Out
 	epi := tensor.Epilogue(spec.Epilogue)
-	return func(ins []*tensor.QTensor, out *tensor.QTensor, _ *tensor.QScratch) error {
+	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, _ *tensor.QScratch) error {
 		a, b := ins[0], ins[1]
 		if a == nil || b == nil || a.Size() != b.Size() || a.Size() != out.Size() {
 			return fmt.Errorf("add: quantized operand mismatch")
 		}
 		ad, bd, od := a.Data(), b.Data(), out.Data()
 		pa, pb := a.P, b.P
-		for i := range ad {
-			v := pa.Dequantize(ad[i]) + pb.Dequantize(bd[i])
-			od[i] = outQ.Quantize(epi.ApplyAt(v, i))
-		}
+		n, h, w, c := graph.Pixels(out)
+		win.Spans(n, h, w, c, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				v := pa.Dequantize(ad[i]) + pb.Dequantize(bd[i])
+				od[i] = outQ.Quantize(epi.ApplyAt(v, i))
+			}
+		})
 		return nil
 	}, nil
 }
@@ -406,7 +419,7 @@ func (p *MaxPoolOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error)
 	}
 	lut := tensor.QLut(spec.In[0], spec.Out, f)
 	g := p.Geom
-	return func(ins []*tensor.QTensor, out *tensor.QTensor, _ *tensor.QScratch) error {
+	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, _ *tensor.QScratch) error {
 		x := ins[0]
 		if x == nil || x.Rank() != 4 || out.Rank() != 4 {
 			return fmt.Errorf("maxpool: want quantized NHWC input")
@@ -415,8 +428,8 @@ func (p *MaxPoolOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error)
 		oh, ow := out.Dim(1), out.Dim(2)
 		xd, od := x.Data(), out.Data()
 		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
+			for oy := win.Y0; oy < win.Y1; oy++ {
+				for ox := win.X0; ox < win.X1; ox++ {
 					for ch := 0; ch < c; ch++ {
 						best := int8(-128)
 						for ky := 0; ky < g.KH; ky++ {
@@ -454,7 +467,7 @@ func (p *AvgPoolOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error)
 		}
 	}
 	g := p.Geom
-	return func(ins []*tensor.QTensor, out *tensor.QTensor, _ *tensor.QScratch) error {
+	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, _ *tensor.QScratch) error {
 		x := ins[0]
 		if x == nil || x.Rank() != 4 || out.Rank() != 4 {
 			return fmt.Errorf("avgpool: want quantized NHWC input")
@@ -463,8 +476,8 @@ func (p *AvgPoolOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error)
 		oh, ow := out.Dim(1), out.Dim(2)
 		xd, od := x.Data(), out.Data()
 		for b := 0; b < n; b++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
+			for oy := win.Y0; oy < win.Y1; oy++ {
+				for ox := win.X0; ox < win.X1; ox++ {
 					for ch := 0; ch < c; ch++ {
 						var sum, count int32
 						for ky := 0; ky < g.KH; ky++ {
@@ -521,13 +534,20 @@ func (ConcatOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 		}
 		luts[i] = tensor.QLut(inQ, spec.Out, f)
 	}
-	return func(ins []*tensor.QTensor, out *tensor.QTensor, _ *tensor.QScratch) error {
+	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, _ *tensor.QScratch) error {
 		r := out.Rank()
 		if r == 0 {
 			return fmt.Errorf("concat: scalar output")
 		}
 		totalC := out.Dim(r - 1)
-		rows := out.Size() / totalC
+		// Rows are the output's pixels for NHWC; any other rank is one
+		// pixel, whose window is every row.
+		n, h, w := 1, 1, out.Size()/totalC
+		if r == 4 {
+			n, h, w = out.Dim(0), out.Dim(1), out.Dim(2)
+		} else {
+			win = graph.Window{Y1: 1, X1: w}
+		}
 		od := out.Data()
 		off := 0
 		for i, t := range ins {
@@ -537,13 +557,15 @@ func (ConcatOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 			c := t.Dim(t.Rank() - 1)
 			td := t.Data()
 			lut := luts[i]
-			for row := 0; row < rows; row++ {
-				src := td[row*c : (row+1)*c]
-				dst := od[row*totalC+off : row*totalC+off+c]
-				for j, q := range src {
-					dst[j] = lut[tensor.LutIndex(q)]
+			win.Spans(n, h, w, 1, func(lo, hi int) {
+				for row := lo; row < hi; row++ {
+					src := td[row*c : (row+1)*c]
+					dst := od[row*totalC+off : row*totalC+off+c]
+					for j, q := range src {
+						dst[j] = lut[tensor.LutIndex(q)]
+					}
 				}
-			}
+			})
 			off += c
 		}
 		if off != totalC {

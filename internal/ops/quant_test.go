@@ -38,7 +38,7 @@ func TestUnaryQuantKernelLut(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tensor.NewQ(outQ, 2, 9)
-	if err := k([]*tensor.QTensor{quantizeAll(x, inQ)}, out, &tensor.QScratch{}); err != nil {
+	if err := k([]*tensor.QTensor{quantizeAll(x, inQ)}, out, graph.Whole(out.Shape()), &tensor.QScratch{}); err != nil {
 		t.Fatal(err)
 	}
 	want := x.Map(op.f)
@@ -62,7 +62,7 @@ func TestAddQuantKernelRescales(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tensor.NewQ(outQ, 3, 4)
-	if err := k([]*tensor.QTensor{quantizeAll(a, pa), quantizeAll(b, pb)}, out, &tensor.QScratch{}); err != nil {
+	if err := k([]*tensor.QTensor{quantizeAll(a, pa), quantizeAll(b, pb)}, out, graph.Whole(out.Shape()), &tensor.QScratch{}); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := a.Add(b)
@@ -84,7 +84,7 @@ func TestConcatQuantKernelStripes(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tensor.NewQ(po, 1, 2, 2, 5)
-	if err := k([]*tensor.QTensor{quantizeAll(a, pa), quantizeAll(b, pb)}, out, &tensor.QScratch{}); err != nil {
+	if err := k([]*tensor.QTensor{quantizeAll(a, pa), quantizeAll(b, pb)}, out, graph.Whole(out.Shape()), &tensor.QScratch{}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := ConcatOp{}.Eval([]*tensor.Tensor{a, b})
@@ -107,7 +107,7 @@ func TestAvgPoolQuantKernel(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tensor.NewQ(outQ, 1, 2, 2, 2)
-	if err := k([]*tensor.QTensor{quantizeAll(x, inQ)}, out, &tensor.QScratch{}); err != nil {
+	if err := k([]*tensor.QTensor{quantizeAll(x, inQ)}, out, graph.Whole(out.Shape()), &tensor.QScratch{}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := p.Eval([]*tensor.Tensor{x})
@@ -132,7 +132,7 @@ func TestClipQuantKernelPolicies(t *testing.T) {
 	}
 	x := tensor.MustFromSlice([]float32{-3, -0.5, 0.5, 3}, 4)
 	out := tensor.NewQ(outQ, 4)
-	if err := k([]*tensor.QTensor{quantizeAll(x, inQ)}, out, &tensor.QScratch{}); err != nil {
+	if err := k([]*tensor.QTensor{quantizeAll(x, inQ)}, out, graph.Whole(out.Shape()), &tensor.QScratch{}); err != nil {
 		t.Fatal(err)
 	}
 	deq := out.Dequantize().Data()
@@ -178,7 +178,7 @@ func TestGemmGeneralPathStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := tensor.NewQ(outQ, 2, n)
-	if err := kern([]*tensor.QTensor{quantizeAll(x, inQ), nil}, out, &tensor.QScratch{}); err != nil {
+	if err := kern([]*tensor.QTensor{quantizeAll(x, inQ), nil}, out, graph.Whole(out.Shape()), &tensor.QScratch{}); err != nil {
 		t.Fatal(err)
 	}
 

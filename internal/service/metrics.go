@@ -81,23 +81,17 @@ func (m *Metrics) SetGauge(name string, fn func() float64) {
 	m.mu.Unlock()
 }
 
-// ObserveTrials folds one executed chunk into the per-trial latency
-// histogram: n trials at the chunk's mean per-trial latency. Observing
-// the mean once per trial keeps _count equal to the trial count without
-// timing every trial on the hot path.
-func (m *Metrics) ObserveTrials(n int, elapsed time.Duration) {
-	if n <= 0 {
-		return
-	}
-	per := elapsed.Seconds() / float64(n)
+// ObserveTrial folds one trial's own execution time into the per-trial
+// latency histogram.
+func (m *Metrics) ObserveTrial(d time.Duration) {
+	sec := d.Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.histSum += elapsed.Seconds()
-	idx := sort.SearchFloat64s(latencyBuckets, per)
-	if idx < len(latencyBuckets) {
-		m.histCounts[idx] += uint64(n)
+	m.histSum += sec
+	if idx := sort.SearchFloat64s(latencyBuckets, sec); idx < len(latencyBuckets) {
+		m.histCounts[idx]++
 	} else {
-		m.histInf += uint64(n)
+		m.histInf++
 	}
 }
 

@@ -380,6 +380,7 @@ func (s *Service) runJob(id string) {
 	}
 	rt.campaign.OnTrial = func(tr inject.TrialResult) {
 		b.Add(tr)
+		s.Metrics.ObserveTrial(tr.Elapsed)
 		s.hub.Publish(id, "trial", NewTrialRecord(tr))
 	}
 
@@ -403,7 +404,6 @@ func (s *Service) runJob(id string) {
 		if end > man.GridTotal {
 			end = man.GridTotal
 		}
-		t0 := time.Now()
 		part, err := rt.campaign.RunSlice(jobCtx, rt.inputs, start, end)
 		if err != nil {
 			s.settleRunError(id, st, err)
@@ -414,7 +414,7 @@ func (s *Service) runJob(id string) {
 			s.fail(id, st, err)
 			return
 		}
-		if err := s.noteBlock(id, &st, b, blk, part.Trials, t0); err != nil {
+		if err := s.noteBlock(id, &st, b, blk, part.Trials); err != nil {
 			s.fail(id, st, err)
 			return
 		}
@@ -444,7 +444,6 @@ func (s *Service) runPersistent(ctx context.Context, id string, man Manifest, st
 		if end > man.GridTotal {
 			end = man.GridTotal
 		}
-		t0 := time.Now()
 		part, err := rt.campaign.RunPersistentSlice(ctx, rt.inputs, start, end)
 		if err != nil {
 			s.settleRunError(id, st, err)
@@ -455,7 +454,7 @@ func (s *Service) runPersistent(ctx context.Context, id string, man Manifest, st
 			s.fail(id, st, err)
 			return
 		}
-		if err := s.noteBlock(id, &st, b, blk, int(part.Sequences), t0); err != nil {
+		if err := s.noteBlock(id, &st, b, blk, int(part.Sequences)); err != nil {
 			s.fail(id, st, err)
 			return
 		}
@@ -500,7 +499,6 @@ func (s *Service) runAdaptive(ctx context.Context, id string, man Manifest, st S
 		default:
 		}
 		start := ar.Seq()
-		t0 := time.Now()
 		part, err := ar.NextRound(ctx)
 		if err != nil {
 			s.settleRunError(id, st, err)
@@ -515,7 +513,7 @@ func (s *Service) runAdaptive(ctx context.Context, id string, man Manifest, st S
 			s.fail(id, st, err)
 			return
 		}
-		if err := s.noteBlock(id, &st, b, blk, part.Trials, t0); err != nil {
+		if err := s.noteBlock(id, &st, b, blk, part.Trials); err != nil {
 			s.fail(id, st, err)
 			return
 		}
@@ -561,11 +559,11 @@ func (s *Service) settleRunError(id string, st Status, err error) {
 }
 
 // noteBlock records a freshly persisted block: metrics, the advancing
-// status record, and the block event for streaming watchers.
-func (s *Service) noteBlock(id string, st *Status, b *batcher, blk Block, trials int, t0 time.Time) error {
+// status record, and the block event for streaming watchers. Trial
+// latencies are observed per trial as they stream (OnTrial).
+func (s *Service) noteBlock(id string, st *Status, b *batcher, blk Block, trials int) error {
 	s.Metrics.Inc(MetricBlocksPersisted, 1)
 	s.Metrics.Inc(MetricTrialsRun, uint64(trials))
-	s.Metrics.ObserveTrials(trials, time.Since(t0))
 	st.Frontier = b.Frontier()
 	st.Blocks = b.Blocks()
 	st.LastHash = b.LastHash()

@@ -548,9 +548,19 @@ func TestMetricsExposition(t *testing.T) {
 	m := NewMetrics()
 	m.Inc(MetricJobsSubmitted, 3)
 	m.SetGauge("rangerd_queue_depth", func() float64 { return 2 })
-	// ~0.5ms per trial: whichever side of the 500µs bucket boundary the
-	// division lands on, the cumulative count at le=1ms is 10.
-	m.ObserveTrials(10, 5*time.Millisecond)
+	// Ten trials of three very different latencies, as a masked trial,
+	// a late-layer and an early-layer fault take: each lands in its own
+	// bucket.
+	for i := 0; i < 10; i++ {
+		d := 40 * time.Microsecond
+		switch {
+		case i >= 8:
+			d = 20 * time.Millisecond
+		case i >= 3:
+			d = 300 * time.Microsecond
+		}
+		m.ObserveTrial(d)
+	}
 	var buf strings.Builder
 	m.WritePrometheus(&buf)
 	out := buf.String()
@@ -560,7 +570,11 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE rangerd_queue_depth gauge",
 		"rangerd_queue_depth 2",
 		"# TYPE rangerd_trial_latency_seconds histogram",
-		`rangerd_trial_latency_seconds_bucket{le="0.001"} 10`,
+		`rangerd_trial_latency_seconds_bucket{le="5e-05"} 3`,
+		`rangerd_trial_latency_seconds_bucket{le="0.00025"} 3`,
+		`rangerd_trial_latency_seconds_bucket{le="0.0005"} 8`,
+		`rangerd_trial_latency_seconds_bucket{le="0.01"} 8`,
+		`rangerd_trial_latency_seconds_bucket{le="0.025"} 10`,
 		`rangerd_trial_latency_seconds_bucket{le="+Inf"} 10`,
 		"rangerd_trial_latency_seconds_count 10",
 	} {

@@ -135,10 +135,7 @@ func (d convDims) window(r int) (b, iy, ix, ky0, ky1, kx0, kx1 int) {
 // that pair (up to which NaN payload survives where two NaNs meet).
 // Output pixels are sharded across workers.
 func ConvInto(dst, x, w *Tensor, g ConvGeom) (*Tensor, error) {
-	if w.Rank() != 4 || x.Rank() != 4 || w.shape[0] != g.KH || w.shape[1] != g.KW || w.shape[2] != x.shape[3] {
-		return nil, fmt.Errorf("%w: conv kernel %v for input %v geom %+v", ErrShape, w.shape, x.shape, g)
-	}
-	d, err := convDimsFor("conv", x.shape, g, len(w.data), w.shape[3])
+	d, err := convCheck(x, w, g)
 	if err != nil {
 		return nil, err
 	}
@@ -146,8 +143,8 @@ func ConvInto(dst, x, w *Tensor, g ConvGeom) (*Tensor, error) {
 	out := dst
 	if out == nil {
 		out = New(nb, d.oh, d.ow, d.n)
-	} else if out.Rank() != 4 || out.shape[0] != nb || out.shape[1] != d.oh || out.shape[2] != d.ow || out.shape[3] != d.n {
-		return nil, fmt.Errorf("%w: conv dst %v, want [%d %d %d %d]", ErrShape, out.shape, nb, d.oh, d.ow, d.n)
+	} else if err := d.checkDst(out, nb); err != nil {
+		return nil, err
 	}
 	xd, wd, od := x.data, w.data, out.data
 	rows := nb * d.oh * d.ow
@@ -161,6 +158,49 @@ func ConvInto(dst, x, w *Tensor, g ConvGeom) (*Tensor, error) {
 		})
 	}
 	return out, nil
+}
+
+// ConvWindowInto computes the output pixels of ConvInto in rows
+// [y0,y1) and columns [x0,x1) of every batch image of dst, bit-identical
+// to ConvInto, and leaves dst's other pixels as they are. It runs on the
+// calling goroutine: cone replay calls it from campaign workers that
+// already share the machine.
+func ConvWindowInto(dst, x, w *Tensor, g ConvGeom, y0, y1, x0, x1 int) error {
+	d, err := convCheck(x, w, g)
+	if err != nil {
+		return err
+	}
+	nb := x.shape[0]
+	if err := d.checkDst(dst, nb); err != nil {
+		return err
+	}
+	if y0 < 0 || y1 > d.oh || x0 < 0 || x1 > d.ow {
+		return fmt.Errorf("%w: conv window [%d,%d)x[%d,%d) of %dx%d", ErrShape, y0, y1, x0, x1, d.oh, d.ow)
+	}
+	for b := 0; b < nb; b++ {
+		for oy := y0; oy < y1; oy++ {
+			row := (b*d.oh + oy) * d.ow
+			convPixels(x.data, w.data, dst.data, d, row+x0, row+x1)
+		}
+	}
+	return nil
+}
+
+// convCheck validates a (KH,KW,C,F) kernel against an NHWC input and
+// returns the convolution's dimensions.
+func convCheck(x, w *Tensor, g ConvGeom) (convDims, error) {
+	if w.Rank() != 4 || x.Rank() != 4 || w.shape[0] != g.KH || w.shape[1] != g.KW || w.shape[2] != x.shape[3] {
+		return convDims{}, fmt.Errorf("%w: conv kernel %v for input %v geom %+v", ErrShape, w.shape, x.shape, g)
+	}
+	return convDimsFor("conv", x.shape, g, len(w.data), w.shape[3])
+}
+
+// checkDst rejects a conv output that is not (nb,OH,OW,F).
+func (d convDims) checkDst(out *Tensor, nb int) error {
+	if out.Rank() != 4 || out.shape[0] != nb || out.shape[1] != d.oh || out.shape[2] != d.ow || out.shape[3] != d.n {
+		return fmt.Errorf("%w: conv dst %v, want [%d %d %d %d]", ErrShape, out.shape, nb, d.oh, d.ow, d.n)
+	}
+	return nil
 }
 
 // convPixels is ConvInto's body for output pixels [lo, hi). Each pixel's

@@ -213,8 +213,7 @@ func QConvInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []int8, re
 		return fmt.Errorf("%w: qconv out %d elements, want %d", ErrShape, len(out), rows*n)
 	}
 	xd := x.data
-	// A zero point outside int8 would break the lane bound.
-	pairs := g.KH*g.KW*d.c <= maxPairTaps && za >= -128 && za <= 127
+	pairs := d.pairable(za)
 	if workers := kernelWorkers(rows * len(w)); workers > 1 && rows > 1 {
 		parallel.Shard(workers, rows, func(lo, hi int) {
 			var acc64 []int64
@@ -231,6 +230,43 @@ func QConvInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []int8, re
 	}
 	qconvPixels(xd, za, w, out, tmp.Int32(2*n), acc64, d, 0, rows, requant)
 	return nil
+}
+
+// QConvWindowInto computes the output pixels of QConvInto in rows
+// [y0,y1) and columns [x0,x1) of every batch image, identical to
+// QConvInto, and leaves the other pixels of out as they are. Like
+// ConvWindowInto it runs on the calling goroutine.
+func QConvWindowInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []int8, requant func(acc []int32, outRow []int8), tmp *QScratch, y0, y1, x0, x1 int) error {
+	d, err := convDimsFor("qconv", x.shape, g, len(w), n)
+	if err != nil {
+		return err
+	}
+	nb := x.shape[0]
+	if len(out) < nb*d.oh*d.ow*n {
+		return fmt.Errorf("%w: qconv out %d elements, want %d", ErrShape, len(out), nb*d.oh*d.ow*n)
+	}
+	if y0 < 0 || y1 > d.oh || x0 < 0 || x1 > d.ow {
+		return fmt.Errorf("%w: qconv window [%d,%d)x[%d,%d) of %dx%d", ErrShape, y0, y1, x0, x1, d.oh, d.ow)
+	}
+	var acc64 []int64
+	if d.pairable(za) {
+		acc64 = tmp.Int64(n)
+	}
+	acc := tmp.Int32(2 * n)
+	for b := 0; b < nb; b++ {
+		for oy := y0; oy < y1; oy++ {
+			row := (b*d.oh + oy) * d.ow
+			qconvPixels(x.data, za, w, out, acc, acc64, d, row+x0, row+x1, requant)
+		}
+	}
+	return nil
+}
+
+// pairable reports whether QConvInto may compute this convolution's
+// pixels in pairs: the window fits maxPairTaps and the zero point lies
+// in int8 (one outside would break the lane bound).
+func (d convDims) pairable(za int32) bool {
+	return d.g.KH*d.g.KW*d.c <= maxPairTaps && za >= -128 && za <= 127
 }
 
 // qconvPixels is QConvInto's body for output pixels [lo, hi), the int8

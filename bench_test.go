@@ -357,255 +357,6 @@ func BenchmarkAblationACTOnly(b *testing.B) {
 	}
 }
 
-// BenchmarkInferenceLatency measures the wall-clock cost of one inference
-// with and without Ranger (the paper's 9.41ms vs 9.64ms measurement,
-// reported here as ns/op for the protected model and a relative metric).
-func BenchmarkInferenceLatency(b *testing.B) {
-	skipIfShort(b)
-	zoo := train.Default()
-	m, err := zoo.Get("lenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := benchRunner(b)
-	pm, err := r.Protected("lenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	feeds, err := r.Inputs("lenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var e graph.Executor
-	// Time the original model.
-	startO := time.Now()
-	const probes = 20
-	for i := 0; i < probes; i++ {
-		if _, err := e.Run(m.Graph, feeds[0], m.Output); err != nil {
-			b.Fatal(err)
-		}
-	}
-	origPer := time.Since(startO) / probes
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(pm.Graph, feeds[0], pm.Output); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if b.N > 0 {
-		protPer := b.Elapsed() / time.Duration(b.N)
-		b.ReportMetric(float64(protPer)/float64(origPer), "latency_ratio")
-	}
-}
-
-// BenchmarkCompiledInferenceLatency measures one protected-model
-// inference through the compiled fused plan, reporting its latency
-// relative to the legacy per-call executor on the same model
-// (plan_speedup) and to the fused plan on the unprotected model
-// (fused_overhead_ratio — the paper's negligible-overhead claim).
-func BenchmarkCompiledInferenceLatency(b *testing.B) {
-	skipIfShort(b)
-	r := benchRunner(b)
-	m, err := train.Default().Get("lenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	pm, err := r.Protected("lenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	feeds, err := r.Inputs("lenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	const probes = 50
-	probe := func(f func() error) time.Duration {
-		if err := f(); err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		for i := 0; i < probes; i++ {
-			if err := f(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return time.Since(start) / probes
-	}
-	e := &graph.Executor{Arena: graph.NewArena()}
-	legacyPer := probe(func() error {
-		_, err := e.Run(pm.Graph, feeds[0], pm.Output)
-		return err
-	})
-	basePlan, err := m.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	basePer := probe(func() error {
-		_, err := basePlan.Run(feeds[0])
-		return err
-	})
-	cm, err := pm.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cm.Run(feeds[0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if b.N > 0 {
-		per := b.Elapsed() / time.Duration(b.N)
-		b.ReportMetric(float64(legacyPer)/float64(per), "plan_speedup")
-		b.ReportMetric(float64(per)/float64(basePer), "fused_overhead_ratio")
-	}
-}
-
-// BenchmarkQuantizedInferenceLatency measures one protected-model
-// inference through the int8 quantized plan, reporting its latency
-// relative to the fused fp32 plan on the same model (int8_ratio) and to
-// the quantized unprotected model (restricted_overhead_ratio — the
-// restriction clamps live inside the int8 saturating requantization, so
-// this ratio should sit at ~1.0).
-func BenchmarkQuantizedInferenceLatency(b *testing.B) {
-	skipIfShort(b)
-	r := benchRunner(b)
-	m, err := train.Default().Get("lenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	pm, err := r.Protected("lenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	feeds, err := r.Inputs("lenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	calib, err := r.Calibration(m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pcalib, err := r.Calibration(pm)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const probes = 50
-	probe := func(f func() error) time.Duration {
-		if err := f(); err != nil {
-			b.Fatal(err)
-		}
-		start := time.Now()
-		for i := 0; i < probes; i++ {
-			if err := f(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		return time.Since(start) / probes
-	}
-	cm, err := pm.Compile()
-	if err != nil {
-		b.Fatal(err)
-	}
-	fp32Per := probe(func() error {
-		_, err := cm.Run(feeds[0])
-		return err
-	})
-	qm, err := m.Quantize(calib)
-	if err != nil {
-		b.Fatal(err)
-	}
-	int8Per := probe(func() error {
-		_, err := qm.Run(feeds[0])
-		return err
-	})
-	qpm, err := pm.Quantize(pcalib)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := qpm.Run(feeds[0]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if b.N > 0 {
-		per := b.Elapsed() / time.Duration(b.N)
-		b.ReportMetric(float64(per)/float64(fp32Per), "int8_ratio")
-		b.ReportMetric(float64(per)/float64(int8Per), "restricted_overhead_ratio")
-	}
-}
-
-// planBenchGraph builds a conv+bias+relu+clip stack, the canonical
-// fusion target, on an untrained graph (weights deterministic).
-func planBenchGraph(b *testing.B) (*graph.Graph, graph.Feeds, string) {
-	b.Helper()
-	m, err := models.Build("lenet")
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds, err := train.DatasetByName(m.Dataset)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bounds := core.Bounds{}
-	for _, name := range m.Graph.NamesByType(ops.ActivationTypes()...) {
-		bounds[name] = core.Bound{Low: 0, High: 2}
-	}
-	res, err := core.Protect(m.Graph, bounds, core.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res.Graph, graph.Feeds{m.Input: ds.Sample(data.Train, 0).X}, m.Output
-}
-
-// BenchmarkPlanProtectedFused / Unfused / Legacy compare the three
-// engines on a protected (clip-bearing) graph without needing trained
-// models, so they run in -short CI smoke too.
-func BenchmarkPlanProtectedFused(b *testing.B) {
-	g, feeds, output := planBenchGraph(b)
-	plan, err := graph.Compile(g, output)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := plan.NewState()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.Run(st, feeds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlanProtectedUnfused(b *testing.B) {
-	g, feeds, output := planBenchGraph(b)
-	plan, err := graph.CompileWith(g, graph.CompileOptions{NoFuse: true}, output)
-	if err != nil {
-		b.Fatal(err)
-	}
-	st := plan.NewState()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := plan.Run(st, feeds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkPlanProtectedLegacyExecutor(b *testing.B) {
-	g, feeds, output := planBenchGraph(b)
-	e := &graph.Executor{Arena: graph.NewArena()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Run(g, feeds, output); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCampaignTrialThroughput measures the fault-campaign trial
 // hot path — the workload behind every SDC table in the paper — on an
 // untrained lenet (campaign mechanics only, so it runs in the -short CI

@@ -5,27 +5,26 @@
 //
 //	rangerbench -exp all
 //	rangerbench -exp fig6,fig7 -trials 500 -inputs 8
-//	rangerbench -exp overhead
+//	rangerbench -exp int8sdc -trials 40 -inputs 1
 //	rangerbench -exp tab6 -cpuprofile bench.pprof
 //
 // Experiment ids: fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 tab2 tab3
-// tab4 tab5 tab6 alt overhead quantoverhead adaptive persistent. The
-// overhead experiment reports protected-vs-unprotected inference
-// latency under the legacy executor and under compiled plans with
-// fusion disabled and enabled; quantoverhead reports fp32 vs int8 vs
-// int8+restriction latency and bitflip-int8 campaign outcomes on the
-// post-training-quantized backend; adaptive compares the stratified adaptive-campaign engine
-// against uniform sampling (trials to the same per-stratum Wilson CI
-// target); persistent sweeps the persistent fault surfaces
-// (weight-memory and quant-param faults observed over inference
-// sequences, with symptom detection and scrub-from-golden repair).
+// tab4 tab5 tab6 alt int8sdc adaptive persistent. int8sdc reports
+// bitflip-int8 campaign SDC rates on the post-training-quantized
+// backend, with and without restriction; adaptive compares the
+// stratified adaptive-campaign engine against uniform sampling (trials
+// to the same per-stratum Wilson CI target); persistent sweeps the
+// persistent fault surfaces (weight-memory and quant-param faults
+// observed over inference sequences, with symptom detection and
+// scrub-from-golden repair). Inference latency and protection overhead
+// are measured by the repository benchmark (bench/), not here.
 // Models are trained on first use and cached under
 // $RANGER_CACHE (or the user cache dir), so the first run is slower.
 // -cpuprofile writes a pprof CPU profile for local hot-path analysis.
 // -json FILE additionally writes the machine-readable results of
-// experiments that support it (overhead, quantoverhead, adaptive,
-// persistent) as a {"id": result} JSON
-// object — the format the BENCH_*.json bench trajectory ingests.
+// experiments that support it (adaptive, persistent) as a
+// {"id": result} JSON object — the format of the committed
+// BENCH_adaptive.json and BENCH_persistent.json trajectories.
 // Interrupting (Ctrl-C) cancels the in-flight campaign promptly.
 package main
 
@@ -124,7 +123,7 @@ func run(ctx context.Context, args []string) error {
 			}
 		}
 		if !any {
-			return fmt.Errorf("-json: none of the selected experiments emit machine-readable results (overhead, quantoverhead, adaptive, and persistent do)")
+			return fmt.Errorf("-json: none of the selected experiments emit machine-readable results (adaptive and persistent do)")
 		}
 	}
 	fmt.Printf("rangerbench: %d experiments, %d trials x %d inputs per campaign, %d workers\n\n",

@@ -25,7 +25,8 @@ type PlanState = graph.PlanState
 
 // CompileOptions configure Compile: observation points (which disable
 // fusion for the named nodes so hooks see identical intermediate
-// values) and the NoFuse measurement switch.
+// values) and NoFuse, which compiles the unfused reference plan that
+// the plan goldens check fused plans against bit for bit.
 type CompileOptions = graph.CompileOptions
 
 // CompiledModel is a model bound to a plan and a private buffer state —

@@ -55,9 +55,10 @@
 //     — the deployed numeric format, with bitflip-int8 / stuckat-int8
 //     fault scenarios striking the stored int8 words.
 //   - Experiments: RunExperiment regenerates any table or figure of the
-//     paper's evaluation by id (ExperimentIDs), plus the fused-vs-unfused
-//     protection-overhead measurement ("overhead") and the int8-backend
-//     measurement ("quantoverhead").
+//     paper's evaluation by id (ExperimentIDs), plus int8-backend SDC
+//     rates ("int8sdc") and the adaptive and persistent campaign
+//     sweeps. Inference latency and protection overhead are timed by
+//     the repository benchmark (bench/, serve ranger_ratio_*).
 //   - Service: NewService runs campaign JobSpecs durably on a bounded
 //     worker queue — every completed trial block persists as a
 //     hash-chained record, killed daemons resume byte-identically, and
@@ -114,8 +115,9 @@
 // RangerClip become the clamp limits of the saturating write-back. A
 // profiled ACT bound therefore maps to a pair of int8 clamp limits
 // computed once at quantize time — range restriction in the quantized
-// domain costs literally nothing at run time (rangerbench
-// -exp quantoverhead measures it at ~0% over the plain int8 plan).
+// domain costs literally nothing at run time (the bench/ serve
+// workload's ranger_ratio_int8 times it against the plain int8 plan;
+// rangerbench -exp int8sdc reports the int8 SDC rates).
 //
 // Campaigns switch to the int8 backend by setting Campaign.Calibration;
 // the scenario must then be an Int8Scenario (bitflip-int8,

@@ -80,16 +80,9 @@ var experimentFns = map[string]experimentEntry{
 	"tab5":  wrapExperiment(experiments.Table5),
 	"tab6":  wrapExperiment(experiments.Table6),
 	"alt":   wrapExperiment(experiments.Alternatives),
-	// overhead is not a paper artifact: it measures protected-model
-	// inference latency under the legacy executor and compiled plans
-	// (fused and unfused), quantifying the negligible-overhead claim on
-	// this substrate. Emits JSON for the bench trajectory.
-	"overhead": wrapJSONExperiment(experiments.Overhead),
-	// quantoverhead extends that claim to the int8 PTQ backend: fp32 vs
-	// int8 vs int8+restriction latency, plus bitflip-int8 campaign SDC
-	// rates with and without restriction. Emits JSON for the bench
-	// trajectory.
-	"quantoverhead": wrapJSONExperiment(experiments.QuantOverhead),
+	// int8sdc is not a paper artifact: bitflip-int8 campaign SDC rates
+	// on the quantized backend, with and without restriction.
+	"int8sdc": wrapExperiment(experiments.Int8SDC),
 	// adaptive compares the stratified adaptive-campaign engine against
 	// uniform sampling: trials to reach the same per-stratum Wilson CI
 	// target. Emits JSON for the bench trajectory.
@@ -103,7 +96,7 @@ var experimentFns = map[string]experimentEntry{
 }
 
 // experimentOrder fixes the paper's presentation order.
-var experimentOrder = []string{"fig4", "fig6", "fig7", "fig8", "tab2", "tab3", "tab4", "fig9", "fig10", "tab5", "fig11", "fig12", "tab6", "alt", "overhead", "quantoverhead", "adaptive", "persistent"}
+var experimentOrder = []string{"fig4", "fig6", "fig7", "fig8", "tab2", "tab3", "tab4", "fig9", "fig10", "tab5", "fig11", "fig12", "tab6", "alt", "int8sdc", "adaptive", "persistent"}
 
 // ExperimentIDs lists every experiment id in the paper's presentation
 // order.
@@ -119,8 +112,9 @@ func ExperimentIDs() []string {
 func ExperimentEmitsJSON(id string) bool { return experimentFns[id].json }
 
 // RunExperiment regenerates one paper artifact by id (fig4..fig12,
-// tab2..tab6, alt), or runs the fused-vs-unfused protection-overhead
-// measurement (overhead). Cancelling ctx aborts its campaigns promptly.
+// tab2..tab6, alt), or runs one of the repo's own campaign experiments
+// (int8sdc, adaptive, persistent). Cancelling ctx aborts its campaigns
+// promptly.
 func RunExperiment(ctx context.Context, r *ExperimentRunner, id string) (ExperimentResult, error) {
 	f, ok := experimentFns[id]
 	if !ok {

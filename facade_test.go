@@ -66,7 +66,7 @@ func TestFacadeScenarioAndProtectorRegistries(t *testing.T) {
 			t.Fatalf("NewProtector(%q): %v", name, err)
 		}
 	}
-	if len(ranger.ExperimentIDs()) != 18 {
+	if len(ranger.ExperimentIDs()) != 17 {
 		t.Fatalf("experiment ids = %v", ranger.ExperimentIDs())
 	}
 }

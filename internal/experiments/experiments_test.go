@@ -249,7 +249,8 @@ func TestRenderersProduceOutput(t *testing.T) {
 	f8 := &Fig8Result{Rows: []Fig8Row{{Model: "m"}}}
 	f9 := &Fig9Result{Rows: []SDCRow{sdc}}
 	mb := &MultiBitResult{Title: "t", Rows: []MultiBitRow{{Model: "m", Bits: 2}}}
-	for _, r := range []interface{ Render() string }{f6, f7, f8, f9, mb} {
+	q := &Int8SDCResult{Rows: []Int8SDCRow{{Model: "m", Trials: 1}}}
+	for _, r := range []interface{ Render() string }{f6, f7, f8, f9, mb, q} {
 		if r.Render() == "" {
 			t.Fatal("empty render")
 		}

@@ -8,21 +8,18 @@ import (
 	"ranger/internal/tensor"
 )
 
-// DefaultBatchLanes is how many single-sample feeds RunBatch stacks
-// into one lane-batched plan execution: enough lanes to amortize the
-// packed dense GEMM's weight-panel traffic, few enough that the batched
-// activations of the deepest zoo models stay cache-friendly.
-const DefaultBatchLanes = 8
+// BatchLanes is how many single-sample feeds RunBatch stacks into one
+// lane-batched plan execution: enough lanes to amortize the packed dense
+// GEMM's weight-panel traffic, few enough that the batched activations
+// of the deepest zoo models stay cache-friendly.
+const BatchLanes = 8
 
 // RunBatch evaluates the graph once per feed set, sharding the feeds
 // across workers (0 means the process default). The graph is compiled
 // once into a fused execution plan shared by every worker; each worker
 // owns a private PlanState, so buffers are reused within a worker and
-// never shared between workers. Runs of up to DefaultBatchLanes
-// consecutive same-shaped single-sample feeds additionally stack into
-// one lane-batched execution (see RunBatchLanes). Fetched outputs are
-// cloned out of the states and safe to retain. outs[i][j] is fetch j of
-// feeds[i].
+// never shared between workers. Fetched outputs are cloned out of the
+// states and safe to retain. outs[i][j] is fetch j of feeds[i].
 //
 // Feeds must be independent (the usual case: one sample or minibatch
 // each) and the graph's operators must be safe for concurrent evaluation,
@@ -30,30 +27,25 @@ const DefaultBatchLanes = 8
 // every worker count and bit-identical to Executor.Run. The first error
 // by feed index is returned.
 func RunBatch(g *Graph, feeds []Feeds, workers int, fetches ...string) ([][]*tensor.Tensor, error) {
-	return RunBatchLanes(g, feeds, workers, DefaultBatchLanes, fetches...)
-}
-
-// RunBatchLanes is RunBatch with an explicit lane width: within a
-// worker's shard, up to lanes consecutive feeds whose tensors share
-// shapes with a leading batch dimension of 1 stack along that axis and
-// execute as one lane-batched pass — the kernels are lane-wise with
-// unchanged per-lane reduction order, so lane l of the stacked run is
-// bit-identical to running feeds[l] alone. Each worker's transient
-// buffers grow up to lanes× the single-sample plan state; lanes <= 1
-// disables stacking. Feeds that cannot stack (multi-sample, mixed
-// shapes) or whose stacked execution fails for any reason fall back to
-// per-feed runs, preserving per-feed error attribution.
-func RunBatchLanes(g *Graph, feeds []Feeds, workers, lanes int, fetches ...string) ([][]*tensor.Tensor, error) {
 	plan, err := Compile(g, fetches...)
 	if err != nil {
 		return nil, err
 	}
-	return RunPlanBatch(plan, feeds, workers, lanes)
+	return RunPlanBatch(plan, feeds, workers)
 }
 
 // RunPlanBatch runs an already-compiled plan over independent feed
-// sets with lane stacking, under the RunBatchLanes contract.
-func RunPlanBatch(plan *Plan, feeds []Feeds, workers, lanes int) ([][]*tensor.Tensor, error) {
+// sets under the RunBatch contract. Within a worker's shard, up to
+// BatchLanes consecutive feeds whose tensors share shapes with a
+// leading batch dimension of 1 stack along that axis and execute as one
+// lane-batched pass — the kernels are lane-wise with unchanged per-lane
+// reduction order, so lane l of the stacked run is bit-identical to
+// running feeds[l] alone. Each worker's transient buffers grow up to
+// BatchLanes× the single-sample plan state. Feeds that cannot
+// stack (multi-sample, mixed shapes) or whose stacked execution fails
+// for any reason fall back to per-feed runs, preserving per-feed error
+// attribution.
+func RunPlanBatch(plan *Plan, feeds []Feeds, workers int) ([][]*tensor.Tensor, error) {
 	outs := make([][]*tensor.Tensor, len(feeds))
 	errs := make([]error, len(feeds))
 	parallel.Shard(parallel.Resolve(workers), len(feeds), func(lo, hi int) {
@@ -71,7 +63,7 @@ func RunPlanBatch(plan *Plan, feeds []Feeds, workers, lanes int) ([][]*tensor.Te
 			outs[i] = cloned
 		}
 		for i := lo; i < hi; {
-			j := laneRun(feeds, i, hi, lanes)
+			j := laneRun(feeds, i, hi)
 			if j-i > 1 {
 				res, err := plan.Run(st, stackFeeds(feeds, i, j))
 				if splitLanes(outs, res, err, i, j) {
@@ -96,7 +88,7 @@ func RunPlanBatch(plan *Plan, feeds []Feeds, workers, lanes int) ([][]*tensor.Te
 // RunQPlanBatch is RunPlanBatch over a quantized plan; QPlan.Run hands
 // ownership of its dequantized fetches to the caller, so lane splitting
 // and the per-feed path both retain outputs without cloning.
-func RunQPlanBatch(qp *QPlan, feeds []Feeds, workers, lanes int) ([][]*tensor.Tensor, error) {
+func RunQPlanBatch(qp *QPlan, feeds []Feeds, workers int) ([][]*tensor.Tensor, error) {
 	outs := make([][]*tensor.Tensor, len(feeds))
 	errs := make([]error, len(feeds))
 	parallel.Shard(parallel.Resolve(workers), len(feeds), func(lo, hi int) {
@@ -110,7 +102,7 @@ func RunQPlanBatch(qp *QPlan, feeds []Feeds, workers, lanes int) ([][]*tensor.Te
 			outs[i] = res
 		}
 		for i := lo; i < hi; {
-			j := laneRun(feeds, i, hi, lanes)
+			j := laneRun(feeds, i, hi)
 			if j-i > 1 {
 				res, err := qp.Run(st, stackFeeds(feeds, i, j))
 				if splitLanes(outs, res, err, i, j) {
@@ -133,14 +125,14 @@ func RunQPlanBatch(qp *QPlan, feeds []Feeds, workers, lanes int) ([][]*tensor.Te
 }
 
 // laneRun returns the end of the stackable run starting at feed i: the
-// largest j <= min(i+lanes, hi) such that feeds[i:j] all carry the same
-// single-sample tensor shapes under the same names.
-func laneRun(feeds []Feeds, i, hi, lanes int) int {
-	if lanes <= 1 || !singleSample(feeds[i]) {
+// largest j <= min(i+BatchLanes, hi) such that feeds[i:j] all
+// carry the same single-sample tensor shapes under the same names.
+func laneRun(feeds []Feeds, i, hi int) int {
+	if !singleSample(feeds[i]) {
 		return i + 1
 	}
 	j := i + 1
-	for j-i < lanes && j < hi && sameLaneShapes(feeds[i], feeds[j]) {
+	for j-i < BatchLanes && j < hi && sameLaneShapes(feeds[i], feeds[j]) {
 		j++
 	}
 	return j

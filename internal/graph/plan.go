@@ -108,8 +108,9 @@ type CompileOptions struct {
 	// ObserveAll marks every scheduled node as an observation point
 	// (detectors observe every operator output).
 	ObserveAll bool
-	// NoFuse disables the fusion pass, for measuring fused-vs-unfused
-	// overhead. Results are bit-identical either way.
+	// NoFuse disables the fusion pass. It exists only as the unfused
+	// reference that the plan goldens and FuzzFusedPlanBitIdentical
+	// compare fused plans against; results are bit-identical either way.
 	NoFuse bool
 }
 

@@ -53,11 +53,11 @@ func (c *Compiled) Run(feeds graph.Feeds) (*tensor.Tensor, error) {
 
 // RunBatch evaluates the compiled model over independent feed sets,
 // sharded across workers (0 means the process default) with runs of up
-// to graph.DefaultBatchLanes same-shaped single-sample feeds stacked
+// to graph.BatchLanes same-shaped single-sample feeds stacked
 // into one lane-batched pass. out[i] is the model output for feeds[i];
-// results are identical at every worker count and lane width.
+// results are identical at every worker count, stacked or not.
 func (c *Compiled) RunBatch(feeds []graph.Feeds, workers int) ([]*tensor.Tensor, error) {
-	batched, err := graph.RunPlanBatch(c.Plan, feeds, workers, graph.DefaultBatchLanes)
+	batched, err := graph.RunPlanBatch(c.Plan, feeds, workers)
 	if err != nil {
 		return nil, err
 	}

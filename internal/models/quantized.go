@@ -60,12 +60,12 @@ func (q *Quantized) Run(feeds graph.Feeds) (*tensor.Tensor, error) {
 
 // RunBatch evaluates the quantized model over independent feed sets,
 // sharded across workers (0 means the process default) with runs of up
-// to graph.DefaultBatchLanes same-shaped single-sample feeds stacked
+// to graph.BatchLanes same-shaped single-sample feeds stacked
 // into one lane-batched int8 pass. out[i] is the model output for
 // feeds[i]; integer arithmetic makes results identical at every worker
-// count and lane width.
+// count, stacked or not.
 func (q *Quantized) RunBatch(feeds []graph.Feeds, workers int) ([]*tensor.Tensor, error) {
-	batched, err := graph.RunQPlanBatch(q.Plan, feeds, workers, graph.DefaultBatchLanes)
+	batched, err := graph.RunQPlanBatch(q.Plan, feeds, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -105,10 +105,11 @@
 // asymmetric, MatMul/Conv2D as int8 GEMMs with int32 accumulation
 // (conv computes neighbouring output pixels in pairs, both pixels'
 // operands packed into one int64 so one 64-bit multiply yields two
-// exact products), and every other operator as a 256-entry lookup
-// table — with
-// quantize/dequantize nodes at the graph boundaries, reusing the float
-// plan's shape layouts and liveness-based buffer reuse.
+// exact products; the fp32 conv pairs the same pixels, loading each
+// weight row once for both), and every other operator as a 256-entry
+// lookup table — with quantize/dequantize nodes at the graph
+// boundaries, reusing the float plan's shape layouts and liveness-based
+// buffer reuse.
 //
 // The fused epilogue folds into the requantization that writes each
 // int8 output: bias becomes an int32 accumulator offset, and ReLU and

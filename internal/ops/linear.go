@@ -202,12 +202,17 @@ func biasAddEval(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) 
 	return out, nil
 }
 
-// biasAddFill writes x + broadcast(b) into out (same size as x).
+// biasAddFill writes x + broadcast(b) into out (same size as x),
+// indexing b with a wrapping channel counter rather than i%c.
 func biasAddFill(x, b, out *tensor.Tensor) {
 	c := x.Dim(x.Rank() - 1)
 	xd, od, bd := x.Data(), out.Data(), b.Data()
+	ch := 0
 	for i, v := range xd {
-		od[i] = v + bd[i%c]
+		od[i] = v + bd[ch]
+		if ch++; ch == c {
+			ch = 0
+		}
 	}
 }
 

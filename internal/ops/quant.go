@@ -315,6 +315,9 @@ func (BiasAddOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 	}
 	bd := b.Data()
 	c := len(bd)
+	if c == 0 {
+		return nil, fmt.Errorf("biasadd: empty bias vector")
+	}
 	inQ, outQ := spec.In[0], spec.Out
 	epi := tensor.Epilogue(spec.Epilogue)
 	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, _ *tensor.QScratch) error {
@@ -325,9 +328,13 @@ func (BiasAddOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 		xd, od := x.Data(), out.Data()
 		pn, ph, pw, pc := graph.Pixels(out)
 		win.Spans(pn, ph, pw, pc, func(lo, hi int) {
+			ch := lo % c
 			for i := lo; i < hi; i++ {
-				v := inQ.Dequantize(xd[i]) + bd[i%c]
+				v := inQ.Dequantize(xd[i]) + bd[ch]
 				od[i] = outQ.Quantize(epi.ApplyAt(v, i))
+				if ch++; ch == c {
+					ch = 0
+				}
 			}
 		})
 		return nil

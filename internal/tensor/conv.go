@@ -129,11 +129,14 @@ func (d convDims) window(r int) (b, iy, ix, ky0, ky1, kx0, kx1 int) {
 // nil allocates. It is an implicit GEMM: each output pixel reads the
 // valid part of every kernel row as one contiguous run of input values
 // and applies the nonzero ones four taps at a time, with no patch matrix
-// and no packed panel. Padding taps are never visited. Every output
-// element adds its products in ascending patch-column order, exactly as
-// Im2Col followed by MatMulInto does, so results are bit-identical to
-// that pair (up to which NaN payload survives where two NaNs meet).
-// Output pixels are sharded across workers.
+// and no packed panel. Padding taps are never visited. Neighbouring
+// pixels of one output row with the same valid window are computed as a
+// pair that loads each weight row once for both (see convPixels). Every
+// output element adds its products in ascending patch-column order,
+// exactly as Im2Col followed by MatMulInto does, so results are
+// bit-identical to that pair of calls (up to which NaN payload survives
+// where two NaNs meet). Output pixels are sharded across workers; a
+// shard boundary may split a pair, whose halves are then single pixels.
 func ConvInto(dst, x, w *Tensor, g ConvGeom) (*Tensor, error) {
 	d, err := convCheck(x, w, g)
 	if err != nil {
@@ -162,9 +165,10 @@ func ConvInto(dst, x, w *Tensor, g ConvGeom) (*Tensor, error) {
 
 // ConvWindowInto computes the output pixels of ConvInto in rows
 // [y0,y1) and columns [x0,x1) of every batch image of dst, bit-identical
-// to ConvInto, and leaves dst's other pixels as they are. It runs on the
-// calling goroutine: cone replay calls it from campaign workers that
-// already share the machine.
+// to ConvInto, and leaves dst's other pixels as they are. Pixels pair
+// within each window row, from column x0. It runs on the calling
+// goroutine: cone replay calls it from campaign workers that already
+// share the machine.
 func ConvWindowInto(dst, x, w *Tensor, g ConvGeom, y0, y1, x0, x1 int) error {
 	d, err := convCheck(x, w, g)
 	if err != nil {
@@ -203,41 +207,120 @@ func (d convDims) checkDst(out *Tensor, nb int) error {
 	return nil
 }
 
-// convPixels is ConvInto's body for output pixels [lo, hi). Each pixel's
-// output row is computed in blockN-wide column blocks; within a block the
+// convPixels is ConvInto's body for output pixels [lo, hi), the fp32
+// mirror of qconvPixels. Pixels r and r+1 of one output row with the
+// same valid window go through convPair; every other pixel — one whose
+// neighbour's window differs at the border, the last of a row, the last
+// of [lo, hi) — goes through convPixel. A pair's results equal
+// convPixel's bit for bit: the pair adds 0·w wherever only one of its
+// pixels has a zero input, and that changes nothing unless w is ±Inf or
+// NaN, when it makes a NaN (see the four-tap notes in matmul.go). So a
+// pair with a NaN in either output row is recomputed pixel by pixel,
+// which gives convPixel's exact bits, NaN payloads included. Scanning
+// the two rows costs far less than scanning the weights for non-finite
+// values on every call would.
+func convPixels(xd, wd, od []float32, d convDims, lo, hi int) {
+	n := d.n
+	for r := lo; r < hi; {
+		b, iy, ix, ky0, ky1, kx0, kx1 := d.window(r)
+		if r+1 < hi && (r+1)%d.ow != 0 {
+			if _, _, _, _, _, nx0, nx1 := d.window(r + 1); nx0 == kx0 && nx1 == kx1 {
+				o0, o1 := od[r*n:(r+1)*n], od[(r+1)*n:(r+2)*n]
+				convPair(xd, wd, o0, o1, d, b, iy, ix, ky0, ky1, kx0, kx1)
+				if hasNaN(o0) || hasNaN(o1) {
+					convPixel(xd, wd, o0, d, b, iy, ix, ky0, ky1, kx0, kx1)
+					convPixel(xd, wd, o1, d, b, iy, ix+d.g.SW, ky0, ky1, kx0, kx1)
+				}
+				r += 2
+				continue
+			}
+		}
+		convPixel(xd, wd, od[r*n:(r+1)*n], d, b, iy, ix, ky0, ky1, kx0, kx1)
+		r++
+	}
+}
+
+// hasNaN reports whether any element of v is a NaN.
+func hasNaN(v []float32) bool {
+	for _, f := range v {
+		if f != f {
+			return true
+		}
+	}
+	return false
+}
+
+// convPixel computes one output pixel, whose window d.window described,
+// into the n-long orow, in blockN-wide column blocks; within a block the
 // nonzero taps of all valid kernel rows feed one four-tap ring, so the
 // block sees the tap sequence gemvTaps would see for the pixel's im2col
 // row.
-func convPixels(xd, wd, od []float32, d convDims, lo, hi int) {
+func convPixel(xd, wd, orow []float32, d convDims, b, iy, ix, ky0, ky1, kx0, kx1 int) {
 	c, n, kw := d.c, d.n, d.g.KW
-	for r := lo; r < hi; r++ {
-		orow := od[r*n : (r+1)*n]
-		clear(orow)
-		b, iy, ix, ky0, ky1, kx0, kx1 := d.window(r)
-		run := (kx1 - kx0) * c
-		for j0 := 0; j0 < n; j0 += blockN {
-			ob := orow[j0:min(j0+blockN, n)]
-			width := len(ob)
-			var off [4]int
-			var av [4]float32
-			nz := 0
-			for ky := ky0; ky < ky1; ky++ {
-				src := ((b*d.h+iy+ky)*d.w + ix + kx0) * c
-				p := ((ky*kw+kx0)*c)*n + j0
-				for t, v := range xd[src : src+run] {
-					if v == 0 {
-						continue
-					}
-					off[nz&3], av[nz&3] = p+t*n, v
-					nz++
-					if nz&3 == 0 {
-						axpy4(ob, av[0], av[1], av[2], av[3],
-							wd[off[0]:off[0]+width], wd[off[1]:off[1]+width], wd[off[2]:off[2]+width], wd[off[3]:off[3]+width])
-					}
+	clear(orow)
+	run := (kx1 - kx0) * c
+	for j0 := 0; j0 < n; j0 += blockN {
+		ob := orow[j0:min(j0+blockN, n)]
+		width := len(ob)
+		var off [4]int
+		var av [4]float32
+		nz := 0
+		for ky := ky0; ky < ky1; ky++ {
+			src := ((b*d.h+iy+ky)*d.w + ix + kx0) * c
+			p := ((ky*kw+kx0)*c)*n + j0
+			for t, v := range xd[src : src+run] {
+				if v == 0 {
+					continue
+				}
+				off[nz&3], av[nz&3] = p+t*n, v
+				nz++
+				if nz&3 == 0 {
+					axpy4(ob, av[0], av[1], av[2], av[3],
+						wd[off[0]:off[0]+width], wd[off[1]:off[1]+width], wd[off[2]:off[2]+width], wd[off[3]:off[3]+width])
 				}
 			}
-			axpyTail(ob, wd, &av, &off, nz)
 		}
+		axpyTail(ob, wd, &av, &off, nz)
+	}
+}
+
+// convPair computes the pixel whose window d.window described into o0
+// and its right-hand neighbour, which has the same valid window one
+// stride further along the input row, into o1. It walks the union of
+// the two pixels' nonzero taps in ascending order, skipping a tap only
+// when both inputs are 0, and applies them four at a time with
+// axpy4x2, and the last nz%4 with axpyTailPair, both of which load each
+// weight row once for both pixels.
+func convPair(xd, wd, o0, o1 []float32, d convDims, b, iy, ix, ky0, ky1, kx0, kx1 int) {
+	c, n, kw := d.c, d.n, d.g.KW
+	clear(o0)
+	clear(o1)
+	run, next := (kx1-kx0)*c, d.g.SW*c
+	for j0 := 0; j0 < n; j0 += blockN {
+		j1 := min(j0+blockN, n)
+		ob0, ob1 := o0[j0:j1], o1[j0:j1]
+		width := j1 - j0
+		var off [4]int
+		var av, bv [4]float32
+		nz := 0
+		for ky := ky0; ky < ky1; ky++ {
+			src := ((b*d.h+iy+ky)*d.w + ix + kx0) * c
+			p := ((ky*kw+kx0)*c)*n + j0
+			x1 := xd[src+next : src+next+run]
+			for t, v := range xd[src : src+run] {
+				u := x1[t]
+				if v == 0 && u == 0 {
+					continue
+				}
+				off[nz&3], av[nz&3], bv[nz&3] = p+t*n, v, u
+				nz++
+				if nz&3 == 0 {
+					axpy4x2(ob0, ob1, &av, &bv,
+						wd[off[0]:off[0]+width], wd[off[1]:off[1]+width], wd[off[2]:off[2]+width], wd[off[3]:off[3]+width])
+				}
+			}
+		}
+		axpyTailPair(ob0, ob1, wd, &av, &bv, &off, nz)
 	}
 }
 

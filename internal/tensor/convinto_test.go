@@ -24,8 +24,8 @@ func (cc convCase) String() string {
 // convCases spans strides 1, 2 and 4 with VALID and SAME padding, 1x1 to
 // 8x8 kernels, C in {1, 3, 16} and n in {1, 6, 9, 520} (520 > blockN, so
 // the j-blocked path runs), alternating batch 1 and 3, plus a rectangular
-// geometry whose padding differs per axis. For the int8 pixel pairs it
-// adds 3x3 convolutions with output widths 1, 2 and 3, one and two
+// geometry whose padding differs per axis. For the pixel pairs (int8 and
+// fp32) it adds 3x3 convolutions with output widths 1, 2 and 3, one and two
 // output rows and batch 1 and 3 (odd and even pixel counts, pairs that
 // must not cross an image), VALID and SAME (border pixels, whose windows
 // differ from their neighbours', next to interior ones).
@@ -314,8 +314,10 @@ func TestConvIntoRejectsBadShapes(t *testing.T) {
 
 // FuzzConvIntoBitIdentical draws a random convolution shape from the
 // fuzzer's bytes and checks both implicit-GEMM kernels against their
-// im2col oracles: ConvInto bit for bit with non-finite operands,
-// QConvInto exactly.
+// im2col oracles: ConvInto bit for bit with non-finite operands and
+// about half of x zeroed (so pixel pairs often see a tap that is zero in
+// one pixel only), QConvInto exactly. It also checks one random
+// ConvWindowInto window against ConvInto.
 func FuzzConvIntoBitIdentical(f *testing.F) {
 	f.Add(int64(1), []byte{2, 0, 1, 2, 5, 0, 4, 4})   // 3x3 SAME stride 1
 	f.Add(int64(2), []byte{4, 1, 0, 0, 0, 1, 7, 7})   // 5x5 stride 2
@@ -340,11 +342,19 @@ func FuzzConvIntoBitIdentical(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		x := randMat(rng, cc.batch*cc.h*cc.w, cc.c)
 		w := randMat(rng, k*kw*cc.c, cc.n)
+		for i := range x.data {
+			if rng.Intn(2) == 0 {
+				x.data[i] = 0
+			}
+		}
 		sprinkleNonFinite(rng, x, 0.01)
 		sprinkleNonFinite(rng, w, 0.01)
 		x.shape = []int{cc.batch, cc.h, cc.w, cc.c}
 		w.shape = []int{k, kw, cc.c, cc.n}
 		checkConvInto(t, x, w, g, refConv(t, x, w, g), cc.String())
+		oh, ow := g.OutDims(cc.h, cc.w)
+		y0, x0 := rng.Intn(oh), rng.Intn(ow)
+		checkConvWindow(t, x, w, g, pixelConv(t, x, w, g), y0, y0+1+rng.Intn(oh-y0), x0, x0+1+rng.Intn(ow-x0), cc.String())
 		qx, za, qw := randQConv(rng, cc)
 		checkQConvInto(t, qx, za, g, qw, cc.n, refQConv(qx, za, g, qw, cc.n), cc.String())
 	})

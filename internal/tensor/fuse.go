@@ -16,7 +16,8 @@ type StageKind uint8
 // Stage kinds.
 const (
 	// StageBias adds a vector broadcast over the last dimension:
-	// v += Vec[i%C] (the BiasAdd loop).
+	// v += Vec[i%C] (the BiasAdd loop), for i counted from a channel
+	// boundary.
 	StageBias StageKind = iota + 1
 	// StageRelu applies max(v, 0). ReLU is special-cased so the hottest
 	// activation needs no per-element indirect call.
@@ -35,7 +36,9 @@ const (
 type Stage struct {
 	Kind StageKind
 	// Vec and C configure StageBias: v += Vec[i%C]. C must equal
-	// len(Vec) and the output's last dimension.
+	// len(Vec) and the output's last dimension. Apply counts i from the
+	// start of the slice it is given, so that slice must start at a
+	// channel boundary; ApplyAt takes i explicitly.
 	Vec []float32
 	C   int
 	// F configures StageMap.
@@ -93,7 +96,10 @@ func (e Epilogue) canonical() (canon, bool) {
 }
 
 // Apply runs every stage over data in place, reading and writing each
-// element exactly once regardless of the number of stages.
+// element exactly once regardless of the number of stages. data must
+// start at a channel boundary (a whole value, or a pixel-aligned span of
+// one, as graph.Window.Spans yields): bias stages index their vector
+// with a channel counter that starts at 0, not with a division.
 func (e Epilogue) Apply(data []float32) {
 	if len(e) == 0 {
 		return
@@ -104,13 +110,21 @@ func (e Epilogue) Apply(data []float32) {
 	}
 	// Inline stage loop (not a per-element ApplyAt call): this is the
 	// fp32 fused epilogue's hot path and must not pay a non-inlinable
-	// function call per element.
+	// function call per element. Every bias stage's C is the last
+	// dimension, so one wrapping channel counter indexes them all.
+	c := 0
+	for _, st := range e {
+		if st.Kind == StageBias {
+			c = st.C
+		}
+	}
+	ch := 0
 	for i, v := range data {
 		for si := range e {
 			st := &e[si]
 			switch st.Kind {
 			case StageBias:
-				v += st.Vec[i%st.C]
+				v += st.Vec[ch]
 			case StageRelu:
 				// !(v > 0), not v < 0: NaN and -0.0 must map to +0
 				// exactly like the unfused ReLU kernel.
@@ -130,6 +144,9 @@ func (e Epilogue) Apply(data []float32) {
 			}
 		}
 		data[i] = v
+		if ch++; ch == c {
+			ch = 0
+		}
 	}
 }
 
@@ -165,10 +182,13 @@ func (e Epilogue) ApplyAt(v float32, i int) float32 {
 }
 
 func (cn canon) apply(data []float32) {
-	vec, c := cn.vec, cn.c
+	vec, c, ch := cn.vec, cn.c, 0
 	for i, v := range data {
 		if vec != nil {
-			v += vec[i%c]
+			v += vec[ch]
+			if ch++; ch == c {
+				ch = 0
+			}
 		}
 		if cn.relu && !(v > 0) {
 			v = 0

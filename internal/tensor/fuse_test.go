@@ -118,3 +118,46 @@ func TestEpilogueEmptyIsNoop(t *testing.T) {
 		t.Fatalf("empty epilogue mutated data: %v", d)
 	}
 }
+
+// TestEpilogueBiasIndexesFromChannelBoundary applies bias epilogues,
+// canonical and generic, to pixel-aligned sub-slices that start
+// mid-tensor, the way graph.Window.Spans hands them out, and compares
+// each with applyUnfused over the whole tensor, which indexes the bias
+// by the element's flat index, i%c.
+func TestEpilogueBiasIndexesFromChannelBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	tanh := func(x float32) float32 { return float32(math.Tanh(float64(x))) }
+	for _, c := range []int{1, 3, 8} {
+		b := Stage{Kind: StageBias, Vec: randSlice(rng, c), C: c}
+		chains := []struct {
+			name   string
+			canon  bool
+			stages []Stage
+		}{
+			{"bias", true, []Stage{b}},
+			{"bias+relu+clamp", true, []Stage{b, {Kind: StageRelu}, {Kind: StageClamp, Lo: 0, Hi: 1}}},
+			{"bias+tanh+clamp", false, []Stage{b, {Kind: StageMap, F: tanh}, {Kind: StageClamp, Lo: -0.9, Hi: 0.9}}},
+			{"tanh+bias+scale", false, []Stage{{Kind: StageMap, F: tanh}, b, {Kind: StageScale, A: 2}}},
+		}
+		const pixels = 12
+		whole := randSlice(rng, pixels*c)
+		for _, ch := range chains {
+			if _, ok := Epilogue(ch.stages).canonical(); ok != ch.canon {
+				t.Fatalf("%s: canonical = %t", ch.name, ok)
+			}
+			want := append([]float32{}, whole...)
+			applyUnfused(ch.stages, want)
+			for _, span := range [][2]int{{0, pixels}, {1, 2}, {3, 7}, {5, pixels}, {11, pixels}} {
+				lo, hi := span[0]*c, span[1]*c
+				got := append([]float32{}, whole[lo:hi]...)
+				Epilogue(ch.stages).Apply(got)
+				for i, v := range got {
+					if math.Float32bits(v) != math.Float32bits(want[lo+i]) {
+						t.Fatalf("c=%d %s pixels [%d,%d): element %d: %#x != i%%c reference %#x",
+							c, ch.name, span[0], span[1], lo+i, math.Float32bits(v), math.Float32bits(want[lo+i]))
+					}
+				}
+			}
+		}
+	}
+}

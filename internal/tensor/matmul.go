@@ -35,11 +35,20 @@ func kernelWorkers(flops int) int {
 // loads each output once, adds the four products one after another and
 // stores it once, so output traffic and per-tap loop overhead drop to a
 // quarter while every element sees the same float32 operations in the
-// same order. Zero taps are dropped before grouping, never added as 0*b:
-// 0*Inf is NaN and -0+0 is +0, so adding them would change results. One
-// difference remains: where an add meets two NaNs, which NaN's payload
-// survives depends on register allocation, so it may differ from the
-// single-tap loop (the result is NaN either way).
+// same order. In the GEMMs, zero taps are dropped before grouping, never
+// added as 0*b: 0*Inf is NaN and -0+0 is +0, so adding them could change
+// results. One difference remains: where an add meets two NaNs, which
+// NaN's payload survives depends on register allocation, so it may
+// differ from the single-tap loop (the result is NaN either way).
+//
+// ConvInto's pixel pairs (convPair, axpy4x2) are the one place a 0*b is
+// added: a pair skips a tap only when both pixels' inputs are 0, so a
+// tap that is 0 in one pixel adds ±0*b to that pixel's sum. That is
+// exact unless b is ±Inf or NaN. The sum starts at +0 and an add gives
+// -0 only when both operands are -0, so it is never -0, and adding ±0 to
+// it changes nothing, with or without a fused multiply-add. 0*Inf and
+// 0*NaN make a NaN instead, so convPixels recomputes a pair pixel by
+// pixel whenever either of its output rows holds a NaN.
 
 // axpy4 adds a0*b0, a1*b1, a2*b2 and a3*b3 into ob, in that order, each
 // product and each add rounded to float32 exactly as four single-tap
@@ -52,6 +61,33 @@ func axpy4(ob []float32, a0, a1, a2, a3 float32, b0, b1, b2, b3 []float32) {
 		v = a2*b2[j] + v
 		v = a3*b3[j] + v
 		ob[j] = v
+	}
+}
+
+// axpy4x2 is axpy4 for two output rows that share four weight rows: it
+// adds a[0]*b0 .. a[3]*b3 into o0 and c[0]*b0 .. c[3]*b3 into o1, each
+// row in that order and rounded exactly as axpy4 rounds it, loading each
+// weight once for both rows.
+func axpy4x2(o0, o1 []float32, a, c *[4]float32, b0, b1, b2, b3 []float32) {
+	o1 = o1[:len(o0)]
+	b0, b1, b2, b3 = b0[:len(o0)], b1[:len(o0)], b2[:len(o0)], b3[:len(o0)]
+	a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+	c0, c1, c2, c3 := c[0], c[1], c[2], c[3]
+	for j, v := range o0 {
+		u := o1[j]
+		w := b0[j]
+		v = a0*w + v
+		u = c0*w + u
+		w = b1[j]
+		v = a1*w + v
+		u = c1*w + u
+		w = b2[j]
+		v = a2*w + v
+		u = c2*w + u
+		w = b3[j]
+		v = a3*w + v
+		u = c3*w + u
+		o0[j], o1[j] = v, u
 	}
 }
 
@@ -84,6 +120,22 @@ func axpyTail(ob, b []float32, av *[4]float32, off *[4]int, nz int) {
 		a0, brow := av[t&3], b[off[t&3]:off[t&3]+w]
 		for j, bv := range brow {
 			ob[j] += a0 * bv
+		}
+	}
+}
+
+// axpyTailPair is axpyTail for a pixel pair (see convPair): it applies
+// the last nz%4 taps of the ring, one at a time in ascending order, to
+// both output rows, o0 with av and o1 with bv, in one pass over each
+// weight row.
+func axpyTailPair(o0, o1, b []float32, av, bv *[4]float32, off *[4]int, nz int) {
+	w := len(o0)
+	o1 = o1[:w]
+	for t := nz &^ 3; t < nz; t++ {
+		a, c, brow := av[t&3], bv[t&3], b[off[t&3]:off[t&3]+w]
+		for j, x := range brow {
+			o0[j] += a * x
+			o1[j] += c * x
 		}
 	}
 }

@@ -110,3 +110,33 @@ func TestGoldenAdaptiveInt8CampaignDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenAdaptiveOutcomePinned pins one AdaptiveOutcome (lenet,
+// worst-case ordering, two rounds over two inputs) to its literal value
+// at one and at the default worker count, so a drift that is the same at
+// every worker count fails too.
+func TestGoldenAdaptiveOutcomePinned(t *testing.T) {
+	m, err := models.Build("lenet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	feeds := campaignFeeds(t, m)
+	want := stratifiedPin{
+		strata: "9/32 0/0 12/32 0/0 20/32 0/0 19/32 0/0 7/32 0/0 14/32 0/0 20/32 0/0 26/32 0/0 24/32 0/0 13/32 0/0 20/32 0/0 20/32 0/0 6/16 0/0 0/0 0/0 0/0 0/0",
+		rounds: 2, digest: 0xf9e2341ab03765e7,
+	}
+	for _, workers := range []int{1, 0} {
+		c := adaptiveGoldenCampaign(m, ranger.AdaptiveWorstCase, workers)
+		c.Trials = 200
+		out, err := c.RunAdaptive(context.Background(), feeds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Trials != 400 || out.Top1SDC != 210 || out.Top5SDC != 54 {
+			t.Fatalf("workers=%d: outcome drifted from the pin: %+v", workers, out.Outcome)
+		}
+		if got := stratifiedPinOf(t, out.Strata, out.Rounds, out); got != want {
+			t.Fatalf("workers=%d: adaptive outcome drifted from the pin:\n got %#v\nwant %#v", workers, got, want)
+		}
+	}
+}

@@ -418,7 +418,9 @@ func (q *QPlan) RunFrom(st *QPlanState, ck *QCheckpoint, startStep int, hook QHo
 // differs everywhere when its quantization parameters differ from the
 // checkpoint's, and otherwise where its int8 data does. Clean fetches
 // are returned as QCheckpoint.Output; differing ones are dequantized
-// into state-owned buffers, as RunFrom returns them.
+// into state-owned buffers, as RunFrom returns them. strikes may be nil:
+// the replay then runs the cone of the overridden steps alone, which is
+// how stored-state faults replay.
 func (q *QPlan) RunCone(st *QPlanState, ck *QCheckpoint, strikes *Strikes, hook QHook) (outs []*tensor.Tensor, masked bool, err error) {
 	if err := q.checkReplay(st, ck); err != nil {
 		return nil, false, err

@@ -161,9 +161,13 @@ func (s *Strikes) span(n int) (first, last int) {
 }
 
 // pixels returns the window of step si's struck elements in a value of
-// dims (n, h, w, c); an element outside the value strikes everywhere.
+// dims (n, h, w, c); an element outside the value strikes everywhere. A
+// nil set strikes nothing.
 func (s *Strikes) pixels(si, n, h, w, c int) Window {
 	var win Window
+	if s == nil {
+		return win
+	}
 	for _, a := range s.at {
 		if a.step != si {
 			continue

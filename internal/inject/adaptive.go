@@ -81,14 +81,6 @@ type stratumDef struct {
 	weight float64
 }
 
-// plannedTrial is one allocated adaptive trial as the execution workers
-// see it: the trial's private sampling seed plus its stratum
-// constraint.
-type plannedTrial struct {
-	seed int64
-	stratumBand
-}
-
 // planItem is one allocated adaptive trial as the engine tracks it.
 type planItem struct {
 	stratum int
@@ -197,7 +189,7 @@ type AdaptiveRun struct {
 	strata
 	c      *Campaign
 	inputs []graph.Feeds
-	exec   *campaignExec
+	b      *backend
 	spaces []*FaultSpace
 	budget int64
 
@@ -232,30 +224,16 @@ func sameSpace(a, b *FaultSpace) bool {
 // (same nodes, same sizes) — otherwise the strata would be
 // ill-defined.
 func (c *Campaign) NewAdaptiveRun(inputs []graph.Feeds) (*AdaptiveRun, error) {
-	switch c.Adaptive {
-	case AdaptiveStratified, AdaptiveWorstCase:
-	case SamplingUniform:
-		return nil, fmt.Errorf("inject: NewAdaptiveRun needs Campaign.Adaptive set")
-	default:
-		return nil, fmt.Errorf("inject: unknown sampling mode %d", c.Adaptive)
-	}
-	if s := c.surface(); s.Persistent() {
-		return nil, fmt.Errorf("inject: stratified persistent campaigns run in-engine through RunPersistent, not NewAdaptiveRun")
-	}
-	if err := c.validate(inputs); err != nil {
+	if err := c.validate(inputs, adaptiveEntry, nil); err != nil {
 		return nil, err
 	}
-	target, bands, err := c.stratifiedConfig()
-	if err != nil {
-		return nil, err
-	}
-	exec, err := c.newExec(nil)
+	b, err := c.newBackend(nil)
 	if err != nil {
 		return nil, err
 	}
 	spaces := make([]*FaultSpace, len(inputs))
 	for i, feeds := range inputs {
-		fs, err := c.faultSpace(exec.plan, feeds)
+		fs, err := c.faultSpace(b.plan, feeds)
 		if err != nil {
 			return nil, err
 		}
@@ -264,34 +242,20 @@ func (c *Campaign) NewAdaptiveRun(inputs []graph.Feeds) (*AdaptiveRun, error) {
 		}
 		spaces[i] = fs
 	}
-	bits := c.format().Bits()
-	if c.Calibration != nil {
-		bits = 8 // faults strike the stored int8 word
-	}
+	target, bands := c.stratifiedConfig()
 	return &AdaptiveRun{
-		strata: newStrata(buildStrata(spaces[0], bits, bands), target),
+		strata: newStrata(buildStrata(spaces[0], c.bits(), bands), target),
 		c:      c,
 		inputs: inputs,
-		exec:   exec,
+		b:      b,
 		spaces: spaces,
 		budget: c.GridSize(inputs),
 	}, nil
 }
 
-// stratifiedConfig checks a stratified campaign's scenario, CITarget and
-// Strata, and returns the effective CI half-width target and bit bands
-// per fault-space node.
-func (c *Campaign) stratifiedConfig() (target float64, bands int, err error) {
-	scen := c.scenario()
-	if _, ok := scen.(StratumScenario); !ok {
-		return 0, 0, fmt.Errorf("inject: scenario %q does not support stratified sampling", scen.Name())
-	}
-	if c.CITarget < 0 || c.CITarget >= 1 {
-		return 0, 0, fmt.Errorf("inject: CI target %v outside (0,1)", c.CITarget)
-	}
-	if c.Strata < 0 {
-		return 0, 0, fmt.Errorf("inject: strata = %d", c.Strata)
-	}
+// stratifiedConfig returns a stratified campaign's effective CI
+// half-width target and bit bands per fault-space node.
+func (c *Campaign) stratifiedConfig() (target float64, bands int) {
 	target, bands = c.CITarget, c.Strata
 	if target == 0 {
 		target = DefaultCITarget
@@ -299,7 +263,7 @@ func (c *Campaign) stratifiedConfig() (target float64, bands int, err error) {
 	if bands == 0 {
 		bands = DefaultStrataBands
 	}
-	return target, bands, nil
+	return target, bands
 }
 
 // strata is a stratified design's frame and evidence: the stratum
@@ -445,7 +409,7 @@ func (ar *AdaptiveRun) roundTrials() int {
 // position, so replaying a frontier restores exactly the state the
 // allocator consumes.
 func (ar *AdaptiveRun) allocateRound() []planItem {
-	n := int(min64(ar.budget-ar.seq, int64(ar.roundTrials())))
+	n := int(min(ar.budget-ar.seq, int64(ar.roundTrials())))
 	if n <= 0 {
 		return nil
 	}
@@ -507,8 +471,7 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 	for idx, it := range plan {
 		groups[it.input] = append(groups[it.input], idx)
 	}
-	workers := parallel.Resolve(ar.c.Workers)
-	for ii := range ar.inputs {
+	for ii, feeds := range ar.inputs {
 		idxs := groups[ii]
 		if len(idxs) == 0 {
 			continue
@@ -516,19 +479,10 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 		if err := ctx.Err(); err != nil {
 			return Outcome{}, err
 		}
-		feeds := ar.inputs[ii]
-		ref, err := ar.exec.prepare(feeds)
-		if err != nil {
-			return Outcome{}, fmt.Errorf("inject: clean run: %w", err)
+		if err := ar.b.checkpoint(feeds); err != nil {
+			return Outcome{}, err
 		}
-		pts := make([]plannedTrial, len(idxs))
-		for k, idx := range idxs {
-			it := plan[idx]
-			pts[k] = plannedTrial{
-				seed:        adaptiveSeed(ar.c.Seed, it.stratum, it.local),
-				stratumBand: ar.defs[it.stratum].stratumBand,
-			}
-		}
+		ar.b.space = ar.spaces[ii]
 		sub := make([]trialVerdict, len(idxs))
 		var emit func(slot int)
 		if ar.c.OnTrial != nil {
@@ -540,7 +494,11 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 				ar.c.OnTrial(tr)
 			}
 		}
-		if err := ar.c.runShard(ctx, ar.exec, ref, ar.spaces[ii], ii, 0, workers, pts, sub, emit); err != nil {
+		seed := func(slot int) (int64, *stratumBand) {
+			it := plan[idxs[slot]]
+			return adaptiveSeed(ar.c.Seed, it.stratum, it.local), &ar.defs[it.stratum].stratumBand
+		}
+		if err := ar.b.runTrials(ctx, sub, seed, emit); err != nil {
 			return Outcome{}, err
 		}
 		for k, idx := range idxs {
@@ -670,7 +628,7 @@ func (c *Campaign) UniformTrialsToTarget(ctx context.Context, inputs []graph.Fee
 	const chunk = 512
 	done := int64(0)
 	for done < cap {
-		n := min64(chunk, cap-done)
+		n := min(chunk, cap-done)
 		if _, err := uc.RunSlice(ctx, inputs, done, done+n); err != nil {
 			return 0, false, err
 		}

@@ -2,11 +2,9 @@ package inject
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"ranger/internal/graph"
-	"ranger/internal/parallel"
 	"ranger/internal/tensor"
 )
 
@@ -113,26 +111,10 @@ func (d DetectorOutcome) CoverageOfSDCsOK() (float64, bool) {
 // worker count. Cancelling ctx makes the call return promptly with
 // ctx.Err(); OnTrial streams each trial with Detected filled in.
 func (c *Campaign) RunWithDetector(ctx context.Context, inputs []graph.Feeds, det Detector) (DetectorOutcome, error) {
-	if det == nil {
-		return DetectorOutcome{}, fmt.Errorf("inject: nil detector")
-	}
-	if c.Calibration != nil {
-		return DetectorOutcome{}, fmt.Errorf("inject: detectors observe fp32 values; quantized campaigns support Run only")
-	}
-	if c.Adaptive != SamplingUniform {
-		return DetectorOutcome{}, fmt.Errorf("inject: detector campaigns sample uniformly; unset Campaign.Adaptive")
-	}
-	if s := c.surface(); s.Persistent() {
-		return DetectorOutcome{}, fmt.Errorf("inject: persistent surface %q runs through RunPersistent (set Campaign.Detector)", s.Name())
-	}
-	if err := c.validate(inputs); err != nil {
+	if err := c.validate(inputs, detectorEntry, det); err != nil {
 		return DetectorOutcome{}, err
 	}
-	workers := 1
-	if _, ok := det.(CloneableDetector); ok {
-		workers = parallel.Resolve(c.Workers)
-	}
-	exec, err := c.newExec(det)
+	b, err := c.newBackend(det)
 	if err != nil {
 		return DetectorOutcome{}, err
 	}
@@ -140,23 +122,18 @@ func (c *Campaign) RunWithDetector(ctx context.Context, inputs []graph.Feeds, de
 		det.Observe(n, t)
 		return nil
 	}
-	fpState := exec.plan.NewState()
+	fpState := b.plan.NewState()
 	var out DetectorOutcome
 	for ii, feeds := range inputs {
 		if err := ctx.Err(); err != nil {
 			return DetectorOutcome{}, err
 		}
-		fs, err := c.faultSpace(exec.plan, feeds)
-		if err != nil {
+		if err := b.prepareInput(feeds); err != nil {
 			return DetectorOutcome{}, err
-		}
-		ref, err := exec.prepare(feeds)
-		if err != nil {
-			return DetectorOutcome{}, fmt.Errorf("inject: clean run: %w", err)
 		}
 		// False-positive check on the clean execution.
 		det.Reset()
-		if _, err := exec.plan.RunHook(fpState, feeds, observe); err != nil {
+		if _, err := b.plan.RunHook(fpState, feeds, observe); err != nil {
 			return DetectorOutcome{}, err
 		}
 		out.CleanRuns++
@@ -165,12 +142,7 @@ func (c *Campaign) RunWithDetector(ctx context.Context, inputs []graph.Feeds, de
 		}
 
 		verdicts := make([]trialVerdict, c.Trials)
-		var emit func(slot int)
-		if c.OnTrial != nil {
-			ii := ii
-			emit = func(slot int) { c.OnTrial(verdicts[slot].result(ii, slot)) }
-		}
-		if err := c.runShard(ctx, exec, ref, fs, ii, 0, workers, nil, verdicts, emit); err != nil {
+		if err := b.runGrid(ctx, ii, 0, verdicts); err != nil {
 			return DetectorOutcome{}, err
 		}
 		for _, v := range verdicts {

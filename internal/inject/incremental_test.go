@@ -89,16 +89,16 @@ func TestReferenceNotClobberedAcrossInputs(t *testing.T) {
 		{"int8", &Campaign{Model: m, Trials: 1, Seed: 1, Scenario: BitFlipInt8{Flips: 1}, Calibration: calib}},
 	}
 	for _, tc := range cases {
-		exec, err := tc.c.newExec(nil)
+		b, err := tc.c.newBackend(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		ref0, err := exec.prepare(feeds[0])
-		if err != nil {
+		if err := b.checkpoint(feeds[0]); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
+		ref0 := b.refs[0]
 		want := append([]float32{}, ref0.Data()...)
-		if _, err := exec.prepare(feeds[1]); err != nil {
+		if err := b.checkpoint(feeds[1]); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for i, v := range ref0.Data() {
@@ -140,9 +140,10 @@ func TestIncrementalTrialZeroAllocInt8(t *testing.T) {
 	})
 }
 
-// checkTrialZeroAlloc warms one incremental trial runner per fault space
-// (the last three corruptible nodes, then every one) over a fixed trial
-// set and fails if a steady-state trial plus its judgement allocates.
+// checkTrialZeroAlloc warms one trial worker per fault space (the last
+// three corruptible nodes, then every one) over a fixed trial set and
+// fails if a steady-state trial — draw, plant, replay, judge, scrub —
+// allocates.
 func checkTrialZeroAlloc(t *testing.T, m *models.Model, feeds []graph.Feeds, campaign func(targets []string) *Campaign) {
 	t.Helper()
 	if raceEnabled {
@@ -160,32 +161,26 @@ func checkTrialZeroAlloc(t *testing.T, m *models.Model, feeds []graph.Feeds, cam
 		{"full", nil},
 	} {
 		c := campaign(space.targets)
-		exec, err := c.newExec(nil)
+		b, err := c.newBackend(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs, err := c.faultSpace(exec.plan, feeds[0])
-		if err != nil {
+		if err := b.prepareInput(feeds[0]); err != nil {
 			t.Fatal(err)
 		}
-		ref, err := exec.prepare(feeds[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		run := exec.newTrial(fs).run
-		const trials = 64
-		for trial := 0; trial < trials; trial++ {
-			if _, err := run(0, trial); err != nil {
+		sw := b.newSlotWorker()
+		run := func(trial int) {
+			if _, err := b.runTrial(sw, trialSeed(c.Seed, 0, trial), nil); err != nil {
 				t.Fatal(err)
 			}
+		}
+		const trials = 64
+		for trial := 0; trial < trials; trial++ {
+			run(trial)
 		}
 		trial := 0
 		avg := testing.AllocsPerRun(trials-1, func() {
-			faulty, err := run(0, trial%trials)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.judgeData(ref, faulty.Data())
+			run(trial % trials)
 			trial++
 		})
 		if avg != 0 {
@@ -354,17 +349,16 @@ func TestTrialMaskedMatchesFullReplay(t *testing.T) {
 			if _, err := full.RunWithDetector(ctx, tc.feeds, silentDetector{}); err != nil {
 				t.Fatal(err)
 			}
-			exec, err := cone.newExec(nil)
+			b, err := cone.newBackend(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
 			masked := 0
 			for ii, feeds := range tc.feeds {
-				fs, err := cone.faultSpace(exec.plan, feeds)
-				if err != nil {
+				if b.space, err = cone.faultSpace(b.plan, feeds); err != nil {
 					t.Fatal(err)
 				}
-				tr := exec.newTrial(fs)
+				sw := b.newSlotWorker()
 				for trial := 0; trial < cone.Trials; trial++ {
 					k := key{ii, trial}
 					c, f := coneTrials[k], fullTrials[k]
@@ -374,7 +368,9 @@ func TestTrialMaskedMatchesFullReplay(t *testing.T) {
 					if f.ReplayStart != 0 {
 						t.Fatalf("trial %v: detector trial replayed from step %d", k, f.ReplayStart)
 					}
-					if want := tr.depth(ii, trial); c.ReplayStart != want {
+					want, _ := sw.plant(sw.draw(trialSeed(cone.Seed, ii, trial), nil))
+					sw.scrub()
+					if c.ReplayStart != want {
 						t.Fatalf("trial %v: ReplayStart %d, earliest struck step %d", k, c.ReplayStart, want)
 					}
 					checkMasked(t, c)
@@ -396,27 +392,22 @@ func TestTrialMaskedMatchesFullReplay(t *testing.T) {
 		if _, err := c.Run(ctx, lenetFeeds); err != nil {
 			t.Fatal(err)
 		}
-		plan, err := c.compile(nil)
+		b, err := c.newBackend(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		qp, err := graph.Quantize(plan, calib)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scen := c.scenario().(Int8Scenario)
+		qp, scen := b.qp, c.scenario().(Int8Scenario)
 		st := qp.NewState()
 		masked := 0
 		for ii, feeds := range lenetFeeds {
-			fs, err := c.faultSpace(plan, feeds)
-			if err != nil {
+			if b.space, err = c.faultSpace(b.plan, feeds); err != nil {
 				t.Fatal(err)
 			}
 			ck, err := qp.Checkpoint(qp.NewState(), feeds)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ts := newTrialSites(c, fs, qp.StepOf, qp.Steps())
+			sw, ts := b.newSlotWorker(), newStruckSites(qp.StepOf, qp.Steps())
 			hook := func(n *graph.Node, out *tensor.QTensor) *tensor.QTensor {
 				d := out.Data()
 				for _, s := range ts.byNode[n.Name()] {
@@ -429,13 +420,13 @@ func TestTrialMaskedMatchesFullReplay(t *testing.T) {
 				return nil
 			}
 			for trial := 0; trial < c.Trials; trial++ {
-				ts.sample(c.Seed, ii, trial)
-				outs, err := qp.RunFrom(st, ck, ts.minStep, hook)
+				depth := ts.plant(sw.draw(trialSeed(c.Seed, ii, trial), nil))
+				outs, err := qp.RunFrom(st, ck, depth, hook)
 				if err != nil {
 					t.Fatal(err)
 				}
 				v := c.judgeData(ck.Output(0), outs[0].Data())
-				v.start, v.masked = ts.minStep, bitsEqual(outs[0].Data(), ck.Output(0).Data())
+				v.start, v.masked = depth, bitsEqual(outs[0].Data(), ck.Output(0).Data())
 				want, got := v.result(ii, trial), coneTrials[key{ii, trial}]
 				if !sameVerdict(want, got) || want.ReplayStart != got.ReplayStart {
 					t.Fatalf("trial %d/%d: cone %+v, suffix replay %+v", ii, trial, got, want)

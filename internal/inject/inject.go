@@ -15,8 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
+	"slices"
 	"time"
 
 	"ranger/internal/fixpoint"
@@ -194,8 +193,56 @@ func (c *Campaign) regSDCThreshold() float64 {
 	return 15
 }
 
-// validate rejects unrunnable campaign configurations.
-func (c *Campaign) validate(inputs []graph.Feeds) error {
+// bits returns the width of the word a fault strikes: the datapath's
+// fixed-point width, or 8 on the int8 backend.
+func (c *Campaign) bits() int {
+	if c.Calibration != nil {
+		return 8
+	}
+	return c.format().Bits()
+}
+
+// entry names the entry point a campaign runs through.
+type entry int
+
+const (
+	uniformEntry            entry = iota // Run, RunSlice
+	detectorEntry                        // RunWithDetector
+	adaptiveEntry                        // NewAdaptiveRun, RunAdaptive
+	sequenceEntry                        // RunPersistentSlice, uniform RunPersistent
+	stratifiedSequenceEntry              // RunPersistent under an adaptive mode
+)
+
+// validate is the one configuration check: it rejects campaign
+// configurations the entry point cannot run — the sampling mode, surface,
+// backend and detector each select entry points — and then unrunnable
+// trial, input, scenario, persistent and stratified settings. det is
+// RunWithDetector's detector.
+func (c *Campaign) validate(inputs []graph.Feeds, ep entry, det Detector) error {
+	surf := c.surface()
+	adaptive := c.Adaptive == AdaptiveStratified || c.Adaptive == AdaptiveWorstCase
+	switch {
+	case ep == uniformEntry && c.Adaptive != SamplingUniform:
+		return fmt.Errorf("inject: adaptive campaigns run through RunAdaptive, not Run/RunSlice")
+	case ep == uniformEntry && surf.Persistent():
+		return fmt.Errorf("inject: persistent surface %q runs through RunPersistent, not Run/RunSlice", surf.Name())
+	case ep == detectorEntry && det == nil:
+		return fmt.Errorf("inject: nil detector")
+	case ep == detectorEntry && c.Calibration != nil:
+		return fmt.Errorf("inject: detectors observe fp32 values; quantized campaigns support Run only")
+	case ep == detectorEntry && c.Adaptive != SamplingUniform:
+		return fmt.Errorf("inject: detector campaigns sample uniformly; unset Campaign.Adaptive")
+	case ep == detectorEntry && surf.Persistent():
+		return fmt.Errorf("inject: persistent surface %q runs through RunPersistent (set Campaign.Detector)", surf.Name())
+	case ep == adaptiveEntry && c.Adaptive == SamplingUniform:
+		return fmt.Errorf("inject: NewAdaptiveRun needs Campaign.Adaptive set")
+	case (ep == adaptiveEntry || ep == stratifiedSequenceEntry) && !adaptive:
+		return fmt.Errorf("inject: unknown sampling mode %d", c.Adaptive)
+	case ep == adaptiveEntry && surf.Persistent():
+		return fmt.Errorf("inject: stratified persistent campaigns run in-engine through RunPersistent, not NewAdaptiveRun")
+	case ep == sequenceEntry && c.Adaptive != SamplingUniform:
+		return fmt.Errorf("inject: stratified persistent campaigns run through RunPersistent, not slices")
+	}
 	if c.Trials <= 0 {
 		return fmt.Errorf("inject: trials = %d", c.Trials)
 	}
@@ -210,7 +257,35 @@ func (c *Campaign) validate(inputs []graph.Feeds) error {
 	if c.Calibration == nil && int8Scen {
 		return errInt8Only(scen.Name())
 	}
-	return scen.Validate(c.format())
+	if err := scen.Validate(c.format()); err != nil {
+		return err
+	}
+	if ep == sequenceEntry || ep == stratifiedSequenceEntry {
+		if !surf.Persistent() {
+			return fmt.Errorf("inject: surface %q is transient; run it through Run", surf.Name())
+		}
+		if err := surf.Validate(c); err != nil {
+			return err
+		}
+		if c.SequenceLen < 0 {
+			return fmt.Errorf("inject: sequence length = %d", c.SequenceLen)
+		}
+		if c.Repair && c.Detector == nil {
+			return fmt.Errorf("inject: Repair without a Detector: detection is what triggers the scrub")
+		}
+	}
+	if ep == adaptiveEntry || ep == stratifiedSequenceEntry {
+		if _, ok := scen.(StratumScenario); !ok {
+			return fmt.Errorf("inject: scenario %q does not support stratified sampling", scen.Name())
+		}
+		if c.CITarget < 0 || c.CITarget >= 1 {
+			return fmt.Errorf("inject: CI target %v outside (0,1)", c.CITarget)
+		}
+		if c.Strata < 0 {
+			return fmt.Errorf("inject: strata = %d", c.Strata)
+		}
+	}
+	return nil
 }
 
 // TrialResult is one completed trial's judged result, streamed through
@@ -300,32 +375,33 @@ func (o Outcome) RateAbove(thresholdDeg float64) float64 {
 // keeps plan-backed campaign outcomes byte-identical: every node a site
 // can land on is guaranteed to be an observation point.
 func corruptibleFilter(m *models.Model, extraExclude, targetNodes []string) func(*graph.Node) bool {
-	excluded := make(map[string]bool, len(m.ExcludeFI)+len(extraExclude))
-	for _, n := range m.ExcludeFI {
-		excluded[n] = true
-	}
-	for _, n := range extraExclude {
-		excluded[n] = true
-	}
-	var targets map[string]bool
-	if len(targetNodes) > 0 {
-		targets = make(map[string]bool, len(targetNodes))
-		for _, n := range targetNodes {
-			targets[n] = true
-		}
-	}
+	keep := nameFilter(append(slices.Clip(m.ExcludeFI), extraExclude...), targetNodes)
 	return func(n *graph.Node) bool {
 		switch n.Op().(type) {
 		case *graph.Placeholder, *graph.Variable:
 			return false
 		}
-		if excluded[n.Name()] {
-			return false
+		return keep(n.Name())
+	}
+}
+
+// nameFilter returns the name predicate of an exclusion list and a
+// target restriction: a name passes unless excluded, and, when targets
+// is non-empty, only if targeted.
+func nameFilter(exclude, targets []string) func(string) bool {
+	excluded := make(map[string]bool, len(exclude))
+	for _, n := range exclude {
+		excluded[n] = true
+	}
+	var targeted map[string]bool
+	if len(targets) > 0 {
+		targeted = make(map[string]bool, len(targets))
+		for _, n := range targets {
+			targeted[n] = true
 		}
-		if targets != nil && !targets[n.Name()] {
-			return false
-		}
-		return true
+	}
+	return func(name string) bool {
+		return !excluded[name] && (targeted == nil || targeted[name])
 	}
 }
 
@@ -462,28 +538,21 @@ func (c *Campaign) GridSize(inputs []graph.Feeds) int64 {
 // Cancellation follows the Run contract: a cancelled slice returns
 // ctx.Err() and a zero Outcome, never a partial fold.
 func (c *Campaign) RunSlice(ctx context.Context, inputs []graph.Feeds, start, end int64) (Outcome, error) {
-	if c.Adaptive != SamplingUniform {
-		return Outcome{}, fmt.Errorf("inject: adaptive campaigns run through RunAdaptive, not Run/RunSlice")
-	}
-	if s := c.surface(); s.Persistent() {
-		return Outcome{}, fmt.Errorf("inject: persistent surface %q runs through RunPersistent, not Run/RunSlice", s.Name())
-	}
-	if err := c.validate(inputs); err != nil {
+	if err := c.validate(inputs, uniformEntry, nil); err != nil {
 		return Outcome{}, err
 	}
 	total := c.GridSize(inputs)
 	if start < 0 || end > total || start > end {
 		return Outcome{}, fmt.Errorf("inject: slice [%d,%d) outside grid [0,%d)", start, end, total)
 	}
-	exec, err := c.newExec(nil)
+	b, err := c.newBackend(nil)
 	if err != nil {
 		return Outcome{}, err
 	}
-	workers := parallel.Resolve(c.Workers)
 	var out Outcome
 	for ii, feeds := range inputs {
 		inLo := int64(ii) * int64(c.Trials)
-		sliceLo, sliceHi := max64(start, inLo), min64(end, inLo+int64(c.Trials))
+		sliceLo, sliceHi := max(start, inLo), min(end, inLo+int64(c.Trials))
 		if sliceLo >= sliceHi {
 			continue
 		}
@@ -492,21 +561,11 @@ func (c *Campaign) RunSlice(ctx context.Context, inputs []graph.Feeds, start, en
 		if err := ctx.Err(); err != nil {
 			return Outcome{}, err
 		}
-		fs, err := c.faultSpace(exec.plan, feeds)
-		if err != nil {
+		if err := b.prepareInput(feeds); err != nil {
 			return Outcome{}, err
 		}
-		ref, err := exec.prepare(feeds)
-		if err != nil {
-			return Outcome{}, fmt.Errorf("inject: clean run: %w", err)
-		}
 		verdicts := make([]trialVerdict, n)
-		var emit func(slot int)
-		if c.OnTrial != nil {
-			ii := ii
-			emit = func(slot int) { c.OnTrial(verdicts[slot].result(ii, t0+slot)) }
-		}
-		if err := c.runShard(ctx, exec, ref, fs, ii, t0, workers, nil, verdicts, emit); err != nil {
+		if err := b.runGrid(ctx, ii, t0, verdicts); err != nil {
 			return Outcome{}, err
 		}
 		for slot := 0; slot < n; slot++ {
@@ -520,469 +579,6 @@ func (c *Campaign) RunSlice(ctx context.Context, inputs []graph.Feeds, start, en
 		return Outcome{}, err
 	}
 	return out, nil
-}
-
-// runShard executes one input's block of len(verdicts) trials across
-// workers, one trial at a time, each worker grouping its block by
-// injection depth. Slot i's trial identity is
-// (ii, t0+i) under uniform sampling, or plan[i] when a stratified plan
-// is set (t0 is then 0 and the plan item carries the sampling seed and
-// stratum constraint). Verdicts land in their slots; emit, when
-// non-nil, is called under a shard-wide mutex as each slot's verdict
-// lands. The first per-trial error is returned after all
-// workers finish, so a shard never half-reports.
-func (c *Campaign) runShard(ctx context.Context, exec *campaignExec, ref *tensor.Tensor, fs *FaultSpace, ii, t0, workers int, plan []plannedTrial, verdicts []trialVerdict, emit func(slot int)) error {
-	n := len(verdicts)
-	errs := make([]error, n)
-	var cbMu sync.Mutex
-	parallel.Shard(workers, n, func(lo, hi int) {
-		tr := exec.newTrial(fs)
-		if plan != nil {
-			tr.setPlan(plan)
-		}
-		// Group this worker's block by injection depth: execution
-		// order changes, but verdicts and errors land in their trial
-		// slots, so the caller's reduction stays in trial order and the
-		// Outcome is unchanged.
-		order := parallel.OrderByKey(lo, hi, func(slot int) int {
-			return tr.depth(ii, t0+slot)
-		})
-		for _, slot := range order {
-			if err := ctx.Err(); err != nil {
-				errs[slot] = err
-				return
-			}
-			t := time.Now()
-			faulty, err := tr.run(ii, t0+slot)
-			elapsed := time.Since(t)
-			if err != nil {
-				errs[slot] = err
-				continue
-			}
-			v := c.judgeData(ref, faulty.Data())
-			v.start, v.masked = tr.replay()
-			v.elapsed = elapsed
-			if tr.detected != nil {
-				v.detected = tr.detected()
-			}
-			verdicts[slot] = v
-			if emit != nil {
-				cbMu.Lock()
-				emit(slot)
-				cbMu.Unlock()
-			}
-		}
-	})
-	for slot := 0; slot < n; slot++ {
-		if errs[slot] != nil {
-			return errs[slot]
-		}
-	}
-	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// trialRunner is one worker's trial-execution surface. run executes a
-// single (input, trial) and returns the faulty fetch, valid until the
-// worker's next trial; replay reports the last run's start step and
-// whether its fetch was bit-identical to the reference; depth probes a
-// trial's earliest struck plan step. setPlan installs a stratified
-// sampling plan: trial indices passed to run/depth then index the plan
-// instead of naming uniform-grid trials. detected, non-nil on detector
-// campaigns, reports whether the worker's detector flagged the last run.
-type trialRunner struct {
-	run      func(input, trial int) (*tensor.Tensor, error)
-	replay   func() (start int, masked bool)
-	depth    func(input, trial int) int
-	setPlan  func(plan []plannedTrial)
-	detected func() bool
-}
-
-// campaignExec abstracts the campaign's execution backend: the fp32
-// compiled plan, or the int8 quantized plan when Calibration is set.
-// plan is the compiled fp32 plan on both backends (the int8 plan is
-// quantized from it); fault spaces are sized from its inferred shapes.
-// prepare runs one input's clean pass, capturing the suffix-replay
-// checkpoint, and returns the SDC reference (checkpoint-owned, so it
-// stays valid after later prepare calls). newTrial builds a worker's
-// trialRunner.
-type campaignExec struct {
-	plan     *graph.Plan
-	prepare  func(feeds graph.Feeds) (*tensor.Tensor, error)
-	newTrial func(fs *FaultSpace) trialRunner
-}
-
-// newExec builds the campaign's execution backend, compiling the shared
-// plan once. det, when non-nil, rides along on the fp32 backend: every
-// worker observes its trials with its own clone of det, or with det
-// itself when it is not a CloneableDetector (the caller then runs one
-// worker).
-func (c *Campaign) newExec(det Detector) (*campaignExec, error) {
-	plan, err := c.compile(det)
-	if err != nil {
-		return nil, err
-	}
-	if c.Calibration != nil {
-		return c.newExecInt8(plan)
-	}
-	cleanState := plan.NewState()
-	var ckpt *graph.Checkpoint // current input's checkpoint
-	prepare := func(feeds graph.Feeds) (*tensor.Tensor, error) {
-		cp, err := plan.Checkpoint(cleanState, feeds)
-		if err != nil {
-			return nil, err
-		}
-		ckpt = cp
-		return cp.Output(0), nil
-	}
-	newTrial := func(fs *FaultSpace) trialRunner {
-		w := &fp32Worker{
-			c:     c,
-			plan:  plan,
-			st:    plan.NewState(),
-			ckpt:  ckpt, // captured by the preceding prepare
-			det:   det,
-			sites: newTrialSites(c, fs, plan.StepOf, plan.Steps()),
-		}
-		if cd, ok := det.(CloneableDetector); ok {
-			w.det = cd.CloneDetector()
-		}
-		w.makeHook()
-		tr := trialRunner{run: w.run, replay: w.replay.last, depth: w.depth, setPlan: func(p []plannedTrial) { w.sites.plan = p }}
-		if w.det != nil {
-			tr.detected = w.det.Detected
-		}
-		return tr
-	}
-	return &campaignExec{plan: plan, prepare: prepare, newTrial: newTrial}, nil
-}
-
-// newExecInt8 builds the quantized campaign backend over an int8 plan
-// derived from the compiled fp32 plan.
-func (c *Campaign) newExecInt8(plan *graph.Plan) (*campaignExec, error) {
-	qp, err := graph.Quantize(plan, c.Calibration)
-	if err != nil {
-		return nil, fmt.Errorf("inject: quantize %s: %w", c.Model.Name, err)
-	}
-	scen := c.scenario().(Int8Scenario) // checked in validate
-	cleanState := qp.NewState()
-	var ckpt *graph.QCheckpoint
-	prepare := func(feeds graph.Feeds) (*tensor.Tensor, error) {
-		cp, err := qp.Checkpoint(cleanState, feeds)
-		if err != nil {
-			return nil, err
-		}
-		ckpt = cp
-		return cp.Output(0), nil
-	}
-	newTrial := func(fs *FaultSpace) trialRunner {
-		w := &int8Worker{
-			c:     c,
-			qp:    qp,
-			st:    qp.NewState(),
-			ckpt:  ckpt,
-			scen:  scen,
-			sites: newTrialSites(c, fs, qp.StepOf, qp.Steps()),
-		}
-		w.makeHook()
-		return trialRunner{run: w.run, replay: w.replay.last, depth: w.depth, setPlan: func(p []plannedTrial) { w.sites.plan = p }}
-	}
-	return &campaignExec{plan: plan, prepare: prepare, newTrial: newTrial}, nil
-}
-
-// trialSites is a worker's reusable fault-sampling state: the sampled
-// site buffer, the per-node site groups (sampling order preserved
-// within each node), the struck plan steps and the trial's earliest
-// one. All storage recycles across trials, so steady-state sampling
-// allocates nothing.
-type trialSites struct {
-	scen    Scenario
-	format  fixpoint.Format
-	space   *FaultSpace
-	stepOf  func(string) int
-	nSteps  int
-	rng     *rand.Rand
-	buf     []Site
-	byNode  map[string][]Site
-	used    []string
-	strikes *graph.Strikes
-	minStep int
-	// plan, when non-nil, switches sampling to a stratified plan: the
-	// "trial" index passed to sample indexes plan, whose item
-	// carries the trial's private sampling seed and stratum constraint.
-	// The scenario must then implement StratumScenario (checked by
-	// NewAdaptiveRun before any plan is built).
-	plan []plannedTrial
-}
-
-func newTrialSites(c *Campaign, fs *FaultSpace, stepOf func(string) int, nSteps int) trialSites {
-	return trialSites{
-		scen:    c.scenario(),
-		format:  c.format(),
-		space:   fs,
-		stepOf:  stepOf,
-		nSteps:  nSteps,
-		rng:     rand.New(&splitmixSource{}),
-		strikes: graph.NewStrikes(nSteps),
-	}
-}
-
-// sample prepares one trial's sites: it draws them from the trial's
-// private hash(seed, input, trial) stream (the worker's RNG reseeded
-// with trialSeed, so no trial allocates a generator), groups
-// them by node, records each site's plan step and element in strikes
-// and sets minStep to the trial's earliest struck step.
-// Sites naming nodes the plan does not produce are ignored, as the
-// name-keyed hook lookup always ignored them. The previous trial's
-// groups are cleared first, recycling all storage.
-func (ts *trialSites) sample(seed int64, input, trial int) {
-	for _, name := range ts.used {
-		ts.byNode[name] = ts.byNode[name][:0]
-	}
-	ts.used = ts.used[:0]
-	ts.strikes.Reset()
-	ts.minStep = ts.nSteps
-	var band *stratumBand
-	s := trialSeed(seed, input, trial)
-	if ts.plan != nil {
-		pt := &ts.plan[trial]
-		s, band = pt.seed, &pt.stratumBand
-	}
-	ts.rng.Seed(s)
-	ts.buf = drawSites(ts.buf, ts.scen, ts.space, ts.format, ts.rng, band)
-	if ts.byNode == nil {
-		ts.byNode = make(map[string][]Site, len(ts.buf))
-	}
-	for _, s := range ts.buf {
-		si := ts.stepOf(s.Node)
-		if si < 0 {
-			continue
-		}
-		if len(ts.byNode[s.Node]) == 0 {
-			ts.used = append(ts.used, s.Node)
-		}
-		ts.byNode[s.Node] = append(ts.byNode[s.Node], s)
-		ts.strikes.Add(si, s.Elem)
-		if si < ts.minStep {
-			ts.minStep = si
-		}
-	}
-}
-
-// undoF32 records one in-place corruption for restoration before the
-// worker's next trial (keeping the state's buffers byte-clean, so no
-// later read path may ever observe a stale fault).
-type undoF32 struct {
-	data []float32
-	idx  int
-	v    float32
-}
-
-// replayInfo is what a worker's last trial replay reports beside its
-// fetch: the step it began at and whether the fetch was bit-identical
-// to the reference.
-type replayInfo struct {
-	start  int
-	masked bool
-}
-
-func (r *replayInfo) last() (int, bool) { return r.start, r.masked }
-
-// fp32Worker owns one worker's fp32 trial execution: a private plan
-// state, the reusable sampling and undo buffers, and the in-place
-// corruption hook. After warmup a trial allocates nothing. Trials
-// replay only their fault's cone, window by window (Plan.RunCone,
-// told the struck elements through the sampled Strikes); det, when set,
-// observes every node of every trial, so its trials replay in full
-// from step 0.
-type fp32Worker struct {
-	c      *Campaign
-	plan   *graph.Plan
-	st     *graph.PlanState
-	ckpt   *graph.Checkpoint
-	det    Detector
-	sites  trialSites
-	undo   []undoF32
-	err    error
-	hook   graph.Hook
-	replay replayInfo
-}
-
-// makeHook builds the worker's corruption hook once; per trial it only
-// reads the refreshed sampling state. Corruption is in place — the
-// struck tensors are slot-backed (or per-run allocations) that every
-// replay refills from the checkpoint or recomputes, and restore()
-// reverts the bytes before the next trial anyway — so the hot path
-// never clones a tensor. The detector, if any, then observes the
-// node's (possibly faulty) output.
-func (w *fp32Worker) makeHook() {
-	w.hook = func(n *graph.Node, out *tensor.Tensor) *tensor.Tensor {
-		ss := w.sites.byNode[n.Name()]
-		if len(ss) > 0 && w.err == nil {
-			data := out.Data()
-			for _, s := range ss {
-				if s.Elem < 0 || s.Elem >= len(data) {
-					w.err = siteBoundsError(s, len(data))
-					return nil
-				}
-				v, err := w.sites.scen.Corrupt(w.sites.format, data[s.Elem], s)
-				if err != nil {
-					w.err = fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
-					return nil
-				}
-				w.undo = append(w.undo, undoF32{data, s.Elem, data[s.Elem]})
-				data[s.Elem] = v
-			}
-		}
-		if w.det != nil {
-			w.det.Observe(n, out)
-		}
-		return nil
-	}
-}
-
-// restore reverts the previous trial's in-place corruptions.
-func (w *fp32Worker) restore() {
-	for i := len(w.undo) - 1; i >= 0; i-- {
-		u := w.undo[i]
-		u.data[u.idx] = u.v
-	}
-	w.undo = w.undo[:0]
-}
-
-// run executes one trial and returns the faulty fetch output, valid
-// until the worker's next trial.
-func (w *fp32Worker) run(input, trial int) (*tensor.Tensor, error) {
-	w.restore()
-	w.err = nil
-	w.sites.sample(w.c.Seed, input, trial)
-	var outs []*tensor.Tensor
-	var err error
-	if w.det != nil {
-		w.det.Reset()
-		w.replay.start = 0
-		outs, err = w.plan.RunFrom(w.st, w.ckpt, 0, w.hook)
-		if err == nil {
-			w.replay.masked = bitsEqual(outs[0].Data(), w.ckpt.Output(0).Data())
-		}
-	} else {
-		w.replay.start = w.sites.minStep
-		outs, w.replay.masked, err = w.plan.RunCone(w.st, w.ckpt, w.sites.strikes, w.hook)
-	}
-	if w.err != nil {
-		return nil, w.err
-	}
-	if err != nil {
-		return nil, fmt.Errorf("inject: faulty run: %w", err)
-	}
-	return outs[0], nil
-}
-
-// depth returns the trial's injection depth (its earliest struck plan
-// step) by sampling its site stream without executing anything. The
-// later run() resamples the same stream — it needs the full per-node
-// groups for the hook, so caching just minStep here would save nothing
-// — which is sound because Scenario sampling must be a pure function
-// of the trial's private stream (the documented statelessness
-// contract), and cheap because a sampling pass is a handful of RNG
-// draws against a plan suffix of tensor kernels. Detector trials all
-// replay from step 0, so they keep trial order — which a non-cloneable
-// detector, seeing every trial on one worker, may depend on.
-func (w *fp32Worker) depth(input, trial int) int {
-	if w.det != nil {
-		return 0
-	}
-	w.sites.sample(w.c.Seed, input, trial)
-	return w.sites.minStep
-}
-
-// undoI8 is undoF32 for the quantized backend.
-type undoI8 struct {
-	data []int8
-	idx  int
-	v    int8
-}
-
-// int8Worker mirrors fp32Worker on the quantized plan: faults strike
-// the stored int8 words in place through the scenario's CorruptInt8,
-// and trials replay their fault's cone (QPlan.RunCone).
-type int8Worker struct {
-	c      *Campaign
-	qp     *graph.QPlan
-	st     *graph.QPlanState
-	ckpt   *graph.QCheckpoint
-	scen   Int8Scenario
-	sites  trialSites
-	undo   []undoI8
-	err    error
-	hook   graph.QHook
-	replay replayInfo
-}
-
-func (w *int8Worker) makeHook() {
-	w.hook = func(n *graph.Node, out *tensor.QTensor) *tensor.QTensor {
-		ss := w.sites.byNode[n.Name()]
-		if len(ss) == 0 || w.err != nil {
-			return nil
-		}
-		data := out.Data()
-		for _, s := range ss {
-			if s.Elem < 0 || s.Elem >= len(data) {
-				w.err = siteBoundsError(s, len(data))
-				return nil
-			}
-			q, err := w.scen.CorruptInt8(data[s.Elem], s)
-			if err != nil {
-				w.err = fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
-				return nil
-			}
-			w.undo = append(w.undo, undoI8{data, s.Elem, data[s.Elem]})
-			data[s.Elem] = q
-		}
-		return nil
-	}
-}
-
-func (w *int8Worker) restore() {
-	for i := len(w.undo) - 1; i >= 0; i-- {
-		u := w.undo[i]
-		u.data[u.idx] = u.v
-	}
-	w.undo = w.undo[:0]
-}
-
-func (w *int8Worker) run(input, trial int) (*tensor.Tensor, error) {
-	w.restore()
-	w.err = nil
-	w.sites.sample(w.c.Seed, input, trial)
-	w.replay.start = w.sites.minStep
-	outs, masked, err := w.qp.RunCone(w.st, w.ckpt, w.sites.strikes, w.hook)
-	w.replay.masked = masked
-	if w.err != nil {
-		return nil, w.err
-	}
-	if err != nil {
-		return nil, fmt.Errorf("inject: faulty run: %w", err)
-	}
-	return outs[0], nil
-}
-
-func (w *int8Worker) depth(input, trial int) int {
-	w.sites.sample(w.c.Seed, input, trial)
-	return w.sites.minStep
 }
 
 // trialVerdict is one trial's judged result, computed concurrently and

@@ -6,8 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
+	"slices"
 
 	"ranger/internal/graph"
 	"ranger/internal/parallel"
@@ -222,194 +221,80 @@ func (c *Campaign) sequenceLen() int {
 // campaigns.
 func (c *Campaign) PersistentGridSize() int64 { return int64(c.Trials) }
 
-// validatePersistent rejects unrunnable persistent campaign
-// configurations on top of the transient checks.
-func (c *Campaign) validatePersistent(inputs []graph.Feeds) error {
-	if err := c.validate(inputs); err != nil {
-		return err
+// surfaceSpace is a persistent campaign's fault space: the stored
+// weights (fp32 Variables, or int8 kernel buffers) on the weight
+// surface, and quantParamBytes serialized parameter bytes per
+// corruptible quantized step on the quantparam surface. Weight nodes
+// have their own names, so Exclude and TargetNodes must name weights;
+// the model's ExcludeFI list names activation nodes and deliberately
+// does not apply — the paper's last-FC exclusion is an argument about
+// output activations, not stored weights. Quant params parameterize step
+// outputs, so there the activation predicate carries over whole.
+func (b *backend) surfaceSpace() (*FaultSpace, error) {
+	c := b.c
+	keep := nameFilter(c.Exclude, c.TargetNodes)
+	var names []string
+	var sizes []int
+	switch c.surface().(type) {
+	case WeightSurface:
+		if b.qp == nil {
+			names, sizes = b.plan.Weights()
+		} else {
+			var err error
+			if names, sizes, err = b.qp.StoredWeights(); err != nil {
+				return nil, err
+			}
+		}
+	case QuantParamSurface:
+		corruptible := corruptibleFilter(c.Model, c.Exclude, c.TargetNodes)
+		for _, name := range b.qp.StepNames() {
+			if n, ok := c.Model.Graph.Node(name); ok && corruptible(n) {
+				names = append(names, name)
+				sizes = append(sizes, quantParamBytes)
+			}
+		}
 	}
-	surf := c.surface()
-	if !surf.Persistent() {
-		return fmt.Errorf("inject: surface %q is transient; run it through Run", surf.Name())
-	}
-	if err := surf.Validate(c); err != nil {
-		return err
-	}
-	if c.SequenceLen < 0 {
-		return fmt.Errorf("inject: sequence length = %d", c.SequenceLen)
-	}
-	if c.Repair && c.Detector == nil {
-		return fmt.Errorf("inject: Repair without a Detector: detection is what triggers the scrub")
-	}
-	return nil
-}
-
-// persistentWorker is one worker's sequence-execution surface over its
-// private plan state. inject applies one sampled fault set to the
-// worker's persistent state and returns the fault's depth (the earliest
-// plan step reading corrupted state); an error wrapping errDUE ends the
-// sequence as a DUE. runInf replays one inference from the given depth,
-// showing replayed values to det when non-nil, and returns the fetch
-// data (valid until the worker's next inference). repair scrubs the
-// persistent state back to golden; clear does the same between
-// sequences (they are one operation — scrubbing IS restoring golden).
-type persistentWorker interface {
-	inject(sites []Site) (depth int, err error)
-	runInf(input, depth int, det Detector) ([]float32, error)
-	repair()
-	clear()
-}
-
-// persistentExec is a persistent campaign's execution backend: the
-// surface's fault space, the per-element bit width faults sample over,
-// the per-input clean references, and the worker factory. Checkpoints
-// and references are shared immutably across workers.
-type persistentExec struct {
-	space     *FaultSpace
-	bits      int
-	refs      []*tensor.Tensor
-	newWorker func() (persistentWorker, error)
-}
-
-// surfaceSpace assembles a fault space over surface-specific nodes.
-func surfaceSpace(surface string, names []string, sizes []int) (*FaultSpace, error) {
-	fs := &FaultSpace{nodes: names, sizes: sizes}
-	for _, sz := range sizes {
-		fs.total += int64(sz)
+	fs := &FaultSpace{}
+	for i, name := range names {
+		if keep(name) {
+			fs.nodes = append(fs.nodes, name)
+			fs.sizes = append(fs.sizes, sizes[i])
+			fs.total += int64(sizes[i])
+		}
 	}
 	if fs.total == 0 {
-		return nil, fmt.Errorf("inject: empty %s fault space", surface)
+		return nil, fmt.Errorf("inject: empty %s fault space", c.surface().Name())
 	}
 	return fs, nil
 }
 
-// filterSurfaceNodes applies the campaign's Exclude and TargetNodes
-// restrictions to a surface's node set. Surface nodes have their own
-// names (weight tensor names on the weight surface), so restrictions
-// must name surface nodes; the model's ExcludeFI list names activation
-// nodes and deliberately does not apply here — the paper's last-FC
-// exclusion is an argument about output activations, not stored
-// weights.
-func (c *Campaign) filterSurfaceNodes(names []string, sizes []int) ([]string, []int) {
-	if len(c.Exclude) == 0 && len(c.TargetNodes) == 0 {
-		return names, sizes
-	}
-	excluded := make(map[string]bool, len(c.Exclude))
-	for _, n := range c.Exclude {
-		excluded[n] = true
-	}
-	var targets map[string]bool
-	if len(c.TargetNodes) > 0 {
-		targets = make(map[string]bool, len(c.TargetNodes))
-		for _, n := range c.TargetNodes {
-			targets[n] = true
-		}
-	}
-	var fn []string
-	var fz []int
-	for i, name := range names {
-		if excluded[name] || (targets != nil && !targets[name]) {
-			continue
-		}
-		fn = append(fn, name)
-		fz = append(fz, sizes[i])
-	}
-	return fn, fz
-}
-
-// newPersistentExec builds the campaign's persistent execution backend
-// for its surface and numeric backend, capturing one checkpoint per
-// input.
-func (c *Campaign) newPersistentExec(inputs []graph.Feeds) (*persistentExec, error) {
-	plan, err := c.compile(nil)
-	if err != nil {
-		return nil, err
-	}
-	switch c.surface().(type) {
-	case WeightSurface:
-		if c.Calibration != nil {
-			return c.newPersistentInt8Weight(plan, inputs)
-		}
-		return c.newPersistentFP32Weight(plan, inputs)
-	case QuantParamSurface:
-		return c.newPersistentQuantParam(plan, inputs)
-	}
-	return nil, fmt.Errorf("inject: no persistent engine for surface %q", c.surface().Name())
-}
-
-// newPersistentFP32Weight builds the fp32 weight-memory backend: faults
-// flip bits of the campaign's fixed-point encoding of stored Variable
-// tensors (the same simulated-datapath encoding activation faults use),
-// installed as per-state weight overrides so the shared golden weights
-// stay untouched and repair is an override drop.
-func (c *Campaign) newPersistentFP32Weight(plan *graph.Plan, inputs []graph.Feeds) (*persistentExec, error) {
-	cleanState := plan.NewState()
-	ckpts := make([]*graph.Checkpoint, len(inputs))
-	refs := make([]*tensor.Tensor, len(inputs))
-	for i, feeds := range inputs {
-		ck, err := plan.Checkpoint(cleanState, feeds)
-		if err != nil {
-			return nil, fmt.Errorf("inject: clean run: %w", err)
-		}
-		ckpts[i] = ck
-		refs[i] = ck.Output(0)
-	}
-	names, sizes := plan.Weights()
-	names, sizes = c.filterSurfaceNodes(names, sizes)
-	fs, err := surfaceSpace("weight", names, sizes)
-	if err != nil {
-		return nil, err
-	}
-	depth := make(map[string]int, len(names))
-	for _, name := range names {
-		d := plan.VarDepth(name)
-		if d < 0 {
-			d = 0
-		}
-		depth[name] = d
-	}
-	newWorker := func() (persistentWorker, error) {
-		w := &fp32WeightWorker{
-			c:     c,
-			plan:  plan,
-			st:    plan.NewState(),
-			ckpts: ckpts,
-			depth: depth,
-			over:  map[string]*tensor.Tensor{},
-			fresh: map[string]bool{},
-		}
-		w.hook = func(n *graph.Node, out *tensor.Tensor) *tensor.Tensor {
-			w.det.Observe(n, out)
-			return nil
-		}
-		return w, nil
-	}
-	return &persistentExec{space: fs, bits: c.format().Bits(), refs: refs, newWorker: newWorker}, nil
-}
-
-// fp32WeightWorker executes sequences on the fp32 backend: struck
+// fp32WeightWorker is the fp32 weight-surface worker: faults flip bits of
+// the campaign's fixed-point encoding of stored Variable tensors (the
+// same simulated-datapath encoding activation faults use). Struck
 // weights are cloned from golden, corrupted in the clone, and installed
 // as the state's Variable overrides (honored by replay and checkpoint
-// restore alike). Clones recycle across sequences, so steady-state
-// injection allocates nothing.
+// restore alike), so the shared golden weights stay untouched and scrub
+// is an override drop. Inferences replay with RunFrom from the fault's
+// depth. Clones recycle across sequences, so steady-state planting
+// allocates nothing.
 type fp32WeightWorker struct {
-	c     *Campaign
-	plan  *graph.Plan
+	b     *backend
 	st    *graph.PlanState
-	ckpts []*graph.Checkpoint
-	depth map[string]int
+	depth int
 	over  map[string]*tensor.Tensor // recycled override clones, per weight
 	fresh map[string]bool           // overrides refreshed this sequence
 	det   Detector                  // current inference's detector (hook target)
 	hook  graph.Hook
 }
 
-func (w *fp32WeightWorker) inject(sites []Site) (int, error) {
-	minDepth := w.plan.Steps()
+func (w *fp32WeightWorker) plant(sites []Site) (int, error) {
+	plan, c := w.b.plan, w.b.c
+	clear(w.fresh)
+	w.depth = plan.Steps()
 	for _, s := range sites {
 		t := w.over[s.Node]
 		if !w.fresh[s.Node] {
-			golden := w.plan.VarValue(s.Node)
+			golden := plan.VarValue(s.Node)
 			if golden == nil {
 				return 0, fmt.Errorf("inject: no stored weight %q", s.Node)
 			}
@@ -420,136 +305,82 @@ func (w *fp32WeightWorker) inject(sites []Site) (int, error) {
 				copy(t.Data(), golden.Data())
 			}
 			w.fresh[s.Node] = true
-			if err := w.plan.OverrideVar(w.st, s.Node, t); err != nil {
+			if err := plan.OverrideVar(w.st, s.Node, t); err != nil {
 				return 0, err
 			}
 		}
 		if s.Elem < 0 || s.Elem >= t.Size() {
 			return 0, siteBoundsError(s, t.Size())
 		}
-		v, err := w.c.scenario().Corrupt(w.c.format(), t.Data()[s.Elem], s)
+		v, err := c.scenario().Corrupt(c.format(), t.Data()[s.Elem], s)
 		if err != nil {
 			return 0, fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
 		}
 		t.Data()[s.Elem] = v
-		if d := w.depth[s.Node]; d < minDepth {
-			minDepth = d
-		}
+		w.depth = min(w.depth, max(plan.VarDepth(s.Node), 0))
 	}
-	return minDepth, nil
+	return w.depth, nil
 }
 
-func (w *fp32WeightWorker) runInf(input, depth int, det Detector) ([]float32, error) {
+func (w *fp32WeightWorker) infer(input int, det Detector) ([]float32, error) {
 	var hook graph.Hook
 	if det != nil {
 		w.det = det
 		hook = w.hook
 	}
-	outs, err := w.plan.RunFrom(w.st, w.ckpts[input], depth, hook)
+	outs, err := w.b.plan.RunFrom(w.st, w.b.ckpts[input], w.depth, hook)
 	if err != nil {
 		return nil, fmt.Errorf("inject: faulty run: %w", err)
 	}
 	return outs[0].Data(), nil
 }
 
-func (w *fp32WeightWorker) repair() {
-	w.st.ClearVarOverrides()
-	for k := range w.fresh {
-		delete(w.fresh, k)
-	}
+func (w *fp32WeightWorker) scrub() { w.st.ClearVarOverrides() }
+
+// storedI8 is the half the two int8 stored-state workers share: replay,
+// observe and scrub. Their faults live in per-state overrides — private
+// kernels or patched quantization parameters — so an inference is a cone
+// replay with nothing struck: QPlan.RunCone starts at the earliest step
+// the state overrides and executes every overridden step. Detectors see
+// only the dequantized fetch, since int8 internals are not fp32 tensors.
+// Scrub drops the overrides, so the next plant rebuilds from golden.
+type storedI8 struct {
+	b  *backend
+	st *graph.QPlanState
 }
 
-func (w *fp32WeightWorker) clear() { w.repair() }
+func (b *backend) newStoredI8() storedI8 { return storedI8{b: b, st: b.qp.NewState()} }
 
-// quantizeForPersistent builds the shared int8 execution substrate:
-// quantized plan, per-input checkpoints and clean references, and the
-// model's output node (the one value detectors observe on this backend;
-// int8 internals are not fp32 tensors, so symptom detection sees only
-// the dequantized fetch — document this asymmetry in results).
-func (c *Campaign) quantizeForPersistent(plan *graph.Plan, inputs []graph.Feeds) (*graph.QPlan, []*graph.QCheckpoint, []*tensor.Tensor, *graph.Node, error) {
-	qp, err := graph.Quantize(plan, c.Calibration)
+func (w *storedI8) infer(input int, det Detector) ([]float32, error) {
+	outs, _, err := w.b.qp.RunCone(w.st, w.b.qckpts[input], nil, nil)
 	if err != nil {
-		return nil, nil, nil, nil, fmt.Errorf("inject: quantize %s: %w", c.Model.Name, err)
+		return nil, fmt.Errorf("inject: faulty run: %w", err)
 	}
-	cleanState := qp.NewState()
-	ckpts := make([]*graph.QCheckpoint, len(inputs))
-	refs := make([]*tensor.Tensor, len(inputs))
-	for i, feeds := range inputs {
-		ck, err := qp.Checkpoint(cleanState, feeds)
-		if err != nil {
-			return nil, nil, nil, nil, fmt.Errorf("inject: clean run: %w", err)
-		}
-		ckpts[i] = ck
-		refs[i] = ck.Output(0)
+	if det != nil {
+		det.Observe(w.b.outNode, outs[0])
 	}
-	var outNode *graph.Node
-	for _, n := range c.Model.Graph.Nodes() {
-		if n.Name() == c.Model.Output {
-			outNode = n
-			break
-		}
-	}
-	if outNode == nil {
-		return nil, nil, nil, nil, fmt.Errorf("inject: model output %q not in graph", c.Model.Output)
-	}
-	return qp, ckpts, refs, outNode, nil
+	return outs[0].Data(), nil
 }
 
-// newPersistentInt8Weight builds the int8 weight-memory backend: faults
-// flip bits of the stored quantized weight bytes of Dense/Conv kernels,
-// materialized as per-state private kernels so the shared golden
-// kernels stay untouched.
-func (c *Campaign) newPersistentInt8Weight(plan *graph.Plan, inputs []graph.Feeds) (*persistentExec, error) {
-	qp, ckpts, refs, outNode, err := c.quantizeForPersistent(plan, inputs)
-	if err != nil {
-		return nil, err
-	}
-	names, sizes, err := qp.StoredWeights()
-	if err != nil {
-		return nil, err
-	}
-	names, sizes = c.filterSurfaceNodes(names, sizes)
-	fs, err := surfaceSpace("weight", names, sizes)
-	if err != nil {
-		return nil, err
-	}
-	scen := c.scenario().(Int8Scenario) // checked in validate
-	newWorker := func() (persistentWorker, error) {
-		return &int8WeightWorker{
-			qp:      qp,
-			st:      qp.NewState(),
-			ckpts:   ckpts,
-			scen:    scen,
-			outNode: outNode,
-			bufs:    map[string][]int8{},
-			strikes: graph.NewStrikes(qp.Steps()),
-		}, nil
-	}
-	return &persistentExec{space: fs, bits: 8, refs: refs, newWorker: newWorker}, nil
-}
+func (w *storedI8) scrub() { w.st.ClearOverrides() }
 
-// int8WeightWorker executes sequences on the int8 backend: struck
-// weight buffers are materialized from golden as per-state kernels and
-// corrupted in place; repair drops the private kernels, so the next
-// materialization rebuilds from golden.
+// int8WeightWorker is the int8 weight-surface worker: faults flip bits of
+// the stored quantized weight bytes of Dense/Conv kernels, materialized
+// from golden as per-state private kernels and corrupted in place.
 type int8WeightWorker struct {
-	qp      *graph.QPlan
-	st      *graph.QPlanState
-	ckpts   []*graph.QCheckpoint
-	scen    Int8Scenario
-	outNode *graph.Node
-	bufs    map[string][]int8 // this sequence's materialized weight buffers
-	strikes *graph.Strikes
+	storedI8
+	bufs map[string][]int8 // this sequence's materialized weight buffers
 }
 
-func (w *int8WeightWorker) inject(sites []Site) (int, error) {
-	minDepth := w.qp.Steps()
+func (w *int8WeightWorker) plant(sites []Site) (int, error) {
+	qp, scen := w.b.qp, w.b.c.scenario().(Int8Scenario)
+	clear(w.bufs)
+	depth := qp.Steps()
 	for _, s := range sites {
 		buf, ok := w.bufs[s.Node]
 		if !ok {
 			var err error
-			buf, err = w.qp.MaterializeWeights(w.st, s.Node)
-			if err != nil {
+			if buf, err = qp.MaterializeWeights(w.st, s.Node); err != nil {
 				return 0, err
 			}
 			w.bufs[s.Node] = buf
@@ -557,97 +388,16 @@ func (w *int8WeightWorker) inject(sites []Site) (int, error) {
 		if s.Elem < 0 || s.Elem >= len(buf) {
 			return 0, siteBoundsError(s, len(buf))
 		}
-		q, err := w.scen.CorruptInt8(buf[s.Elem], s)
+		q, err := scen.CorruptInt8(buf[s.Elem], s)
 		if err != nil {
 			return 0, fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
 		}
 		buf[s.Elem] = q
-		if d := w.qp.StepOf(s.Node); d >= 0 && d < minDepth {
-			minDepth = d
+		if d := qp.StepOf(s.Node); d >= 0 {
+			depth = min(depth, d)
 		}
 	}
-	return minDepth, nil
-}
-
-func (w *int8WeightWorker) runInf(input, depth int, det Detector) ([]float32, error) {
-	outs, err := runCone(w.qp, w.st, w.ckpts[input], w.strikes, depth)
-	if err != nil {
-		return nil, fmt.Errorf("inject: faulty run: %w", err)
-	}
-	if det != nil {
-		det.Observe(w.outNode, outs[0])
-	}
-	return outs[0].Data(), nil
-}
-
-// runCone replays one inference of an int8 persistent sequence through
-// the fault's cone: depth, the fault's step, is the struck set, and
-// every step whose kernel or parameters the state overrides executes.
-// The detector sees only the dequantized output, so no step needs to
-// run for it. The outputs equal RunFrom(depth)'s bit for bit; clean
-// fetches are checkpoint-owned and must not be mutated.
-func runCone(qp *graph.QPlan, st *graph.QPlanState, ck *graph.QCheckpoint, strikes *graph.Strikes, depth int) ([]*tensor.Tensor, error) {
-	strikes.Reset()
-	if depth < qp.Steps() {
-		strikes.Add(depth, -1)
-	}
-	outs, _, err := qp.RunCone(st, ck, strikes, nil)
-	return outs, err
-}
-
-func (w *int8WeightWorker) repair() {
-	w.st.ClearOverrides()
-	for k := range w.bufs {
-		delete(w.bufs, k)
-	}
-}
-
-func (w *int8WeightWorker) clear() { w.repair() }
-
-// newPersistentQuantParam builds the quant-param backend, the uniquely
-// int8 persistent surface: each corruptible quantized step contributes
-// quantParamBytes serialized parameter bytes (scale then zero point) to
-// the fault space, and a struck step requantizes into — while every
-// consumer interprets its input under — the corrupted parameters. The
-// node set applies the same corruptibility predicate as activation
-// faults (quant params parameterize step outputs, so the last-FC
-// exclusion argument carries over).
-func (c *Campaign) newPersistentQuantParam(plan *graph.Plan, inputs []graph.Feeds) (*persistentExec, error) {
-	qp, ckpts, refs, outNode, err := c.quantizeForPersistent(plan, inputs)
-	if err != nil {
-		return nil, err
-	}
-	corruptible := corruptibleFilter(c.Model, c.Exclude, c.TargetNodes)
-	nodeByName := make(map[string]*graph.Node)
-	for _, n := range c.Model.Graph.Nodes() {
-		nodeByName[n.Name()] = n
-	}
-	var names []string
-	var sizes []int
-	for _, name := range qp.StepNames() {
-		n := nodeByName[name]
-		if n == nil || !corruptible(n) {
-			continue
-		}
-		names = append(names, name)
-		sizes = append(sizes, quantParamBytes)
-	}
-	fs, err := surfaceSpace("quantparam", names, sizes)
-	if err != nil {
-		return nil, err
-	}
-	scen := c.scenario().(Int8Scenario) // checked by QuantParamSurface.Validate
-	newWorker := func() (persistentWorker, error) {
-		return &quantParamWorker{
-			qp:      qp,
-			st:      qp.NewState(),
-			ckpts:   ckpts,
-			scen:    scen,
-			outNode: outNode,
-			strikes: graph.NewStrikes(qp.Steps()),
-		}, nil
-	}
-	return &persistentExec{space: fs, bits: 8, refs: refs, newWorker: newWorker}, nil
+	return depth, nil
 }
 
 // serializeQParams lays out a step's quantization parameters as stored
@@ -674,77 +424,56 @@ func deserializeQParams(b [quantParamBytes]byte) tensor.QParams {
 	}
 }
 
-// quantParamWorker executes sequences on the quantparam surface: struck
-// steps' parameters are serialized, bit-corrupted, and patched back
-// (rebuilding the producing and consuming kernels); a rebuild the
-// corrupted parameters make impossible ends the sequence as a DUE.
+// quantParamWorker is the quantparam-surface worker: struck steps'
+// parameters are serialized, bit-corrupted, and patched back, rebuilding
+// the producing and consuming kernels. A rebuild the corrupted
+// parameters make impossible ends the sequence as a DUE.
 type quantParamWorker struct {
-	qp      *graph.QPlan
-	st      *graph.QPlanState
-	ckpts   []*graph.QCheckpoint
-	scen    Int8Scenario
-	outNode *graph.Node
-	strikes *graph.Strikes
-
-	stagedNodes []string
-	staged      map[string][quantParamBytes]byte
+	storedI8
+	staged []stagedParams
 }
 
-func (w *quantParamWorker) inject(sites []Site) (int, error) {
-	w.stagedNodes = w.stagedNodes[:0]
-	if w.staged == nil {
-		w.staged = map[string][quantParamBytes]byte{}
-	}
+// stagedParams is one struck step's serialized parameters while plant
+// corrupts them.
+type stagedParams struct {
+	node  string
+	bytes [quantParamBytes]byte
+}
+
+func (w *quantParamWorker) plant(sites []Site) (int, error) {
+	qp, scen := w.b.qp, w.b.c.scenario().(Int8Scenario)
+	w.staged = w.staged[:0]
 	for _, s := range sites {
-		b, ok := w.staged[s.Node]
-		if !ok {
-			p, found := w.qp.StepParams(s.Node)
+		k := slices.IndexFunc(w.staged, func(p stagedParams) bool { return p.node == s.Node })
+		if k < 0 {
+			p, found := qp.StepParams(s.Node)
 			if !found {
 				return 0, fmt.Errorf("inject: no quantized step %q", s.Node)
 			}
-			b = serializeQParams(p)
-			w.stagedNodes = append(w.stagedNodes, s.Node)
+			k = len(w.staged)
+			w.staged = append(w.staged, stagedParams{s.Node, serializeQParams(p)})
 		}
 		if s.Elem < 0 || s.Elem >= quantParamBytes {
 			return 0, siteBoundsError(s, quantParamBytes)
 		}
-		q, err := w.scen.CorruptInt8(int8(b[s.Elem]), s)
+		b := &w.staged[k].bytes
+		q, err := scen.CorruptInt8(int8(b[s.Elem]), s)
 		if err != nil {
 			return 0, fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
 		}
 		b[s.Elem] = byte(q)
-		w.staged[s.Node] = b
 	}
-	minDepth := w.qp.Steps()
-	for _, name := range w.stagedNodes {
-		if err := w.qp.PatchOutParams(w.st, name, deserializeQParams(w.staged[name])); err != nil {
-			// The corrupted parameters make a kernel unbuildable: drop
-			// any partial overrides and end the sequence as a DUE.
-			w.st.ClearOverrides()
+	depth := qp.Steps()
+	for _, p := range w.staged {
+		if err := qp.PatchOutParams(w.st, p.node, deserializeQParams(p.bytes)); err != nil {
 			return 0, fmt.Errorf("%w: %v", errDUE, err)
 		}
-		if d := w.qp.StepOf(name); d >= 0 && d < minDepth {
-			minDepth = d
+		if d := qp.StepOf(p.node); d >= 0 {
+			depth = min(depth, d)
 		}
-		delete(w.staged, name)
 	}
-	return minDepth, nil
+	return depth, nil
 }
-
-func (w *quantParamWorker) runInf(input, depth int, det Detector) ([]float32, error) {
-	outs, err := runCone(w.qp, w.st, w.ckpts[input], w.strikes, depth)
-	if err != nil {
-		return nil, fmt.Errorf("inject: faulty run: %w", err)
-	}
-	if det != nil {
-		det.Observe(w.outNode, outs[0])
-	}
-	return outs[0].Data(), nil
-}
-
-func (w *quantParamWorker) repair() { w.st.ClearOverrides() }
-
-func (w *quantParamWorker) clear() { w.repair() }
 
 // plannedSeq is one allocated persistent sequence: its global position,
 // its private sampling seed, and (under stratified sampling) its
@@ -771,39 +500,43 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
-// runSequence executes one persistent sequence on a worker: inject,
-// then up to sequenceLen inferences over the cycling inputs, each
-// judged against its clean reference and shown to det; detection ends
-// the sequence, optionally scrubbing the fault and byte-checking the
-// post-repair replay. The worker's persistent state is always cleared
+// runSequence executes one persistent sequence on sw: plant the fault,
+// then up to sequenceLen inferences over the cycling inputs, each judged
+// against its clean reference and shown to the worker's detector;
+// detection ends the sequence, optionally scrubbing the fault and
+// byte-checking the post-repair replay. The worker is always scrubbed
 // before returning.
-func (c *Campaign) runSequence(w persistentWorker, det Detector, refs []*tensor.Tensor, ps plannedSeq, sites []Site) (SequenceResult, error) {
+func (b *backend) runSequence(sw *slotWorker, ps plannedSeq) (SequenceResult, error) {
+	c := b.c
 	r := SequenceResult{Sequence: ps.seq, Seq: ps.seq, Stratum: ps.stratum}
+	var band *stratumBand
+	if ps.stratum >= 0 {
+		band = &ps.stratumBand
+	}
+	sites := sw.draw(ps.seed, band)
 	if len(sites) > 0 {
 		r.Node = sites[0].Node
 	}
-	depth, err := w.inject(sites)
-	if err != nil {
-		w.clear()
+	defer sw.scrub()
+	if _, err := sw.plant(sites); err != nil {
 		if errors.Is(err, errDUE) {
 			r.DUE = true
 			return r, nil
 		}
 		return r, err
 	}
-	seqLen := c.sequenceLen()
-	for j := 0; j < seqLen; j++ {
-		ii := j % len(refs)
+	det := sw.det
+	for j := 0; j < c.sequenceLen(); j++ {
+		ii := j % len(b.refs)
 		if det != nil {
 			det.Reset()
 		}
-		data, err := w.runInf(ii, depth, det)
+		data, err := sw.infer(ii, det)
 		if err != nil {
-			w.clear()
 			return r, err
 		}
 		r.Inferences++
-		if c.isSDC(c.judgeData(refs[ii], data)) {
+		if c.isSDC(c.judgeData(b.refs[ii], data)) {
 			if r.FirstSDC == 0 {
 				r.FirstSDC = j + 1
 			}
@@ -813,81 +546,45 @@ func (c *Campaign) runSequence(w persistentWorker, det Detector, refs []*tensor.
 			r.Detected = true
 			r.DetectLatency = j + 1
 			if c.Repair {
-				w.repair()
-				post, err := w.runInf(ii, depth, nil)
+				sw.scrub()
+				post, err := sw.infer(ii, nil)
 				if err != nil {
-					w.clear()
 					return r, err
 				}
 				r.Repaired = true
-				r.PostRepairOK = bitsEqual(post, refs[ii].Data())
+				r.PostRepairOK = bitsEqual(post, b.refs[ii].Data())
 			}
 			break
 		}
 	}
-	w.clear()
 	return r, nil
 }
 
-// runPersistentShard executes the planned sequences across workers,
-// landing results in their slots. Sequences sample from their private
-// streams and results fold by slot, so the shard is deterministic at
-// every worker count. A non-cloneable Detector forces sequential
-// execution (mirroring RunWithDetector); OnSequence streams completed
-// sequences in scheduling order under a shard-wide mutex.
-func (c *Campaign) runPersistentShard(ctx context.Context, exec *persistentExec, plan []plannedSeq, results []SequenceResult) error {
-	workers := parallel.Resolve(c.Workers)
-	if c.Detector != nil {
-		if _, ok := c.Detector.(CloneableDetector); !ok {
-			workers = 1
-		}
+// runSequences runs the planned sequences on the shard loop in slot
+// order, landing results in their slots; OnSequence streams them as
+// they complete.
+func (b *backend) runSequences(ctx context.Context, plan []plannedSeq, results []SequenceResult) error {
+	var emit func(slot int)
+	if b.c.OnSequence != nil {
+		emit = func(slot int) { b.c.OnSequence(results[slot]) }
 	}
-	errs := make([]error, len(plan))
-	var cbMu sync.Mutex
-	scen, format := c.scenario(), c.format()
-	parallel.Shard(workers, len(plan), func(lo, hi int) {
-		w, err := exec.newWorker()
-		if err != nil {
-			errs[lo] = err
-			return
-		}
-		det := c.Detector
-		if det != nil && workers > 1 {
-			det = det.(CloneableDetector).CloneDetector()
-		}
-		rng := rand.New(&splitmixSource{})
-		var buf []Site
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				return
-			}
-			ps := &plan[i]
-			var b *stratumBand
-			if ps.stratum >= 0 {
-				b = &ps.stratumBand
-			}
-			rng.Seed(ps.seed)
-			buf = drawSites(buf, scen, exec.space, format, rng, b)
-			r, err := c.runSequence(w, det, exec.refs, *ps, buf)
-			if err != nil {
-				errs[i] = err
-				continue
-			}
-			results[i] = r
-			if c.OnSequence != nil {
-				cbMu.Lock()
-				c.OnSequence(r)
-				cbMu.Unlock()
-			}
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+	return b.runShard(ctx, len(plan), nil, func(sw *slotWorker, slot int) (err error) {
+		results[slot], err = b.runSequence(sw, plan[slot])
+		return err
+	}, emit)
+}
+
+// newSequenceBackend builds a persistent campaign's backend with every
+// input checkpointed.
+func (c *Campaign) newSequenceBackend(inputs []graph.Feeds) (*backend, error) {
+	b, err := c.newBackend(c.Detector)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	if err := b.checkpoint(inputs...); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // RunPersistent executes the persistent campaign over the given inputs:
@@ -914,17 +611,14 @@ func (c *Campaign) RunPersistent(ctx context.Context, inputs []graph.Feeds) (Per
 // order. This is the durable-resume primitive behind rangerd's
 // persistent jobs.
 func (c *Campaign) RunPersistentSlice(ctx context.Context, inputs []graph.Feeds, start, end int64) (PersistentOutcome, error) {
-	if c.Adaptive != SamplingUniform {
-		return PersistentOutcome{}, fmt.Errorf("inject: stratified persistent campaigns run through RunPersistent, not slices")
-	}
-	if err := c.validatePersistent(inputs); err != nil {
+	if err := c.validate(inputs, sequenceEntry, nil); err != nil {
 		return PersistentOutcome{}, err
 	}
 	total := c.PersistentGridSize()
 	if start < 0 || end > total || start > end {
 		return PersistentOutcome{}, fmt.Errorf("inject: slice [%d,%d) outside grid [0,%d)", start, end, total)
 	}
-	exec, err := c.newPersistentExec(inputs)
+	b, err := c.newSequenceBackend(inputs)
 	if err != nil {
 		return PersistentOutcome{}, err
 	}
@@ -935,7 +629,7 @@ func (c *Campaign) RunPersistentSlice(ctx context.Context, inputs []graph.Feeds,
 		plan[i] = plannedSeq{seq: s, seed: sequenceSeed(c.Seed, s), stratum: -1}
 	}
 	results := make([]SequenceResult, n)
-	if err := c.runPersistentShard(ctx, exec, plan, results); err != nil {
+	if err := b.runSequences(ctx, plan, results); err != nil {
 		return PersistentOutcome{}, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -955,23 +649,15 @@ func (c *Campaign) RunPersistentSlice(ctx context.Context, inputs []graph.Feeds,
 // Wilson CI half-width over the per-sequence SDC criterion falls below
 // CITarget, with Trials as the total sequence budget.
 func (c *Campaign) runPersistentStratified(ctx context.Context, inputs []graph.Feeds) (PersistentOutcome, error) {
-	switch c.Adaptive {
-	case AdaptiveStratified, AdaptiveWorstCase:
-	default:
-		return PersistentOutcome{}, fmt.Errorf("inject: unknown sampling mode %d", c.Adaptive)
-	}
-	if err := c.validatePersistent(inputs); err != nil {
+	if err := c.validate(inputs, stratifiedSequenceEntry, nil); err != nil {
 		return PersistentOutcome{}, err
 	}
-	target, bands, err := c.stratifiedConfig()
+	b, err := c.newSequenceBackend(inputs)
 	if err != nil {
 		return PersistentOutcome{}, err
 	}
-	exec, err := c.newPersistentExec(inputs)
-	if err != nil {
-		return PersistentOutcome{}, err
-	}
-	st := newStrata(buildStrata(exec.space, exec.bits, bands), target)
+	target, bands := c.stratifiedConfig()
+	st := newStrata(buildStrata(b.space, c.bits(), bands), target)
 	budget := c.PersistentGridSize()
 	var out PersistentOutcome
 	var seq int64
@@ -980,7 +666,7 @@ func (c *Campaign) runPersistentStratified(ctx context.Context, inputs []graph.F
 		if len(open) == 0 {
 			break
 		}
-		n := int(min64(budget-seq, DefaultRoundTrials))
+		n := int(min(budget-seq, DefaultRoundTrials))
 		plan := make([]plannedSeq, 0, n)
 		st.allocate(open, n, func(si, local int) {
 			plan = append(plan, plannedSeq{
@@ -991,7 +677,7 @@ func (c *Campaign) runPersistentStratified(ctx context.Context, inputs []graph.F
 			})
 		})
 		results := make([]SequenceResult, len(plan))
-		if err := c.runPersistentShard(ctx, exec, plan, results); err != nil {
+		if err := b.runSequences(ctx, plan, results); err != nil {
 			return PersistentOutcome{}, err
 		}
 		for i := range results {

@@ -64,36 +64,23 @@ func (b *batcher) AddSequence(sr inject.SequenceResult) {
 	b.pending = append(b.pending, NewSequenceRecord(sr))
 }
 
-// Flush seals the buffered records into the chain block covering
+// Flush seals the buffered trial records into the chain block covering
 // [frontier, end), appends it durably, and advances the cursor. The
 // chunk's partial Outcome (RunSlice's return) cross-checks the fold: the
 // persisted chain must reproduce exactly what the live campaign
 // reported, or the block is not written.
 func (b *batcher) Flush(end int64, part inject.Outcome) (Block, error) {
-	if int64(len(b.pending)) != end-b.frontier || part.Trials != len(b.pending) {
-		return Block{}, fmt.Errorf("service: %s: chunk [%d,%d) streamed %d records, outcome folded %d",
-			b.id, b.frontier, end, len(b.pending), part.Trials)
+	blk, err := b.seal(end, int64(part.Trials), func(rs []TrialRecord) bool {
+		var check inject.Outcome
+		for _, r := range rs {
+			r.apply(&check)
+		}
+		return outcomeEqual(check, part)
+	})
+	if err == nil {
+		mergeOutcome(&b.outcome, part)
 	}
-	blk, err := sealBlock(b.seq, b.frontier, end, b.prev, b.trials, b.seqOrdered, b.pending)
-	if err != nil {
-		return Block{}, fmt.Errorf("service: %s: %w", b.id, err)
-	}
-	var check inject.Outcome
-	for _, r := range blk.Results {
-		r.apply(&check)
-	}
-	if !outcomeEqual(check, part) {
-		return Block{}, fmt.Errorf("service: %s: block %d fold disagrees with live outcome", b.id, b.seq)
-	}
-	if err := b.store.Append(b.id, blk); err != nil {
-		return Block{}, err
-	}
-	b.seq++
-	b.prev = blk.Hash
-	b.frontier = end
-	b.pending = nil
-	mergeOutcome(&b.outcome, part)
-	return blk, nil
+	return blk, err
 }
 
 // FlushPersistent is Flush for persistent-surface jobs: the buffered
@@ -101,19 +88,34 @@ func (b *batcher) Flush(end int64, part inject.Outcome) (Block, error) {
 // cross-checked bit-exactly against the chunk's live PersistentOutcome,
 // and the running persistent aggregate advances.
 func (b *batcher) FlushPersistent(end int64, part inject.PersistentOutcome) (Block, error) {
-	if int64(len(b.pending)) != end-b.frontier || part.Sequences != int64(len(b.pending)) {
+	blk, err := b.seal(end, part.Sequences, func(rs []TrialRecord) bool {
+		var check inject.PersistentOutcome
+		for _, r := range rs {
+			r.applyPersistent(&check)
+		}
+		return persistentOutcomeEqual(check, part)
+	})
+	if err == nil {
+		mergePersistentOutcome(&b.pout, part)
+	}
+	return blk, err
+}
+
+// seal is the tail Flush and FlushPersistent share: it checks that the
+// chunk [frontier, end) streamed one record per position and that the
+// live outcome folded as many, seals the records into the next block,
+// checks that refolding the block reproduces the live outcome, appends
+// the block durably, and advances the cursor.
+func (b *batcher) seal(end, folded int64, refolds func([]TrialRecord) bool) (Block, error) {
+	if int64(len(b.pending)) != end-b.frontier || folded != int64(len(b.pending)) {
 		return Block{}, fmt.Errorf("service: %s: chunk [%d,%d) streamed %d records, outcome folded %d",
-			b.id, b.frontier, end, len(b.pending), part.Sequences)
+			b.id, b.frontier, end, len(b.pending), folded)
 	}
 	blk, err := sealBlock(b.seq, b.frontier, end, b.prev, b.trials, b.seqOrdered, b.pending)
 	if err != nil {
 		return Block{}, fmt.Errorf("service: %s: %w", b.id, err)
 	}
-	var check inject.PersistentOutcome
-	for _, r := range blk.Results {
-		r.applyPersistent(&check)
-	}
-	if !persistentOutcomeEqual(check, part) {
+	if !refolds(blk.Results) {
 		return Block{}, fmt.Errorf("service: %s: block %d fold disagrees with live outcome", b.id, b.seq)
 	}
 	if err := b.store.Append(b.id, blk); err != nil {
@@ -123,7 +125,6 @@ func (b *batcher) FlushPersistent(end int64, part inject.PersistentOutcome) (Blo
 	b.prev = blk.Hash
 	b.frontier = end
 	b.pending = nil
-	mergePersistentOutcome(&b.pout, part)
 	return blk, nil
 }
 

@@ -370,25 +370,39 @@ func (s *Service) runJob(id string) {
 		return
 	}
 	b := newBatcher(s.store, man, sum)
+	// runSlice runs one chunk [start, end) of the job's grid and returns
+	// its trial or sequence count and the flush that persists its block.
+	var runSlice func(start, end int64) (int, func() (Block, error), error)
 	if man.Spec.Persistent() {
 		rt.campaign.OnSequence = func(sr inject.SequenceResult) {
 			b.AddSequence(sr)
 			s.hub.Publish(id, "sequence", NewSequenceRecord(sr))
 		}
-		s.runPersistent(jobCtx, id, man, st, rt, b)
-		return
-	}
-	rt.campaign.OnTrial = func(tr inject.TrialResult) {
-		b.Add(tr)
-		s.Metrics.ObserveTrial(tr.Elapsed)
-		s.hub.Publish(id, "trial", NewTrialRecord(tr))
+		runSlice = func(start, end int64) (int, func() (Block, error), error) {
+			part, err := rt.campaign.RunPersistentSlice(jobCtx, rt.inputs, start, end)
+			return int(part.Sequences), func() (Block, error) { return b.FlushPersistent(end, part) }, err
+		}
+	} else {
+		rt.campaign.OnTrial = func(tr inject.TrialResult) {
+			b.Add(tr)
+			s.Metrics.ObserveTrial(tr.Elapsed)
+			s.hub.Publish(id, "trial", NewTrialRecord(tr))
+		}
+		if man.Spec.Adaptive != "" {
+			s.runAdaptive(jobCtx, id, man, st, blocks, rt, b)
+			return
+		}
+		runSlice = func(start, end int64) (int, func() (Block, error), error) {
+			part, err := rt.campaign.RunSlice(jobCtx, rt.inputs, start, end)
+			return part.Trials, func() (Block, error) { return b.Flush(end, part) }, err
+		}
 	}
 
-	if man.Spec.Adaptive != "" {
-		s.runAdaptive(jobCtx, id, man, st, blocks, rt, b)
-		return
-	}
-
+	// The grid runs as consecutive chunks of BlockTrials positions (trials,
+	// or persistent sequences), each persisted as one hash-chained block.
+	// Trials and sequences keep their absolute sampling streams across
+	// restarts, so a resumed job's blocks — and its folded outcome — are
+	// byte-identical to an uninterrupted run's from every block boundary.
 	block := int64(man.Spec.BlockTrials)
 	for b.Frontier() < man.GridTotal {
 		select {
@@ -400,61 +414,17 @@ func (s *Service) runJob(id string) {
 		default:
 		}
 		start := b.Frontier()
-		end := start + block
-		if end > man.GridTotal {
-			end = man.GridTotal
-		}
-		part, err := rt.campaign.RunSlice(jobCtx, rt.inputs, start, end)
+		n, flush, err := runSlice(start, min(start+block, man.GridTotal))
 		if err != nil {
 			s.settleRunError(id, st, err)
 			return
 		}
-		blk, err := b.Flush(end, part)
+		blk, err := flush()
 		if err != nil {
 			s.fail(id, st, err)
 			return
 		}
-		if err := s.noteBlock(id, &st, b, blk, part.Trials); err != nil {
-			s.fail(id, st, err)
-			return
-		}
-	}
-	s.complete(id, st, b)
-}
-
-// runPersistent executes a persistent-surface job from its durable
-// frontier: the sequence grid runs as consecutive RunPersistentSlice
-// chunks, each persisted as one hash-chained block of sequence records.
-// Sequences keep their absolute sampling streams across restarts, so a
-// resumed job's blocks — and its folded PersistentOutcome — are
-// byte-identical to an uninterrupted run's from every block boundary.
-func (s *Service) runPersistent(ctx context.Context, id string, man Manifest, st Status, rt *jobRuntime, b *batcher) {
-	block := int64(man.Spec.BlockTrials)
-	for b.Frontier() < man.GridTotal {
-		select {
-		case <-s.drainCh:
-			// Graceful drain: the current block is already persisted;
-			// park the job back on the durable queue.
-			s.park(id, st)
-			return
-		default:
-		}
-		start := b.Frontier()
-		end := start + block
-		if end > man.GridTotal {
-			end = man.GridTotal
-		}
-		part, err := rt.campaign.RunPersistentSlice(ctx, rt.inputs, start, end)
-		if err != nil {
-			s.settleRunError(id, st, err)
-			return
-		}
-		blk, err := b.FlushPersistent(end, part)
-		if err != nil {
-			s.fail(id, st, err)
-			return
-		}
-		if err := s.noteBlock(id, &st, b, blk, int(part.Sequences)); err != nil {
+		if err := s.noteBlock(id, &st, b, blk, n); err != nil {
 			s.fail(id, st, err)
 			return
 		}

@@ -164,11 +164,26 @@
 // trial-indexed slots and reduced in trial order regardless of the
 // depth-grouped execution order.
 //
+// One engine runs every campaign: Run/RunSlice, RunWithDetector,
+// RunAdaptive and RunPersistent/RunPersistentSlice each build one
+// backend — the plan compiled once, quantized once when Calibration is
+// set, and the clean checkpoints and references — and run their slots
+// on one shard loop, which owns sharding, cancellation, per-slot errors
+// and the serialized OnTrial/OnSequence stream. A slot is a transient
+// trial or a persistent sequence, and a transient trial is a
+// one-inference sequence with nothing persisted: every slot draws its
+// sites from its private stream, plants them on a worker, infers from
+// the checkpoint, and scrubs the worker back to golden. One worker type
+// per surface and backend implements that plant/infer/scrub interface
+// (activation fp32 and int8, weight fp32 and int8, quantparam); the
+// trial body and the sequence body are the only per-kind code.
+//
 // Detector campaigns (RunWithDetector) run on the same workers: the
 // detector observes every node, so each of their trials replays every
-// step from step 0 of the checkpoint (Plan.RunFrom). The cost is one
-// clean copy of the live activations of the input in flight: 0.09 MB
-// (lenet) to 4.06 MB (resnet18) at batch 1.
+// step from step 0 of the checkpoint (Plan.RunFrom) and keeps slot
+// order. The cost is one clean copy of the live activations of the
+// input in flight: 0.09 MB (lenet) to 4.06 MB (resnet18) at batch 1.
+// Transient campaigns hold one input's checkpoint at a time.
 //
 // # Lane-batched execution
 //
@@ -257,6 +272,17 @@
 // repairs, and DUEs; Campaign.Adaptive composes, stratifying sequences
 // over (layer × bit band) with the same Wilson stopping rule.
 //
+// Sequences run on the campaign engine's workers and shard loop (see
+// the incremental campaign lifecycle), with every input checkpointed up
+// front since a sequence cycles through them. Planting a fault installs
+// it as a per-state override — an fp32 Variable override, a private
+// int8 kernel, or patched quantization parameters — so the shared
+// golden state stays untouched and scrub is an override drop. fp32
+// sequences replay each inference with Plan.RunFrom from the fault's
+// depth, the earliest step that reads the corrupted weight; int8
+// sequences replay the cone of the overridden steps (QPlan.RunCone with
+// nothing struck), which starts at the earliest overridden step.
+//
 // The two backends expose different detector visibility, deliberately:
 // fp32 sequences replay through the hooked plan, so the detector
 // observes every materialized activation; int8 sequences observe only
@@ -265,12 +291,12 @@
 // faults on int8 can serve SDCs that pass an activation-bound detector
 // silently (rangerbench -exp persistent quantifies this).
 //
-// Sequences shard across workers exactly like trials; each folds
-// through SequenceResult.Apply in sequence order — the one fold shared
-// by the live engine, RunPersistentSlice resume, and rangerd's chain
-// refold — so PersistentOutcome is byte-identical at every worker
-// count, across kill/resume boundaries, and under offline
-// re-verification.
+// Sequences run in slot order on each worker (a non-cloneable detector
+// forces one worker); each folds through SequenceResult.Apply in
+// sequence order — the one fold shared by the live engine,
+// RunPersistentSlice resume, and rangerd's chain refold — so
+// PersistentOutcome is byte-identical at every worker count, across
+// kill/resume boundaries, and under offline re-verification.
 //
 // # The rangerd service lifecycle
 //
@@ -332,9 +358,9 @@
 //     training substrate (SGD/Adam) with a cached model zoo
 //   - internal/core: Ranger itself — bound profiling and the Algorithm 1
 //     graph transform
-//   - internal/inject: the fault-injection campaign engine, the
-//     scenario and surface registries, and the persistent sequence
-//     engine
+//   - internal/inject: the fault-injection campaign engine (transient
+//     trials and persistent sequences on one backend and shard loop)
+//     and the scenario and surface registries
 //   - internal/baselines: the Table VI comparator techniques and the
 //     Protector registry
 //   - internal/experiments: one entry point per paper table and figure

@@ -92,7 +92,7 @@ func (c *Campaign) newBackend(det Detector) (*backend, error) {
 		}
 	}
 	if persistent {
-		if b.space, err = b.surfaceSpace(); err != nil {
+		if b.space, err = b.storedSpace(); err != nil {
 			return nil, err
 		}
 	}

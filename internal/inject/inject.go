@@ -135,9 +135,11 @@ type Campaign struct {
 	OnTrial func(TrialResult)
 	// Surface selects where faults live. nil (or ActivationSurface) is
 	// the transient default: faults strike operator outputs in flight,
-	// one inference at a time, through Run/RunSlice. Persistent surfaces
-	// (weight, quantparam) instead corrupt stored state that outlives an
-	// inference and run sequence campaigns through RunPersistent.
+	// one inference at a time, through Run/RunSlice, RunWithDetector and
+	// RunAdaptive. Persistent surfaces (weight, quantparam) instead
+	// corrupt stored state that outlives an inference and run sequence
+	// campaigns through RunPersistent. Both run on the same engine: a
+	// transient trial is a one-inference sequence with nothing persisted.
 	Surface Surface
 	// SequenceLen is how many inferences each persistent sequence runs
 	// before giving up undetected; 0 means DefaultSequenceLen.
@@ -151,11 +153,12 @@ type Campaign struct {
 	// Detector, when non-nil, observes every persistent inference (reset
 	// per inference) and its detections end sequences — the
 	// inferences-to-detection measurement. nil means sequences run their
-	// full length and every SDC counts as undetected. A detector that
-	// does not implement CloneableDetector forces sequential execution.
+	// full length and every SDC counts as undetected. Each worker
+	// observes with its own clone of a CloneableDetector; any other
+	// detector forces one worker, which sees the sequences in order.
 	// Persistent surfaces only; transient campaigns pass their detector
-	// to RunWithDetector, which runs it on the same suffix-replay
-	// workers as Run, replaying every trial from step 0.
+	// to RunWithDetector, which runs it on the same engine, replaying
+	// every trial from step 0.
 	Detector Detector
 	// OnSequence, when non-nil, streams each persistent sequence's
 	// result as it completes. Calls are serialized but arrive in

@@ -35,13 +35,13 @@ import (
 // RunPersistentSlice slices fold into exactly one uninterrupted run
 // (the rangerd durable-resume primitive).
 //
-// Execution always replays checkpointed suffixes: each input's clean
-// pass is checkpointed once, and every inference replays only the plan
-// steps at or after the fault's depth — the earliest step that reads
-// the corrupted state — which is byte-identical to a full run because
-// everything before that step is untouched by construction. The repair
-// path reuses the same checkpoints, so a scrub replays only the
-// affected layer suffix instead of re-running the model.
+// Sequences run on the campaign engine (engine.go): each input's clean
+// pass is checkpointed once, and every inference replays only from the
+// fault's depth — the earliest step that reads the corrupted state —
+// which is byte-identical to a full run because everything before that
+// step is untouched by construction. The repair path reuses the same
+// checkpoints, so a scrub replays only the affected layer suffix
+// instead of re-running the model.
 
 // DefaultSequenceLen is how many inferences a persistent sequence runs
 // when Campaign.SequenceLen is 0: long enough that detection latency
@@ -221,7 +221,7 @@ func (c *Campaign) sequenceLen() int {
 // campaigns.
 func (c *Campaign) PersistentGridSize() int64 { return int64(c.Trials) }
 
-// surfaceSpace is a persistent campaign's fault space: the stored
+// storedSpace is a persistent campaign's fault space: the stored
 // weights (fp32 Variables, or int8 kernel buffers) on the weight
 // surface, and quantParamBytes serialized parameter bytes per
 // corruptible quantized step on the quantparam surface. Weight nodes
@@ -230,7 +230,7 @@ func (c *Campaign) PersistentGridSize() int64 { return int64(c.Trials) }
 // does not apply — the paper's last-FC exclusion is an argument about
 // output activations, not stored weights. Quant params parameterize step
 // outputs, so there the activation predicate carries over whole.
-func (b *backend) surfaceSpace() (*FaultSpace, error) {
+func (b *backend) storedSpace() (*FaultSpace, error) {
 	c := b.c
 	keep := nameFilter(c.Exclude, c.TargetNodes)
 	var names []string

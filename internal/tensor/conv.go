@@ -89,6 +89,7 @@ type convDims struct {
 	g         ConvGeom
 	h, w, c   int
 	oh, ow, n int
+	simd      bool // run the AVX2 block kernels (simd_amd64.s)
 }
 
 // convDimsFor validates an NHWC input shape against a (KH*KW*C, n) kernel
@@ -105,23 +106,48 @@ func convDimsFor(op string, shape []int, g ConvGeom, kLen, n int) (convDims, err
 	if kLen != g.KH*g.KW*d.c*n {
 		return convDims{}, fmt.Errorf("%w: %s kernel of %d elements for %dx%dx%dx%d", ErrShape, op, kLen, g.KH, g.KW, d.c, n)
 	}
+	// The block kernels need a full 4-column block.
+	d.simd = useAVX2 && n >= 4
 	return d, nil
 }
 
-// window returns output pixel r's batch index, the input position of its
-// window's top-left tap, and the valid kernel rows [ky0,ky1) and columns
-// [kx0,kx1): the taps that fall inside the input rather than on padding.
-// A window with no valid tap gets an empty row range.
-func (d convDims) window(r int) (b, iy, ix, ky0, ky1, kx0, kx1 int) {
+// rowAt returns output pixel r's batch index, the input row iy of its
+// window's top tap, the valid kernel rows [ky0,ky1) (the rows that fall
+// inside the input rather than on padding; empty when ky1 <= ky0) and
+// the input column ix of the window's left tap. Along an output row
+// only ix changes, by one stride per pixel.
+func (d convDims) rowAt(r int) (b, iy, ky0, ky1, ix int) {
 	b = r / (d.oh * d.ow)
 	iy = r/d.ow%d.oh*d.g.SH - d.g.PadH
 	ix = r%d.ow*d.g.SW - d.g.PadW
-	ky0, ky1 = max(0, -iy), min(d.g.KH, d.h-iy)
+	return b, iy, max(0, -iy), min(d.g.KH, d.h-iy), ix
+}
+
+// cols returns the valid kernel columns [kx0,kx1) of a window in the
+// kernel rows [ky0,ky1) whose left tap is at input column ix, and the
+// end of its row range, cut to ky0 when no column is valid: a window
+// without a valid tap has an empty row range.
+func (d convDims) cols(ix, ky0, ky1 int) (kx0, kx1, wy1 int) {
 	kx0, kx1 = max(0, -ix), min(d.g.KW, d.w-ix)
 	if kx0 >= kx1 {
-		ky1 = ky0
+		return kx0, kx1, ky0
 	}
-	return
+	return kx0, kx1, ky1
+}
+
+// checkSIMD panics unless the input, kernel and output slices hold
+// every element the block kernels may touch for nb batch images. Every
+// window the walkers hand them lies inside its input image (rowAt and
+// cols clip it to the valid taps, and a pair's second window is the
+// same window one stride along the same input row), its taps index at
+// most the whole kernel, and it writes one output pixel, so these three
+// lengths bound every address the assembly reads or writes. The callers
+// run it once per call.
+func (d convDims) checkSIMD(nx, nw, nout, nb int) {
+	if nx < nb*d.h*d.w*d.c || nw < d.g.KH*d.g.KW*d.c*d.n || nout < nb*d.oh*d.ow*d.n {
+		panic(fmt.Sprintf("tensor: conv operands of %d, %d and %d elements for %d images of %dx%dx%d to %dx%dx%d",
+			nx, nw, nout, nb, d.h, d.w, d.c, d.oh, d.ow, d.n))
+	}
 }
 
 // ConvInto convolves the NHWC input x with the (KH,KW,C,F) kernel w into
@@ -137,6 +163,9 @@ func (d convDims) window(r int) (b, iy, ix, ky0, ky1, kx0, kx1 int) {
 // bit-identical to that pair of calls (up to which NaN payload survives
 // where two NaNs meet). Output pixels are sharded across workers; a
 // shard boundary may split a pair, whose halves are then single pixels.
+// On amd64 with AVX2 and for n >= 4, pixels and pairs run on the block
+// kernels of simd_amd64.s instead, with the same results bit for bit
+// (see convPairAt).
 func ConvInto(dst, x, w *Tensor, g ConvGeom) (*Tensor, error) {
 	d, err := convCheck(x, w, g)
 	if err != nil {
@@ -150,6 +179,9 @@ func ConvInto(dst, x, w *Tensor, g ConvGeom) (*Tensor, error) {
 		return nil, err
 	}
 	xd, wd, od := x.data, w.data, out.data
+	if d.simd {
+		d.checkSIMD(len(xd), len(wd), len(od), nb)
+	}
 	rows := nb * d.oh * d.ow
 	// Like MatMulInto, the single-worker path calls the body directly:
 	// a closure handed to Shard would be heap-allocated on every call.
@@ -181,6 +213,9 @@ func ConvWindowInto(dst, x, w *Tensor, g ConvGeom, y0, y1, x0, x1 int) error {
 	if y0 < 0 || y1 > d.oh || x0 < 0 || x1 > d.ow {
 		return fmt.Errorf("%w: conv window [%d,%d)x[%d,%d) of %dx%d", ErrShape, y0, y1, x0, x1, d.oh, d.ow)
 	}
+	if d.simd {
+		d.checkSIMD(len(x.data), len(w.data), len(dst.data), nb)
+	}
 	for b := 0; b < nb; b++ {
 		for oy := y0; oy < y1; oy++ {
 			row := (b*d.oh + oy) * d.ow
@@ -208,36 +243,69 @@ func (d convDims) checkDst(out *Tensor, nb int) error {
 }
 
 // convPixels is ConvInto's body for output pixels [lo, hi), the fp32
-// mirror of qconvPixels. Pixels r and r+1 of one output row with the
-// same valid window go through convPair; every other pixel — one whose
-// neighbour's window differs at the border, the last of a row, the last
-// of [lo, hi) — goes through convPixel. A pair's results equal
-// convPixel's bit for bit: the pair adds 0·w wherever only one of its
-// pixels has a zero input, and that changes nothing unless w is ±Inf or
-// NaN, when it makes a NaN (see the four-tap notes in matmul.go). So a
-// pair with a NaN in either output row is recomputed pixel by pixel,
-// which gives convPixel's exact bits, NaN payloads included. Scanning
-// the two rows costs far less than scanning the weights for non-finite
-// values on every call would.
+// mirror of qconvPixels. It walks each output row once, stepping the
+// window's left input column by the stride. Pixels r and r+1 of one
+// output row with the same valid window go through convPairAt; every
+// other pixel — one whose neighbour's window differs at the border, the
+// last of a row, the last of [lo, hi) — goes through convPixelAt.
 func convPixels(xd, wd, od []float32, d convDims, lo, hi int) {
-	n := d.n
+	n, sw := d.n, d.g.SW
 	for r := lo; r < hi; {
-		b, iy, ix, ky0, ky1, kx0, kx1 := d.window(r)
-		if r+1 < hi && (r+1)%d.ow != 0 {
-			if _, _, _, _, _, nx0, nx1 := d.window(r + 1); nx0 == kx0 && nx1 == kx1 {
-				o0, o1 := od[r*n:(r+1)*n], od[(r+1)*n:(r+2)*n]
-				convPair(xd, wd, o0, o1, d, b, iy, ix, ky0, ky1, kx0, kx1)
-				if hasNaN(o0) || hasNaN(o1) {
-					convPixel(xd, wd, o0, d, b, iy, ix, ky0, ky1, kx0, kx1)
-					convPixel(xd, wd, o1, d, b, iy, ix+d.g.SW, ky0, ky1, kx0, kx1)
+		b, iy, ky0, ky1, ix := d.rowAt(r)
+		for end := min(hi, r-r%d.ow+d.ow); r < end; {
+			kx0, kx1, wy1 := d.cols(ix, ky0, ky1)
+			if r+1 < end {
+				if nx0, nx1, _ := d.cols(ix+sw, ky0, ky1); nx0 == kx0 && nx1 == kx1 {
+					convPairAt(xd, wd, od[r*n:(r+1)*n], od[(r+1)*n:(r+2)*n], d, b, iy, ix, ky0, wy1, kx0, kx1)
+					r, ix = r+2, ix+2*sw
+					continue
 				}
-				r += 2
-				continue
 			}
+			convPixelAt(xd, wd, od[r*n:(r+1)*n], d, b, iy, ix, ky0, wy1, kx0, kx1)
+			r, ix = r+1, ix+sw
 		}
-		convPixel(xd, wd, od[r*n:(r+1)*n], d, b, iy, ix, ky0, ky1, kx0, kx1)
-		r++
 	}
+}
+
+// convPairAt computes a pixel pair into o0 and o1, with the AVX2 block
+// kernel when d.simd and with convPair otherwise. Its results equal
+// convPixel's bit for bit: a pair adds 0·w wherever one of its pixels
+// has a zero input, and the block kernel adds every tap of the window,
+// zero inputs included. That changes nothing unless w is ±Inf or NaN,
+// when it makes a NaN (see the four-tap notes in matmul.go). So a pair
+// with a NaN in either output row is recomputed pixel by pixel, which
+// gives convPixel's exact bits, NaN payloads included. Scanning the two
+// rows (the block kernel flags NaNs as it stores) costs far less than
+// scanning the weights for non-finite values on every call would.
+func convPairAt(xd, wd, o0, o1 []float32, d convDims, b, iy, ix, ky0, ky1, kx0, kx1 int) {
+	var nan bool
+	if d.simd && ky0 < ky1 {
+		c, n, kw := d.c, d.n, d.g.KW
+		nan = convPairAVX2(&xd[((b*d.h+iy+ky0)*d.w+ix+kx0)*c], &wd[(ky0*kw+kx0)*c*n], &o0[0], &o1[0],
+			ky1-ky0, (kx1-kx0)*c, d.w*c, d.g.SW*c, kw*c*n, n)
+	} else {
+		convPair(xd, wd, o0, o1, d, b, iy, ix, ky0, ky1, kx0, kx1)
+		nan = hasNaN(o0) || hasNaN(o1)
+	}
+	if nan {
+		convPixel(xd, wd, o0, d, b, iy, ix, ky0, ky1, kx0, kx1)
+		convPixel(xd, wd, o1, d, b, iy, ix+d.g.SW, ky0, ky1, kx0, kx1)
+	}
+}
+
+// convPixelAt computes one output pixel into orow, with the AVX2 block
+// kernel when d.simd and with convPixel otherwise. Like a pair, the
+// block kernel adds every tap, so a pixel whose row it leaves with a
+// NaN is recomputed by convPixel.
+func convPixelAt(xd, wd, orow []float32, d convDims, b, iy, ix, ky0, ky1, kx0, kx1 int) {
+	if d.simd && ky0 < ky1 {
+		c, n, kw := d.c, d.n, d.g.KW
+		if !convPixelAVX2(&xd[((b*d.h+iy+ky0)*d.w+ix+kx0)*c], &wd[(ky0*kw+kx0)*c*n], &orow[0],
+			ky1-ky0, (kx1-kx0)*c, d.w*c, kw*c*n, n) {
+			return
+		}
+	}
+	convPixel(xd, wd, orow, d, b, iy, ix, ky0, ky1, kx0, kx1)
 }
 
 // hasNaN reports whether any element of v is a NaN.
@@ -250,7 +318,7 @@ func hasNaN(v []float32) bool {
 	return false
 }
 
-// convPixel computes one output pixel, whose window d.window described,
+// convPixel computes one output pixel, whose window convPixels found,
 // into the n-long orow, in blockN-wide column blocks; within a block the
 // nonzero taps of all valid kernel rows feed one four-tap ring, so the
 // block sees the tap sequence gemvTaps would see for the pixel's im2col
@@ -284,7 +352,7 @@ func convPixel(xd, wd, orow []float32, d convDims, b, iy, ix, ky0, ky1, kx0, kx1
 	}
 }
 
-// convPair computes the pixel whose window d.window described into o0
+// convPair computes the pixel whose window convPixels found into o0
 // and its right-hand neighbour, which has the same valid window one
 // stride further along the input row, into o1. It walks the union of
 // the two pixels' nonzero taps in ascending order, skipping a tap only

@@ -98,24 +98,26 @@ func checkConvInto(t testing.TB, x, w *Tensor, g ConvGeom, want *Tensor, label s
 // -0 and zeros in both operands, infinities and random-payload NaNs in
 // every other case, at one and two workers.
 func TestConvIntoBitIdentical(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	rng := rand.New(rand.NewSource(5))
-	for i, cc := range convCases() {
-		x := randMat(rng, cc.batch*cc.h*cc.w, cc.c)
-		w := randMat(rng, cc.g.KH*cc.g.KW*cc.c, cc.n)
-		if i%2 == 1 {
-			sprinkleNonFinite(rng, x, 0.02)
-			sprinkleNonFinite(rng, w, 0.02)
+	forEachPath(t, func(t *testing.T) {
+		defer parallel.SetWorkers(0)
+		rng := rand.New(rand.NewSource(5))
+		for i, cc := range convCases() {
+			x := randMat(rng, cc.batch*cc.h*cc.w, cc.c)
+			w := randMat(rng, cc.g.KH*cc.g.KW*cc.c, cc.n)
+			if i%2 == 1 {
+				sprinkleNonFinite(rng, x, 0.02)
+				sprinkleNonFinite(rng, w, 0.02)
+			}
+			x.shape = []int{cc.batch, cc.h, cc.w, cc.c}
+			w.shape = []int{cc.g.KH, cc.g.KW, cc.c, cc.n}
+			parallel.SetWorkers(1)
+			want := refConv(t, x, w, cc.g)
+			for _, workers := range []int{1, 2} {
+				parallel.SetWorkers(workers)
+				checkConvInto(t, x, w, cc.g, want, fmt.Sprintf("workers=%d %v", workers, cc))
+			}
 		}
-		x.shape = []int{cc.batch, cc.h, cc.w, cc.c}
-		w.shape = []int{cc.g.KH, cc.g.KW, cc.c, cc.n}
-		parallel.SetWorkers(1)
-		want := refConv(t, x, w, cc.g)
-		for _, workers := range []int{1, 2} {
-			parallel.SetWorkers(workers)
-			checkConvInto(t, x, w, cc.g, want, fmt.Sprintf("workers=%d %v", workers, cc))
-		}
-	}
+	})
 }
 
 // refQConv is the int8 oracle: an im2col that fills padding taps with the
@@ -193,16 +195,18 @@ func checkQConvInto(t testing.TB, x *QTensor, za int32, g ConvGeom, w []int8, n 
 // zero-point-padded im2col + single-tap GEMM oracle over every convCases
 // shape at one and two workers.
 func TestQConvIntoIdentical(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	rng := rand.New(rand.NewSource(17))
-	for _, cc := range convCases() {
-		x, za, w := randQConv(rng, cc)
-		want := refQConv(x, za, cc.g, w, cc.n)
-		for _, workers := range []int{1, 2} {
-			parallel.SetWorkers(workers)
-			checkQConvInto(t, x, za, cc.g, w, cc.n, want, fmt.Sprintf("workers=%d %v", workers, cc))
+	forEachPath(t, func(t *testing.T) {
+		defer parallel.SetWorkers(0)
+		rng := rand.New(rand.NewSource(17))
+		for _, cc := range convCases() {
+			x, za, w := randQConv(rng, cc)
+			want := refQConv(x, za, cc.g, w, cc.n)
+			for _, workers := range []int{1, 2} {
+				parallel.SetWorkers(workers)
+				checkQConvInto(t, x, za, cc.g, w, cc.n, want, fmt.Sprintf("workers=%d %v", workers, cc))
+			}
 		}
-	}
+	})
 }
 
 // TestQConvIntoPairLaneExtremes drives the pixel-pair lanes to the ends
@@ -219,51 +223,53 @@ func TestQConvIntoIdentical(t *testing.T) {
 // sums wrap in int32 exactly as the oracle's do), as must a zero point
 // outside int8.
 func TestQConvIntoPairLaneExtremes(t *testing.T) {
-	defer parallel.SetWorkers(0)
-	cases := []struct {
-		za int32
-		c  int
-	}{
-		{127, 7}, {-128, 7}, {127, maxPairTaps}, {-128, maxPairTaps},
-		{127, maxPairTaps + 1}, {-128, maxPairTaps + 1}, {1000, 16000},
-	}
-	g := ConvGeom{KH: 1, KW: 1, SH: 1, SW: 1}
-	for _, tc := range cases {
-		za, c := tc.za, tc.c
-		far := int8(-128)
-		if za < 0 {
-			far = 127
+	forEachPath(t, func(t *testing.T) {
+		defer parallel.SetWorkers(0)
+		cases := []struct {
+			za int32
+			c  int
+		}{
+			{127, 7}, {-128, 7}, {127, maxPairTaps}, {-128, maxPairTaps},
+			{127, maxPairTaps + 1}, {-128, maxPairTaps + 1}, {1000, 16000},
 		}
-		for _, mixed := range []bool{true, false} {
-			w := make([]int8, c)
-			x := NewQ(QParams{Scale: 1, Zero: za}, 1, 1, 5, c)
-			for ch := range w {
-				w[ch] = -128
-				if mixed && ch%2 == 1 {
-					w[ch] = 127
-				}
-				for px := 0; px < 5; px++ {
-					v := far
-					if mixed && px < 2 && (px == 0) != (w[ch] == -128) {
-						v = int8(za)
+		g := ConvGeom{KH: 1, KW: 1, SH: 1, SW: 1}
+		for _, tc := range cases {
+			za, c := tc.za, tc.c
+			far := int8(-128)
+			if za < 0 {
+				far = 127
+			}
+			for _, mixed := range []bool{true, false} {
+				w := make([]int8, c)
+				x := NewQ(QParams{Scale: 1, Zero: za}, 1, 1, 5, c)
+				for ch := range w {
+					w[ch] = -128
+					if mixed && ch%2 == 1 {
+						w[ch] = 127
 					}
-					x.data[px*c+ch] = v
+					for px := 0; px < 5; px++ {
+						v := far
+						if mixed && px < 2 && (px == 0) != (w[ch] == -128) {
+							v = int8(za)
+						}
+						x.data[px*c+ch] = v
+					}
+				}
+				want := refQConv(x, za, g, w, 1)
+				label := fmt.Sprintf("za=%d c=%d mixed=%t", za, c, mixed)
+				if mixed && (want[0] > 0) == (want[1] > 0) {
+					t.Fatalf("%s: pair sums %d, %d do not differ in sign", label, want[0], want[1])
+				}
+				if !mixed && c == maxPairTaps && (want[2] != want[3] || (want[2] != 2147483520 && want[2] != -2147483520)) {
+					t.Fatalf("%s: pair sums %d, %d, want ±2147483520", label, want[2], want[3])
+				}
+				for _, workers := range []int{1, 2} {
+					parallel.SetWorkers(workers)
+					checkQConvInto(t, x, za, g, w, 1, want, fmt.Sprintf("workers=%d %s", workers, label))
 				}
 			}
-			want := refQConv(x, za, g, w, 1)
-			label := fmt.Sprintf("za=%d c=%d mixed=%t", za, c, mixed)
-			if mixed && (want[0] > 0) == (want[1] > 0) {
-				t.Fatalf("%s: pair sums %d, %d do not differ in sign", label, want[0], want[1])
-			}
-			if !mixed && c == maxPairTaps && (want[2] != want[3] || (want[2] != 2147483520 && want[2] != -2147483520)) {
-				t.Fatalf("%s: pair sums %d, %d, want ±2147483520", label, want[2], want[3])
-			}
-			for _, workers := range []int{1, 2} {
-				parallel.SetWorkers(workers)
-				checkQConvInto(t, x, za, g, w, 1, want, fmt.Sprintf("workers=%d %s", workers, label))
-			}
 		}
-	}
+	})
 }
 
 // TestQConvIntoPadsWithZeroPoint checks that padding contributes exactly
@@ -317,7 +323,9 @@ func TestConvIntoRejectsBadShapes(t *testing.T) {
 // im2col oracles: ConvInto bit for bit with non-finite operands and
 // about half of x zeroed (so pixel pairs often see a tap that is zero in
 // one pixel only), QConvInto exactly. It also checks one random
-// ConvWindowInto window against ConvInto.
+// ConvWindowInto window against single pixels. It runs every check on
+// each kernel path the host has and compares the two paths' ConvInto
+// outputs bit for bit, NaN payloads included.
 func FuzzConvIntoBitIdentical(f *testing.F) {
 	f.Add(int64(1), []byte{2, 0, 1, 2, 5, 0, 4, 4})   // 3x3 SAME stride 1
 	f.Add(int64(2), []byte{4, 1, 0, 0, 0, 1, 7, 7})   // 5x5 stride 2
@@ -351,11 +359,28 @@ func FuzzConvIntoBitIdentical(f *testing.F) {
 		sprinkleNonFinite(rng, w, 0.01)
 		x.shape = []int{cc.batch, cc.h, cc.w, cc.c}
 		w.shape = []int{k, kw, cc.c, cc.n}
-		checkConvInto(t, x, w, g, refConv(t, x, w, g), cc.String())
+		want, single := refConv(t, x, w, g), pixelConv(t, x, w, g)
 		oh, ow := g.OutDims(cc.h, cc.w)
 		y0, x0 := rng.Intn(oh), rng.Intn(ow)
-		checkConvWindow(t, x, w, g, pixelConv(t, x, w, g), y0, y0+1+rng.Intn(oh-y0), x0, x0+1+rng.Intn(ow-x0), cc.String())
+		y1, x1 := y0+1+rng.Intn(oh-y0), x0+1+rng.Intn(ow-x0)
 		qx, za, qw := randQConv(rng, cc)
-		checkQConvInto(t, qx, za, g, qw, cc.n, refQConv(qx, za, g, qw, cc.n), cc.String())
+		qwant := refQConv(qx, za, g, qw, cc.n)
+		var outs [][]float32
+		for _, simd := range kernelPaths() {
+			label := cc.String() + " " + pathName(simd)
+			onPath(simd, func() {
+				checkConvInto(t, x, w, g, want, label)
+				checkConvWindow(t, x, w, g, single, y0, y1, x0, x1, label)
+				checkQConvInto(t, qx, za, g, qw, cc.n, qwant, label)
+				got, err := ConvInto(nil, x, w, g)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				outs = append(outs, got.data)
+			})
+		}
+		if len(outs) == 2 {
+			sameBitsExact(t, outs[1], outs[0], cc.String())
+		}
 	})
 }

@@ -41,14 +41,15 @@ func kernelWorkers(flops int) int {
 // NaN's payload survives depends on register allocation, so it may
 // differ from the single-tap loop (the result is NaN either way).
 //
-// ConvInto's pixel pairs (convPair, axpy4x2) are the one place a 0*b is
-// added: a pair skips a tap only when both pixels' inputs are 0, so a
-// tap that is 0 in one pixel adds ±0*b to that pixel's sum. That is
-// exact unless b is ±Inf or NaN. The sum starts at +0 and an add gives
-// -0 only when both operands are -0, so it is never -0, and adding ±0 to
+// ConvInto's pixel pairs (convPair, axpy4x2) and its AVX2 block kernels
+// are the places a 0*b is added: a pair skips a tap only when both
+// pixels' inputs are 0, so a tap that is 0 in one pixel adds ±0*b to
+// that pixel's sum, and the block kernels add every tap. That is exact
+// unless b is ±Inf or NaN. The sum starts at +0 and an add gives -0
+// only when both operands are -0, so it is never -0, and adding ±0 to
 // it changes nothing, with or without a fused multiply-add. 0*Inf and
-// 0*NaN make a NaN instead, so convPixels recomputes a pair pixel by
-// pixel whenever either of its output rows holds a NaN.
+// 0*NaN make a NaN instead, so convPairAt and convPixelAt recompute a
+// pixel with convPixel whenever its output row holds a NaN.
 
 // axpy4 adds a0*b0, a1*b1, a2*b2 and a3*b3 into ob, in that order, each
 // product and each add rounded to float32 exactly as four single-tap

@@ -201,10 +201,12 @@ const maxPairTaps = 65793
 // of one output row whose windows cover the same kernel rows and
 // columns are computed as a pair, two products per 64-bit multiply (see
 // qconvPair). Integer accumulation makes the results identical to an
-// im2col plus QMatMul at every worker count. tmp, when non-nil,
-// provides the single-worker accumulators.
+// im2col plus QMatMul at every worker count. On amd64 with AVX2, for
+// n >= 4 and a zero point in int8, pixels and pairs run on the block
+// kernels of simd_amd64.s instead, one int32 lane per pixel and
+// column. tmp, when non-nil, provides the single-worker accumulators.
 func QConvInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []int8, requant func(acc []int32, outRow []int8), tmp *QScratch) error {
-	d, err := convDimsFor("qconv", x.shape, g, len(w), n)
+	d, err := qconvDimsFor(x, za, g, w, n)
 	if err != nil {
 		return err
 	}
@@ -213,14 +215,17 @@ func QConvInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []int8, re
 		return fmt.Errorf("%w: qconv out %d elements, want %d", ErrShape, len(out), rows*n)
 	}
 	xd := x.data
-	pairs := d.pairable(za)
+	if d.simd {
+		d.checkSIMD(len(xd), len(w), len(out), x.shape[0])
+	}
+	pairs := !d.simd && d.pairable(za)
 	if workers := kernelWorkers(rows * len(w)); workers > 1 && rows > 1 {
 		parallel.Shard(workers, rows, func(lo, hi int) {
 			var acc64 []int64
 			if pairs {
 				acc64 = make([]int64, n)
 			}
-			qconvPixels(xd, za, w, out, make([]int32, 2*n), acc64, d, lo, hi, requant)
+			qconvPixels(xd, za, w, out, make([]int32, 2*n+d.tapLanes()), acc64, d, lo, hi, requant)
 		})
 		return nil
 	}
@@ -228,7 +233,7 @@ func QConvInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []int8, re
 	if pairs {
 		acc64 = tmp.Int64(n)
 	}
-	qconvPixels(xd, za, w, out, tmp.Int32(2*n), acc64, d, 0, rows, requant)
+	qconvPixels(xd, za, w, out, tmp.Int32(2*n+d.tapLanes()), acc64, d, 0, rows, requant)
 	return nil
 }
 
@@ -237,7 +242,7 @@ func QConvInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []int8, re
 // QConvInto, and leaves the other pixels of out as they are. Like
 // ConvWindowInto it runs on the calling goroutine.
 func QConvWindowInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []int8, requant func(acc []int32, outRow []int8), tmp *QScratch, y0, y1, x0, x1 int) error {
-	d, err := convDimsFor("qconv", x.shape, g, len(w), n)
+	d, err := qconvDimsFor(x, za, g, w, n)
 	if err != nil {
 		return err
 	}
@@ -248,11 +253,14 @@ func QConvWindowInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []in
 	if y0 < 0 || y1 > d.oh || x0 < 0 || x1 > d.ow {
 		return fmt.Errorf("%w: qconv window [%d,%d)x[%d,%d) of %dx%d", ErrShape, y0, y1, x0, x1, d.oh, d.ow)
 	}
+	if d.simd {
+		d.checkSIMD(len(x.data), len(w), len(out), nb)
+	}
 	var acc64 []int64
-	if d.pairable(za) {
+	if !d.simd && d.pairable(za) {
 		acc64 = tmp.Int64(n)
 	}
-	acc := tmp.Int32(2 * n)
+	acc := tmp.Int32(2*n + d.tapLanes())
 	for b := 0; b < nb; b++ {
 		for oy := y0; oy < y1; oy++ {
 			row := (b*d.oh + oy) * d.ow
@@ -260,6 +268,23 @@ func QConvWindowInto(x *QTensor, za int32, g ConvGeom, w []int8, n int, out []in
 		}
 	}
 	return nil
+}
+
+// qconvDimsFor is convDimsFor for an int8 convolution with zero point
+// za. The block kernels hold x-za in 16 bits, so they take za in int8.
+func qconvDimsFor(x *QTensor, za int32, g ConvGeom, w []int8, n int) (convDims, error) {
+	d, err := convDimsFor("qconv", x.shape, g, len(w), n)
+	d.simd = d.simd && za >= -128 && za <= 127
+	return d, err
+}
+
+// tapLanes is how many int32 lanes the int8 block kernels need for a
+// pair's taps x-za: two full windows.
+func (d convDims) tapLanes() int {
+	if !d.simd {
+		return 0
+	}
+	return 2 * d.g.KH * d.g.KW * d.c
 }
 
 // pairable reports whether QConvInto may compute this convolution's
@@ -270,37 +295,55 @@ func (d convDims) pairable(za int32) bool {
 }
 
 // qconvPixels is QConvInto's body for output pixels [lo, hi), the int8
-// mirror of convPixels. acc holds two n-long int32 rows. When acc64 (n
-// long) is non-nil, pixels r and r+1 of one output row with the same
-// valid window go through qconvPair; every other pixel — one whose
-// neighbour's window differs at the border, the last of a row, the last
-// of [lo, hi) — goes through qconvPixel.
+// mirror of convPixels. acc holds two n-long int32 rows and, after
+// them, d.tapLanes() lanes for the block kernels' taps. Pixels r and
+// r+1 of one output row with the same nonempty valid window go through
+// the AVX2 pair kernel when d.simd, and through qconvPair when acc64
+// (n long) is non-nil; every other pixel — one whose neighbour's window
+// differs at the border, the last of a row, the last of [lo, hi) — is
+// computed alone. The block kernels add every tap, zero points
+// included, which adds (za-za)·w = 0: integer sums are exact in any
+// order.
 func qconvPixels(xd []int8, za int32, wd, out []int8, acc []int32, acc64 []int64, d convDims, lo, hi int, requant func(acc []int32, outRow []int8)) {
-	n := d.n
-	acc0, acc1 := acc[:n], acc[n:2*n]
+	n, c, kw, sw := d.n, d.c, d.g.KW, d.g.SW
+	acc0, acc1, taps := acc[:n], acc[n:2*n], acc[2*n:]
 	for r := lo; r < hi; {
-		b, iy, ix, ky0, ky1, kx0, kx1 := d.window(r)
-		if acc64 != nil && r+1 < hi && (r+1)%d.ow != 0 {
-			if _, _, _, _, _, nx0, nx1 := d.window(r + 1); nx0 == kx0 && nx1 == kx1 {
-				qconvPair(xd, za, wd, acc64, d, b, iy, ix, ky0, ky1, kx0, kx1)
-				for j, v := range acc64 {
-					l := int32(v)
-					acc0[j], acc1[j] = l, int32((v-int64(l))>>32)
+		b, iy, ky0, ky1, ix := d.rowAt(r)
+		for end := min(hi, r-r%d.ow+d.ow); r < end; {
+			kx0, kx1, wy1 := d.cols(ix, ky0, ky1)
+			block := d.simd && ky0 < wy1
+			if (block || acc64 != nil) && r+1 < end {
+				if nx0, nx1, _ := d.cols(ix+sw, ky0, ky1); nx0 == kx0 && nx1 == kx1 {
+					if block {
+						qconvPairAVX2(&xd[((b*d.h+iy+ky0)*d.w+ix+kx0)*c], &wd[(ky0*kw+kx0)*c*n], &acc0[0], &acc1[0], &taps[0],
+							int(za), wy1-ky0, (kx1-kx0)*c, d.w*c, sw*c, kw*c*n, n)
+					} else {
+						qconvPair(xd, za, wd, acc64, d, b, iy, ix, ky0, wy1, kx0, kx1)
+						for j, v := range acc64 {
+							l := int32(v)
+							acc0[j], acc1[j] = l, int32((v-int64(l))>>32)
+						}
+					}
+					requant(acc0, out[r*n:(r+1)*n])
+					requant(acc1, out[(r+1)*n:(r+2)*n])
+					r, ix = r+2, ix+2*sw
+					continue
 				}
-				requant(acc0, out[r*n:(r+1)*n])
-				requant(acc1, out[(r+1)*n:(r+2)*n])
-				r += 2
-				continue
 			}
+			if block {
+				qconvPixelAVX2(&xd[((b*d.h+iy+ky0)*d.w+ix+kx0)*c], &wd[(ky0*kw+kx0)*c*n], &acc0[0], &taps[0],
+					int(za), wy1-ky0, (kx1-kx0)*c, d.w*c, kw*c*n, n)
+			} else {
+				qconvPixel(xd, za, wd, acc0, d, b, iy, ix, ky0, wy1, kx0, kx1)
+			}
+			requant(acc0, out[r*n:(r+1)*n])
+			r, ix = r+1, ix+sw
 		}
-		qconvPixel(xd, za, wd, acc0, d, b, iy, ix, ky0, ky1, kx0, kx1)
-		requant(acc0, out[r*n:(r+1)*n])
-		r++
 	}
 }
 
-// qconvPixel accumulates one output pixel, whose window d.window
-// described, into the n-long acc.
+// qconvPixel accumulates one output pixel, whose window qconvPixels
+// found, into the n-long acc.
 func qconvPixel(xd []int8, za int32, wd []int8, acc []int32, d convDims, b, iy, ix, ky0, ky1, kx0, kx1 int) {
 	c, n, kw := d.c, d.n, d.g.KW
 	clear(acc)
@@ -331,7 +374,7 @@ func qconvPixel(xd []int8, za int32, wd []int8, acc []int32, d convDims, b, iy, 
 	}
 }
 
-// qconvPair accumulates the pixel whose window d.window described and
+// qconvPair accumulates the pixel whose window qconvPixels found and
 // its right-hand neighbour, which has the same valid window one stride
 // further along the input row, into the n-long acc: each tap packs both
 // pixels' operands into one int64, (x_r-za) + (x_{r+1}-za)<<32, so one

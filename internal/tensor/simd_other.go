@@ -1,0 +1,24 @@
+//go:build !amd64
+
+package tensor
+
+// useAVX2 is false off amd64: the portable kernels are the only path.
+var useAVX2 = false
+
+// The AVX2 block kernels exist only on amd64; these are never called.
+
+func convPairAVX2(x, w, o0, o1 *float32, rows, run, xrow, next, wrow, n int) bool {
+	panic("tensor: AVX2 kernel called off amd64")
+}
+
+func convPixelAVX2(x, w, o *float32, rows, run, xrow, wrow, n int) bool {
+	panic("tensor: AVX2 kernel called off amd64")
+}
+
+func qconvPairAVX2(x, w *int8, acc0, acc1, buf *int32, za, rows, run, xrow, next, wrow, n int) {
+	panic("tensor: AVX2 kernel called off amd64")
+}
+
+func qconvPixelAVX2(x, w *int8, acc, buf *int32, za, rows, run, xrow, wrow, n int) {
+	panic("tensor: AVX2 kernel called off amd64")
+}

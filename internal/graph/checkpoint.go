@@ -61,6 +61,14 @@ type Checkpoint struct {
 // example to capture the next input's checkpoint) without invalidating
 // captures already taken.
 func (p *Plan) Checkpoint(st *PlanState, feeds Feeds) (*Checkpoint, error) {
+	return p.CheckpointHook(st, feeds, nil)
+}
+
+// CheckpointHook is Checkpoint with hook applied to the clean pass as
+// RunHook applies it, so a detector can watch the pass that is
+// checkpointed instead of a second clean run. A hook that replaces
+// values makes the checkpoint hold the replacements.
+func (p *Plan) CheckpointHook(st *PlanState, feeds Feeds, hook Hook) (*Checkpoint, error) {
 	if st == nil || st.plan != p {
 		return nil, errors.New("graph: plan state belongs to a different plan")
 	}
@@ -74,7 +82,7 @@ func (p *Plan) Checkpoint(st *PlanState, feeds Feeds) (*Checkpoint, error) {
 		layout: layout,
 		vals:   make([]*tensor.Tensor, p.g.Len()),
 	}
-	if _, err := p.runFrom(st, layout, feeds, 0, nil, func(si int, out *tensor.Tensor) {
+	if _, err := p.runFrom(st, layout, feeds, 0, hook, func(si int, out *tensor.Tensor) {
 		s := &p.steps[si]
 		if p.lastUse[s.node.id] <= si {
 			return // nothing after this step reads the value

@@ -479,7 +479,7 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 		if err := ctx.Err(); err != nil {
 			return Outcome{}, err
 		}
-		if err := ar.b.checkpoint(feeds); err != nil {
+		if err := ar.b.checkpoint(nil, feeds); err != nil {
 			return Outcome{}, err
 		}
 		ar.b.space = ar.spaces[ii]

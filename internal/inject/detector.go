@@ -122,18 +122,15 @@ func (c *Campaign) RunWithDetector(ctx context.Context, inputs []graph.Feeds, de
 		det.Observe(n, t)
 		return nil
 	}
-	fpState := b.plan.NewState()
 	var out DetectorOutcome
 	for ii, feeds := range inputs {
 		if err := ctx.Err(); err != nil {
 			return DetectorOutcome{}, err
 		}
-		if err := b.prepareInput(feeds); err != nil {
-			return DetectorOutcome{}, err
-		}
-		// False-positive check on the clean execution.
+		// False-positive check: the detector watches the clean pass
+		// that is checkpointed.
 		det.Reset()
-		if _, err := b.plan.RunHook(fpState, feeds, observe); err != nil {
+		if err := b.prepareInput(feeds, observe); err != nil {
 			return DetectorOutcome{}, err
 		}
 		out.CleanRuns++

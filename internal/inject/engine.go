@@ -101,8 +101,9 @@ func (c *Campaign) newBackend(det Detector) (*backend, error) {
 
 // checkpoint runs the clean pass of each input, replacing the held
 // checkpoints and references; workers then replay input i of this set.
-// References are checkpoint-owned, so they outlive later calls.
-func (b *backend) checkpoint(inputs ...graph.Feeds) error {
+// References are checkpoint-owned, so they outlive later calls. hook,
+// when non-nil, watches the fp32 clean passes (Plan.CheckpointHook).
+func (b *backend) checkpoint(hook graph.Hook, inputs ...graph.Feeds) error {
 	b.ckpts, b.qckpts = make([]*graph.Checkpoint, len(inputs)), make([]*graph.QCheckpoint, len(inputs))
 	b.refs = make([]*tensor.Tensor, len(inputs))
 	for i, feeds := range inputs {
@@ -113,7 +114,7 @@ func (b *backend) checkpoint(inputs ...graph.Feeds) error {
 				b.refs[i] = b.qckpts[i].Output(0)
 			}
 		} else {
-			b.ckpts[i], err = b.plan.Checkpoint(b.clean, feeds)
+			b.ckpts[i], err = b.plan.CheckpointHook(b.clean, feeds, hook)
 			if err == nil {
 				b.refs[i] = b.ckpts[i].Output(0)
 			}
@@ -260,14 +261,14 @@ func (b *backend) runTrials(ctx context.Context, verdicts []trialVerdict, seed f
 }
 
 // prepareInput sizes one input's fault space and checkpoints its clean
-// pass, replacing the held input.
-func (b *backend) prepareInput(feeds graph.Feeds) error {
+// pass under hook (nil for none), replacing the held input.
+func (b *backend) prepareInput(feeds graph.Feeds, hook graph.Hook) error {
 	fs, err := b.c.faultSpace(b.plan, feeds)
 	if err != nil {
 		return err
 	}
 	b.space = fs
-	return b.checkpoint(feeds)
+	return b.checkpoint(hook, feeds)
 }
 
 // runGrid runs trials t0 .. t0+len(verdicts)-1 of input ii of the

@@ -93,12 +93,12 @@ func TestReferenceNotClobberedAcrossInputs(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if err := b.checkpoint(feeds[0]); err != nil {
+		if err := b.checkpoint(nil, feeds[0]); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		ref0 := b.refs[0]
 		want := append([]float32{}, ref0.Data()...)
-		if err := b.checkpoint(feeds[1]); err != nil {
+		if err := b.checkpoint(nil, feeds[1]); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		for i, v := range ref0.Data() {
@@ -165,7 +165,7 @@ func checkTrialZeroAlloc(t *testing.T, m *models.Model, feeds []graph.Feeds, cam
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.prepareInput(feeds[0]); err != nil {
+		if err := b.prepareInput(feeds[0], nil); err != nil {
 			t.Fatal(err)
 		}
 		sw := b.newSlotWorker()

@@ -564,7 +564,7 @@ func (c *Campaign) RunSlice(ctx context.Context, inputs []graph.Feeds, start, en
 		if err := ctx.Err(); err != nil {
 			return Outcome{}, err
 		}
-		if err := b.prepareInput(feeds); err != nil {
+		if err := b.prepareInput(feeds, nil); err != nil {
 			return Outcome{}, err
 		}
 		verdicts := make([]trialVerdict, n)

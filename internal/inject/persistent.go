@@ -344,15 +344,27 @@ func (w *fp32WeightWorker) scrub() { w.st.ClearVarOverrides() }
 // the state overrides and executes every overridden step. Detectors see
 // only the dequantized fetch, since int8 internals are not fp32 tensors.
 // Scrub drops the overrides, so the next plant rebuilds from golden.
+// With nothing overridden RunCone would execute no step, so an
+// inference after a scrub (a repair's post-repair check) replays from
+// the planted fault's depth with RunFrom, as the fp32 weight worker
+// does, and the check compares a recomputed output with the reference.
 type storedI8 struct {
-	b  *backend
-	st *graph.QPlanState
+	b        *backend
+	st       *graph.QPlanState
+	depth    int  // the planted faults' depth
+	scrubbed bool // scrubbed since the last plant
 }
 
 func (b *backend) newStoredI8() storedI8 { return storedI8{b: b, st: b.qp.NewState()} }
 
 func (w *storedI8) infer(input int, det Detector) ([]float32, error) {
-	outs, _, err := w.b.qp.RunCone(w.st, w.b.qckpts[input], nil, nil)
+	var outs []*tensor.Tensor
+	var err error
+	if w.scrubbed {
+		outs, err = w.b.qp.RunFrom(w.st, w.b.qckpts[input], w.depth, nil)
+	} else {
+		outs, _, err = w.b.qp.RunCone(w.st, w.b.qckpts[input], nil, nil)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("inject: faulty run: %w", err)
 	}
@@ -362,7 +374,10 @@ func (w *storedI8) infer(input int, det Detector) ([]float32, error) {
 	return outs[0].Data(), nil
 }
 
-func (w *storedI8) scrub() { w.st.ClearOverrides() }
+func (w *storedI8) scrub() {
+	w.st.ClearOverrides()
+	w.scrubbed = true
+}
 
 // int8WeightWorker is the int8 weight-surface worker: faults flip bits of
 // the stored quantized weight bytes of Dense/Conv kernels, materialized
@@ -397,6 +412,7 @@ func (w *int8WeightWorker) plant(sites []Site) (int, error) {
 			depth = min(depth, d)
 		}
 	}
+	w.depth, w.scrubbed = depth, false
 	return depth, nil
 }
 
@@ -472,6 +488,7 @@ func (w *quantParamWorker) plant(sites []Site) (int, error) {
 			depth = min(depth, d)
 		}
 	}
+	w.depth, w.scrubbed = depth, false
 	return depth, nil
 }
 
@@ -581,7 +598,7 @@ func (c *Campaign) newSequenceBackend(inputs []graph.Feeds) (*backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := b.checkpoint(inputs...); err != nil {
+	if err := b.checkpoint(nil, inputs...); err != nil {
 		return nil, err
 	}
 	return b, nil

@@ -307,6 +307,85 @@ func TestInt8StoredWeightFaultsReachConvOutput(t *testing.T) {
 
 func abs8(v int8) int { return max(int(v), -int(v)) }
 
+// leakyScrub is an int8 stored-weight worker whose scrub leaves one
+// corrupted byte behind: it drops the overrides as the real scrub does,
+// then puts the kernel of node back with the sign bit of byte elem
+// flipped.
+type leakyScrub struct {
+	*int8WeightWorker
+	node string
+	elem int
+	t    *testing.T
+}
+
+func (w *leakyScrub) scrub() {
+	w.int8WeightWorker.scrub()
+	buf, err := w.b.qp.MaterializeWeights(w.st, w.node)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	buf[w.elem] ^= -128
+}
+
+// TestInt8PostRepairReplays pins the int8 post-repair check to a real
+// replay. After a clean scrub the post-repair inference must be
+// recomputed from the fault's depth, not handed back as the
+// checkpoint's own reference (which made the check true by
+// construction), and must equal the reference; after a scrub that
+// leaves one corrupted byte of the struck kernel, PostRepairOK must be
+// false.
+func TestInt8PostRepairReplays(t *testing.T) {
+	m, feeds := lenetInputs(t, 2)
+	calib := lenetCalibration(t, m, feeds)
+	c := &Campaign{
+		Model: m, Trials: 1, Seed: 13, Surface: WeightSurface{},
+		Scenario: BitFlipInt8{Flips: 1}, Calibration: calib,
+		SequenceLen: 4, TargetNodes: []string{"conv1"},
+		Detector: &alwaysDetector{}, Repair: true,
+	}
+	b, err := c.newSequenceBackend(feeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := b.qp.MaterializeWeights(b.qp.NewState(), "conv1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := 0
+	for i, v := range golden {
+		if abs8(v) > abs8(golden[big]) {
+			big = i
+		}
+	}
+
+	sw := b.newSlotWorker()
+	w := sw.worker.(*int8WeightWorker)
+	if _, err := w.plant([]Site{{Node: "conv1", Elem: big, Bit: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	w.scrub()
+	post, err := w.infer(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := b.refs[0].Data()
+	if &post[0] == &ref[0] {
+		t.Fatal("post-repair output is the checkpoint's reference itself: nothing was replayed")
+	}
+	if !bitsEqual(post, ref) {
+		t.Fatal("post-repair output after a clean scrub differs from the reference")
+	}
+
+	sw.worker = &leakyScrub{int8WeightWorker: w, node: "conv1", elem: big, t: t}
+	r, err := b.runSequence(sw, plannedSeq{seq: 0, seed: sequenceSeed(c.Seed, 0), stratum: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !r.Repaired || r.PostRepairOK {
+		t.Fatalf("scrub leaving one corrupted byte: repaired %t, post-repair OK %t; want true, false", r.Repaired, r.PostRepairOK)
+	}
+}
+
 func TestPersistentQuantParamSurface(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
 	calib := lenetCalibration(t, m, feeds)

@@ -181,7 +181,9 @@
 // Detector campaigns (RunWithDetector) run on the same workers: the
 // detector observes every node, so each of their trials replays every
 // step from step 0 of the checkpoint (Plan.RunFrom) and keeps slot
-// order. The cost is one clean copy of the live activations of the
+// order. The false-positive check watches the clean pass that is
+// checkpointed (Plan.CheckpointHook), so each input runs one clean
+// inference. The cost is one clean copy of the live activations of the
 // input in flight: 0.09 MB (lenet) to 4.06 MB (resnet18) at batch 1.
 // Transient campaigns hold one input's checkpoint at a time.
 //
@@ -204,6 +206,54 @@
 // back into per-feed outputs, falling back to per-feed runs whenever
 // stacking does not apply. Fault campaigns do not batch: each trial is
 // one batch-1 cone replay.
+//
+// # Convolution kernels
+//
+// Conv2D runs as an implicit GEMM (tensor.ConvInto and tensor.QConvInto,
+// and their window forms for cone replay): each output pixel reads its
+// window's valid taps straight from the NHWC input, and two neighbouring
+// pixels of one output row with the same valid window are computed as a
+// pair. The path is chosen once, from the CPU: on amd64 hosts that
+// report AVX2 (CPUID, with the YMM register state enabled per XGETBV),
+// every convolution with at least 4 output channels runs Go-assembly
+// block kernels. For a pixel or a pair, each 16- or 8-wide block of
+// output channels (4-wide below 8 channels) keeps its accumulators in
+// vector registers across every tap of the window and stores them once;
+// when the channel count is not a multiple of the block width, the last
+// block overlaps the one before it and recomputes the shared channels
+// bit for bit.
+//
+// The fp32 blocks multiply with VMULPS and add with VADDPS, taps in
+// ascending order from +0, and never use a fused multiply-add: Go
+// compiles the portable kernels' a*w + v as a rounded multiply and a
+// rounded add (at the default GOAMD64 level), so every output element
+// sees the same float32 operations in the same order on both paths. The
+// blocks add every tap of the window, zero inputs included, where the
+// portable kernels skip taps whose inputs are zero. An added ±0·w
+// changes nothing: the sum starts at +0, an add returns -0 only when
+// both operands are -0, so the sum is never -0, and adding ±0 to it
+// leaves it as it is. The exception is w = ±Inf or NaN, where 0·w is a
+// NaN, so a pixel whose output row holds a NaN (the kernels flag NaN
+// lanes as they store) is recomputed by the portable kernel, and the
+// results are bit-identical, NaN payloads included. The int8 kernels
+// first write the window's taps x-za as 16-bit values in int32 lanes
+// (|x-za| <= 255 for a zero point in int8), then sign-extend the
+// weights with VPMOVSXBD and accumulate with VPMADDWD, whose second
+// product is 0·w, so each lane gains exactly (x-za)·w, and VPADDD: the
+// wrapping int32 arithmetic of the portable kernels, so their sums are
+// exact whatever the order. Before the
+// first pixel, the Go side checks once per call that the input, kernel
+// and output slices cover every address the assembly may touch.
+//
+// Hosts without AVX2, every non-amd64 build, convolutions with fewer
+// than 4 output channels and int8 zero points outside int8 run the
+// pure-Go kernels. They stay as the
+// portable path and as the oracle the tensor parity tests compare the
+// assembly against (tests switch paths through an unexported package
+// variable; no option, flag or environment variable selects it). The
+// dense GEMMs have no assembly path: in traced serve runs on a 2-vCPU
+// Xeon VM with the block kernels, the fp32 matmul steps took about 2%
+// of the conv steps' time (0.011–0.012 ms against 0.54–0.58 ms).
 //
 // # Adaptive campaign lifecycle
 //
@@ -281,7 +331,10 @@
 // sequences replay each inference with Plan.RunFrom from the fault's
 // depth, the earliest step that reads the corrupted weight; int8
 // sequences replay the cone of the overridden steps (QPlan.RunCone with
-// nothing struck), which starts at the earliest overridden step.
+// nothing struck), which starts at the earliest overridden step. After
+// a repair's scrub nothing is overridden, so the int8 post-repair check
+// replays from the fault's depth with QPlan.RunFrom, as fp32 does, and
+// compares a recomputed output with the reference.
 //
 // The two backends expose different detector visibility, deliberately:
 // fp32 sequences replay through the hooked plan, so the detector

@@ -197,15 +197,11 @@
 // their batch dimension as 0 ("any"), so the same compiled plan accepts
 // [1, ...] and [B, ...] feeds.
 //
-// RunBatch (graph-level and on CompiledModel / QuantizedModel) exploits
-// this for inference: it stacks consecutive same-shaped single-sample
-// feeds into one [B, ...] run — the batched dense GEMM packs each
-// weight panel once and reuses it across all B lanes instead of
-// streaming the weights per feed, and a conv layer is one implicit-GEMM
-// call over every lane's output pixels — and splits the batched fetch
-// back into per-feed outputs, falling back to per-feed runs whenever
-// stacking does not apply. Fault campaigns do not batch: each trial is
-// one batch-1 cone replay.
+// RunBatch (graph-level and on CompiledModel / QuantizedModel) runs
+// each feed set on its own, one plan run per feed, with the feeds
+// sharded across workers that each own a PlanState; a caller who wants
+// one batched pass stacks its samples into a [B, ...] feed itself.
+// Fault campaigns do not batch: each trial is one batch-1 cone replay.
 //
 // # Convolution kernels
 //

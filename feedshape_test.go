@@ -121,9 +121,9 @@ func (neverDetector) Detected() bool                      { return false }
 
 // TestErrFeedShapeOnBatchedFeeds is the batched twin: a feed carrying
 // a leading batch axis B > 1 is valid on every plan entry point
-// (placeholders declare the batch dimension as 0, "any"), which is what
-// lets RunBatch stack single-sample feeds, but batched feeds that
-// contradict the declared sample shape must still surface ErrFeedShape.
+// (placeholders declare the batch dimension as 0, "any"), but batched
+// feeds that contradict the declared sample shape must still surface
+// ErrFeedShape.
 func TestErrFeedShapeOnBatchedFeeds(t *testing.T) {
 	m, good, _ := badFeedModel(t)
 	batchedGood := graph.Feeds{m.Input: tensor.New(3, 28, 28, 1)}

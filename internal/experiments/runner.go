@@ -347,9 +347,14 @@ func (r *Runner) Inputs(name string) ([]graph.Feeds, error) {
 
 // SelectInputs scans the validation split for n samples the model
 // predicts correctly and returns single-sample feeds for them. The scan
-// evaluates chunks through graph.RunBatch and picks candidates in sample
-// order, so the selected inputs are identical at every worker count.
+// compiles the model once, evaluates chunks through graph.RunPlanBatch
+// and picks candidates in sample order, so the selected inputs are
+// identical at every worker count.
 func SelectInputs(m *models.Model, ds data.Dataset, n int) ([]graph.Feeds, error) {
+	plan, err := graph.Compile(m.Graph, m.Output)
+	if err != nil {
+		return nil, err
+	}
 	var out []graph.Feeds
 	limit := ds.Len(data.Val)
 	const chunk = 32
@@ -364,7 +369,7 @@ func SelectInputs(m *models.Model, ds data.Dataset, n int) ([]graph.Feeds, error
 			samples[i] = ds.Sample(data.Val, base+i)
 			feeds[i] = graph.Feeds{m.Input: samples[i].X}
 		}
-		outs, err := graph.RunBatch(m.Graph, feeds, 0, m.Output)
+		outs, err := graph.RunPlanBatch(plan, feeds, 0)
 		if err != nil {
 			return nil, err
 		}

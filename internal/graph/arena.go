@@ -55,27 +55,6 @@ func (s *Scratch) Get(shape ...int) *tensor.Tensor {
 	return t
 }
 
-// GetFloats returns a recycled raw buffer of n float32s (allocating if
-// none fits) — Get without the tensor header, for kernels that want
-// plain scratch storage (pack panels). Contents are unspecified; the
-// buffer is only valid until the same node is evaluated again. Warm
-// calls allocate nothing.
-func (s *Scratch) GetFloats(n int) []float32 {
-	var buf []float32
-	if s.next < len(s.bufs) && cap(s.bufs[s.next]) >= n {
-		buf = s.bufs[s.next][:n]
-	} else {
-		buf = make([]float32, n)
-		if s.next < len(s.bufs) {
-			s.bufs[s.next] = buf
-		} else {
-			s.bufs = append(s.bufs, buf)
-		}
-	}
-	s.next++
-	return buf
-}
-
 // reset rewinds the buffer cursor for the node's next evaluation.
 func (s *Scratch) reset() { s.next = 0 }
 
@@ -83,7 +62,7 @@ func (s *Scratch) reset() { s.next = 0 }
 // an executor's outputs transient: tensors fetched from Run are only
 // valid until the executor's next Run/RunAll call (Clone what must
 // survive). Arenas are not safe for concurrent use — give each worker
-// its own executor and arena (as RunBatch does).
+// its own executor and arena (as train.evalBatches does).
 type Arena struct {
 	scratches []*Scratch
 }

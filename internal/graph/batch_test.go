@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"testing"
@@ -84,15 +85,23 @@ func TestRunBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRunBatchPropagatesLowestError gives two feeds different errors
+// and checks that the lower-indexed feed's error comes back at every
+// worker count, however the feeds shard.
 func TestRunBatchPropagatesLowestError(t *testing.T) {
 	g := New()
-	g.MustAdd("x", &Placeholder{})
-	feeds := batchFeeds(6)
-	feeds[2] = Feeds{} // missing feed for x
-	feeds[4] = Feeds{}
-	_, err := RunBatch(g, feeds, 3, "x")
-	if err == nil {
-		t.Fatal("want missing-feed error")
+	g.MustAdd("x", &Placeholder{Shape: []int{0, 4}})
+	feeds := make([]Feeds, 6)
+	for i := range feeds {
+		feeds[i] = Feeds{"x": tensor.New(1, 4)}
+	}
+	feeds[2] = Feeds{}                      // missing feed for x
+	feeds[4] = Feeds{"x": tensor.New(1, 5)} // contradicts the declared shape
+	for _, workers := range []int{1, 2, 3, 9} {
+		_, err := RunBatch(g, feeds, workers, "x")
+		if !errors.Is(err, ErrMissingFeed) || errors.Is(err, ErrFeedShape) {
+			t.Fatalf("workers=%d: err = %v, want feed 2's ErrMissingFeed", workers, err)
+		}
 	}
 }
 

@@ -51,11 +51,10 @@ func (c *Compiled) Run(feeds graph.Feeds) (*tensor.Tensor, error) {
 	return outs[0].Clone(), nil
 }
 
-// RunBatch evaluates the compiled model over independent feed sets,
-// sharded across workers (0 means the process default) with runs of up
-// to graph.BatchLanes same-shaped single-sample feeds stacked
-// into one lane-batched pass. out[i] is the model output for feeds[i];
-// results are identical at every worker count, stacked or not.
+// RunBatch evaluates the compiled model once per independent feed set,
+// sharded across workers (0 means the process default). out[i] is the
+// model output for feeds[i]; results are identical at every worker
+// count.
 func (c *Compiled) RunBatch(feeds []graph.Feeds, workers int) ([]*tensor.Tensor, error) {
 	batched, err := graph.RunPlanBatch(c.Plan, feeds, workers)
 	if err != nil {

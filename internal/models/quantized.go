@@ -58,12 +58,10 @@ func (q *Quantized) Run(feeds graph.Feeds) (*tensor.Tensor, error) {
 	return outs[0], nil
 }
 
-// RunBatch evaluates the quantized model over independent feed sets,
-// sharded across workers (0 means the process default) with runs of up
-// to graph.BatchLanes same-shaped single-sample feeds stacked
-// into one lane-batched int8 pass. out[i] is the model output for
-// feeds[i]; integer arithmetic makes results identical at every worker
-// count, stacked or not.
+// RunBatch evaluates the quantized model once per independent feed set,
+// sharded across workers (0 means the process default). out[i] is the
+// model output for feeds[i]; results are identical at every worker
+// count.
 func (q *Quantized) RunBatch(feeds []graph.Feeds, workers int) ([]*tensor.Tensor, error) {
 	batched, err := graph.RunQPlanBatch(q.Plan, feeds, workers)
 	if err != nil {

@@ -104,17 +104,10 @@ func (DenseOp) InferShape(ins [][]int) ([]int, error) {
 	return []int{a[0], b[1]}, nil
 }
 
-// EvalInto implements graph.PlannedOp. Lane-batched inputs (PackMinRows
-// rows or more) run the panel-packed GEMM, which streams each weight
-// panel once for all B lanes instead of once per lane; results are
-// bit-identical to MatMulInto either way.
-func (DenseOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, tmp *graph.Scratch) error {
+// EvalInto implements graph.PlannedOp.
+func (DenseOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
 	if len(in) != 2 {
 		return fmt.Errorf("matmul: want (input, weights), got %d inputs", len(in))
-	}
-	if in[0].Rank() == 2 && in[0].Dim(0) >= tensor.PackMinRows {
-		_, err := tensor.MatMulPackInto(out, in[0], in[1], tmp.GetFloats(tensor.PackPanelLen))
-		return err
 	}
 	_, err := tensor.MatMulInto(out, in[0], in[1])
 	return err

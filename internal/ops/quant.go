@@ -255,11 +255,6 @@ func (DenseOp) QuantKernelStored(spec graph.QuantSpec) (graph.QuantKernel, []int
 		if x == nil || x.Rank() != 2 || x.Dim(1) != k {
 			return fmt.Errorf("matmul: quantized input does not match (?,%d)", k)
 		}
-		if m := x.Dim(0); m >= tensor.PackMinRows {
-			// Lane-batched input: packed panels, int32 accumulation —
-			// identical results (exact integer arithmetic).
-			return tensor.QMatMulPack(x.Data(), za, m, k, wq, n, out.Data(), requant, tmp)
-		}
 		return tensor.QMatMul(x.Data(), za, x.Dim(0), k, wq, n, out.Data(), requant, tmp)
 	}, wq, nil
 }

@@ -2,14 +2,13 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
 
 	"ranger/internal/parallel"
 )
 
-// Kernel blocking parameters. The B-panel block (blockK x blockN float32s)
-// is sized to sit in L2 while it is reused across every output row of a
-// worker's shard.
+// Kernel blocking parameters. Outputs wider than blockN walk B in
+// blockK x blockN tiles, so a tile's weight rows stay cache-resident
+// while one output row's block accumulates over them.
 const (
 	blockK = 128
 	blockN = 512
@@ -161,104 +160,6 @@ func matmulRows(ad, bd, od []float32, k, n, lo, hi int) {
 			}
 		}
 	}
-}
-
-// PackMinRows is the row count below which the panel-packed kernel
-// (MatMulPackInto) is not worth its packing pass and delegates to the
-// batch-1 kernels. Lane-batched execution engages at 2 lanes for dense
-// layers because even B=2 halves the weight streaming, but a packed
-// panel only pays for itself once it is reused across a few rows.
-const PackMinRows = 4
-
-// PackPanelLen is the float32 (or int8) capacity of one packed B-panel
-// block — the buffer callers hand MatMulPackInto to keep its packing
-// allocation-free on the campaign hot path.
-const PackPanelLen = blockK * blockN
-
-// panelPool recycles the per-worker panel buffers of the parallel
-// packed-kernel paths (the single-worker path uses the caller's buffer).
-var panelPool = sync.Pool{New: func() any { return make([]float32, PackPanelLen) }}
-
-// matmulPanels is the lane-batched kernel body for output rows [lo, hi)
-// and columns [jw0, jw1): each B-panel block is copied once into the
-// contiguous pack buffer and then reused across every output row, so B
-// batched lanes amortize the weight streaming that the row kernel
-// repeats per row. Per output element the reduction still runs
-// p-ascending across ascending p-blocks — exactly the sequence
-// matmulRows uses — so results are bit-identical to the batch-1 kernels
-// at every blocking and worker count.
-func matmulPanels(ad, bd, od []float32, k, n, lo, hi, jw0, jw1 int, pack []float32) {
-	for j0 := jw0; j0 < jw1; j0 += blockN {
-		j1 := min(j0+blockN, jw1)
-		w := j1 - j0
-		for i := lo; i < hi; i++ {
-			clear(od[i*n+j0 : i*n+j1])
-		}
-		for p0 := 0; p0 < k; p0 += blockK {
-			p1 := min(p0+blockK, k)
-			for p := p0; p < p1; p++ {
-				copy(pack[(p-p0)*w:(p-p0+1)*w], bd[p*n+j0:p*n+j1])
-			}
-			for i := lo; i < hi; i++ {
-				gemvTaps(od[i*n+j0:i*n+j1], ad[i*k+p0:i*k+p1], pack, w)
-			}
-		}
-	}
-}
-
-// MatMulPackInto computes a·b into dst exactly like MatMulInto, but
-// through the panel-packed lane-batched kernel: B-panel blocks are
-// copied once into a contiguous buffer and reused across all output
-// rows. pack, when non-nil, provides the panel storage (PackPanelLen
-// elements; see PlanState scratch usage) so steady-state calls allocate
-// nothing; a nil or short pack allocates. Outputs are bit-identical to
-// MatMulInto — per-element accumulation order is unchanged — so callers
-// switch on row count alone: below PackMinRows rows the packing pass
-// cannot amortize and the call delegates to MatMulInto.
-func MatMulPackInto(dst, a, b *Tensor, pack []float32) (*Tensor, error) {
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return nil, fmt.Errorf("%w: matmul ranks %d x %d", ErrShape, a.Rank(), b.Rank())
-	}
-	m, k := a.shape[0], a.shape[1]
-	k2, n := b.shape[0], b.shape[1]
-	if k != k2 {
-		return nil, fmt.Errorf("%w: matmul %v x %v", ErrShape, a.shape, b.shape)
-	}
-	if m < PackMinRows {
-		return MatMulInto(dst, a, b)
-	}
-	out, err := prepDst(dst, m, n)
-	if err != nil {
-		return nil, err
-	}
-	ad, bd, od := a.data, b.data, out.data
-	workers := kernelWorkers(m * k * n)
-	if workers <= 1 {
-		if cap(pack) < PackPanelLen {
-			pack = make([]float32, PackPanelLen)
-		}
-		matmulPanels(ad, bd, od, k, n, 0, m, 0, n, pack[:PackPanelLen])
-		return out, nil
-	}
-	if nb := (n + blockN - 1) / blockN; nb >= workers {
-		// Wide output: shard whole column blocks so no two workers pack
-		// the same panel.
-		parallel.Shard(workers, nb, func(b0, b1 int) {
-			wp := panelPool.Get().([]float32)
-			matmulPanels(ad, bd, od, k, n, 0, m, b0*blockN, min(b1*blockN, n), wp)
-			panelPool.Put(wp)
-		})
-		return out, nil
-	}
-	// Narrow output: shard rows. Workers re-pack the same panels, but the
-	// packing cost (k·n copies) is negligible against each worker's
-	// rows·k·n multiply-adds.
-	parallel.Shard(workers, m, func(lo, hi int) {
-		wp := panelPool.Get().([]float32)
-		matmulPanels(ad, bd, od, k, n, lo, hi, 0, n, wp)
-		panelPool.Put(wp)
-	})
-	return out, nil
 }
 
 // All three matmul kernels shard output rows across workers and walk the

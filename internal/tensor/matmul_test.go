@@ -51,18 +51,18 @@ func sameBits(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
-// TestMatMulPackBitIdentical pins the row, column-sharded and packed
-// four-tap kernels to the single-tap oracle bit for bit (NaN for NaN),
-// across shapes spanning every internal path (single block, wide-N
-// blocked, tall-M, lane counts around PackMinRows), worker counts, and
-// operands with and without infinities and NaNs.
-func TestMatMulPackBitIdentical(t *testing.T) {
+// TestMatMulMatchesOracle pins the row and column-sharded four-tap
+// kernels to the single-tap oracle bit for bit (NaN for NaN), across
+// shapes spanning every internal path (single block, wide-N blocked,
+// tall-M, several rows), worker counts, and operands with and without
+// infinities and NaNs.
+func TestMatMulMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	shapes := [][3]int{
-		{1, 7, 9},      // below PackMinRows: delegates to MatMulInto
+		{1, 7, 9},
 		{2, 300, 1100}, // column-sharded MatMulInto at 3 workers
-		{4, 16, 8},     // minimum packed rows
-		{8, 130, 40},   // spans a blockK boundary
+		{4, 16, 8},
+		{8, 130, 40}, // spans a blockK boundary
 		{16, 64, 600},
 		{5, 300, 1100}, // multiple j-blocks
 		{37, 128, 512}, // exact block sizes
@@ -80,21 +80,10 @@ func TestMatMulPackBitIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				packed, err := MatMulPackInto(New(m, n), a, b, make([]float32, PackPanelLen))
-				if err != nil {
-					t.Fatal(err)
-				}
-				// nil pack must allocate its own panel and still agree.
-				nilPack, err := MatMulPackInto(nil, a, b, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for name, got := range map[string]*Tensor{"row": row, "packed": packed, "nil-pack": nilPack} {
-					for i, w := range want.Data() {
-						if g := got.Data()[i]; !sameBits(g, w) {
-							t.Fatalf("workers=%d (%d,%d)x(%d,%d) nonfinite=%g %s: elem %d: %#x != oracle %#x",
-								workers, m, k, k, n, rate, name, i, math.Float32bits(g), math.Float32bits(w))
-						}
+				for i, w := range want.Data() {
+					if g := row.Data()[i]; !sameBits(g, w) {
+						t.Fatalf("workers=%d (%d,%d)x(%d,%d) nonfinite=%g: elem %d: %#x != oracle %#x",
+							workers, m, k, k, n, rate, i, math.Float32bits(g), math.Float32bits(w))
 					}
 				}
 			}
@@ -118,10 +107,11 @@ func refQMatMul(a []int8, za int32, m, k int, w []int8, n int) []int32 {
 	return acc
 }
 
-// TestQMatMulPackIdentical pins both four-tap int8 kernels to the
-// single-tap oracle. The requantization folds every byte of each int32
-// accumulator into its output byte, so any accumulator difference shows.
-func TestQMatMulPackIdentical(t *testing.T) {
+// TestQMatMulMatchesOracle pins the four-tap int8 kernel to the
+// single-tap oracle, on one worker and row-sharded. The requantization
+// folds every byte of each int32 accumulator into its output byte, so
+// any accumulator difference shows.
+func TestQMatMulMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	fold := func(v int32) int8 { return int8(v ^ v>>8 ^ v>>16 ^ v>>24) }
 	requant := func(acc []int32, outRow []int8) {
@@ -152,32 +142,17 @@ func TestQMatMulPackIdentical(t *testing.T) {
 			for i, v := range refQMatMul(a, za, m, k, w, n) {
 				want[i] = fold(v)
 			}
-			single := make([]int8, m*n)
-			if err := QMatMul(a, za, m, k, w, n, single, requant, nil); err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range want {
-				if single[i] != v {
-					t.Fatalf("workers=%d (%d,%d,%d): elem %d: QMatMul %d != oracle %d", workers, m, k, n, i, single[i], v)
+			// A nil scratch allocates the accumulator; a QScratch recycles it.
+			for _, tmp := range []*QScratch{nil, {}} {
+				got := make([]int8, m*n)
+				if err := QMatMul(a, za, m, k, w, n, got, requant, tmp); err != nil {
+					t.Fatal(err)
 				}
-			}
-			got := make([]int8, m*n)
-			var tmp QScratch
-			if err := QMatMulPack(a, za, m, k, w, n, got, requant, &tmp); err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range want {
-				if got[i] != v {
-					t.Fatalf("workers=%d (%d,%d,%d): elem %d: packed %d != %d", workers, m, k, n, i, got[i], v)
-				}
-			}
-			got2 := make([]int8, m*n)
-			if err := QMatMulPack(a, za, m, k, w, n, got2, requant, nil); err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range want {
-				if got2[i] != v {
-					t.Fatalf("workers=%d nil-tmp elem %d: %d != %d", workers, i, got2[i], v)
+				for i, v := range want {
+					if got[i] != v {
+						t.Fatalf("workers=%d (%d,%d,%d) scratch=%t: elem %d: QMatMul %d != oracle %d",
+							workers, m, k, n, tmp != nil, i, got[i], v)
+					}
 				}
 			}
 		}

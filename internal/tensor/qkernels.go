@@ -2,7 +2,6 @@ package tensor
 
 import (
 	"fmt"
-	"sync"
 
 	"ranger/internal/parallel"
 )
@@ -106,82 +105,6 @@ func qaxpyTail[T int32 | int64](acc []T, b []int8, av *[4]T, off *[4]int, nz int
 			acc[j] += a0 * T(bv)
 		}
 	}
-}
-
-// qpanelPool recycles int8 panel buffers for the parallel packed paths.
-var qpanelPool = sync.Pool{New: func() any { return make([]int8, PackPanelLen) }}
-
-// qmatmulPanels accumulates the packed int8 GEMM for output rows
-// [lo, hi) and columns [jw0, jw1) into the int32 accumulator matrix acc
-// (row stride n): each weight panel block is packed once and reused
-// across every row — the int8 mirror of matmulPanels. Accumulation is
-// exact integer arithmetic, so results are identical to QMatMul's by
-// construction.
-func qmatmulPanels(a []int8, za int32, w []int8, acc []int32, k, n, lo, hi, jw0, jw1 int, pack []int8) {
-	for j0 := jw0; j0 < jw1; j0 += blockN {
-		j1 := min(j0+blockN, jw1)
-		width := j1 - j0
-		for i := lo; i < hi; i++ {
-			clear(acc[i*n+j0 : i*n+j1])
-		}
-		for p0 := 0; p0 < k; p0 += blockK {
-			p1 := min(p0+blockK, k)
-			for p := p0; p < p1; p++ {
-				copy(pack[(p-p0)*width:(p-p0+1)*width], w[p*n+j0:p*n+j1])
-			}
-			for i := lo; i < hi; i++ {
-				qgemvTaps(acc[i*n+j0:i*n+j1], a[i*k+p0:i*k+p1], za, pack, width)
-			}
-		}
-	}
-}
-
-// QMatMulPack is the panel-packed, lane-batched form of QMatMul: weight
-// panel blocks are copied once into a contiguous buffer and reused
-// across all m rows (the B batched lanes), accumulating in int32 and
-// requantizing per row exactly like QMatMul. tmp, when non-nil, provides
-// the accumulator matrix and panel storage so steady-state calls
-// allocate nothing. Integer accumulation makes the results identical to
-// QMatMul at every worker count; below PackMinRows rows the call
-// delegates to QMatMul.
-func QMatMulPack(a []int8, za int32, m, k int, w []int8, n int, out []int8, requant func(acc []int32, outRow []int8), tmp *QScratch) error {
-	if m < PackMinRows {
-		return QMatMul(a, za, m, k, w, n, out, requant, tmp)
-	}
-	if len(a) < m*k || len(w) < k*n || len(out) < m*n {
-		return fmt.Errorf("%w: qmatmul (%d,%d)x(%d,%d) over %d/%d/%d elements",
-			ErrShape, m, k, k, n, len(a), len(w), len(out))
-	}
-	acc, pack := tmp.Int32(m*n), tmp.Int8(PackPanelLen)
-	workers := kernelWorkers(m * k * n)
-	switch {
-	case workers <= 1:
-		qmatmulPanels(a, za, w, acc, k, n, 0, m, 0, n, pack)
-	case (n+blockN-1)/blockN >= workers:
-		parallel.Shard(workers, (n+blockN-1)/blockN, func(b0, b1 int) {
-			wp := qpanelPool.Get().([]int8)
-			qmatmulPanels(a, za, w, acc, k, n, 0, m, b0*blockN, min(b1*blockN, n), wp)
-			qpanelPool.Put(wp)
-		})
-	default:
-		parallel.Shard(workers, m, func(lo, hi int) {
-			wp := qpanelPool.Get().([]int8)
-			qmatmulPanels(a, za, w, acc, k, n, lo, hi, 0, n, wp)
-			qpanelPool.Put(wp)
-		})
-	}
-	if workers <= 1 {
-		for i := 0; i < m; i++ {
-			requant(acc[i*n:(i+1)*n], out[i*n:(i+1)*n])
-		}
-		return nil
-	}
-	parallel.Shard(workers, m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			requant(acc[i*n:(i+1)*n], out[i*n:(i+1)*n])
-		}
-	})
-	return nil
 }
 
 // maxPairTaps is the largest window, in taps (KH*KW*C), that QConvInto

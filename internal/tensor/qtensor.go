@@ -221,30 +221,18 @@ func QLut(in, out QParams, f func(float32) float32) *[256]int8 {
 // LutIndex returns the table index of a stored int8 value.
 func LutIndex(q int8) int { return int(q) + 128 }
 
-// QScratch recycles the int8, int32 and int64 temporary buffers of
-// quantized kernels (GEMM and convolution accumulators, packed weight
-// panels) across runs.
+// QScratch recycles the int32 and int64 temporary buffers of quantized
+// kernels (GEMM and convolution accumulators) across runs.
 type QScratch struct {
-	i8  [][]int8
 	i32 [][]int32
 	i64 [][]int64
-	n8  int
 	n32 int
 	n64 int
 }
 
 // Reset makes all buffers reusable; previously returned slices are
 // invalidated.
-func (s *QScratch) Reset() { s.n8, s.n32, s.n64 = 0, 0, 0 }
-
-// Int8 returns a recycled int8 buffer of length n (contents arbitrary).
-// A nil scratch allocates a fresh buffer.
-func (s *QScratch) Int8(n int) []int8 {
-	if s == nil {
-		return make([]int8, n)
-	}
-	return recycled(&s.i8, &s.n8, n)
-}
+func (s *QScratch) Reset() { s.n32, s.n64 = 0, 0 }
 
 // Int32 returns a recycled int32 buffer of length n (contents arbitrary).
 // A nil scratch allocates a fresh buffer.

@@ -1,7 +1,8 @@
 // Golden equivalence suite for compiled execution plans: every zoo
 // architecture, protected and unprotected, must produce bit-identical
-// fetch outputs under Plan.Run (fused and unfused) and graph.RunBatch
-// (1/2/N workers) compared to the legacy per-call Executor.
+// fetch outputs under Plan.Run (fused and unfused, per feed and with the
+// feeds stacked into one batch) and graph.RunBatch (1/2/N workers)
+// compared to the legacy per-call Executor.
 package ranger_test
 
 import (
@@ -71,6 +72,34 @@ func bitsEqual(t *testing.T, ctxt string, want, got *tensor.Tensor) {
 	}
 }
 
+// stackLanes concatenates single-sample feeds along the leading batch
+// axis into one [len(feeds), ...] feed whose lane l is feeds[l].
+func stackLanes(feeds []graph.Feeds) graph.Feeds {
+	out := graph.Feeds{}
+	for name, t0 := range feeds[0] {
+		var data []float32
+		for _, f := range feeds {
+			data = append(data, f[name].Data()...)
+		}
+		out[name] = tensor.MustFromSlice(data, append([]int{len(feeds)}, t0.Shape()[1:]...)...)
+	}
+	return out
+}
+
+// lanesEqual checks that got is a [len(want), ...] output whose lane l
+// is bit-identical to want[l].
+func lanesEqual(t *testing.T, ctxt string, want [][]float32, got *tensor.Tensor) {
+	t.Helper()
+	if got.Rank() == 0 || got.Dim(0) != len(want) {
+		t.Fatalf("%s: shape %v, want %d lanes", ctxt, got.Shape(), len(want))
+	}
+	size := got.Size() / len(want)
+	for l, w := range want {
+		bitsEqual(t, ctxt+" lane "+itoa(l), tensor.MustFromSlice(w, len(w)),
+			tensor.MustFromSlice(got.Data()[l*size:(l+1)*size], size))
+	}
+}
+
 func TestGoldenPlanMatchesExecutorAcrossZoo(t *testing.T) {
 	for _, name := range goldenModels(t) {
 		name := name
@@ -89,12 +118,14 @@ func TestGoldenPlanMatchesExecutorAcrossZoo(t *testing.T) {
 				}
 				fusedSt, unfusedSt := fused.NewState(), unfused.NewState()
 				var legacyOuts []*tensor.Tensor
+				var legacyData [][]float32
 				for fi, feed := range feeds {
 					legacy, err := e.Run(m.Graph, feed, m.Output)
 					if err != nil {
 						t.Fatal(err)
 					}
 					legacyOuts = append(legacyOuts, legacy[0])
+					legacyData = append(legacyData, legacy[0].Data())
 					got, err := fused.Run(fusedSt, feed)
 					if err != nil {
 						t.Fatal(err)
@@ -106,6 +137,13 @@ func TestGoldenPlanMatchesExecutorAcrossZoo(t *testing.T) {
 					}
 					bitsEqual(t, m.Name+" unfused plan feed "+itoa(fi), legacy[0], got[0])
 				}
+				// The feeds stacked into one [B, ...] feed: each lane of the
+				// fused plan's output equals that feed's own run.
+				stacked, err := fused.Run(fusedSt, stackLanes(feeds))
+				if err != nil {
+					t.Fatal(err)
+				}
+				lanesEqual(t, m.Name+" stacked fused plan", legacyData, stacked[0])
 				// RunBatch (plan-backed) at 1, 2, and default workers.
 				for _, workers := range []int{1, 2, 0} {
 					outs, err := graph.RunBatch(m.Graph, feeds, workers, m.Output)

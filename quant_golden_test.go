@@ -96,6 +96,13 @@ func TestGoldenQuantizedZoo(t *testing.T) {
 					}
 					qOuts = append(qOuts, append([]float32{}, gd...))
 				}
+				// The feeds stacked into one [B, ...] feed: each lane equals
+				// that feed's own int8 run.
+				stacked, err := qm.Run(stackLanes(feeds))
+				if err != nil {
+					t.Fatalf("%s: stacked int8 run: %v", m.Name, err)
+				}
+				lanesEqual(t, m.Name+" stacked int8", qOuts, stacked)
 				// RunBatch agrees bit-for-bit with Run at every worker count.
 				for _, workers := range []int{1, 2, 0} {
 					outs, err := qm.RunBatch(feeds, workers)

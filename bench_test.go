@@ -422,28 +422,40 @@ func BenchmarkMatMul64(b *testing.B) {
 	}
 }
 
+// benchEvalInto times a planned op's EvalInto, the kernel every plan
+// step runs: over the whole output ("whole", full and suffix replay) and
+// over a 3x3-pixel window of it ("window", what cone replay recomputes
+// around a struck pixel).
+func benchEvalInto(b *testing.B, op graph.PlannedOp, ins []*tensor.Tensor, out *tensor.Tensor) {
+	_, h, w, _ := graph.Pixels(out)
+	for _, wc := range []struct {
+		name string
+		win  graph.Window
+	}{
+		{"whole", graph.Window{Y1: h, X1: w}},
+		{"window", graph.Window{Y0: h / 2, Y1: h/2 + 3, X0: w / 2, X1: w/2 + 3}},
+	} {
+		b.Run(wc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := op.EvalInto(ins, out, wc.win); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkConv2DForward(b *testing.B) {
 	x := tensor.New(1, 32, 32, 8)
 	x.Fill(0.5)
 	w := tensor.New(3, 3, 8, 16)
 	w.Fill(0.1)
 	op := &ops.Conv2DOp{Geom: tensor.ConvGeom{KH: 3, KW: 3, SH: 1, SW: 1, PadH: 1, PadW: 1}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := op.Eval([]*tensor.Tensor{x, w}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchEvalInto(b, op, []*tensor.Tensor{x, w}, tensor.New(1, 32, 32, 16))
 }
 
 func BenchmarkClipOp(b *testing.B) {
 	x := tensor.New(1, 32, 32, 16)
 	x.Fill(3)
-	op := ops.NewClip(0, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := op.Eval([]*tensor.Tensor{x}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchEvalInto(b, ops.NewClip(0, 2), []*tensor.Tensor{x}, tensor.New(1, 32, 32, 16))
 }

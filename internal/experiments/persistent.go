@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"time"
 
 	"ranger/internal/baselines"
 	"ranger/internal/inject"
@@ -49,9 +48,6 @@ type PersistentRow struct {
 	// DUEs counts sequences whose fault made the plan unexecutable
 	// (quant-param corruption only).
 	DUEs int `json:"dues"`
-	// InferencesPerSec is sequence-mode campaign throughput: judged
-	// inferences per wall-clock second.
-	InferencesPerSec float64 `json:"inferences_per_sec"`
 }
 
 // PersistentResult reports the persistent fault-surface sweep. It
@@ -74,14 +70,13 @@ func (r *PersistentResult) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Persistent fault surfaces (%d sequences x <=%d inferences, symptom detector + scrub-from-golden repair)\n\n",
 		r.Sequences, r.SeqLen)
-	fmt.Fprintf(&b, "%-8s %-10s %-7s %9s %8s %9s %9s %8s %8s %9s %5s %8s\n",
-		"model", "surface", "backend", "detected", "latency", "first-sdc", "sdc-early", "sdc-miss", "repairs", "repair-ok", "dues", "inf/s")
+	fmt.Fprintf(&b, "%-8s %-10s %-7s %9s %8s %9s %9s %8s %8s %9s %5s\n",
+		"model", "surface", "backend", "detected", "latency", "first-sdc", "sdc-early", "sdc-miss", "repairs", "repair-ok", "dues")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-8s %-10s %-7s %8.1f%% %8.2f %9.2f %9d %8d %8d %9d %5d %8.0f\n",
+		fmt.Fprintf(&b, "%-8s %-10s %-7s %8.1f%% %8.2f %9.2f %9d %8d %8d %9d %5d\n",
 			row.Model, row.Surface, row.Backend, row.DetectionRate*100,
 			row.DetectLatency, row.FirstSDCLatency,
-			row.SDCsBeforeDetect, row.UndetectedSDCs, row.Repairs, row.RepairOK, row.DUEs,
-			row.InferencesPerSec)
+			row.SDCsBeforeDetect, row.UndetectedSDCs, row.Repairs, row.RepairOK, row.DUEs)
 	}
 	return b.String()
 }
@@ -129,12 +124,10 @@ func PersistentSurfaces(ctx context.Context, r *Runner) (*PersistentResult, erro
 			c.Scenario = inject.BitFlipInt8{Flips: 1}
 			c.Calibration = calib
 		}
-		start := time.Now()
 		out, err := c.RunPersistent(ctx, feeds)
 		if err != nil {
 			return nil, fmt.Errorf("persistent %s/%s: %w", cfg.surface.Name(), cfg.backend, err)
 		}
-		elapsed := time.Since(start).Seconds()
 		res.Rows = append(res.Rows, PersistentRow{
 			Model:            "lenet",
 			Surface:          cfg.surface.Name(),
@@ -150,9 +143,6 @@ func PersistentSurfaces(ctx context.Context, r *Runner) (*PersistentResult, erro
 			RepairOK:         out.PostRepairOK,
 			DUEs:             out.DUEs,
 		})
-		if elapsed > 0 {
-			res.Rows[len(res.Rows)-1].InferencesPerSec = float64(out.Inferences) / elapsed
-		}
 	}
 	return res, nil
 }

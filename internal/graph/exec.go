@@ -20,12 +20,6 @@ type Feeds map[string]*tensor.Tensor
 type Executor struct {
 	// Hook, if non-nil, is called after every node evaluation.
 	Hook Hook
-	// Arena, if non-nil, recycles node output buffers across calls:
-	// operators implementing ScratchOp evaluate into reused memory
-	// instead of allocating per call. Outputs (including fetched
-	// tensors) then remain valid only until the next Run/RunAll on this
-	// executor; Clone anything that must survive.
-	Arena *Arena
 }
 
 // Placeholder is the feed-input op: it has no inputs and is satisfied by
@@ -87,8 +81,8 @@ func (e *Executor) RunAll(g *Graph, feeds Feeds) ([]*tensor.Tensor, error) {
 
 // exec is the shared evaluation path behind Run and RunAll: it validates
 // feeds, then evaluates the graph's nodes in topological order (all of
-// them when needed is nil), so hook and arena behavior cannot drift
-// between the two entry points.
+// them when needed is nil), so hook behavior cannot drift between the
+// two entry points.
 func (e *Executor) exec(g *Graph, feeds Feeds, needed []bool) ([]*tensor.Tensor, error) {
 	if err := validateFeeds(g, feeds, needed); err != nil {
 		return nil, err
@@ -149,15 +143,7 @@ func (e *Executor) evalNode(n *Node, feeds Feeds, cache []*tensor.Tensor) (*tens
 				return nil, fmt.Errorf("graph: input %q of %q not evaluated", in.name, n.name)
 			}
 		}
-		var t *tensor.Tensor
-		var err error
-		if sop, ok := op.(ScratchOp); ok && e.Arena != nil {
-			s := e.Arena.scratch(n.id)
-			s.reset()
-			t, err = sop.EvalScratch(ins, s)
-		} else {
-			t, err = op.Eval(ins)
-		}
+		t, err := op.Eval(ins)
 		if err != nil {
 			return nil, fmt.Errorf("eval %q (%s): %w", n.name, n.op.Type(), err)
 		}

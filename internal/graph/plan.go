@@ -33,10 +33,13 @@ type ShapeOp interface {
 // statically assigned buffer slots instead of allocating per call.
 type PlannedOp interface {
 	Op
-	// EvalInto computes the op like Eval, writing the result into out
-	// (whose shape is the op's inferred output shape; contents are
-	// arbitrary and must be fully overwritten). Temporaries come from tmp.
-	EvalInto(inputs []*tensor.Tensor, out *tensor.Tensor, tmp *Scratch) error
+	// EvalInto computes the output pixels in win (non-empty and within
+	// the output) like Eval, writing them into out, whose shape is the
+	// op's inferred output shape. It writes exactly those pixels,
+	// bit-identical to a call on the whole value (Whole of out's shape),
+	// and leaves every other pixel of out as it was. Only a WindowOp is
+	// given a window smaller than the whole value.
+	EvalInto(inputs []*tensor.Tensor, out *tensor.Tensor, win Window) error
 }
 
 // FusableOp is an optional Op extension for single-input elementwise
@@ -55,10 +58,11 @@ type FusableOp interface {
 // output pixels reads a bounded box of input pixels (convolution,
 // pooling, elementwise and channel-stacking ops). Cone replay maps the
 // windows of a step's differing inputs through OutWindow and recomputes
-// only the resulting output pixels; every other output pixel reads only
-// clean inputs, so the checkpoint's value stands for it. The op's int8
-// kernel (QuantizedOp) must then compute at least the window it is
-// given. Steps of ops without the extension recompute the whole value.
+// only the resulting output pixels through EvalInto; every other output
+// pixel reads only clean inputs, so the checkpoint's value stands for
+// it. The op's int8 kernel (QuantizedOp) must then compute at least the
+// window it is given. Steps of ops without the extension recompute the
+// whole value.
 type WindowOp interface {
 	PlannedOp
 	// OutWindow returns the window of output pixels (of an output shaped
@@ -66,11 +70,6 @@ type WindowOp interface {
 	// the op's configuration has no windowed kernel; its steps then
 	// recompute the whole value.
 	OutWindow(i int, in Window, out []int) (w Window, ok bool)
-	// EvalWindow is EvalInto restricted to the output pixels in win
-	// (non-empty and within the output): it writes exactly those pixels,
-	// bit-identical to EvalInto, and leaves every other pixel of out as
-	// it was.
-	EvalWindow(inputs []*tensor.Tensor, out *tensor.Tensor, win Window, tmp *Scratch) error
 }
 
 // ErrFeedShape reports a feed tensor whose shape contradicts the
@@ -145,7 +144,7 @@ type planStep struct {
 	node     *Node     // the node whose value this step produces (chain end)
 	anchor   *Node     // the node whose kernel evaluates (chain head)
 	planned  PlannedOp // anchor's EvalInto, when implemented
-	window   WindowOp  // anchor's windowed kernel, when implemented
+	window   WindowOp  // anchor's window map, when implemented
 	inIDs    []int     // anchor input node ids
 	epilogue []stageSpec
 	slot     int  // statically assigned output slot; -1 = not slot-backed
@@ -657,7 +656,7 @@ func (p *Plan) deriveLayout(feeds Feeds) (*planLayout, error) {
 }
 
 // PlanState is the mutable per-worker execution state of one Plan: the
-// slot buffers, the per-step temporaries, and the node-output cache.
+// slot buffers and the node-output cache.
 // States are not safe for concurrent use — give each worker its own.
 // Tensors returned by Run remain valid only until the next Run on the
 // same state; Clone anything that must survive.
@@ -665,7 +664,6 @@ type PlanState struct {
 	plan   *Plan
 	slots  [][]float32
 	cache  []*tensor.Tensor
-	tmps   []*Scratch
 	stages [][]tensor.Stage
 	// ins, outT, and fetch recycle the per-step input gather slice, the
 	// per-step output tensor headers over the slot buffers, and the
@@ -691,7 +689,6 @@ func (p *Plan) NewState() *PlanState {
 		plan:   p,
 		slots:  make([][]float32, p.nSlots),
 		cache:  make([]*tensor.Tensor, p.g.Len()),
-		tmps:   make([]*Scratch, len(p.steps)),
 		stages: make([][]tensor.Stage, len(p.steps)),
 		outT:   make([]*tensor.Tensor, len(p.steps)),
 		fetch:  make([]*tensor.Tensor, len(p.fetchID)),
@@ -723,14 +720,6 @@ func (st *PlanState) slotBuf(slot, n int) []float32 {
 		st.slots[slot] = make([]float32, n)
 	}
 	return st.slots[slot][:n]
-}
-
-func (st *PlanState) tmp(si int) *Scratch {
-	if st.tmps[si] == nil {
-		st.tmps[si] = &Scratch{}
-	}
-	st.tmps[si].reset()
-	return st.tmps[si]
 }
 
 func (st *PlanState) stageBuf(si int, specs []stageSpec) []tensor.Stage {
@@ -819,9 +808,10 @@ func (p *Plan) runStep(st *PlanState, layout *planLayout, feeds Feeds, si int, h
 }
 
 // evalStep computes step si's output — kernel and fused epilogue — from
-// the inputs in the state's cache. A window other than everywhere
-// restricts both to its pixels (the step must then be slot-backed with
-// a WindowOp anchor), leaving the rest of the slot as it was.
+// the inputs in the state's cache, on the pixels of win clipped to the
+// output (everywhere is the whole value). A smaller window needs a
+// slot-backed step with a WindowOp anchor; the rest of the slot stays as
+// it was.
 func (p *Plan) evalStep(st *PlanState, layout *planLayout, feeds Feeds, si int, win Window) (*tensor.Tensor, error) {
 	s := &p.steps[si]
 	switch op := s.anchor.op.(type) {
@@ -844,19 +834,15 @@ func (p *Plan) evalStep(st *PlanState, layout *planLayout, feeds Feeds, si int, 
 		}
 		st.ins = append(st.ins, in)
 	}
-	whole := win == everywhere
 	var out *tensor.Tensor
 	if s.planned != nil && s.slot >= 0 && layout.shapes[si] != nil {
 		ot, err := st.outTensor(si, layout)
 		if err != nil {
 			return nil, err
 		}
-		if whole {
-			err = s.planned.EvalInto(st.ins, ot, st.tmp(si))
-		} else {
-			err = s.window.EvalWindow(st.ins, ot, win, st.tmp(si))
-		}
-		if err != nil {
+		_, h, w, _ := Pixels(ot)
+		win = win.clip(h, w)
+		if err := s.planned.EvalInto(st.ins, ot, win); err != nil {
 			return nil, fmt.Errorf("eval %q (%s): %w", s.anchor.name, s.anchor.op.Type(), err)
 		}
 		out = ot
@@ -865,7 +851,8 @@ func (p *Plan) evalStep(st *PlanState, layout *planLayout, feeds Feeds, si int, 
 		if err != nil {
 			return nil, fmt.Errorf("eval %q (%s): %w", s.anchor.name, s.anchor.op.Type(), err)
 		}
-		out = t
+		_, h, w, _ := Pixels(t)
+		out, win = t, Window{0, h, 0, w}
 	}
 	if len(s.epilogue) > 0 {
 		stages := st.stageBuf(si, s.epilogue)
@@ -881,12 +868,8 @@ func (p *Plan) evalStep(st *PlanState, layout *planLayout, feeds Feeds, si int, 
 			stages[k].Vec, stages[k].C = vec.Data(), vec.Size()
 		}
 		epi, data := tensor.Epilogue(stages), out.Data()
-		if whole {
-			epi.Apply(data)
-		} else {
-			n, h, w, c := Pixels(out)
-			win.Spans(n, h, w, c, func(lo, hi int) { epi.Apply(data[lo:hi]) })
-		}
+		n, h, w, c := Pixels(out)
+		win.Spans(n, h, w, c, func(lo, hi int) { epi.Apply(data[lo:hi]) })
 	}
 	return out, nil
 }

@@ -29,7 +29,7 @@ func reluF(v float32) float32 {
 	return 0
 }
 func (testRelu) InferShape(ins [][]int) ([]int, error) { return ins[0], nil }
-func (testRelu) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *Scratch) error {
+func (testRelu) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ Window) error {
 	for i, v := range in[0].Data() {
 		out.Data()[i] = reluF(v)
 	}
@@ -46,7 +46,7 @@ func (testSquare) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
 	return in[0].Map(func(v float32) float32 { return v * v }), nil
 }
 func (testSquare) InferShape(ins [][]int) ([]int, error) { return ins[0], nil }
-func (testSquare) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *Scratch) error {
+func (testSquare) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ Window) error {
 	for i, v := range in[0].Data() {
 		out.Data()[i] = v * v
 	}

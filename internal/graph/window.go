@@ -78,11 +78,23 @@ func Pixels(t interface {
 	return 1, 1, 1, t.Size()
 }
 
-// Spans calls f(lo, hi) for the flat element range of each pixel row of
-// the window in a value of dims n×h×w×c, in ascending order. Every
-// range starts on a pixel boundary, so a channel-indexed computation
-// (a StageBias vector, say) indexes it exactly as over the whole value.
+// Spans calls f(lo, hi) for the flat element ranges holding the
+// window's pixels in a value of dims n×h×w×c, in ascending order: one
+// range per pixel row, with rows that span the full width merged (the
+// whole value is one range). Every range starts on a pixel boundary, so
+// a channel-indexed computation (a StageBias vector, say) indexes it
+// exactly as over the whole value.
 func (w Window) Spans(n, h, wd, c int, f func(lo, hi int)) {
+	if w.X0 == 0 && w.X1 == wd && w.Y0 < w.Y1 {
+		if w.Y0 == 0 && w.Y1 == h {
+			f(0, n*h*wd*c)
+			return
+		}
+		for b := 0; b < n; b++ {
+			f((b*h+w.Y0)*wd*c, (b*h+w.Y1)*wd*c)
+		}
+		return
+	}
 	for b := 0; b < n; b++ {
 		for y := w.Y0; y < w.Y1; y++ {
 			row := (b*h + y) * wd

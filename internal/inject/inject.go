@@ -232,7 +232,7 @@ func (c *Campaign) validate(inputs []graph.Feeds, ep entry, det Detector) error 
 	case ep == detectorEntry && det == nil:
 		return fmt.Errorf("inject: nil detector")
 	case ep == detectorEntry && c.Calibration != nil:
-		return fmt.Errorf("inject: detectors observe fp32 values; quantized campaigns support Run only")
+		return fmt.Errorf("inject: RunWithDetector observes fp32 values; quantized campaigns run through Run, RunSlice, RunAdaptive and RunPersistent")
 	case ep == detectorEntry && c.Adaptive != SamplingUniform:
 		return fmt.Errorf("inject: detector campaigns sample uniformly; unset Campaign.Adaptive")
 	case ep == detectorEntry && surf.Persistent():

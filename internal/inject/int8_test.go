@@ -2,6 +2,7 @@ package inject
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"ranger/internal/core"
@@ -72,10 +73,13 @@ func TestInt8ScenarioValidation(t *testing.T) {
 	if _, err := c.Run(ctx, feeds); err == nil {
 		t.Fatal("float scenario ran on the quantized backend")
 	}
-	// Detectors are fp32-only.
+	// RunWithDetector is fp32-only; the rejection names the entry points
+	// that do take int8, RunPersistent (with a Detector) among them.
 	c = &Campaign{Model: m, Scenario: BitFlipInt8{Flips: 1}, Trials: 1, Calibration: calib}
 	if _, err := c.RunWithDetector(ctx, feeds, nopDetector{}); err == nil {
 		t.Fatal("detector ran on the quantized backend")
+	} else if !strings.Contains(err.Error(), "RunPersistent") {
+		t.Fatalf("rejection %q does not name RunPersistent", err)
 	}
 }
 

@@ -35,10 +35,7 @@ type unary struct {
 	dfdx func(x, y float32) float32 // derivative given input x and output y
 }
 
-var (
-	_ graph.GradOp    = (*unary)(nil)
-	_ graph.ScratchOp = (*unary)(nil)
-)
+var _ graph.GradOp = (*unary)(nil)
 
 // Type implements graph.Op.
 func (u *unary) Type() string { return u.typ }
@@ -49,19 +46,6 @@ func (u *unary) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("%s: want 1 input, got %d", u.typ, len(in))
 	}
 	return in[0].Map(u.f), nil
-}
-
-// EvalScratch implements graph.ScratchOp.
-func (u *unary) EvalScratch(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) {
-	if len(in) != 1 {
-		return nil, fmt.Errorf("%s: want 1 input, got %d", u.typ, len(in))
-	}
-	out := s.Get(in[0].Shape()...)
-	xd, od := in[0].Data(), out.Data()
-	for i, v := range xd {
-		od[i] = u.f(v)
-	}
-	return out, nil
 }
 
 // Grad implements graph.GradOp.

@@ -55,10 +55,7 @@ type ClipOp struct {
 	Policy    Policy
 }
 
-var (
-	_ graph.GradOp    = (*ClipOp)(nil)
-	_ graph.ScratchOp = (*ClipOp)(nil)
-)
+var _ graph.GradOp = (*ClipOp)(nil)
 
 // NewClip returns the default (truncating) range-restriction op.
 func NewClip(low, high float32) *ClipOp {
@@ -70,35 +67,21 @@ func (c *ClipOp) Type() string { return TypeClip }
 
 // Eval implements graph.Op.
 func (c *ClipOp) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return c.eval(in, nil)
-}
-
-// EvalScratch implements graph.ScratchOp.
-func (c *ClipOp) EvalScratch(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) {
-	return c.eval(in, s)
-}
-
-func (c *ClipOp) eval(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) {
 	if len(in) != 1 {
 		return nil, fmt.Errorf("clip: want 1 input, got %d", len(in))
 	}
 	if c.Low > c.High {
 		return nil, fmt.Errorf("clip: low %g > high %g", c.Low, c.High)
 	}
-	x := in[0]
-	var out *tensor.Tensor
-	if s != nil {
-		out = s.Get(x.Shape()...)
-	} else {
-		out = tensor.New(x.Shape()...)
-	}
-	c.fill(x, out)
+	out := tensor.New(in[0].Shape()...)
+	c.clip(in[0].Data(), out.Data(), 0)
 	return out, nil
 }
 
-// fill clips x into out (same size; every element is written).
-func (c *ClipOp) fill(x, out *tensor.Tensor) {
-	xd, od := x.Data(), out.Data()
+// clip writes the restriction of x into out (as long as x). x holds the
+// elements of the value from flat index base on, which PolicyRandom
+// hashes.
+func (c *ClipOp) clip(xd, od []float32, base int) {
 	switch c.Policy {
 	case PolicyZero:
 		for i, v := range xd {
@@ -112,7 +95,7 @@ func (c *ClipOp) fill(x, out *tensor.Tensor) {
 		span := c.High - c.Low
 		for i, v := range xd {
 			if v < c.Low || v > c.High {
-				h := parallel.Mix64(uint64(math.Float32bits(v)) | uint64(i+1)<<32)
+				h := parallel.Mix64(uint64(math.Float32bits(v)) | uint64(base+i+1)<<32)
 				u := float32(h>>11) / float32(1<<53)
 				od[i] = c.Low + u*span
 			} else {

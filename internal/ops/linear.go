@@ -18,33 +18,19 @@ const (
 
 // Conv2DOp convolves an NHWC input (input 0) with an (KH,KW,inC,outC)
 // kernel (input 1). Planned runs use the implicit-GEMM tensor.ConvInto;
-// Eval and EvalScratch, the legacy executor's path, keep im2col lowering
-// plus MatMulInto as the independent oracle the plan is checked against.
+// Eval, the legacy executor's path, keeps im2col lowering plus MatMul as
+// the independent oracle the plan is checked against.
 type Conv2DOp struct {
 	Geom tensor.ConvGeom
 }
 
-var (
-	_ graph.GradOp    = (*Conv2DOp)(nil)
-	_ graph.ScratchOp = (*Conv2DOp)(nil)
-)
+var _ graph.GradOp = (*Conv2DOp)(nil)
 
 // Type implements graph.Op.
 func (c *Conv2DOp) Type() string { return TypeConv2D }
 
 // Eval implements graph.Op.
 func (c *Conv2DOp) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return c.eval(in, nil)
-}
-
-// EvalScratch implements graph.ScratchOp: the im2col patch matrix and the
-// matmul product — the two big allocations of a conv forward — come from
-// the node's recycled buffers.
-func (c *Conv2DOp) EvalScratch(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) {
-	return c.eval(in, s)
-}
-
-func (c *Conv2DOp) eval(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) {
 	if len(in) != 2 {
 		return nil, fmt.Errorf("conv2d: want (input, kernel), got %d inputs", len(in))
 	}
@@ -58,21 +44,15 @@ func (c *Conv2DOp) eval(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, 
 	n, h, wd := x.Dim(0), x.Dim(1), x.Dim(2)
 	outC := w.Dim(3)
 	oh, ow := c.Geom.OutDims(h, wd)
-	rowLen := c.Geom.KH * c.Geom.KW * x.Dim(3)
-	var cols, prod *tensor.Tensor
-	if s != nil && oh > 0 && ow > 0 {
-		cols = s.Get(n*oh*ow, rowLen)
-		prod = s.Get(n*oh*ow, outC)
-	}
-	cols, err := tensor.Im2ColInto(cols, x, c.Geom)
+	cols, err := tensor.Im2Col(x, c.Geom)
 	if err != nil {
 		return nil, err
 	}
-	wm, err := w.Reshape(rowLen, outC)
+	wm, err := w.Reshape(c.Geom.KH*c.Geom.KW*x.Dim(3), outC)
 	if err != nil {
 		return nil, err
 	}
-	prod, err = tensor.MatMulInto(prod, cols, wm)
+	prod, err := tensor.MatMul(cols, wm)
 	if err != nil {
 		return nil, err
 	}
@@ -119,10 +99,7 @@ func (c *Conv2DOp) Grad(in []*tensor.Tensor, _, gout *tensor.Tensor) ([]*tensor.
 // DenseOp multiplies a (N,K) input by a (K,F) weight matrix.
 type DenseOp struct{}
 
-var (
-	_ graph.GradOp    = (*DenseOp)(nil)
-	_ graph.ScratchOp = (*DenseOp)(nil)
-)
+var _ graph.GradOp = (*DenseOp)(nil)
 
 // Type implements graph.Op.
 func (DenseOp) Type() string { return TypeDense }
@@ -133,18 +110,6 @@ func (DenseOp) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("matmul: want (input, weights), got %d inputs", len(in))
 	}
 	return tensor.MatMul(in[0], in[1])
-}
-
-// EvalScratch implements graph.ScratchOp.
-func (DenseOp) EvalScratch(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) {
-	if len(in) != 2 {
-		return nil, fmt.Errorf("matmul: want (input, weights), got %d inputs", len(in))
-	}
-	a, b := in[0], in[1]
-	if a.Rank() != 2 || b.Rank() != 2 {
-		return tensor.MatMul(a, b) // shared shape-error path
-	}
-	return tensor.MatMulInto(s.Get(a.Dim(0), b.Dim(1)), a, b)
 }
 
 // Grad implements graph.GradOp.
@@ -165,25 +130,13 @@ func (DenseOp) Grad(in []*tensor.Tensor, _, gout *tensor.Tensor) ([]*tensor.Tens
 // first input (NHWC conv outputs or (N,F) dense outputs).
 type BiasAddOp struct{}
 
-var (
-	_ graph.GradOp    = (*BiasAddOp)(nil)
-	_ graph.ScratchOp = (*BiasAddOp)(nil)
-)
+var _ graph.GradOp = (*BiasAddOp)(nil)
 
 // Type implements graph.Op.
 func (BiasAddOp) Type() string { return TypeBiasAdd }
 
 // Eval implements graph.Op.
 func (BiasAddOp) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return biasAddEval(in, nil)
-}
-
-// EvalScratch implements graph.ScratchOp.
-func (BiasAddOp) EvalScratch(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) {
-	return biasAddEval(in, s)
-}
-
-func biasAddEval(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) {
 	if len(in) != 2 {
 		return nil, fmt.Errorf("biasadd: want (input, bias), got %d inputs", len(in))
 	}
@@ -192,25 +145,19 @@ func biasAddEval(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) 
 	if b.Rank() != 1 || b.Dim(0) != c {
 		return nil, fmt.Errorf("biasadd: bias %v for input %v", b.Shape(), x.Shape())
 	}
-	var out *tensor.Tensor
-	if s != nil {
-		out = s.Get(x.Shape()...)
-	} else {
-		out = tensor.New(x.Shape()...)
-	}
-	biasAddFill(x, b, out)
+	out := tensor.New(x.Shape()...)
+	biasAdd(x.Data(), b.Data(), out.Data())
 	return out, nil
 }
 
-// biasAddFill writes x + broadcast(b) into out (same size as x),
-// indexing b with a wrapping channel counter rather than i%c.
-func biasAddFill(x, b, out *tensor.Tensor) {
-	c := x.Dim(x.Rank() - 1)
-	xd, od, bd := x.Data(), out.Data(), b.Data()
+// biasAdd writes x + broadcast(b) into out (as long as x), indexing b
+// with a wrapping channel counter rather than i%c, so x must start at a
+// channel boundary.
+func biasAdd(x, b, out []float32) {
 	ch := 0
-	for i, v := range xd {
-		od[i] = v + bd[ch]
-		if ch++; ch == c {
+	for i, v := range x {
+		out[i] = v + b[ch]
+		if ch++; ch == len(b) {
 			ch = 0
 		}
 	}
@@ -232,10 +179,7 @@ func (BiasAddOp) Grad(in []*tensor.Tensor, _, gout *tensor.Tensor) ([]*tensor.Te
 // AddOp adds two same-shape tensors (residual connections in ResNet).
 type AddOp struct{}
 
-var (
-	_ graph.GradOp    = (*AddOp)(nil)
-	_ graph.ScratchOp = (*AddOp)(nil)
-)
+var _ graph.GradOp = (*AddOp)(nil)
 
 // Type implements graph.Op.
 func (AddOp) Type() string { return TypeAdd }
@@ -246,21 +190,6 @@ func (AddOp) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("add: want 2 inputs, got %d", len(in))
 	}
 	return in[0].Add(in[1])
-}
-
-// EvalScratch implements graph.ScratchOp.
-func (AddOp) EvalScratch(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) {
-	if len(in) != 2 {
-		return nil, fmt.Errorf("add: want 2 inputs, got %d", len(in))
-	}
-	if !in[0].SameShape(in[1]) {
-		return in[0].Add(in[1]) // shared shape-error path
-	}
-	out := s.Get(in[0].Shape()...)
-	if err := in[0].AddInto(in[1], out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Grad implements graph.GradOp.

@@ -12,8 +12,9 @@ import (
 //
 //   - graph.ShapeOp: compile-time output-shape inference, which powers
 //     static buffer assignment and up-front shape validation.
-//   - graph.PlannedOp: evaluation into a plan-assigned output buffer,
-//     replacing the per-node Scratch heuristics for planned runs.
+//   - graph.PlannedOp: evaluation of a window of output pixels into a
+//     plan-assigned output buffer, the one fp32 kernel of every planned
+//     step in full, suffix and cone replay (window.go maps the windows).
 //   - graph.FusableOp: elementwise epilogue stages, letting
 //     MatMul/Conv2D + BiasAdd + activation + RangerClip chains run as a
 //     single loop. Every stage reproduces the unfused operator's scalar
@@ -81,15 +82,19 @@ func (c *Conv2DOp) InferShape(ins [][]int) ([]int, error) {
 }
 
 // EvalInto implements graph.PlannedOp: the implicit-GEMM kernel reads
-// the taps straight from the input and writes the product into out, so
-// the step needs no scratch (bit-identical to the im2col + MatMulInto
-// path of Eval; see tensor.ConvInto).
-func (c *Conv2DOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
+// the taps straight from the input and writes the product into out, the
+// whole value through tensor.ConvInto and a window through its pixel
+// rows (tensor.ConvWindowInto), so the step needs no scratch
+// (bit-identical to the im2col + MatMulInto path of Eval).
+func (c *Conv2DOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Window) error {
 	if len(in) != 2 {
 		return fmt.Errorf("conv2d: want (input, kernel), got %d inputs", len(in))
 	}
-	_, err := tensor.ConvInto(out, in[0], in[1], c.Geom)
-	return err
+	if _, h, w, _ := graph.Pixels(out); win == (graph.Window{Y1: h, X1: w}) {
+		_, err := tensor.ConvInto(out, in[0], in[1], c.Geom)
+		return err
+	}
+	return tensor.ConvWindowInto(out, in[0], in[1], c.Geom, win.Y0, win.Y1, win.X0, win.X1)
 }
 
 // InferShape implements graph.ShapeOp.
@@ -104,8 +109,9 @@ func (DenseOp) InferShape(ins [][]int) ([]int, error) {
 	return []int{a[0], b[1]}, nil
 }
 
-// EvalInto implements graph.PlannedOp.
-func (DenseOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
+// EvalInto implements graph.PlannedOp; its output is one pixel, so win
+// is always the whole value.
+func (DenseOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ graph.Window) error {
 	if len(in) != 2 {
 		return fmt.Errorf("matmul: want (input, weights), got %d inputs", len(in))
 	}
@@ -126,11 +132,13 @@ func (BiasAddOp) InferShape(ins [][]int) ([]int, error) {
 }
 
 // EvalInto implements graph.PlannedOp.
-func (BiasAddOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
-	if len(in) != 2 {
-		return fmt.Errorf("biasadd: want (input, bias), got %d inputs", len(in))
+func (BiasAddOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Window) error {
+	if len(in) != 2 || in[0].Size() != out.Size() || in[1].Rank() != 1 ||
+		out.Rank() == 0 || in[1].Size() != out.Dim(out.Rank()-1) {
+		return fmt.Errorf("biasadd: want (input, bias) matching the output")
 	}
-	biasAddFill(in[0], in[1], out)
+	xd, bd, od := in[0].Data(), in[1].Data(), out.Data()
+	spans(out, win, func(lo, hi int) { biasAdd(xd[lo:hi], bd, od[lo:hi]) })
 	return nil
 }
 
@@ -152,11 +160,17 @@ func (AddOp) InferShape(ins [][]int) ([]int, error) {
 }
 
 // EvalInto implements graph.PlannedOp.
-func (AddOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
-	if len(in) != 2 {
-		return fmt.Errorf("add: want 2 inputs, got %d", len(in))
+func (AddOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Window) error {
+	if len(in) != 2 || in[0].Size() != out.Size() || in[1].Size() != out.Size() {
+		return fmt.Errorf("add: want 2 inputs shaped like the output")
 	}
-	return in[0].AddInto(in[1], out)
+	ad, bd, od := in[0].Data(), in[1].Data(), out.Data()
+	spans(out, win, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			od[i] = ad[i] + bd[i]
+		}
+	})
+	return nil
 }
 
 // InferShape implements graph.ShapeOp.
@@ -168,14 +182,16 @@ func (s *ScaleOp) InferShape(ins [][]int) ([]int, error) {
 }
 
 // EvalInto implements graph.PlannedOp.
-func (s *ScaleOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
-	if len(in) != 1 {
-		return fmt.Errorf("scale: want 1 input, got %d", len(in))
+func (s *ScaleOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Window) error {
+	if len(in) != 1 || in[0].Size() != out.Size() {
+		return fmt.Errorf("scale: want 1 input shaped like the output")
 	}
 	xd, od := in[0].Data(), out.Data()
-	for i, v := range xd {
-		od[i] = v * s.Factor
-	}
+	spans(out, win, func(lo, hi int) {
+		for i, v := range xd[lo:hi] {
+			od[lo+i] = v * s.Factor
+		}
+	})
 	return nil
 }
 
@@ -193,14 +209,16 @@ func (u *unary) InferShape(ins [][]int) ([]int, error) {
 }
 
 // EvalInto implements graph.PlannedOp.
-func (u *unary) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
-	if len(in) != 1 {
-		return fmt.Errorf("%s: want 1 input, got %d", u.typ, len(in))
+func (u *unary) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Window) error {
+	if len(in) != 1 || in[0].Size() != out.Size() {
+		return fmt.Errorf("%s: want 1 input shaped like the output", u.typ)
 	}
 	xd, od := in[0].Data(), out.Data()
-	for i, v := range xd {
-		od[i] = u.f(v)
-	}
+	spans(out, win, func(lo, hi int) {
+		for i, v := range xd[lo:hi] {
+			od[lo+i] = u.f(v)
+		}
+	})
 	return nil
 }
 
@@ -222,14 +240,15 @@ func (c *ClipOp) InferShape(ins [][]int) ([]int, error) {
 }
 
 // EvalInto implements graph.PlannedOp.
-func (c *ClipOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
-	if len(in) != 1 {
-		return fmt.Errorf("clip: want 1 input, got %d", len(in))
+func (c *ClipOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Window) error {
+	if len(in) != 1 || in[0].Size() != out.Size() {
+		return fmt.Errorf("clip: want 1 input shaped like the output")
 	}
 	if c.Low > c.High {
 		return fmt.Errorf("clip: low %g > high %g", c.Low, c.High)
 	}
-	c.fill(in[0], out)
+	xd, od := in[0].Data(), out.Data()
+	spans(out, win, func(lo, hi int) { c.clip(xd[lo:hi], od[lo:hi], lo) })
 	return nil
 }
 
@@ -255,12 +274,12 @@ func (p *MaxPoolOp) InferShape(ins [][]int) ([]int, error) {
 }
 
 // EvalInto implements graph.PlannedOp.
-func (p *MaxPoolOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
-	if len(in) != 1 {
-		return fmt.Errorf("maxpool: want 1 input, got %d", len(in))
+func (p *MaxPoolOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Window) error {
+	if len(in) != 1 || in[0].Rank() != 4 || out.Rank() != 4 {
+		return fmt.Errorf("maxpool: want one NHWC input")
 	}
-	_, err := p.evalInto(in[0], out, nil)
-	return err
+	p.pool(in[0], out, nil, win)
+	return nil
 }
 
 // InferShape implements graph.ShapeOp.
@@ -272,14 +291,11 @@ func (p *AvgPoolOp) InferShape(ins [][]int) ([]int, error) {
 }
 
 // EvalInto implements graph.PlannedOp.
-func (p *AvgPoolOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
-	if len(in) != 1 {
-		return fmt.Errorf("avgpool: want 1 input, got %d", len(in))
+func (p *AvgPoolOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Window) error {
+	if len(in) != 1 || in[0].Rank() != 4 || out.Rank() != 4 {
+		return fmt.Errorf("avgpool: want one NHWC input")
 	}
-	if in[0].Rank() != 4 {
-		return fmt.Errorf("avgpool: want NHWC, got %v", in[0].Shape())
-	}
-	p.fill(in[0], out)
+	p.pool(in[0], out, win)
 	return nil
 }
 
@@ -302,8 +318,9 @@ func (r *ReshapeOp) InferShape(ins [][]int) ([]int, error) {
 // EvalInto implements graph.PlannedOp: under a plan the reshape copies
 // into its own slot, so — like the allocating Eval's clone — its output
 // never aliases the producer's buffer, which the fault injector's
-// in-place corruption relies on.
-func (r *ReshapeOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
+// in-place corruption relies on. Reshape has no window map, so win is
+// always the whole value.
+func (r *ReshapeOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ graph.Window) error {
 	if len(in) != 1 {
 		return fmt.Errorf("reshape: want 1 input, got %d", len(in))
 	}
@@ -337,29 +354,37 @@ func (ConcatOp) InferShape(ins [][]int) ([]int, error) {
 	return append(out, totalC), nil
 }
 
-// EvalInto implements graph.PlannedOp: each input's channel stripe is
-// copied straight into its offset of the slot-backed output rows.
-func (ConcatOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, _ *graph.Scratch) error {
+// EvalInto implements graph.PlannedOp: each input's channel stripe of
+// the window's pixels is copied straight into its offset of the
+// slot-backed output rows. A non-NHWC output is one pixel, so its
+// window is every row.
+func (ConcatOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Window) error {
 	if len(in) < 2 {
 		return fmt.Errorf("concat: want >=2 inputs, got %d", len(in))
 	}
-	r := in[0].Rank()
-	rows := 1
-	for i := 0; i < r-1; i++ {
-		rows *= in[0].Dim(i)
+	r := out.Rank()
+	if r == 0 || out.Dim(r-1) == 0 {
+		return fmt.Errorf("concat: output %v has no channels", out.Shape())
 	}
-	totalC := out.Dim(out.Rank() - 1)
+	totalC := out.Dim(r - 1)
+	n, h, w := 1, 1, out.Size()/totalC
+	if r == 4 {
+		n, h, w = out.Dim(0), out.Dim(1), out.Dim(2)
+	} else {
+		win = graph.Window{Y1: 1, X1: w}
+	}
 	od := out.Data()
 	off := 0
 	for _, t := range in {
-		if t.Rank() != r {
-			return fmt.Errorf("concat: rank mismatch %d vs %d", t.Rank(), r)
+		if t.Rank() != r || t.Size() != n*h*w*t.Dim(r-1) {
+			return fmt.Errorf("concat: input %v for output %v", t.Shape(), out.Shape())
 		}
-		c := t.Dim(r - 1)
-		td := t.Data()
-		for row := 0; row < rows; row++ {
-			copy(od[row*totalC+off:row*totalC+off+c], td[row*c:(row+1)*c])
-		}
+		c, td := t.Dim(r-1), t.Data()
+		win.Spans(n, h, w, 1, func(lo, hi int) {
+			for p := lo; p < hi; p++ {
+				copy(od[p*totalC+off:p*totalC+off+c], td[p*c:(p+1)*c])
+			}
+		})
 		off += c
 	}
 	if off != totalC {
@@ -399,6 +424,14 @@ func (MSEOp) InferShape(ins [][]int) ([]int, error) {
 		return nil, fmt.Errorf("mse: pred %v vs target %v", ins[0], ins[1])
 	}
 	return []int{}, nil
+}
+
+// spans calls f over the flat element ranges of win's pixels in out
+// (graph.Window.Spans): the one loop of every elementwise kernel, over
+// the whole value or a window.
+func spans(out *tensor.Tensor, win graph.Window, f func(lo, hi int)) {
+	n, h, w, c := graph.Pixels(out)
+	win.Spans(n, h, w, c, f)
 }
 
 // sameShape reports whether two shape slices are identical.

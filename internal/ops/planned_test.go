@@ -108,7 +108,7 @@ func TestEvalIntoMatchesEval(t *testing.T) {
 		}
 		out := tensor.New(want.Shape()...)
 		out.Fill(float32(math.NaN())) // stale-garbage stand-in
-		if err := pop.EvalInto(tc.in, out, &graph.Scratch{}); err != nil {
+		if err := pop.EvalInto(tc.in, out, graph.Whole(out.Shape())); err != nil {
 			t.Fatalf("%s: EvalInto: %v", tc.name, err)
 		}
 		wd, od := want.Data(), out.Data()

@@ -20,10 +20,7 @@ type MaxPoolOp struct {
 	Geom tensor.ConvGeom
 }
 
-var (
-	_ graph.GradOp    = (*MaxPoolOp)(nil)
-	_ graph.ScratchOp = (*MaxPoolOp)(nil)
-)
+var _ graph.GradOp = (*MaxPoolOp)(nil)
 
 // Type implements graph.Op.
 func (p *MaxPoolOp) Type() string { return TypeMaxPool }
@@ -33,30 +30,13 @@ func (p *MaxPoolOp) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
 	if len(in) != 1 {
 		return nil, fmt.Errorf("maxpool: want 1 input, got %d", len(in))
 	}
-	return p.evalInto(in[0], nil, nil)
+	return p.eval(in[0], nil)
 }
 
-// EvalScratch implements graph.ScratchOp.
-func (p *MaxPoolOp) EvalScratch(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) {
-	if len(in) != 1 {
-		return nil, fmt.Errorf("maxpool: want 1 input, got %d", len(in))
-	}
-	x := in[0]
-	if x.Rank() != 4 {
-		return nil, fmt.Errorf("maxpool: want NHWC, got %v", x.Shape())
-	}
-	oh, ow := p.Geom.OutDims(x.Dim(1), x.Dim(2))
-	if oh <= 0 || ow <= 0 {
-		return nil, fmt.Errorf("maxpool: empty output for input %v geom %+v", x.Shape(), p.Geom)
-	}
-	return p.evalInto(x, s.Get(x.Dim(0), oh, ow, x.Dim(3)), nil)
-}
-
-// evalInto pools x into out (nil allocates; every element is written).
-// A non-nil arg, one entry per output element, receives the flat input
-// index that won each max (used by the backward pass); the forward paths
-// pass nil and so allocate nothing.
-func (p *MaxPoolOp) evalInto(x, out *tensor.Tensor, arg []int) (*tensor.Tensor, error) {
+// eval pools x into a new output. A non-nil arg, one entry per
+// output element, receives the flat input index that won each max (used
+// by the backward pass).
+func (p *MaxPoolOp) eval(x *tensor.Tensor, arg []int) (*tensor.Tensor, error) {
 	if x.Rank() != 4 {
 		return nil, fmt.Errorf("maxpool: want NHWC, got %v", x.Shape())
 	}
@@ -66,9 +46,7 @@ func (p *MaxPoolOp) evalInto(x, out *tensor.Tensor, arg []int) (*tensor.Tensor, 
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("maxpool: empty output for input %v geom %+v", x.Shape(), g)
 	}
-	if out == nil {
-		out = tensor.New(n, oh, ow, c)
-	}
+	out := tensor.New(n, oh, ow, c)
 	if arg != nil && len(arg) != out.Size() {
 		return nil, fmt.Errorf("maxpool: %d argmax slots for %d outputs", len(arg), out.Size())
 	}
@@ -120,7 +98,7 @@ func (p *MaxPoolOp) pool(x, out *tensor.Tensor, arg []int, win graph.Window) {
 // each window.
 func (p *MaxPoolOp) Grad(in []*tensor.Tensor, _, gout *tensor.Tensor) ([]*tensor.Tensor, error) {
 	arg := make([]int, gout.Size())
-	if _, err := p.evalInto(in[0], nil, arg); err != nil {
+	if _, err := p.eval(in[0], arg); err != nil {
 		return nil, err
 	}
 	dx := tensor.New(in[0].Shape()...)
@@ -139,25 +117,13 @@ type AvgPoolOp struct {
 	Geom tensor.ConvGeom
 }
 
-var (
-	_ graph.GradOp    = (*AvgPoolOp)(nil)
-	_ graph.ScratchOp = (*AvgPoolOp)(nil)
-)
+var _ graph.GradOp = (*AvgPoolOp)(nil)
 
 // Type implements graph.Op.
 func (p *AvgPoolOp) Type() string { return TypeAvgPool }
 
 // Eval implements graph.Op.
 func (p *AvgPoolOp) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
-	return p.eval(in, nil)
-}
-
-// EvalScratch implements graph.ScratchOp.
-func (p *AvgPoolOp) EvalScratch(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) {
-	return p.eval(in, s)
-}
-
-func (p *AvgPoolOp) eval(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor, error) {
 	if len(in) != 1 {
 		return nil, fmt.Errorf("avgpool: want 1 input, got %d", len(in))
 	}
@@ -171,19 +137,9 @@ func (p *AvgPoolOp) eval(in []*tensor.Tensor, s *graph.Scratch) (*tensor.Tensor,
 	if oh <= 0 || ow <= 0 {
 		return nil, fmt.Errorf("avgpool: empty output for input %v geom %+v", x.Shape(), g)
 	}
-	var out *tensor.Tensor
-	if s != nil {
-		out = s.Get(n, oh, ow, c)
-	} else {
-		out = tensor.New(n, oh, ow, c)
-	}
-	p.fill(x, out)
+	out := tensor.New(n, oh, ow, c)
+	p.pool(x, out, graph.Window{Y1: oh, X1: ow})
 	return out, nil
-}
-
-// fill average-pools x into out.
-func (p *AvgPoolOp) fill(x, out *tensor.Tensor) {
-	p.pool(x, out, graph.Window{Y1: out.Dim(1), X1: out.Dim(2)})
 }
 
 // pool writes the mean of every output pixel in win (0 for a window

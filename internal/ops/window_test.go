@@ -151,10 +151,11 @@ func TestOutWindowMatchesBruteForce(t *testing.T) {
 }
 
 // TestEvalWindowMatchesEvalInto checks every windowed kernel against the
-// whole-value one on random windows: fp32 EvalWindow must write exactly
-// the window's pixels, bit-identical to EvalInto, and leave the rest;
-// the int8 kernel must compute at least the window's pixels, equal to
-// the whole-value kernel's, and leave or recompute the rest.
+// whole-value one on random windows: fp32 EvalInto on a window must
+// write exactly the window's pixels, bit-identical to EvalInto on the
+// whole value and to the legacy Eval, and leave the rest; the int8
+// kernel must compute at least the window's pixels, equal to the
+// whole-value kernel's, and leave or recompute the rest.
 func TestEvalWindowMatchesEvalInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const sentinel = 0x7fc0beef // a NaN no kernel produces
@@ -166,8 +167,17 @@ func TestEvalWindowMatchesEvalInto(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			want := tensor.New(shape...)
-			if err := tc.op.EvalInto(tc.ins, want, &graph.Scratch{}); err != nil {
+			if err := tc.op.EvalInto(tc.ins, want, graph.Whole(shape)); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
+			}
+			legacy, err := tc.op.Eval(tc.ins)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			for i, v := range legacy.Data() {
+				if math.Float32bits(v) != math.Float32bits(want.Data()[i]) {
+					t.Fatalf("%s over %dx%d: element %d: EvalInto %g, Eval %g", tc.name, h, w, i, want.Data()[i], v)
+				}
 			}
 			_, oh, ow, c := graph.PixelDims(shape)
 			inWin := func(win graph.Window, i int) bool {
@@ -181,7 +191,7 @@ func TestEvalWindowMatchesEvalInto(t *testing.T) {
 				for i := range got.Data() {
 					got.Data()[i] = math.Float32frombits(sentinel)
 				}
-				if err := tc.op.EvalWindow(tc.ins, got, win, &graph.Scratch{}); err != nil {
+				if err := tc.op.EvalInto(tc.ins, got, win); err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
 				for i, v := range got.Data() {
@@ -243,19 +253,20 @@ func checkQuantWindow(t *testing.T, rng *rand.Rand, tc windowCase, shape []int) 
 }
 
 // TestConcatEvalWindowFlat checks that a non-NHWC concat, a single
-// pixel, computes its whole value through EvalWindow.
+// pixel, computes its whole value through EvalInto, equal to the legacy
+// Eval.
 func TestConcatEvalWindowFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a, b := tensor.New(3, 2).Randn(rng, 1), tensor.New(3, 4).Randn(rng, 1)
-	want := tensor.New(3, 6)
-	got := tensor.New(3, 6)
-	if err := (ConcatOp{}).EvalInto([]*tensor.Tensor{a, b}, want, nil); err != nil {
+	want, err := (ConcatOp{}).Eval([]*tensor.Tensor{a, b})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (ConcatOp{}).EvalWindow([]*tensor.Tensor{a, b}, got, graph.Whole(got.Shape()), nil); err != nil {
+	got := tensor.New(3, 6)
+	if err := (ConcatOp{}).EvalInto([]*tensor.Tensor{a, b}, got, graph.Whole(got.Shape())); err != nil {
 		t.Fatal(err)
 	}
 	if fmt.Sprint(got.Data()) != fmt.Sprint(want.Data()) {
-		t.Fatalf("flat concat window %v, want %v", got.Data(), want.Data())
+		t.Fatalf("flat concat %v, want %v", got.Data(), want.Data())
 	}
 }

@@ -203,25 +203,34 @@ func clipGrads(grads map[string]*tensor.Tensor, c float64) {
 	}
 }
 
-// evalBatches runs fn over the batch ranges covering [0, n) through the
-// worker pool, folding any error by lowest batch index. Each worker owns
-// one arena-backed executor for its whole run of batches, so node
-// buffers are recycled batch to batch and workers stay independent.
-func evalBatches(n, batch int, fn func(e *graph.Executor, start, end int) error) error {
-	batches := (n + batch - 1) / batch
-	if batches <= 0 {
-		return nil
+// evalBatches runs the model over the first n samples of a split in
+// batches of batch, sharded over the worker pool, and hands fn each
+// batch's output with its first sample index, labels and targets. The
+// model compiles once into a Plan; each worker builds its batches and
+// runs them on its own PlanState, so buffers are reused batch to batch
+// and workers stay independent. Any error is folded by lowest batch
+// index.
+func evalBatches(m *models.Model, ds data.Dataset, split data.Split, n, batch int, fn func(start int, out *tensor.Tensor, labels []int, targets []float32) error) error {
+	plan, err := graph.Compile(m.Graph, m.Output)
+	if err != nil {
+		return err
 	}
+	batches := (n + batch - 1) / batch
 	errs := make([]error, batches)
 	parallel.Shard(parallel.Workers(), batches, func(lo, hi int) {
-		e := &graph.Executor{Arena: graph.NewArena()}
+		st := plan.NewState()
 		for bi := lo; bi < hi; bi++ {
 			start := bi * batch
-			end := start + batch
-			if end > n {
-				end = n
+			idx := make([]int, min(start+batch, n)-start)
+			for i := range idx {
+				idx[i] = start + i
 			}
-			errs[bi] = fn(e, start, end)
+			x, labels, targets := data.Batch(ds, split, idx)
+			outs, err := plan.Run(st, graph.Feeds{m.Input: x})
+			if err == nil {
+				err = fn(start, outs[0], labels, targets)
+			}
+			errs[bi] = err
 		}
 	})
 	for _, err := range errs {
@@ -246,26 +255,15 @@ func TopKAccuracy(m *models.Model, ds data.Dataset, split data.Split, n, k int) 
 	if n <= 0 {
 		return 0, nil
 	}
-	const batch = 16
 	var correct atomic.Int64
-	err := evalBatches(n, batch, func(e *graph.Executor, start, end int) error {
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, labels, _ := data.Batch(ds, split, idx)
-		outs, err := e.Run(m.Graph, graph.Feeds{m.Input: x}, m.Output)
-		if err != nil {
-			return err
-		}
-		logits := outs[0]
-		for i := range idx {
+	err := evalBatches(m, ds, split, n, 16, func(_ int, logits *tensor.Tensor, labels []int, _ []float32) error {
+		for i, label := range labels {
 			row, err := rowOf(logits, i)
 			if err != nil {
 				return err
 			}
 			for _, cand := range row.TopK(k) {
-				if cand == labels[i] {
+				if cand == label {
 					correct.Add(1)
 					break
 				}
@@ -299,19 +297,9 @@ func SteeringMetrics(m *models.Model, ds data.Dataset, split data.Split, n int) 
 	// accumulation is identical at every worker count.
 	sq := make([]float64, batches)
 	abs := make([]float64, batches)
-	err = evalBatches(n, batch, func(e *graph.Executor, start, end int) error {
-		idx := make([]int, end-start)
-		for i := range idx {
-			idx[i] = start + i
-		}
-		x, _, targets := data.Batch(ds, split, idx)
-		outs, err := e.Run(m.Graph, graph.Feeds{m.Input: x}, m.Output)
-		if err != nil {
-			return err
-		}
-		pred := outs[0]
+	err = evalBatches(m, ds, split, n, batch, func(start int, pred *tensor.Tensor, _ []int, targets []float32) error {
 		bi := start / batch
-		for i := range idx {
+		for i := range targets {
 			p := float64(pred.At(i, 0))
 			tgt := float64(targets[i])
 			if !m.OutputInDegrees {

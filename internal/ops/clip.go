@@ -82,32 +82,34 @@ func (c *ClipOp) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
 // elements of the value from flat index base on, which PolicyRandom
 // hashes.
 func (c *ClipOp) clip(xd, od []float32, base int) {
+	lo, hi := c.Low, c.High
+	od = od[:len(xd)]
 	switch c.Policy {
 	case PolicyZero:
 		for i, v := range xd {
-			if v < c.Low || v > c.High {
+			if v < lo || v > hi {
 				od[i] = 0
 			} else {
 				od[i] = v
 			}
 		}
 	case PolicyRandom:
-		span := c.High - c.Low
+		span := hi - lo
 		for i, v := range xd {
-			if v < c.Low || v > c.High {
+			if v < lo || v > hi {
 				h := parallel.Mix64(uint64(math.Float32bits(v)) | uint64(base+i+1)<<32)
 				u := float32(h>>11) / float32(1<<53)
-				od[i] = c.Low + u*span
+				od[i] = lo + u*span
 			} else {
 				od[i] = v
 			}
 		}
 	default: // PolicyClip
 		for i, v := range xd {
-			if v < c.Low {
-				od[i] = c.Low
-			} else if v > c.High {
-				od[i] = c.High
+			if v < lo {
+				od[i] = lo
+			} else if v > hi {
+				od[i] = hi
 			} else {
 				od[i] = v
 			}

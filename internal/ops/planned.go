@@ -186,10 +186,11 @@ func (s *ScaleOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Wi
 	if len(in) != 1 || in[0].Size() != out.Size() {
 		return fmt.Errorf("scale: want 1 input shaped like the output")
 	}
-	xd, od := in[0].Data(), out.Data()
+	a, xd, od := s.Factor, in[0].Data(), out.Data()
 	spans(out, win, func(lo, hi int) {
+		o := od[lo:hi]
 		for i, v := range xd[lo:hi] {
-			od[lo+i] = v * s.Factor
+			o[i] = v * a
 		}
 	})
 	return nil
@@ -213,10 +214,11 @@ func (u *unary) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Wind
 	if len(in) != 1 || in[0].Size() != out.Size() {
 		return fmt.Errorf("%s: want 1 input shaped like the output", u.typ)
 	}
-	xd, od := in[0].Data(), out.Data()
+	f, xd, od := u.f, in[0].Data(), out.Data()
 	spans(out, win, func(lo, hi int) {
+		o := od[lo:hi]
 		for i, v := range xd[lo:hi] {
-			od[lo+i] = u.f(v)
+			o[i] = f(v)
 		}
 	})
 	return nil

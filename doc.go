@@ -146,9 +146,10 @@
 // checkpoint's. A step with clean inputs binds the checkpoint's value;
 // a struck step with clean inputs copies it and lets the hook corrupt
 // the copy; any other step copies it and recomputes only the output
-// window its differing inputs reach (graph.WindowOp: Conv2D, the pools,
-// Add, Concat and the elementwise ops; other ops recompute the whole
-// value). The window is then compared with the clean value and shrunk
+// window its differing inputs reach (graph.WindowOp maps windows for
+// Conv2D, the pools, Add, Concat and the elementwise ops, whose one
+// fp32 kernel, PlannedOp.EvalInto, and int8 kernel take the window;
+// other ops recompute the whole value). The window is then compared with the clean value and shrunk
 // to the pixels that actually differ, and replay stops once no
 // differing value is still read. A fault the operators absorb
 // bit-exactly is reported as TrialResult.Masked; on the trained zoo's
@@ -393,9 +394,10 @@
 //
 //   - internal/tensor, internal/ops, internal/graph: a TensorFlow-1.x-style
 //     static dataflow graph with forward and backward operator kernels,
-//     reusable output-buffer arenas, compiled execution plans (fused
-//     elementwise epilogues, static liveness-planned buffers), and a
-//     concurrent RunBatch entry point
+//     the allocating per-call executor kept as the reference, compiled
+//     execution plans (fused elementwise epilogues, static
+//     liveness-planned buffers, one kernel per operator for full, suffix
+//     and cone replay), and a concurrent RunBatch entry point
 //   - internal/parallel: the shared worker pool — deterministic contiguous
 //     work-sharding sized by RANGER_WORKERS (default: the core count) that
 //     the kernels, the executor, the fault injector, and the experiment

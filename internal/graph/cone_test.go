@@ -13,14 +13,16 @@ import (
 
 // coneGeom is the geometry of buildConeNet: the input's batch and
 // spatial size, the first conv's geometry, the odd kernel of the
-// shape-preserving residual conv, and the max and average pools.
+// shape-preserving residual conv, the max and average pools, and the
+// clamp on the residual branch, if any.
 type coneGeom struct {
 	n, h, w    int
 	c1         tensor.ConvGeom
 	k2         int
 	pool, avg  tensor.ConvGeom
 	noAvgPool  bool
-	outH, outW int // spatial size entering the dense head
+	outH, outW int         // spatial size entering the dense head
+	clip       *ops.ClipOp // nil for none
 }
 
 // fixedConeGeom is the hand-picked geometry: 3×3 SAME convs and a 2×2
@@ -69,7 +71,8 @@ func randConeGeom(rng *rand.Rand) coneGeom {
 // buildConeNet builds a small residual conv net with every structure
 // cone replay must see through: a conv with a fused bias, a ReLU, a
 // shape-preserving conv whose fused-bias output meets the first ReLU
-// in a residual Add, a Concat of the two branches, a MaxPool and
+// in a residual Add (clamped by geo.clip when set), a Concat of the two
+// branches, a MaxPool and
 // (unless geo.noAvgPool) an AvgPool, a Flatten and a dense head. With
 // computedBias the second conv's fused bias vector is itself a computed
 // step (a Scale of a variable), so a strike there dirties a fused aux
@@ -99,6 +102,9 @@ func buildConeNet(seed int64, computedBias bool, geo coneGeom) (*graph.Graph, st
 	c2b := g.MustAdd("c2b", ops.BiasAddOp{}, c2, b2)
 	add := g.MustAdd("add", ops.AddOp{}, c2b, r1)
 	r2 := g.MustAdd("r2", ops.Relu(), add)
+	if geo.clip != nil {
+		r2 = g.MustAdd("clamp", geo.clip, r2)
+	}
 	cat := g.MustAdd("cat", ops.ConcatOp{}, r2, r1)
 	pooled := g.MustAdd("pool", &ops.MaxPoolOp{Geom: geo.pool}, cat)
 	if !geo.noAvgPool {
@@ -405,11 +411,27 @@ func coneGeoms(n int) []coneGeom {
 	return geos
 }
 
+// clipGeoms returns two random geometries for each policy, their
+// residual branch passing a §VI-C clamp of that policy.
+func clipGeoms(policies ...ops.Policy) []coneGeom {
+	rng := rand.New(rand.NewSource(11))
+	var geos []coneGeom
+	for _, p := range policies {
+		for i := 0; i < 2; i++ {
+			geo := randConeGeom(rng)
+			geo.clip = &ops.ClipOp{Low: 0, High: 0.8, Policy: p}
+			geos = append(geos, geo)
+		}
+	}
+	return geos
+}
+
 // TestRunConeMatchesRunFrom pins window replay to suffix replay on fp32
 // and int8: every step struck with a no-op, a lowering and a raising
 // corruption at its extremes, corners and edges, alone and in pairs,
-// over the fixed geometry and random conv and pool geometries, on reused
-// states. On the fixed geometry it also checks that masking actually
+// over the fixed geometry, random conv and pool geometries and random
+// ones with a clamp under each §VI-C policy that has a kernel (int8 has
+// none for PolicyRandom), on reused states. On the fixed geometry it also checks that masking actually
 // happens where the operators absorb the fault (a lowered minimum
 // before a ReLU or a MaxPool), that a no-op strike is masked, that an
 // empty strike set returns the clean outputs, and that state overrides
@@ -417,7 +439,7 @@ func coneGeoms(n int) []coneGeom {
 func TestRunConeMatchesRunFrom(t *testing.T) {
 	absorbed := []strike{{"c1b", atMin, 1}, {"add", atMin, 1}, {"cat", atMin, 1}}
 	t.Run("fp32", func(t *testing.T) {
-		for gi, geo := range coneGeoms(6) {
+		for gi, geo := range append(coneGeoms(6), clipGeoms(ops.PolicyZero, ops.PolicyRandom)...) {
 			g, output, opts, names := buildConeNet(1, true, geo)
 			plan, err := graph.CompileWith(g, opts, output)
 			if err != nil {
@@ -471,7 +493,7 @@ func TestRunConeMatchesRunFrom(t *testing.T) {
 		}
 	})
 	t.Run("int8", func(t *testing.T) {
-		for gi, geo := range coneGeoms(6) {
+		for gi, geo := range append(coneGeoms(6), clipGeoms(ops.PolicyZero)...) {
 			g, output, opts, names := buildConeNet(1, false, geo)
 			feeds := coneFeeds(2, geo)
 			calib := calibrate(t, g, output, []graph.Feeds{feeds, coneFeeds(3, geo)})
@@ -538,7 +560,8 @@ func TestRunConeMatchesRunFrom(t *testing.T) {
 // strike set (each program byte triple names a step, a position and a
 // corruption kind), window replay must equal suffix replay bit for bit
 // on fp32 and int8, with masked true exactly when the output equals the
-// clean one.
+// clean one. The seed also picks the residual clamp: none, PolicyZero or
+// PolicyRandom (PolicyZero on int8, which has no PolicyRandom kernel).
 func FuzzConeReplayBitIdentical(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 1})
 	f.Add(int64(2), []byte{3, 2, 1, 6, 3, 2})
@@ -549,8 +572,15 @@ func FuzzConeReplayBitIdentical(f *testing.F) {
 			prog = prog[:24]
 		}
 		geo := randConeGeom(rand.New(rand.NewSource(seed)))
+		if k := (seed%3 + 3) % 3; k > 0 {
+			geo.clip = &ops.ClipOp{Low: 0, High: 0.8, Policy: []ops.Policy{ops.PolicyZero, ops.PolicyRandom}[k-1]}
+		}
 		feeds := coneFeeds(seed+1, geo)
 		for _, computed := range []bool{true, false} {
+			geo := geo
+			if !computed && geo.clip != nil {
+				geo.clip = &ops.ClipOp{Low: 0, High: 0.8, Policy: ops.PolicyZero}
+			}
 			g, output, opts, names := buildConeNet(seed, computed, geo)
 			var strikes []strike
 			for i := 0; i+2 < len(prog); i += 3 {

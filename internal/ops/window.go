@@ -69,12 +69,10 @@ func (BiasAddOp) OutWindow(i int, in graph.Window, out []int) (graph.Window, boo
 // OutWindow implements graph.WindowOp.
 func (u *unary) OutWindow(_ int, in graph.Window, _ []int) (graph.Window, bool) { return in, true }
 
-// OutWindow implements graph.WindowOp for the default truncation policy
-// only: PolicyZero and PolicyRandom steps recompute the whole value.
-func (c *ClipOp) OutWindow(_ int, in graph.Window, _ []int) (graph.Window, bool) {
-	_, ok := c.FuseSpec()
-	return in, ok
-}
+// OutWindow implements graph.WindowOp: under every policy a pixel of
+// the output reads only itself (PolicyRandom hashes the absolute element
+// index, so a window's replacements match the whole value's).
+func (c *ClipOp) OutWindow(_ int, in graph.Window, _ []int) (graph.Window, bool) { return in, true }
 
 // OutWindow implements graph.WindowOp.
 func (s *ScaleOp) OutWindow(_ int, in graph.Window, _ []int) (graph.Window, bool) { return in, true }

@@ -75,6 +75,8 @@ func windowCases(rng *rand.Rand, h, w int) []windowCase {
 		{"relu", Relu().(*unary), []*tensor.Tensor{x(3)}, []bool{false}, pointReads(-1)},
 		{"tanh", Tanh().(*unary), []*tensor.Tensor{x(3)}, []bool{false}, pointReads(-1)},
 		{"clip", NewClip(-0.5, 0.7), []*tensor.Tensor{x(3)}, []bool{false}, pointReads(-1)},
+		{"clip-zero", &ClipOp{Low: -0.5, High: 0.7, Policy: PolicyZero}, []*tensor.Tensor{x(3)}, []bool{false}, pointReads(-1)},
+		{"clip-random", &ClipOp{Low: -0.5, High: 0.7, Policy: PolicyRandom}, []*tensor.Tensor{x(3)}, []bool{false}, pointReads(-1)},
 		{"scale", &ScaleOp{Factor: -1.5}, []*tensor.Tensor{x(3)}, []bool{false}, pointReads(-1)},
 	}
 }
@@ -142,12 +144,6 @@ func TestOutWindowMatchesBruteForce(t *testing.T) {
 			}
 		}
 	}
-	for _, p := range []Policy{PolicyZero, PolicyRandom} {
-		c := &ClipOp{Low: -1, High: 1, Policy: p}
-		if _, ok := c.OutWindow(0, graph.Window{Y1: 1, X1: 1}, []int{1, 2, 2, 1}); ok {
-			t.Errorf("clip policy %v claims a windowed kernel", p)
-		}
-	}
 }
 
 // TestEvalWindowMatchesEvalInto checks every windowed kernel against the
@@ -204,7 +200,9 @@ func TestEvalWindowMatchesEvalInto(t *testing.T) {
 					}
 				}
 			}
-			checkQuantWindow(t, rng, tc, shape)
+			if tc.name != "clip-random" { // index-dependent: no int8 kernel
+				checkQuantWindow(t, rng, tc, shape)
+			}
 		}
 	}
 }

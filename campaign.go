@@ -60,11 +60,6 @@ type StratumResult = inject.StratumResult
 // with ReplayTrial, then call NextRound until Done.
 type AdaptiveRun = inject.AdaptiveRun
 
-// StratumScenario marks scenarios that can confine their primary fault
-// site to one (node, bit-band) stratum; adaptive campaigns require it.
-// All built-in scenarios implement it.
-type StratumScenario = inject.StratumScenario
-
 // Outcome aggregates a campaign's results.
 type Outcome = inject.Outcome
 
@@ -83,14 +78,15 @@ type CloneableDetector = inject.CloneableDetector
 // DetectorOutcome extends Outcome with detection accounting.
 type DetectorOutcome = inject.DetectorOutcome
 
-// Scenario is a pluggable hardware-fault model: site sampling plus value
-// corruption. Implementations register by name; see RegisterScenario.
+// Scenario is a pluggable hardware-fault model over a stored word whose
+// width the backend decides (the fixed-point width on fp32, 8 on int8):
+// site sampling plus word corruption. Implementations register by name;
+// see RegisterScenario.
 type Scenario = inject.Scenario
 
-// SiteAppender is an optional Scenario extension: sampling into a
-// caller-owned buffer, which keeps campaign trial loops allocation-free.
-// All built-in scenarios implement it.
-type SiteAppender = inject.SiteAppender
+// Band confines a stratified trial's primary fault site to one
+// fault-space node and bit band; uniform campaigns pass nil.
+type Band = inject.Band
 
 // Site is one sampled fault location.
 type Site = inject.Site
@@ -165,12 +161,9 @@ type PersistentOutcome = inject.PersistentOutcome
 // result, streamed while a persistent campaign runs.
 type SequenceResult = inject.SequenceResult
 
-// Burst describes a multi-bit fault spanning adjacent 32-bit words of
-// one stored tensor, with word-boundary-correct corrupt and undo.
+// Burst describes a fault flipping one bit in adjacent words of one
+// stored tensor, with word-boundary-correct corrupt and undo.
 type Burst = inject.Burst
-
-// BurstInt8 is Burst for int8 weight buffers (adjacent bytes).
-type BurstInt8 = inject.BurstInt8
 
 // DefaultScenario returns the paper's primary fault model: one random
 // bit flip per execution.

@@ -10,7 +10,7 @@
 //
 // Experiment ids: fig4 fig6 fig7 fig8 fig9 fig10 fig11 fig12 tab2 tab3
 // tab4 tab5 tab6 alt int8sdc adaptive persistent. int8sdc reports
-// bitflip-int8 campaign SDC rates on the post-training-quantized
+// single-bit-flip campaign SDC rates on the post-training-quantized
 // backend, with and without restriction; adaptive compares the
 // stratified adaptive-campaign engine against uniform sampling (trials
 // to the same per-stratum Wilson CI target); persistent sweeps the

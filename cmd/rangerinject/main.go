@@ -6,13 +6,13 @@
 // The fault model is selected from the scenario registry: bitflip
 // (single/multi independent flips), consecutive (a run of adjacent
 // bits), randomvalue (whole-word replacement), stuckat0/stuckat1
-// (forced bits), and the int8 scenarios bitflip-int8/stuckat-int8,
-// which require the quantized backend (-int8).
+// (forced bits) and burst (one bit of adjacent words). Each acts on the
+// backend's stored word: the -format fixed-point word, or the int8 byte
+// under -int8.
 //
 // With -int8 the model is post-training quantized (calibrated on
 // training samples) and faults strike the stored int8 representation —
-// the deployed numeric format; the default scenario then becomes
-// bitflip-int8.
+// the deployed numeric format.
 //
 // Usage:
 //
@@ -108,9 +108,6 @@ func run(ctx context.Context, args []string) error {
 		fmtFixed = ranger.Q16
 	default:
 		return fmt.Errorf("unknown format %q (want q32 or q16)", *format)
-	}
-	if *int8Backend && *scenario == "bitflip" {
-		*scenario = "bitflip-int8"
 	}
 	scen, err := ranger.NewScenario(*scenario, *faults)
 	if err != nil {

@@ -28,11 +28,13 @@
 //     worker count for a fixed seed. Campaigns with Campaign.Adaptive
 //     set run through RunAdaptive's sequential stratified design (see
 //     the adaptive campaign lifecycle below).
-//   - Fault scenarios: the fault model is pluggable. BitFlips,
-//     ConsecutiveBits, RandomValue, StuckAt, and the multi-word Burst /
-//     BurstInt8 ship built in, live in a name-keyed registry
-//     (NewScenario / ScenarioNames), and new models register with
-//     RegisterScenario.
+//   - Fault scenarios: the fault model is pluggable. A Scenario samples
+//     sites and corrupts a stored word whose width the backend decides
+//     (the fixed-point width on fp32, 8 bits on int8), so one model
+//     serves both backends. BitFlips, ConsecutiveBits, RandomValue,
+//     StuckAt and the multi-word Burst ship built in, live in a
+//     name-keyed registry (NewScenario / ScenarioNames), and new models
+//     register with RegisterScenario.
 //   - Fault surfaces: where faults live is pluggable too. The default
 //     ActivationSurface is the paper's transient model; WeightSurface
 //     and QuantParamSurface are persistent — the fault stays in stored
@@ -52,8 +54,8 @@
 //     with ErrFeedShape.
 //   - Quantization: Calibrate profiles per-operator value ranges and
 //     Model.Quantize compiles the model to an int8 plan (QuantizedModel)
-//     — the deployed numeric format, with bitflip-int8 / stuckat-int8
-//     fault scenarios striking the stored int8 words.
+//     — the deployed numeric format, whose stored int8 words every
+//     fault scenario can strike.
 //   - Experiments: RunExperiment regenerates any table or figure of the
 //     paper's evaluation by id (ExperimentIDs), plus int8-backend SDC
 //     rates ("int8sdc") and the adaptive and persistent campaign
@@ -121,8 +123,7 @@
 // rangerbench -exp int8sdc reports the int8 SDC rates).
 //
 // Campaigns switch to the int8 backend by setting Campaign.Calibration;
-// the scenario must then be an Int8Scenario (bitflip-int8,
-// stuckat-int8), and faults flip bits of the stored int8 words — the
+// the campaign's scenario then acts on the stored int8 words — the
 // fault model the deployed format actually faces. Because a bit flip in
 // an int8 word is bounded by the tensor's quantization range,
 // quantization itself acts as a mild range restriction, and measured

@@ -5,8 +5,9 @@
 // profile → protect → calibrate → quantize. The protected model's
 // restriction bounds become int8 clamp limits inside the quantized
 // kernels' saturating requantization, so protection is free at run
-// time; the bitflip-int8 scenario then flips bits of the stored int8
-// words — the fault model a quantized deployment actually faces.
+// time; on the int8 backend the bit-flip scenario then flips bits of the
+// stored int8 words — the fault model a quantized deployment actually
+// faces.
 //
 // Run with: go run ./examples/quantized
 package main
@@ -73,14 +74,14 @@ func main() {
 	inputs := []ranger.Feeds{{model.Input: sample.X}}
 	orig, err := (&ranger.Campaign{
 		Model: model, Calibration: calib,
-		Scenario: ranger.BitFlipInt8{Flips: 1}, Trials: 2000, Seed: 1,
+		Scenario: ranger.BitFlips{Flips: 1}, Trials: 2000, Seed: 1,
 	}).Run(ctx, inputs)
 	if err != nil {
 		log.Fatal(err)
 	}
 	prot, err := (&ranger.Campaign{
 		Model: protected, Calibration: pcalib,
-		Scenario: ranger.BitFlipInt8{Flips: 1}, Trials: 2000, Seed: 1,
+		Scenario: ranger.BitFlips{Flips: 1}, Trials: 2000, Seed: 1,
 	}).Run(ctx, inputs)
 	if err != nil {
 		log.Fatal(err)

@@ -80,7 +80,7 @@ var experimentFns = map[string]experimentEntry{
 	"tab5":  wrapExperiment(experiments.Table5),
 	"tab6":  wrapExperiment(experiments.Table6),
 	"alt":   wrapExperiment(experiments.Alternatives),
-	// int8sdc is not a paper artifact: bitflip-int8 campaign SDC rates
+	// int8sdc is not a paper artifact: single-bit-flip campaign SDC rates
 	// on the quantized backend, with and without restriction.
 	"int8sdc": wrapExperiment(experiments.Int8SDC),
 	// adaptive compares the stratified adaptive-campaign engine against

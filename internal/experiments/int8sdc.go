@@ -11,7 +11,7 @@ import (
 	"ranger/internal/models"
 )
 
-// Int8SDCRow reports one model's SDC rates under bitflip-int8
+// Int8SDCRow reports one model's SDC rates under single-bit-flip
 // campaigns against the plain and the restricted quantized model.
 type Int8SDCRow struct {
 	Model string `json:"model"`
@@ -32,7 +32,7 @@ type Int8SDCResult struct {
 // Render implements the experiment result interface.
 func (r *Int8SDCResult) Render() string {
 	var b strings.Builder
-	b.WriteString("Quantized backend: SDC rates under bitflip-int8, int8 vs int8+restriction\n")
+	b.WriteString("Quantized backend: SDC rates under single bit flips, int8 vs int8+restriction\n")
 	b.WriteString("(restriction folds into the int8 saturating clamp)\n\n")
 	fmt.Fprintf(&b, "%-12s %10s %12s %8s\n", "model", "SDC int8", "SDC int8+rr", "trials")
 	for _, row := range r.Rows {
@@ -42,7 +42,7 @@ func (r *Int8SDCResult) Render() string {
 	return b.String()
 }
 
-// quantSDC runs a bitflip-int8 campaign against m (calibrated under its
+// quantSDC runs a single-bit-flip campaign against m (calibrated under its
 // own name) over the given feeds and reduces the outcome to one SDC
 // rate.
 func (r *Runner) quantSDC(ctx context.Context, m *models.Model, feeds []graph.Feeds) (float64, int, error) {
@@ -50,7 +50,7 @@ func (r *Runner) quantSDC(ctx context.Context, m *models.Model, feeds []graph.Fe
 	if err != nil {
 		return 0, 0, err
 	}
-	c := r.campaign(m, fixpoint.Format{}, inject.BitFlipInt8{Flips: 1}, 8801)
+	c := r.campaign(m, fixpoint.Format{}, inject.DefaultScenario(), 8801)
 	c.Calibration = calib
 	out, err := c.Run(ctx, feeds)
 	if err != nil {
@@ -64,7 +64,7 @@ func (r *Runner) quantSDC(ctx context.Context, m *models.Model, feeds []graph.Fe
 	}
 }
 
-// Int8SDC runs bitflip-int8 campaigns on every benchmark's quantized
+// Int8SDC runs single-bit-flip campaigns on every benchmark's quantized
 // model, plain and Ranger-protected: the deployed numeric format, where
 // the Ranger clamp is folded into arithmetic the datapath performs
 // anyway. Protection overhead is timed by the repository benchmark

@@ -121,7 +121,6 @@ func PersistentSurfaces(ctx context.Context, r *Runner) (*PersistentResult, erro
 			Detector: baselines.NewSymptomDetector(maxima, persistentSlack),
 		}
 		if cfg.backend == "int8" {
-			c.Scenario = inject.BitFlipInt8{Flips: 1}
 			c.Calibration = calib
 		}
 		out, err := c.RunPersistent(ctx, feeds)

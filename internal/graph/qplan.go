@@ -406,7 +406,7 @@ func (q *QPlan) Run(st *QPlanState, feeds Feeds) ([]*tensor.Tensor, error) {
 // every observation-point step of the source plan with the step's
 // quantized output, and may substitute a replacement exactly like
 // Plan.RunHook — but in the deployed int8 representation, which is what
-// the bitflip-int8 and stuckat-int8 fault scenarios corrupt.
+// fault scenarios corrupt on the int8 backend.
 func (q *QPlan) RunHook(st *QPlanState, feeds Feeds, hook QHook) ([]*tensor.Tensor, error) {
 	if st == nil || st.plan != q {
 		return nil, errors.New("graph: quantized state belongs to a different plan")

@@ -65,18 +65,11 @@ const DefaultRoundTrials = 256
 // hands each open stratum before moving to the next.
 const stratumQuantum = 32
 
-// stratumBand confines a stratified trial's primary fault site to one
-// fault-space node (by index) and an inclusive bit band.
-type stratumBand struct {
-	node         int
-	bitLo, bitHi int
-}
-
 // stratumDef is one stratum of the sampling frame: a fault-space node
 // crossed with an inclusive bit band. Its weight is the stratum's share
 // of the uniform sampling measure (node elements × band bits).
 type stratumDef struct {
-	stratumBand
+	Band
 	name   string
 	weight float64
 }
@@ -129,9 +122,9 @@ func buildStrata(fs *FaultSpace, bits, bands int) []stratumDef {
 		nw := float64(fs.NodeSize(ni)) / total
 		for _, bd := range bds {
 			defs = append(defs, stratumDef{
-				stratumBand: stratumBand{node: ni, bitLo: bd.lo, bitHi: bd.hi},
-				name:        name,
-				weight:      nw * float64(bd.hi-bd.lo+1) / float64(bits),
+				Band:   Band{Node: ni, BitLo: bd.lo, BitHi: bd.hi},
+				name:   name,
+				weight: nw * float64(bd.hi-bd.lo+1) / float64(bits),
 			})
 		}
 	}
@@ -325,8 +318,8 @@ func (st *strata) open(mode SamplingMode) []int {
 				return his[ka] > his[kb]
 			}
 			ia, ib := open[ka], open[kb]
-			if defs[ia].bitHi != defs[ib].bitHi {
-				return defs[ia].bitHi > defs[ib].bitHi
+			if defs[ia].BitHi != defs[ib].BitHi {
+				return defs[ia].BitHi > defs[ib].BitHi
 			}
 			return ia < ib
 		})
@@ -374,8 +367,8 @@ func (st *strata) results(surface string) ([]StratumResult, bool) {
 		res[i] = StratumResult{
 			Surface:   surface,
 			Node:      def.name,
-			BitLo:     def.bitLo,
-			BitHi:     def.bitHi,
+			BitLo:     def.BitLo,
+			BitHi:     def.BitHi,
 			Weight:    def.weight,
 			Trials:    s.N,
 			SDCs:      s.K,
@@ -494,9 +487,9 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 				ar.c.OnTrial(tr)
 			}
 		}
-		seed := func(slot int) (int64, *stratumBand) {
+		seed := func(slot int) (int64, *Band) {
 			it := plan[idxs[slot]]
-			return adaptiveSeed(ar.c.Seed, it.stratum, it.local), &ar.defs[it.stratum].stratumBand
+			return adaptiveSeed(ar.c.Seed, it.stratum, it.local), &ar.defs[it.stratum].Band
 		}
 		if err := ar.b.runTrials(ctx, sub, seed, emit); err != nil {
 			return Outcome{}, err
@@ -542,7 +535,7 @@ func (ar *AdaptiveRun) Result() AdaptiveOutcome {
 // for steering models.
 func (c *Campaign) isSDC(v trialVerdict) bool {
 	if v.isReg {
-		return v.dev > c.regSDCThreshold()
+		return v.dev > regSDCThresholdDeg
 	}
 	return v.top1
 }
@@ -604,12 +597,12 @@ func (c *Campaign) UniformTrialsToTarget(ctx context.Context, inputs []graph.Fee
 	var buf []Site
 	classify := func(trial int) int {
 		rng.Seed(trialSeed(c.Seed, 0, trial))
-		buf = drawSites(buf, scen, fs, c.format(), rng, nil)
+		buf = scen.AppendSites(buf[:0], fs, c.bits(), rng, nil)
 		s := buf[0]
 		ni := nodeIdx[s.Node]
 		for b := 0; b < nBands; b++ {
 			d := ar.defs[ni*nBands+b]
-			if s.Bit >= d.bitLo && s.Bit <= d.bitHi {
+			if s.Bit >= d.BitLo && s.Bit <= d.BitHi {
 				return ni*nBands + b
 			}
 		}
@@ -621,7 +614,7 @@ func (c *Campaign) UniformTrialsToTarget(ctx context.Context, inputs []graph.Fee
 	uc.OnTrial = func(tr TrialResult) {
 		sdc := tr.Top1SDC
 		if tr.IsRegression {
-			sdc = tr.Deviation > c.regSDCThreshold()
+			sdc = tr.Deviation > regSDCThresholdDeg
 		}
 		uniform.acc[classify(tr.Trial)].Add(sdc)
 	}

@@ -18,7 +18,7 @@ func TestBuildStrata(t *testing.T) {
 		t.Fatalf("strata = %d, want 8", len(defs))
 	}
 	// High bits first, bands tile [0,32), weights sum to 1.
-	if defs[0].bitLo != 24 || defs[0].bitHi != 31 || defs[3].bitLo != 0 || defs[3].bitHi != 7 {
+	if defs[0].BitLo != 24 || defs[0].BitHi != 31 || defs[3].BitLo != 0 || defs[3].BitHi != 7 {
 		t.Fatalf("bands = %+v", defs[:4])
 	}
 	var wsum float64
@@ -39,7 +39,7 @@ func TestBuildStrata(t *testing.T) {
 		t.Fatalf("clamped strata = %d, want 16 (8 bands x 2 nodes)", len(defs))
 	}
 	defs = buildStrata(fs, 8, 3)
-	if defs[0].bitHi-defs[0].bitLo+1 != 3 || defs[2].bitHi-defs[2].bitLo+1 != 2 {
+	if defs[0].BitHi-defs[0].BitLo+1 != 3 || defs[2].BitHi-defs[2].BitLo+1 != 2 {
 		t.Fatalf("uneven bands = %+v", defs[:3])
 	}
 }
@@ -47,12 +47,12 @@ func TestBuildStrata(t *testing.T) {
 func TestStratumSamplingStaysInStratum(t *testing.T) {
 	fs := &FaultSpace{nodes: []string{"a", "b"}, sizes: []int{10, 20}, total: 30}
 	rng := rand.New(rand.NewSource(3))
-	for _, scen := range []StratumScenario{
+	for _, scen := range []Scenario{
 		BitFlips{Flips: 1}, BitFlips{Flips: 3}, StuckAt{Faults: 2, Value: 1},
 		RandomValue{Faults: 1}, ConsecutiveBits{Flips: 2},
 	} {
 		for i := 0; i < 200; i++ {
-			sites := scen.AppendStratumSites(nil, fs, fixpoint.Q32, rng, 1, 24, 29)
+			sites := scen.AppendSites(nil, fs, fixpoint.Q32.Bits(), rng, &Band{Node: 1, BitLo: 24, BitHi: 29})
 			if len(sites) == 0 {
 				t.Fatalf("%s: no sites", scen.Name())
 			}
@@ -68,7 +68,7 @@ func TestStratumSamplingStaysInStratum(t *testing.T) {
 	// A consecutive run whose band touches the word top clamps its start
 	// so it never crosses the boundary.
 	for i := 0; i < 200; i++ {
-		sites := ConsecutiveBits{Flips: 4}.AppendStratumSites(nil, fs, fixpoint.Q32, rng, 0, 30, 31)
+		sites := ConsecutiveBits{Flips: 4}.AppendSites(nil, fs, fixpoint.Q32.Bits(), rng, &Band{Node: 0, BitLo: 30, BitHi: 31})
 		for _, s := range sites {
 			if s.Bit < 0 || s.Bit > 31 {
 				t.Fatalf("consecutive run crossed the word: %+v", sites)
@@ -192,12 +192,12 @@ func TestAdaptiveWorstCasePrioritizesHighBits(t *testing.T) {
 	first := ar.defs[plan[0].stratum]
 	maxHi := 0
 	for _, d := range ar.defs {
-		if d.bitHi > maxHi {
-			maxHi = d.bitHi
+		if d.BitHi > maxHi {
+			maxHi = d.BitHi
 		}
 	}
-	if first.bitHi != maxHi {
-		t.Fatalf("worst-case first stratum band [%d,%d], want top band (hi %d)", first.bitLo, first.bitHi, maxHi)
+	if first.BitHi != maxHi {
+		t.Fatalf("worst-case first stratum band [%d,%d], want top band (hi %d)", first.BitLo, first.BitHi, maxHi)
 	}
 }
 
@@ -284,21 +284,6 @@ func TestUniformTrialsToTarget(t *testing.T) {
 	// needs more trials or it never converges within the cap.
 	if uconv && uniform < int64(adaptive.Trials) {
 		t.Fatalf("uniform converged in %d < adaptive %d", uniform, adaptive.Trials)
-	}
-}
-
-func TestRegSDCThresholdSentinel(t *testing.T) {
-	// Zero value keeps the paper's default; positive values are taken
-	// as-is; a negative value is the explicit zero-tolerance sentinel
-	// (regression: an explicit 0 used to be silently replaced by 15°).
-	if got := (&Campaign{}).regSDCThreshold(); got != 15 {
-		t.Fatalf("default threshold = %v, want 15", got)
-	}
-	if got := (&Campaign{RegSDCThresholdDeg: 30}).regSDCThreshold(); got != 30 {
-		t.Fatalf("explicit threshold = %v, want 30", got)
-	}
-	if got := (&Campaign{RegSDCThresholdDeg: -1}).regSDCThreshold(); got != 0 {
-		t.Fatalf("zero-tolerance sentinel = %v, want 0", got)
 	}
 }
 

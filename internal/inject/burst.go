@@ -3,74 +3,18 @@ package inject
 import (
 	"fmt"
 	"math/rand"
-
-	"ranger/internal/fixpoint"
 )
 
-// Burst faults: one upset corrupting the same bit of Length adjacent
-// words in a single tensor — the multi-word counterpart of
-// ConsecutiveBits (which spreads a run of bits inside one word). The
-// run is word-boundary correct: the start element is clamped so the
-// burst never leaves the struck tensor (like ConsecutiveBits clamps its
-// bit run at the word boundary, the start distribution is slightly
-// non-uniform at the tail). Burst works transiently on activations and
-// persistently on the weight surface; BurstInt8 is the stored-int8
-// variant for the quantized backend and the quant-param surface's
+// Burst is the multi-word burst fault model: one upset corrupting the
+// same bit of Length adjacent words in a single tensor — the multi-word
+// counterpart of ConsecutiveBits (which spreads a run of bits inside one
+// word). The run is word-boundary correct: the start element is clamped
+// so the burst never leaves the struck tensor (like ConsecutiveBits
+// clamps its bit run at the word boundary, the start distribution is
+// slightly non-uniform at the tail), and a tensor smaller than the burst
+// is struck whole. Burst works transiently on activations and
+// persistently on the weight surface and the quant-param surface's
 // adjacent parameter bytes.
-
-// sampleRun draws the start of a length-L adjacent-element run confined
-// to one node: the start element uniform over all output elements (then
-// clamped so start+L stays inside the node), the bit uniform over
-// [0, bits). Consumes exactly one Int63n and one Intn, the SampleSite
-// determinism contract.
-func (fs *FaultSpace) sampleRun(rng *rand.Rand, bits, length int) (node, elem, bit int) {
-	k := rng.Int63n(fs.total)
-	node = len(fs.nodes) - 1
-	elem = 0
-	for i, sz := range fs.sizes {
-		if k < int64(sz) {
-			node, elem = i, int(k)
-			break
-		}
-		k -= int64(sz)
-	}
-	if max := fs.sizes[node] - length; max < 0 {
-		elem = 0
-	} else if elem > max {
-		elem = max
-	}
-	bit = rng.Intn(bits)
-	return node, elem, bit
-}
-
-// clampRunStart confines an in-node start element so a length-L run
-// stays inside the node.
-func (fs *FaultSpace) clampRunStart(node, elem, length int) int {
-	if max := fs.sizes[node] - length; max < 0 {
-		return 0
-	} else if elem > max {
-		return max
-	}
-	return elem
-}
-
-// appendRun emits the run's sites: the same bit in Length adjacent
-// elements, truncated to the node size for tensors smaller than the
-// burst.
-func (fs *FaultSpace) appendRun(buf []Site, node, elem, bit, length int) []Site {
-	n := length
-	if sz := fs.sizes[node]; n > sz {
-		n = sz
-	}
-	for i := 0; i < n; i++ {
-		buf = append(buf, Site{Node: fs.nodes[node], Elem: elem + i, Bit: bit})
-	}
-	return buf
-}
-
-// Burst is the multi-word burst fault model on the fp32 backend: one
-// sampled bit position flipped in Length adjacent elements of one
-// tensor, never wrapping across element or tensor boundaries.
 type Burst struct {
 	// Length is the number of adjacent words the burst spans.
 	Length int
@@ -80,94 +24,27 @@ type Burst struct {
 func (b Burst) Name() string { return "burst" }
 
 // Validate implements Scenario.
-func (b Burst) Validate(fixpoint.Format) error {
+func (b Burst) Validate() error {
 	if b.Length <= 0 {
 		return fmt.Errorf("inject: burst length = %d", b.Length)
 	}
 	return nil
 }
 
-// Sample implements Scenario.
-func (b Burst) Sample(space *FaultSpace, format fixpoint.Format, rng *rand.Rand) []Site {
-	return b.AppendSites(make([]Site, 0, b.Length), space, format, rng)
-}
-
-// AppendSites implements SiteAppender.
-func (b Burst) AppendSites(buf []Site, space *FaultSpace, format fixpoint.Format, rng *rand.Rand) []Site {
-	node, elem, bit := space.sampleRun(rng, format.Bits(), b.Length)
-	return space.appendRun(buf, node, elem, bit, b.Length)
-}
-
-// AppendStratumSites implements StratumScenario: the run is confined to
-// the stratum's node with the bit in the stratum's band; the start
-// element draws uniformly over the node and is clamped to keep the run
-// inside it.
-func (b Burst) AppendStratumSites(buf []Site, space *FaultSpace, _ fixpoint.Format, rng *rand.Rand, node, bitLo, bitHi int) []Site {
-	elem := space.clampRunStart(node, rng.Intn(space.sizes[node]), b.Length)
-	bit := bitLo + rng.Intn(bitHi-bitLo+1)
-	return space.appendRun(buf, node, elem, bit, b.Length)
-}
-
-// Corrupt implements Scenario: each site of the run flips its bit of
-// the fixed-point encoding.
-func (b Burst) Corrupt(format fixpoint.Format, v float32, s Site) (float32, error) {
-	return format.FlipBit(v, s.Bit)
-}
-
-// BurstInt8 is the multi-word burst fault model on stored int8 words:
-// one sampled bit position flipped in Length adjacent bytes of one
-// quantized tensor (or stored weight/parameter buffer).
-type BurstInt8 struct {
-	// Length is the number of adjacent bytes the burst spans.
-	Length int
-}
-
-// Name implements Scenario.
-func (b BurstInt8) Name() string { return "burst-int8" }
-
-// Validate implements Scenario.
-func (b BurstInt8) Validate(fixpoint.Format) error {
-	if b.Length <= 0 {
-		return fmt.Errorf("inject: burst length = %d", b.Length)
+// AppendSites implements Scenario: the run's start draws like one
+// SampleSite (the whole space, or the band's node with the bit in the
+// band) and is then clamped to keep the run inside its node.
+func (b Burst) AppendSites(buf []Site, space *FaultSpace, bits int, rng *rand.Rand, band *Band) []Site {
+	node, elem, bit := space.draw(rng, bits, band)
+	size := space.sizes[node]
+	elem = max(min(elem, size-b.Length), 0)
+	for i := 0; i < min(b.Length, size); i++ {
+		buf = append(buf, Site{Node: space.nodes[node], Elem: elem + i, Bit: bit})
 	}
-	return nil
+	return buf
 }
 
-// Sample implements Scenario: bit positions draw from the 8-bit word
-// regardless of the campaign's fixed-point format.
-func (b BurstInt8) Sample(space *FaultSpace, format fixpoint.Format, rng *rand.Rand) []Site {
-	return b.AppendSites(make([]Site, 0, b.Length), space, format, rng)
-}
-
-// AppendSites implements SiteAppender.
-func (b BurstInt8) AppendSites(buf []Site, space *FaultSpace, _ fixpoint.Format, rng *rand.Rand) []Site {
-	node, elem, bit := space.sampleRun(rng, 8, b.Length)
-	return space.appendRun(buf, node, elem, bit, b.Length)
-}
-
-// AppendStratumSites implements StratumScenario over the 8-bit word.
-func (b BurstInt8) AppendStratumSites(buf []Site, space *FaultSpace, _ fixpoint.Format, rng *rand.Rand, node, bitLo, bitHi int) []Site {
-	elem := space.clampRunStart(node, rng.Intn(space.sizes[node]), b.Length)
-	bit := bitLo + rng.Intn(bitHi-bitLo+1)
-	return space.appendRun(buf, node, elem, bit, b.Length)
-}
-
-// Corrupt implements Scenario; int8 scenarios only run on the quantized
-// backend.
-func (b BurstInt8) Corrupt(fixpoint.Format, float32, Site) (float32, error) {
-	return 0, errInt8Only(b.Name())
-}
-
-// CorruptInt8 implements Int8Scenario.
-func (b BurstInt8) CorruptInt8(q int8, s Site) (int8, error) {
-	if s.Bit < 0 || s.Bit >= 8 {
-		return 0, fmt.Errorf("inject: bit %d out of range for int8", s.Bit)
-	}
-	return int8(uint8(q) ^ (1 << uint(s.Bit))), nil
-}
-
-func init() {
-	// The factory's fault-multiplicity argument is the burst length.
-	RegisterScenario("burst", func(n int) (Scenario, error) { return Burst{Length: n}, nil })
-	RegisterScenario("burst-int8", func(n int) (Scenario, error) { return BurstInt8{Length: n}, nil })
+// Corrupt implements Scenario: each site of the run flips its bit.
+func (b Burst) Corrupt(word uint64, bits int, s Site) (uint64, error) {
+	return flipBit(word, bits, s)
 }

@@ -25,7 +25,7 @@ func TestBurstStaysInsideTensor(t *testing.T) {
 	b := Burst{Length: 3}
 	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(&splitmixSource{state: uint64(seed)})
-		sites := b.Sample(fs, fixpoint.Q32, rng)
+		sites := b.AppendSites(nil, fs, fixpoint.Q32.Bits(), rng, nil)
 		if len(sites) != 3 {
 			t.Fatalf("seed %d: %d sites, want 3", seed, len(sites))
 		}
@@ -62,7 +62,7 @@ func TestBurstTruncatesToSmallTensor(t *testing.T) {
 	fs := burstSpace(2)
 	b := Burst{Length: 5}
 	rng := rand.New(&splitmixSource{state: 9})
-	sites := b.Sample(fs, fixpoint.Q32, rng)
+	sites := b.AppendSites(nil, fs, fixpoint.Q32.Bits(), rng, nil)
 	if len(sites) != 2 {
 		t.Fatalf("%d sites, want 2 (truncated to node size)", len(sites))
 	}
@@ -78,7 +78,7 @@ func TestBurstStratumConfined(t *testing.T) {
 	b := Burst{Length: 4}
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(&splitmixSource{state: uint64(seed)})
-		sites := b.AppendStratumSites(nil, fs, fixpoint.Q32, rng, 1, 20, 27)
+		sites := b.AppendSites(nil, fs, fixpoint.Q32.Bits(), rng, &Band{Node: 1, BitLo: 20, BitHi: 27})
 		if len(sites) != 4 {
 			t.Fatalf("seed %d: %d sites", seed, len(sites))
 		}
@@ -96,12 +96,14 @@ func TestBurstStratumConfined(t *testing.T) {
 	}
 }
 
+// On the int8 backend a burst draws bits of the 8-bit word and flips
+// them in the stored bytes.
 func TestBurstInt8BoundsAndCorrupt(t *testing.T) {
 	fs := burstSpace(3, 6)
-	b := BurstInt8{Length: 2}
+	b := Burst{Length: 2}
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(&splitmixSource{state: uint64(seed)})
-		sites := b.Sample(fs, fixpoint.Q32, rng)
+		sites := b.AppendSites(nil, fs, 8, rng, nil)
 		if len(sites) != 2 {
 			t.Fatalf("seed %d: %d sites", seed, len(sites))
 		}
@@ -111,18 +113,15 @@ func TestBurstInt8BoundsAndCorrupt(t *testing.T) {
 			}
 		}
 	}
-	q, err := b.CorruptInt8(0, Site{Bit: 7})
+	q, err := corruptInt8(b, 0, Site{Bit: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if q != -128 {
 		t.Fatalf("flipping bit 7 of 0 = %d, want -128", q)
 	}
-	if _, err := b.CorruptInt8(0, Site{Bit: 8}); err == nil {
+	if _, err := corruptInt8(b, 0, Site{Bit: 8}); err == nil {
 		t.Fatal("bit 8 should be out of range for int8")
-	}
-	if _, err := b.Corrupt(fixpoint.Q32, 0, Site{}); err == nil {
-		t.Fatal("BurstInt8.Corrupt must refuse the fp32 backend")
 	}
 }
 
@@ -138,13 +137,13 @@ func TestBurstRegistryAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, ok := si.(BurstInt8); !ok || b.Length != 2 {
+	if b, ok := si.(Burst); !ok || b.Length != 2 {
 		t.Fatalf("NewScenario(burst-int8, 2) = %#v", si)
 	}
-	if err := (Burst{Length: 0}).Validate(fixpoint.Q32); err == nil {
+	if err := (Burst{Length: 0}).Validate(); err == nil {
 		t.Fatal("zero-length burst should not validate")
 	}
-	if err := (BurstInt8{Length: -1}).Validate(fixpoint.Q32); err == nil {
+	if err := (Burst{Length: -1}).Validate(); err == nil {
 		t.Fatal("negative-length burst should not validate")
 	}
 }

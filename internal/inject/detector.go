@@ -56,8 +56,8 @@ type DetectorOutcome struct {
 	CleanRuns int
 	// TrialSDC records, per trial in execution order, whether the raw
 	// faulty output was an SDC (classifier: top-1 flip; regressor:
-	// deviation above the campaign's RegSDCThresholdDeg). Used as labels
-	// when training learned detectors.
+	// deviation above the paper's smallest threshold, 15°). Used as
+	// labels when training learned detectors.
 	TrialSDC []bool
 }
 

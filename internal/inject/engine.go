@@ -143,7 +143,7 @@ func (b *backend) newWorker() worker {
 		return &quantParamWorker{storedI8: b.newStoredI8()}
 	}
 	if b.qp != nil {
-		w := &int8Worker{b: b, st: b.qp.NewState(), scen: b.c.scenario().(Int8Scenario), struck: newStruckSites(b.qp.StepOf, b.qp.Steps())}
+		w := &int8Worker{b: b, st: b.qp.NewState(), scen: b.c.scenario(), struck: newStruckSites(b.qp.StepOf, b.qp.Steps())}
 		w.makeHook()
 		return w
 	}
@@ -157,12 +157,12 @@ func (b *backend) newWorker() worker {
 // cloneable), and its reusable sampling stream and site buffer.
 type slotWorker struct {
 	worker
-	det    Detector
-	scen   Scenario
-	format fixpoint.Format
-	space  *FaultSpace
-	rng    *rand.Rand
-	buf    []Site
+	det   Detector
+	scen  Scenario
+	bits  int
+	space *FaultSpace
+	rng   *rand.Rand
+	buf   []Site
 }
 
 func (b *backend) newSlotWorker() *slotWorker {
@@ -170,7 +170,7 @@ func (b *backend) newSlotWorker() *slotWorker {
 		worker: b.newWorker(),
 		det:    b.det,
 		scen:   b.c.scenario(),
-		format: b.c.format(),
+		bits:   b.c.bits(),
 		space:  b.space,
 		rng:    rand.New(&splitmixSource{}),
 	}
@@ -184,9 +184,9 @@ func (b *backend) newSlotWorker() *slotWorker {
 // worker's RNG reseeded, so no slot allocates a generator), with the
 // primary site confined to band when non-nil. The sites are valid until
 // the next draw.
-func (sw *slotWorker) draw(seed int64, band *stratumBand) []Site {
+func (sw *slotWorker) draw(seed int64, band *Band) []Site {
 	sw.rng.Seed(seed)
-	sw.buf = drawSites(sw.buf, sw.scen, sw.space, sw.format, sw.rng, band)
+	sw.buf = sw.scen.AppendSites(sw.buf[:0], sw.space, sw.bits, sw.rng, band)
 	return sw.buf
 }
 
@@ -244,7 +244,7 @@ func (b *backend) runShard(ctx context.Context, n int, key func(sw *slotWorker, 
 // verdicts[i]. Without a detector each shard groups its block by
 // injection depth, so deep-layer faults replay back to back; detector
 // trials replay from step 0 and keep slot order.
-func (b *backend) runTrials(ctx context.Context, verdicts []trialVerdict, seed func(slot int) (int64, *stratumBand), emit func(slot int)) error {
+func (b *backend) runTrials(ctx context.Context, verdicts []trialVerdict, seed func(slot int) (int64, *Band), emit func(slot int)) error {
 	var key func(sw *slotWorker, slot int) int
 	if b.det == nil {
 		key = func(sw *slotWorker, slot int) int {
@@ -280,7 +280,7 @@ func (b *backend) runGrid(ctx context.Context, ii, t0 int, verdicts []trialVerdi
 	if c.OnTrial != nil {
 		emit = func(slot int) { c.OnTrial(verdicts[slot].result(ii, t0+slot)) }
 	}
-	return b.runTrials(ctx, verdicts, func(slot int) (int64, *stratumBand) {
+	return b.runTrials(ctx, verdicts, func(slot int) (int64, *Band) {
 		return trialSeed(c.Seed, ii, t0+slot), nil
 	}, emit)
 }
@@ -291,7 +291,7 @@ func (b *backend) runGrid(ctx context.Context, ii, t0 int, verdicts []trialVerdi
 // Without a detector the replay covers only the fault's cone and starts
 // at its depth; a detector observes every node, so its trials replay
 // from step 0. After warmup a trial allocates nothing.
-func (b *backend) runTrial(sw *slotWorker, seed int64, band *stratumBand) (trialVerdict, error) {
+func (b *backend) runTrial(sw *slotWorker, seed int64, band *Band) (trialVerdict, error) {
 	t := time.Now()
 	defer sw.scrub()
 	depth, err := sw.plant(sw.draw(seed, band))
@@ -355,6 +355,20 @@ func (s *struckSites) plant(sites []Site) int {
 	return depth
 }
 
+// corruptFloat corrupts an fp32 value through the datapath's
+// fixed-point word: the scenario acts on the value's encoding, and the
+// faulty word decodes back.
+func corruptFloat(scen Scenario, f fixpoint.Format, v float32, s Site) (float32, error) {
+	w, err := scen.Corrupt(f.Encode(v), f.Bits(), s)
+	return f.Decode(w), err
+}
+
+// corruptInt8 corrupts a stored int8 as an 8-bit word.
+func corruptInt8(scen Scenario, q int8, s Site) (int8, error) {
+	w, err := scen.Corrupt(uint64(uint8(q)), 8, s)
+	return int8(uint8(w)), err
+}
+
 // undo records one in-place activation corruption for scrub to revert,
 // keeping the state's buffers byte-clean, so no later read path may
 // ever observe a stale fault.
@@ -402,7 +416,7 @@ func (w *fp32Worker) makeHook() {
 					w.err = siteBoundsError(s, len(data))
 					return nil
 				}
-				v, err := w.scen.Corrupt(w.format, data[s.Elem], s)
+				v, err := corruptFloat(w.scen, w.format, data[s.Elem], s)
 				if err != nil {
 					w.err = fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
 					return nil
@@ -441,12 +455,12 @@ func (w *fp32Worker) infer(input int, det Detector) ([]float32, error) {
 func (w *fp32Worker) scrub() { w.undo = revert(w.undo) }
 
 // int8Worker is the int8 activation worker: faults strike the stored
-// int8 words of operator outputs in place through the scenario's
-// CorruptInt8, and the replay covers the fault's cone (QPlan.RunCone).
+// int8 words of operator outputs in place, and the replay covers the
+// fault's cone (QPlan.RunCone).
 type int8Worker struct {
 	b      *backend
 	st     *graph.QPlanState
-	scen   Int8Scenario
+	scen   Scenario
 	struck struckSites
 	undo   []undo[int8]
 	err    error
@@ -465,7 +479,7 @@ func (w *int8Worker) makeHook() {
 				w.err = siteBoundsError(s, len(data))
 				return nil
 			}
-			q, err := w.scen.CorruptInt8(data[s.Elem], s)
+			q, err := corruptInt8(w.scen, data[s.Elem], s)
 			if err != nil {
 				w.err = fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
 				return nil

@@ -86,7 +86,7 @@ func TestReferenceNotClobberedAcrossInputs(t *testing.T) {
 		c    *Campaign
 	}{
 		{"fp32", &Campaign{Model: m, Trials: 1, Seed: 1}},
-		{"int8", &Campaign{Model: m, Trials: 1, Seed: 1, Scenario: BitFlipInt8{Flips: 1}, Calibration: calib}},
+		{"int8", &Campaign{Model: m, Trials: 1, Seed: 1, Scenario: BitFlips{Flips: 1}, Calibration: calib}},
 	}
 	for _, tc := range cases {
 		b, err := tc.c.newBackend(nil)
@@ -136,7 +136,7 @@ func TestIncrementalTrialZeroAllocInt8(t *testing.T) {
 	calib := lenetCalibration(t, m, feeds)
 	checkTrialZeroAlloc(t, m, feeds, func(targets []string) *Campaign {
 		return &Campaign{Model: m, Trials: 1, Seed: 9, TargetNodes: targets,
-			Scenario: BitFlipInt8{Flips: 1}, Calibration: calib}
+			Scenario: BitFlips{Flips: 1}, Calibration: calib}
 	})
 }
 
@@ -387,7 +387,7 @@ func TestTrialMaskedMatchesFullReplay(t *testing.T) {
 
 	t.Run("lenet/int8", func(t *testing.T) {
 		calib := lenetCalibration(t, lenet, lenetFeeds)
-		c := &Campaign{Model: lenet, Trials: 40, Seed: 11, Scenario: BitFlipInt8{Flips: 1}, Calibration: calib}
+		c := &Campaign{Model: lenet, Trials: 40, Seed: 11, Scenario: BitFlips{Flips: 1}, Calibration: calib}
 		coneTrials := record(c)
 		if _, err := c.Run(ctx, lenetFeeds); err != nil {
 			t.Fatal(err)
@@ -396,7 +396,7 @@ func TestTrialMaskedMatchesFullReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qp, scen := b.qp, c.scenario().(Int8Scenario)
+		qp, scen := b.qp, c.scenario()
 		st := qp.NewState()
 		masked := 0
 		for ii, feeds := range lenetFeeds {
@@ -411,7 +411,7 @@ func TestTrialMaskedMatchesFullReplay(t *testing.T) {
 			hook := func(n *graph.Node, out *tensor.QTensor) *tensor.QTensor {
 				d := out.Data()
 				for _, s := range ts.byNode[n.Name()] {
-					q, err := scen.CorruptInt8(d[s.Elem], s)
+					q, err := corruptInt8(scen, d[s.Elem], s)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -1,11 +1,12 @@
 // Package inject implements the paper's fault-injection methodology
 // (§V-A): random bit flips (and the pluggable extended fault scenarios)
-// in the fixed-point encoding of operator output values, injected during
+// in the stored words of operator output values — their fixed-point
+// encoding on fp32, the quantized byte on int8 — injected during
 // graph execution, with SDC classification for both classifier models
 // (misclassification) and steering models (angle deviation thresholds).
 // It is the TensorFI counterpart in this reproduction.
 //
-// The fault model is a Scenario: site sampling plus value corruption,
+// The fault model is a Scenario: site sampling plus word corruption,
 // selected from a name-keyed registry (see scenario.go). Campaigns are
 // context-cancellable and can stream per-trial results through OnTrial.
 package inject
@@ -75,12 +76,15 @@ func siteBoundsError(s Site, size int) error {
 type Campaign struct {
 	Model *models.Model
 	// Format is the fixed-point datatype of the simulated datapath
-	// (fixpoint.Q32 for RQ1-3, fixpoint.Q16 for RQ4). The zero value
-	// means Q32.
+	// (fixpoint.Q32 for RQ1-3, fixpoint.Q16 for RQ4): fp32 faults strike
+	// the value's word in this encoding, Format.Bits() wide. The zero
+	// value means Q32.
 	Format fixpoint.Format
-	// Scenario is the fault model: site sampling plus value corruption.
-	// nil means the paper's primary model, one random bit flip per
-	// execution (DefaultScenario).
+	// Scenario is the fault model: site sampling plus word corruption,
+	// over the word the backend stores: Format.Bits() wide on fp32, 8 bits
+	// on int8 (Calibration). nil means the
+	// paper's primary model, one random bit flip per execution
+	// (DefaultScenario).
 	Scenario Scenario
 	// Trials is the number of injections per input.
 	Trials int
@@ -89,13 +93,6 @@ type Campaign struct {
 	// Exclude lists node names removed from the fault space in addition
 	// to the model's own ExcludeFI list (the paper's last-FC exclusion).
 	Exclude []string
-	// RegSDCThresholdDeg is the steering deviation (degrees) above which
-	// a regressor trial counts as an SDC in detector accounting and
-	// adaptive stopping. The zero value means the paper's smallest
-	// threshold, 15 degrees; any negative value is the explicit
-	// zero-tolerance sentinel (every nonzero deviation is an SDC), since
-	// a literal 0 cannot be told apart from "unset".
-	RegSDCThresholdDeg float64
 	// TargetNodes, when non-empty, restricts the fault space to the named
 	// nodes (used for per-node vulnerability estimation by the selective
 	// duplication baseline).
@@ -108,8 +105,8 @@ type Campaign struct {
 	// quantized backend: the model compiles to an int8 plan under these
 	// calibrated value ranges, and faults strike the quantized (int8)
 	// representation of operator outputs — the deployed numeric format.
-	// The Scenario must then implement Int8Scenario (bitflip-int8,
-	// stuckat-int8); Format is ignored.
+	// The Scenario then samples and corrupts 8-bit words; Format is
+	// ignored.
 	Calibration graph.Calibration
 	// Adaptive selects the sampling design. The zero value,
 	// SamplingUniform, is the classic uniform grid over the fault space
@@ -183,18 +180,10 @@ func (c *Campaign) scenario() Scenario {
 	return c.Scenario
 }
 
-// regSDCThreshold returns the effective regressor SDC threshold: the
-// configured positive value, 0 under the negative zero-tolerance
-// sentinel, or the paper's smallest threshold (15°) for the zero value.
-func (c *Campaign) regSDCThreshold() float64 {
-	if c.RegSDCThresholdDeg < 0 {
-		return 0
-	}
-	if c.RegSDCThresholdDeg > 0 {
-		return c.RegSDCThresholdDeg
-	}
-	return 15
-}
+// regSDCThresholdDeg is the steering deviation (degrees) above which a
+// regressor trial counts as an SDC in detector accounting, adaptive
+// stopping and persistent sequences: the paper's smallest threshold.
+const regSDCThresholdDeg = 15
 
 // bits returns the width of the word a fault strikes: the datapath's
 // fixed-point width, or 8 on the int8 backend.
@@ -252,15 +241,7 @@ func (c *Campaign) validate(inputs []graph.Feeds, ep entry, det Detector) error 
 	if len(inputs) == 0 {
 		return fmt.Errorf("inject: no inputs")
 	}
-	scen := c.scenario()
-	_, int8Scen := scen.(Int8Scenario)
-	if c.Calibration != nil && !int8Scen {
-		return fmt.Errorf("inject: quantized campaign needs an int8 scenario, got %q", scen.Name())
-	}
-	if c.Calibration == nil && int8Scen {
-		return errInt8Only(scen.Name())
-	}
-	if err := scen.Validate(c.format()); err != nil {
+	if err := c.scenario().Validate(); err != nil {
 		return err
 	}
 	if ep == sequenceEntry || ep == stratifiedSequenceEntry {
@@ -278,9 +259,6 @@ func (c *Campaign) validate(inputs []graph.Feeds, ep entry, det Detector) error 
 		}
 	}
 	if ep == adaptiveEntry || ep == stratifiedSequenceEntry {
-		if _, ok := scen.(StratumScenario); !ok {
-			return fmt.Errorf("inject: scenario %q does not support stratified sampling", scen.Name())
-		}
 		if c.CITarget < 0 || c.CITarget >= 1 {
 			return fmt.Errorf("inject: CI target %v outside (0,1)", c.CITarget)
 		}

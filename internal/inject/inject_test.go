@@ -116,7 +116,7 @@ func TestSampleSiteUniformOverElements(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	counts := map[string]int{}
 	for i := 0; i < 5000; i++ {
-		s := fs.SampleSite(rng, 32)
+		s := fs.SampleSite(rng, 32, nil)
 		counts[s.Node]++
 		if s.Bit < 0 || s.Bit >= 32 {
 			t.Fatalf("bit %d", s.Bit)
@@ -317,7 +317,7 @@ func TestConsecutiveSitesShareOneElement(t *testing.T) {
 	c := &Campaign{Model: m, Format: fixpoint.Q16, Scenario: ConsecutiveBits{Flips: 4}}
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
-		sites := sitesByNode(c.scenario().Sample(fs, c.format(), rng))
+		sites := sitesByNode(c.scenario().AppendSites(nil, fs, c.bits(), rng, nil))
 		if len(sites) != 1 {
 			t.Fatalf("consecutive flips span %d nodes, want 1", len(sites))
 		}
@@ -344,7 +344,7 @@ func TestIndependentSitesSampleWholeWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	seenHigh := false
 	for trial := 0; trial < 300; trial++ {
-		for _, ss := range sitesByNode(c.scenario().Sample(fs, c.format(), rng)) {
+		for _, ss := range sitesByNode(c.scenario().AppendSites(nil, fs, c.bits(), rng, nil)) {
 			for _, s := range ss {
 				if s.Bit >= 12 {
 					seenHigh = true

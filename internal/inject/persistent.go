@@ -312,7 +312,7 @@ func (w *fp32WeightWorker) plant(sites []Site) (int, error) {
 		if s.Elem < 0 || s.Elem >= t.Size() {
 			return 0, siteBoundsError(s, t.Size())
 		}
-		v, err := c.scenario().Corrupt(c.format(), t.Data()[s.Elem], s)
+		v, err := corruptFloat(c.scenario(), c.format(), t.Data()[s.Elem], s)
 		if err != nil {
 			return 0, fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
 		}
@@ -388,7 +388,7 @@ type int8WeightWorker struct {
 }
 
 func (w *int8WeightWorker) plant(sites []Site) (int, error) {
-	qp, scen := w.b.qp, w.b.c.scenario().(Int8Scenario)
+	qp, scen := w.b.qp, w.b.c.scenario()
 	clear(w.bufs)
 	depth := qp.Steps()
 	for _, s := range sites {
@@ -403,7 +403,7 @@ func (w *int8WeightWorker) plant(sites []Site) (int, error) {
 		if s.Elem < 0 || s.Elem >= len(buf) {
 			return 0, siteBoundsError(s, len(buf))
 		}
-		q, err := scen.CorruptInt8(buf[s.Elem], s)
+		q, err := corruptInt8(scen, buf[s.Elem], s)
 		if err != nil {
 			return 0, fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
 		}
@@ -457,7 +457,7 @@ type stagedParams struct {
 }
 
 func (w *quantParamWorker) plant(sites []Site) (int, error) {
-	qp, scen := w.b.qp, w.b.c.scenario().(Int8Scenario)
+	qp, scen := w.b.qp, w.b.c.scenario()
 	w.staged = w.staged[:0]
 	for _, s := range sites {
 		k := slices.IndexFunc(w.staged, func(p stagedParams) bool { return p.node == s.Node })
@@ -473,7 +473,7 @@ func (w *quantParamWorker) plant(sites []Site) (int, error) {
 			return 0, siteBoundsError(s, quantParamBytes)
 		}
 		b := &w.staged[k].bytes
-		q, err := scen.CorruptInt8(int8(b[s.Elem]), s)
+		q, err := corruptInt8(scen, int8(b[s.Elem]), s)
 		if err != nil {
 			return 0, fmt.Errorf("inject: corrupt %s[%d]: %w", s.Node, s.Elem, err)
 		}
@@ -499,7 +499,7 @@ type plannedSeq struct {
 	seq     int64
 	seed    int64
 	stratum int // -1 under uniform sampling
-	stratumBand
+	Band
 }
 
 // bitsEqual reports byte-exact equality of two float32 slices (bit
@@ -526,9 +526,9 @@ func bitsEqual(a, b []float32) bool {
 func (b *backend) runSequence(sw *slotWorker, ps plannedSeq) (SequenceResult, error) {
 	c := b.c
 	r := SequenceResult{Sequence: ps.seq, Seq: ps.seq, Stratum: ps.stratum}
-	var band *stratumBand
+	var band *Band
 	if ps.stratum >= 0 {
-		band = &ps.stratumBand
+		band = &ps.Band
 	}
 	sites := sw.draw(ps.seed, band)
 	if len(sites) > 0 {
@@ -687,10 +687,10 @@ func (c *Campaign) runPersistentStratified(ctx context.Context, inputs []graph.F
 		plan := make([]plannedSeq, 0, n)
 		st.allocate(open, n, func(si, local int) {
 			plan = append(plan, plannedSeq{
-				seq:         seq + int64(len(plan)),
-				seed:        adaptiveSeed(c.Seed, si, local),
-				stratum:     si,
-				stratumBand: st.defs[si].stratumBand,
+				seq:     seq + int64(len(plan)),
+				seed:    adaptiveSeed(c.Seed, si, local),
+				stratum: si,
+				Band:    st.defs[si].Band,
 			})
 		})
 		results := make([]SequenceResult, len(plan))

@@ -183,7 +183,7 @@ func TestPersistentInt8WeightSurface(t *testing.T) {
 	run := func(workers int) PersistentOutcome {
 		c := &Campaign{
 			Model: m, Trials: 10, Seed: 13, Surface: WeightSurface{},
-			Scenario: BitFlipInt8{Flips: 1}, Calibration: calib,
+			Scenario: BitFlips{Flips: 1}, Calibration: calib,
 			SequenceLen: 4, Workers: workers,
 			Detector: &alwaysDetector{}, Repair: true,
 		}
@@ -339,7 +339,7 @@ func TestInt8PostRepairReplays(t *testing.T) {
 	calib := lenetCalibration(t, m, feeds)
 	c := &Campaign{
 		Model: m, Trials: 1, Seed: 13, Surface: WeightSurface{},
-		Scenario: BitFlipInt8{Flips: 1}, Calibration: calib,
+		Scenario: BitFlips{Flips: 1}, Calibration: calib,
 		SequenceLen: 4, TargetNodes: []string{"conv1"},
 		Detector: &alwaysDetector{}, Repair: true,
 	}
@@ -392,7 +392,7 @@ func TestPersistentQuantParamSurface(t *testing.T) {
 	run := func(workers int) PersistentOutcome {
 		c := &Campaign{
 			Model: m, Trials: 12, Seed: 21, Surface: QuantParamSurface{},
-			Scenario: BitFlipInt8{Flips: 1}, Calibration: calib,
+			Scenario: BitFlips{Flips: 1}, Calibration: calib,
 			SequenceLen: 3, Workers: workers,
 		}
 		out, err := c.RunPersistent(context.Background(), feeds)
@@ -491,7 +491,7 @@ func FuzzWeightCorruptUndo(f *testing.F) {
 			Detector: &alwaysDetector{}, Repair: true,
 		}
 		if int8Backend {
-			c.Scenario = BitFlipInt8{Flips: 1}
+			c.Scenario = BitFlips{Flips: 1}
 			c.Calibration = calib
 		}
 		// Snapshot the golden fp32 weights the campaign must not touch.

@@ -54,15 +54,21 @@ func TestScenarioNamesSortedAndComplete(t *testing.T) {
 			t.Fatalf("built-in scenario %q missing from %v", n, names)
 		}
 	}
-	// Every listed name constructs, and its Name() round-trips for the
-	// single-variant scenarios (provenance: reports name what ran).
+	// Every listed name constructs, and its Name() round-trips
+	// (provenance: reports name what ran). The -int8 names kept for
+	// stored job specs build the shared fault models and report theirs.
+	alias := map[string]string{"bitflip-int8": "bitflip", "stuckat-int8": "stuckat1", "burst-int8": "burst"}
 	for _, n := range names {
 		s, err := NewScenario(n, 1)
 		if err != nil {
 			t.Fatalf("NewScenario(%q): %v", n, err)
 		}
-		if s.Name() != n {
-			t.Fatalf("NewScenario(%q).Name() = %q", n, s.Name())
+		want := n
+		if a, ok := alias[n]; ok {
+			want = a
+		}
+		if s.Name() != want {
+			t.Fatalf("NewScenario(%q).Name() = %q, want %q", n, s.Name(), want)
 		}
 	}
 }

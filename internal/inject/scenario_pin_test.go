@@ -35,8 +35,8 @@ var pinClean = map[int]uint64{8: 0x5A, 16: 0x5A00, 32: 0x5A00}
 
 // pinBand confines the primary site to the middle node and the upper
 // half of the word.
-func pinBand(width int) *stratumBand {
-	return &stratumBand{node: 1, bitLo: width / 2, bitHi: width - 1}
+func pinBand(width int) *Band {
+	return &Band{Node: 1, BitLo: width / 2, BitHi: width - 1}
 }
 
 // pinLegacyNames are the registry names kept for stored job specs; they
@@ -44,21 +44,17 @@ func pinBand(width int) *stratumBand {
 var pinLegacyNames = map[string]bool{"bitflip-int8": true, "stuckat-int8": true, "burst-int8": true}
 
 // pinDraw draws one execution's sites at the given word width.
-func pinDraw(scen Scenario, width int, rng *rand.Rand, band *stratumBand) []Site {
-	return drawSites(nil, scen, pinSpace(), pinFormats[width], rng, band)
+func pinDraw(scen Scenario, width int, rng *rand.Rand, band *Band) []Site {
+	return scen.AppendSites(nil, pinSpace(), width, rng, band)
 }
 
 // pinCorrupt corrupts one word at the given width and returns the word
 // as the datapath stores it back. A 32-bit word passes through a float32
 // on the fp32 backend, which keeps 24 significant bits.
 func pinCorrupt(scen Scenario, width int, word uint64, s Site) (uint64, error) {
-	if s8, ok := scen.(Int8Scenario); ok {
-		q, err := s8.CorruptInt8(int8(uint8(word)), s)
-		return uint64(uint8(q)), err
-	}
 	f := pinFormats[width]
-	v, err := scen.Corrupt(f, f.Decode(word), s)
-	return f.Encode(v), err
+	w, err := scen.Corrupt(word, width, s)
+	return f.Encode(f.Decode(w)), err
 }
 
 // scenarioPins maps name/width/mode/seed to the drawn sites, each
@@ -164,7 +160,7 @@ func TestScenarioSitesAndWordsPinned(t *testing.T) {
 		for _, width := range widths {
 			for _, mode := range []string{"uniform", "band"} {
 				for seed := int64(1); seed <= 2; seed++ {
-					var band *stratumBand
+					var band *Band
 					if mode == "band" {
 						band = pinBand(width)
 					}

@@ -31,7 +31,7 @@ func TestScenarioRegistryResolvesAllBuiltins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewScenario(%q): %v", name, err)
 		}
-		if err := s.Validate(fixpoint.Q32); err != nil {
+		if err := s.Validate(); err != nil {
 			t.Fatalf("%q.Validate: %v", name, err)
 		}
 	}
@@ -52,7 +52,7 @@ func TestConsecutiveSamplingAtWordBoundary(t *testing.T) {
 			scen := ConsecutiveBits{Flips: flips}
 			rng := rand.New(rand.NewSource(int64(flips)))
 			for trial := 0; trial < 200; trial++ {
-				sites := scen.Sample(space, format, rng)
+				sites := scen.AppendSites(nil, space, format.Bits(), rng, nil)
 				k := flips
 				if k > width {
 					k = width
@@ -87,7 +87,7 @@ func TestIndependentFlipsMayCollide(t *testing.T) {
 	format := fixpoint.Q16
 	scen := BitFlips{Flips: format.Bits() + 1} // pigeonhole: > width draws over one word
 	rng := rand.New(rand.NewSource(1))
-	sites := scen.Sample(space, format, rng)
+	sites := scen.AppendSites(nil, space, format.Bits(), rng, nil)
 	if len(sites) != format.Bits()+1 {
 		t.Fatalf("sites = %d, want %d (no dedupe)", len(sites), format.Bits()+1)
 	}
@@ -105,11 +105,11 @@ func TestIndependentFlipsMayCollide(t *testing.T) {
 	}
 	// Two flips of the same bit cancel: corrupting twice restores the value.
 	v := float32(3.25)
-	once, err := scen.Corrupt(format, v, Site{Bit: 5})
+	once, err := corruptFloat(scen, format, v, Site{Bit: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	twice, err := scen.Corrupt(format, once, Site{Bit: 5})
+	twice, err := corruptFloat(scen, format, once, Site{Bit: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,16 +125,16 @@ func TestRandomValueScenarioReplacesWord(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	changed := 0
 	for trial := 0; trial < 50; trial++ {
-		sites := scen.Sample(space, format, rng)
+		sites := scen.AppendSites(nil, space, format.Bits(), rng, nil)
 		if len(sites) != 1 {
 			t.Fatalf("sites = %d", len(sites))
 		}
-		v, err := scen.Corrupt(format, 1.5, sites[0])
+		v, err := corruptFloat(scen, format, 1.5, sites[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The replacement depends only on the payload, not the clean value.
-		v2, err := scen.Corrupt(format, -99, sites[0])
+		v2, err := corruptFloat(scen, format, -99, sites[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,14 +159,14 @@ func TestStuckAtScenarioForcesBit(t *testing.T) {
 	// stuck-at-0 on an already-zero bit is a no-op.
 	s1 := StuckAt{Faults: 1, Value: 1}
 	signBit := format.Bits() - 1
-	v, err := s1.Corrupt(format, 2, Site{Bit: signBit})
+	v, err := corruptFloat(s1, format, 2, Site{Bit: signBit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v >= 0 {
 		t.Fatalf("stuck-at-1 sign bit left value non-negative: %v", v)
 	}
-	again, err := s1.Corrupt(format, v, Site{Bit: signBit})
+	again, err := corruptFloat(s1, format, v, Site{Bit: signBit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,14 +174,14 @@ func TestStuckAtScenarioForcesBit(t *testing.T) {
 		t.Fatalf("stuck-at is not idempotent: %v vs %v", again, v)
 	}
 	s0 := StuckAt{Faults: 1, Value: 0}
-	v0, err := s0.Corrupt(format, 2, Site{Bit: signBit})
+	v0, err := corruptFloat(s0, format, 2, Site{Bit: signBit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v0 != format.Quantize(2) {
 		t.Fatalf("stuck-at-0 on a clear bit changed the value: %v", v0)
 	}
-	if err := (StuckAt{Faults: 1, Value: 7}).Validate(format); err == nil {
+	if err := (StuckAt{Faults: 1, Value: 7}).Validate(); err == nil {
 		t.Fatal("want invalid stuck-at value error")
 	}
 }
@@ -209,13 +209,13 @@ func TestCampaignRunsExtendedScenarios(t *testing.T) {
 // execution does not reproduce.
 type bogusSiteScenario struct{ node string }
 
-func (b bogusSiteScenario) Name() string                   { return "bogus-site" }
-func (b bogusSiteScenario) Validate(fixpoint.Format) error { return nil }
-func (b bogusSiteScenario) Sample(*FaultSpace, fixpoint.Format, *rand.Rand) []Site {
-	return []Site{{Node: b.node, Elem: 1 << 30, Bit: 0}}
+func (b bogusSiteScenario) Name() string    { return "bogus-site" }
+func (b bogusSiteScenario) Validate() error { return nil }
+func (b bogusSiteScenario) AppendSites(buf []Site, _ *FaultSpace, _ int, _ *rand.Rand, _ *Band) []Site {
+	return append(buf, Site{Node: b.node, Elem: 1 << 30, Bit: 0})
 }
-func (b bogusSiteScenario) Corrupt(_ fixpoint.Format, v float32, _ Site) (float32, error) {
-	return v, nil
+func (b bogusSiteScenario) Corrupt(word uint64, _ int, _ Site) (uint64, error) {
+	return word, nil
 }
 
 // TestShapeMismatchSurfacesError covers the former silent clamp: a

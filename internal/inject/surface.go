@@ -26,7 +26,7 @@ type Surface interface {
 	// RunPersistent; the transient activation surface runs through Run.
 	Persistent() bool
 	// Validate rejects campaign configurations the surface cannot
-	// execute (wrong backend, incompatible scenario).
+	// execute (wrong backend).
 	Validate(c *Campaign) error
 }
 
@@ -60,7 +60,7 @@ func (WeightSurface) Name() string { return "weight" }
 func (WeightSurface) Persistent() bool { return true }
 
 // Validate implements Surface: the weight surface runs on both backends
-// with any scenario whose backend pairing the campaign already accepts.
+// with any scenario.
 func (WeightSurface) Validate(*Campaign) error { return nil }
 
 // QuantParamSurface is the persistent quantization-parameter surface, a
@@ -78,14 +78,10 @@ func (QuantParamSurface) Name() string { return "quantparam" }
 func (QuantParamSurface) Persistent() bool { return true }
 
 // Validate implements Surface: quant-param faults exist only on the
-// int8 backend and corrupt stored bytes, so an int8 scenario is
-// required.
+// int8 backend.
 func (QuantParamSurface) Validate(c *Campaign) error {
 	if c.Calibration == nil {
 		return errors.New("inject: quantparam surface requires the int8 backend (Calibration)")
-	}
-	if _, ok := c.Scenario.(Int8Scenario); c.Scenario != nil && !ok {
-		return fmt.Errorf("inject: quantparam surface requires an int8 scenario, got %q", c.Scenario.Name())
 	}
 	return nil
 }

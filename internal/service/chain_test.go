@@ -216,15 +216,13 @@ func TestOutcomeRecordRoundTripIsBitExact(t *testing.T) {
 
 func TestSpecValidation(t *testing.T) {
 	bad := []JobSpec{
-		{Trials: 4, Untrained: true},                                                       // no model
-		{Model: "lenet", Untrained: true},                                                  // no trials
-		{Model: "nosuch", Trials: 4, Untrained: true},                                      // unknown model
-		{Model: "lenet", Trials: 4, Scenario: "nosuch", Untrained: true},                   // unknown scenario
-		{Model: "lenet", Trials: 4, Scenario: "bitflip-int8", Untrained: true},             // int8 scenario on fp32
-		{Model: "lenet", Trials: 4, Backend: "int8", Scenario: "bitflip", Untrained: true}, // fp32 scenario on int8
-		{Model: "lenet", Trials: 4, Protect: "nosuch", Untrained: true},                    // unknown protection
-		{Model: "lenet", Trials: 4, Format: "q8", Untrained: true},                         // unknown format
-		{Model: "lenet", Trials: 4, LaneWidth: -1, Untrained: true},                        // negative lane width
+		{Trials: 4, Untrained: true},                                     // no model
+		{Model: "lenet", Untrained: true},                                // no trials
+		{Model: "nosuch", Trials: 4, Untrained: true},                    // unknown model
+		{Model: "lenet", Trials: 4, Scenario: "nosuch", Untrained: true}, // unknown scenario
+		{Model: "lenet", Trials: 4, Protect: "nosuch", Untrained: true},  // unknown protection
+		{Model: "lenet", Trials: 4, Format: "q8", Untrained: true},       // unknown format
+		{Model: "lenet", Trials: 4, LaneWidth: -1, Untrained: true},      // negative lane width
 	}
 	for i, spec := range bad {
 		if _, err := normalizeSpec(spec, 4); err == nil {
@@ -240,5 +238,14 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if norm.Scenario != "bitflip" || norm.Backend != "fp32" || norm.Format != "q32" || norm.BlockTrials != 4 {
 		t.Fatalf("defaults not applied: %+v", norm)
+	}
+	// Scenarios act on either backend's word: an int8 spec defaults to
+	// bitflip too, and a legacy -int8 name runs on fp32.
+	norm, err = normalizeSpec(JobSpec{Model: "lenet", Trials: 4, Backend: "int8", Untrained: true}, 4)
+	if err != nil || norm.Scenario != "bitflip" {
+		t.Fatalf("int8 spec: %+v, %v", norm, err)
+	}
+	if _, err := normalizeSpec(JobSpec{Model: "lenet", Trials: 4, Scenario: "bitflip-int8", Untrained: true}, 4); err != nil {
+		t.Fatalf("legacy scenario name on fp32: %v", err)
 	}
 }

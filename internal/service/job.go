@@ -54,13 +54,14 @@ const (
 
 // JobSpec describes one campaign job. The zero values of optional fields
 // select the paper's primary configuration: one random bit flip per
-// execution (bitflip / bitflip-int8), no protection, fp32 backend with a
+// execution (bitflip), no protection, fp32 backend with a
 // Q32 datapath, one input.
 type JobSpec struct {
 	// Model is a benchmark model name (lenet, vgg16, dave, ...).
 	Model string `json:"model"`
 	// Scenario is a registered fault-scenario name; empty selects
-	// "bitflip" on the fp32 backend and "bitflip-int8" on int8.
+	// "bitflip". Scenarios act on the backend's stored word: the
+	// fixed-point word on fp32, the int8 byte on int8.
 	Scenario string `json:"scenario,omitempty"`
 	// Faults is the per-execution fault multiplicity (default 1).
 	Faults int `json:"faults,omitempty"`
@@ -144,11 +145,7 @@ func (s JobSpec) withDefaults(daemonBlock int) JobSpec {
 		s.Backend = "fp32"
 	}
 	if s.Scenario == "" {
-		if s.Backend == "int8" {
-			s.Scenario = "bitflip-int8"
-		} else {
-			s.Scenario = "bitflip"
-		}
+		s.Scenario = "bitflip"
 	}
 	if s.Faults <= 0 {
 		s.Faults = 1
@@ -199,23 +196,15 @@ func (s JobSpec) validate() error {
 	if s.Trials <= 0 {
 		return fmt.Errorf("service: spec: trials = %d", s.Trials)
 	}
-	scen, err := inject.NewScenario(s.Scenario, s.Faults)
-	if err != nil {
+	if _, err := inject.NewScenario(s.Scenario, s.Faults); err != nil {
 		return fmt.Errorf("service: spec: %w", err)
 	}
-	_, int8Scen := scen.(inject.Int8Scenario)
 	switch s.Backend {
 	case "fp32":
-		if int8Scen {
-			return fmt.Errorf("service: spec: scenario %q needs the int8 backend", s.Scenario)
-		}
 		if s.Format != "q32" && s.Format != "q16" {
 			return fmt.Errorf("service: spec: format %q (want q32 or q16)", s.Format)
 		}
 	case "int8":
-		if !int8Scen {
-			return fmt.Errorf("service: spec: int8 backend needs an int8 scenario, got %q", s.Scenario)
-		}
 	default:
 		return fmt.Errorf("service: spec: backend %q (want fp32 or int8)", s.Backend)
 	}
@@ -233,9 +222,6 @@ func (s JobSpec) validate() error {
 		return fmt.Errorf("service: spec: adaptive %q (want stratified or worstcase)", s.Adaptive)
 	}
 	if s.Adaptive != "" {
-		if _, ok := scen.(inject.StratumScenario); !ok {
-			return fmt.Errorf("service: spec: scenario %q does not support stratified sampling", s.Scenario)
-		}
 		if s.CITarget < 0 || s.CITarget >= 1 {
 			return fmt.Errorf("service: spec: ci_target %v outside (0,1)", s.CITarget)
 		}

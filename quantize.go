@@ -6,9 +6,9 @@
 // boundary and dequantizing the output. A protected model's restriction
 // bounds map to int8 clamp limits inside the kernels' saturating
 // requantization, so range restriction is free in the quantized domain.
-// Campaigns switch to the int8 backend — and the bitflip-int8 /
-// stuckat-int8 scenarios that corrupt the deployed numeric format — by
-// setting Campaign.Calibration.
+// Campaigns switch to the int8 backend — where every scenario corrupts
+// the stored int8 words of the deployed numeric format — by setting
+// Campaign.Calibration.
 package ranger
 
 import (
@@ -46,20 +46,10 @@ type QTensor = tensor.QTensor
 // Plan by QuantizeGraphPlan (or Model.Quantize).
 type QPlan = graph.QPlan
 
-// Int8Scenario is implemented by fault scenarios that corrupt raw int8
-// quantized values (bitflip-int8, stuckat-int8). Campaigns with a
-// Calibration require one.
-type Int8Scenario = inject.Int8Scenario
-
-// The built-in int8 fault scenarios.
-type (
-	// BitFlipInt8 flips independent random bits of stored int8 values —
-	// the primary fault model of the deployed quantized format.
-	BitFlipInt8 = inject.BitFlipInt8
-	// StuckAtInt8 forces sampled bits of stored int8 values to a fixed
-	// level.
-	StuckAtInt8 = inject.StuckAtInt8
-)
+// BitFlipInt8 is BitFlips, kept under its old name for callers written
+// when int8 faults had a scenario of their own: on the int8 backend
+// BitFlips flips bits of the stored int8 words.
+type BitFlipInt8 = inject.BitFlips
 
 // CalibrationTypes lists the op types the PTQ calibrator profiles.
 func CalibrationTypes() []string { return core.CalibrationTypes() }

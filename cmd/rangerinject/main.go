@@ -136,12 +136,19 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	// The header names the word the faults strike: the fixed-point
+	// datapath on fp32, the stored int8 under -int8 (which ignores
+	// -format).
+	word := fmtFixed.String()
+	if *int8Backend {
+		word = "int8(8-bit)"
+	}
 	if persistent {
 		fmt.Printf("campaign: %s, %d sequences x %d inputs, surface=%s scenario=%s faults=%d (%s), %d workers\n",
-			m.Name, *trials, *inputs, surf.Name(), scen.Name(), *faults, fmtFixed, ranger.WorkerCount())
+			m.Name, *trials, *inputs, surf.Name(), scen.Name(), *faults, word, ranger.WorkerCount())
 	} else {
 		fmt.Printf("campaign: %s, %d trials x %d inputs, scenario=%s faults=%d (%s), %d workers\n",
-			m.Name, *trials, *inputs, scen.Name(), *faults, fmtFixed, ranger.WorkerCount())
+			m.Name, *trials, *inputs, scen.Name(), *faults, word, ranger.WorkerCount())
 	}
 
 	// Persistent surfaces judge every inference against an activation

@@ -248,10 +248,35 @@
 // pure-Go kernels. They stay as the
 // portable path and as the oracle the tensor parity tests compare the
 // assembly against (tests switch paths through an unexported package
-// variable; no option, flag or environment variable selects it). The
-// dense GEMMs have no assembly path: in traced serve runs on a 2-vCPU
-// Xeon VM with the block kernels, the fp32 matmul steps took about 2%
-// of the conv steps' time (0.011–0.012 ms against 0.54–0.58 ms).
+// variable, and other packages' tests through tensor.ForEachKernelPath;
+// no option, flag or environment variable selects it). The dense GEMMs
+// have no assembly path: in traced serve runs on a 2-vCPU Xeon VM with
+// the block kernels, the fp32 matmul steps took about 2% of the conv
+// steps' time (0.011–0.012 ms against 0.54–0.58 ms).
+//
+// # Elementwise and pooling kernels
+//
+// The same CPU check picks the per-element kernels. The fused
+// bias → ReLU → clamp epilogue and the unfused BiasAdd, ReLU and
+// default-policy RangerClip steps (tensor.AddBias, tensor.Relu,
+// tensor.Clamp) run one AVX2 pass over a channel-aligned span. The bias
+// add is VADDPS with the value's lane first, the scalar v + b. ReLU is
+// VMAXPS(v, +0), which is v > 0 ? v : +0, so NaN and -0 give +0 like the
+// scalar !(v > 0). The clamp is lo > v ? lo : v and then
+// hi < v ? hi : v, which is the scalar "if v < lo, else if v > hi" as
+// long as lo <= hi: bounds that fail that test (inverted or NaN) take
+// the Go loop. Channel counts that are not a multiple of 8 finish each
+// pixel with masked lanes.
+//
+// Max pooling, fp32 and int8, runs channel-contiguous: each output
+// pixel's row of maxima starts at -Inf (-128 on int8) and folds in the
+// input row of every valid tap in ascending (ky, kx) order with the
+// strict src > dst rule (tensor.MaxInto: VMAXPS with the tap first;
+// tensor.QMaxInto: VPMAXSB), so each channel sees the comparisons of a
+// per-channel walk in the same order: ties keep the earlier tap, NaN
+// never wins and a window wholly in padding stays -Inf. The int8 row is
+// then mapped through the lookup table in place. Each kernel matches its
+// Go loop bit for bit, and those loops are the fallback and the oracle.
 //
 // # Adaptive campaign lifecycle
 //

@@ -105,15 +105,7 @@ func (c *ClipOp) clip(xd, od []float32, base int) {
 			}
 		}
 	default: // PolicyClip
-		for i, v := range xd {
-			if v < lo {
-				od[i] = lo
-			} else if v > hi {
-				od[i] = hi
-			} else {
-				od[i] = v
-			}
-		}
+		tensor.Clamp(od, xd, lo, hi)
 	}
 }
 

@@ -146,21 +146,8 @@ func (BiasAddOp) Eval(in []*tensor.Tensor) (*tensor.Tensor, error) {
 		return nil, fmt.Errorf("biasadd: bias %v for input %v", b.Shape(), x.Shape())
 	}
 	out := tensor.New(x.Shape()...)
-	biasAdd(x.Data(), b.Data(), out.Data())
+	tensor.AddBias(out.Data(), x.Data(), b.Data())
 	return out, nil
-}
-
-// biasAdd writes x + broadcast(b) into out (as long as x), indexing b
-// with a wrapping channel counter rather than i%c, so x must start at a
-// channel boundary.
-func biasAdd(x, b, out []float32) {
-	ch := 0
-	for i, v := range x {
-		out[i] = v + b[ch]
-		if ch++; ch == len(b) {
-			ch = 0
-		}
-	}
 }
 
 // Grad implements graph.GradOp.

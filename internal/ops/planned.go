@@ -138,7 +138,7 @@ func (BiasAddOp) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Win
 		return fmt.Errorf("biasadd: want (input, bias) matching the output")
 	}
 	xd, bd, od := in[0].Data(), in[1].Data(), out.Data()
-	spans(out, win, func(lo, hi int) { biasAdd(xd[lo:hi], bd, od[lo:hi]) })
+	spans(out, win, func(lo, hi int) { tensor.AddBias(od[lo:hi], xd[lo:hi], bd) })
 	return nil
 }
 
@@ -209,12 +209,17 @@ func (u *unary) InferShape(ins [][]int) ([]int, error) {
 	return ins[0], nil
 }
 
-// EvalInto implements graph.PlannedOp.
+// EvalInto implements graph.PlannedOp. ReLU runs on tensor.Relu, every
+// other activation through its scalar function.
 func (u *unary) EvalInto(in []*tensor.Tensor, out *tensor.Tensor, win graph.Window) error {
 	if len(in) != 1 || in[0].Size() != out.Size() {
 		return fmt.Errorf("%s: want 1 input shaped like the output", u.typ)
 	}
 	f, xd, od := u.f, in[0].Data(), out.Data()
+	if u.typ == TypeRelu {
+		spans(out, win, func(lo, hi int) { tensor.Relu(od[lo:hi], xd[lo:hi]) })
+		return nil
+	}
 	spans(out, win, func(lo, hi int) {
 		o := od[lo:hi]
 		for i, v := range xd[lo:hi] {

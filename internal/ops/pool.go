@@ -56,37 +56,52 @@ func (p *MaxPoolOp) eval(x *tensor.Tensor, arg []int) (*tensor.Tensor, error) {
 
 // pool writes the max of every output pixel in win (and, when arg is
 // non-nil, its winning input index) and leaves the other pixels alone.
+// It runs channel-contiguous: each output pixel's row of c maxima starts
+// at -Inf and folds in the input row of every valid tap in ascending
+// (ky, kx) order, a tap winning a channel only when strictly greater,
+// so every channel sees the comparisons of a per-channel walk over its
+// window in the same order (ties keep the first tap, NaN never wins, a
+// window wholly in padding stays -Inf with arg -1).
 func (p *MaxPoolOp) pool(x, out *tensor.Tensor, arg []int, win graph.Window) {
 	n, h, w, c := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
 	g := p.Geom
 	oh, ow := out.Dim(1), out.Dim(2)
 	xd, od := x.Data(), out.Data()
+	negInf := float32(math.Inf(-1))
 	for b := 0; b < n; b++ {
 		for oy := win.Y0; oy < win.Y1; oy++ {
 			for ox := win.X0; ox < win.X1; ox++ {
-				for ch := 0; ch < c; ch++ {
-					best := float32(math.Inf(-1))
-					bestIdx := -1
-					for ky := 0; ky < g.KH; ky++ {
-						iy := oy*g.SH - g.PadH + ky
-						if iy < 0 || iy >= h {
+				o := ((b*oh+oy)*ow + ox) * c
+				best := od[o : o+c]
+				for ch := range best {
+					best[ch] = negInf
+				}
+				if arg != nil {
+					for ch := range best {
+						arg[o+ch] = -1
+					}
+				}
+				for ky := 0; ky < g.KH; ky++ {
+					iy := oy*g.SH - g.PadH + ky
+					if iy < 0 || iy >= h {
+						continue
+					}
+					for kx := 0; kx < g.KW; kx++ {
+						ix := ox*g.SW - g.PadW + kx
+						if ix < 0 || ix >= w {
 							continue
 						}
-						for kx := 0; kx < g.KW; kx++ {
-							ix := ox*g.SW - g.PadW + kx
-							if ix < 0 || ix >= w {
-								continue
-							}
-							idx := ((b*h+iy)*w+ix)*c + ch
-							if xd[idx] > best {
-								best, bestIdx = xd[idx], idx
+						i := ((b*h+iy)*w + ix) * c
+						tap := xd[i : i+c]
+						if arg == nil {
+							tensor.MaxInto(best, tap)
+							continue
+						}
+						for ch, v := range tap {
+							if v > best[ch] {
+								best[ch], arg[o+ch] = v, i+ch
 							}
 						}
-					}
-					oidx := ((b*oh+oy)*ow+ox)*c + ch
-					od[oidx] = best
-					if arg != nil {
-						arg[oidx] = bestIdx
 					}
 				}
 			}

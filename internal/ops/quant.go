@@ -413,7 +413,10 @@ func (c *ClipOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 
 // QuantKernel implements graph.QuantizedOp: max pooling commutes with
 // the monotone int8 encoding, so the window max runs directly on int8
-// and a table remaps into the output domain.
+// and a table remaps into the output domain. Like the fp32 kernel it
+// runs channel-contiguous: each output pixel's row starts at -128,
+// folds in every valid tap's input row and is then mapped through the
+// table in place.
 func (p *MaxPoolOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 	f, err := scalarStageFunc(nil, spec.Epilogue)
 	if err != nil {
@@ -432,24 +435,27 @@ func (p *MaxPoolOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error)
 		for b := 0; b < n; b++ {
 			for oy := win.Y0; oy < win.Y1; oy++ {
 				for ox := win.X0; ox < win.X1; ox++ {
-					for ch := 0; ch < c; ch++ {
-						best := int8(-128)
-						for ky := 0; ky < g.KH; ky++ {
-							iy := oy*g.SH - g.PadH + ky
-							if iy < 0 || iy >= h {
+					o := ((b*oh+oy)*ow + ox) * c
+					best := od[o : o+c]
+					for ch := range best {
+						best[ch] = -128
+					}
+					for ky := 0; ky < g.KH; ky++ {
+						iy := oy*g.SH - g.PadH + ky
+						if iy < 0 || iy >= h {
+							continue
+						}
+						for kx := 0; kx < g.KW; kx++ {
+							ix := ox*g.SW - g.PadW + kx
+							if ix < 0 || ix >= w {
 								continue
 							}
-							for kx := 0; kx < g.KW; kx++ {
-								ix := ox*g.SW - g.PadW + kx
-								if ix < 0 || ix >= w {
-									continue
-								}
-								if q := xd[((b*h+iy)*w+ix)*c+ch]; q > best {
-									best = q
-								}
-							}
+							i := ((b*h+iy)*w + ix) * c
+							tensor.QMaxInto(best, xd[i:i+c])
 						}
-						od[((b*oh+oy)*ow+ox)*c+ch] = lut[tensor.LutIndex(best)]
+					}
+					for ch, q := range best {
+						best[ch] = lut[tensor.LutIndex(q)]
 					}
 				}
 			}

@@ -1,5 +1,7 @@
 package tensor
 
+import "math"
+
 // Fused epilogues. A compiled execution plan collapses chains of
 // elementwise operators (BiasAdd, activations, RangerClip, Scale) into
 // the evaluation of their producer: the producer's kernel writes its
@@ -181,9 +183,52 @@ func (e Epilogue) ApplyAt(v float32, i int) float32 {
 	return v
 }
 
-func (cn canon) apply(data []float32) {
+// AddBias writes x + broadcast(b) into dst (as long as x): element i
+// adds b[i%len(b)], counted from the start of x, so x must start at a
+// channel boundary. dst may be x.
+func AddBias(dst, x, b []float32) {
+	canon{vec: b, c: len(b)}.applyTo(dst, x)
+}
+
+// Relu writes max(v, 0) of every element of x into dst (as long as x),
+// with NaN and -0 mapping to +0 like the unfused ReLU kernel. dst may be
+// x.
+func Relu(dst, x []float32) {
+	canon{relu: true}.applyTo(dst, x)
+}
+
+// Clamp writes every element of x truncated into [lo, hi] into dst (as
+// long as x): lo if v < lo, else hi if v > hi, else v (the RangerClip
+// default policy). dst may be x.
+func Clamp(dst, x []float32, lo, hi float32) {
+	canon{clamp: true, lo: lo, hi: hi}.applyTo(dst, x)
+}
+
+func (cn canon) apply(data []float32) { cn.applyTo(data, data) }
+
+// applyTo writes the epilogue of src into dst[:len(src)]; dst either is
+// src or does not overlap it. On amd64 with AVX2 it runs epilogueAVX2,
+// which matches the loop below bit for bit. Clamp bounds that fail
+// lo <= hi (inverted or NaN: the vector clamp equals the loop's only
+// when lo <= hi) and a bias span that is not a whole number of pixels
+// take the loop.
+func (cn canon) applyTo(dst, src []float32) {
+	dst = dst[:len(src)]
+	if useAVX2 && len(src) > 0 && (!cn.clamp || cn.lo <= cn.hi) &&
+		(cn.vec == nil || cn.c > 0 && cn.c == len(cn.vec) && len(src)%cn.c == 0) {
+		lo, hi := float32(math.Inf(-1)), float32(math.Inf(1))
+		if cn.clamp {
+			lo, hi = cn.lo, cn.hi
+		}
+		var vec *float32
+		if cn.vec != nil {
+			vec = &cn.vec[0]
+		}
+		epilogueAVX2(&dst[0], &src[0], vec, len(src), cn.c, lo, hi, cn.relu)
+		return
+	}
 	vec, c, ch := cn.vec, cn.c, 0
-	for i, v := range data {
+	for i, v := range src {
 		if vec != nil {
 			v += vec[ch]
 			if ch++; ch == c {
@@ -200,6 +245,6 @@ func (cn canon) apply(data []float32) {
 				v = cn.hi
 			}
 		}
-		data[i] = v
+		dst[i] = v
 	}
 }

@@ -55,32 +55,34 @@ func randSlice(rng *rand.Rand, n int) []float32 {
 // compiler produces, including the specialized bias/relu/clamp path and
 // the generic fallback.
 func TestEpilogueMatchesUnfusedPasses(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	bias := randSlice(rng, 4)
-	tanh := func(x float32) float32 { return float32(math.Tanh(float64(x))) }
-	chains := map[string][]Stage{
-		"bias":            {{Kind: StageBias, Vec: bias, C: 4}},
-		"relu":            {{Kind: StageRelu}},
-		"clamp":           {{Kind: StageClamp, Lo: -0.5, Hi: 1.25}},
-		"bias+relu":       {{Kind: StageBias, Vec: bias, C: 4}, {Kind: StageRelu}},
-		"bias+relu+clamp": {{Kind: StageBias, Vec: bias, C: 4}, {Kind: StageRelu}, {Kind: StageClamp, Lo: 0, Hi: 1}},
-		"relu+clamp":      {{Kind: StageRelu}, {Kind: StageClamp, Lo: 0.1, Hi: 2}},
-		"bias+clamp":      {{Kind: StageBias, Vec: bias, C: 4}, {Kind: StageClamp, Lo: -1, Hi: 1}},
-		"bias+tanh+clamp": {{Kind: StageBias, Vec: bias, C: 4}, {Kind: StageMap, F: tanh}, {Kind: StageClamp, Lo: -0.9, Hi: 0.9}},
-		"map+scale":       {{Kind: StageMap, F: tanh}, {Kind: StageScale, A: 2}},
-		"scale":           {{Kind: StageScale, A: -1.5}},
-	}
-	for name, stages := range chains {
-		data := randSlice(rng, 64)
-		want := append([]float32{}, data...)
-		applyUnfused(stages, want)
-		Epilogue(stages).Apply(data)
-		for i := range data {
-			if math.Float32bits(data[i]) != math.Float32bits(want[i]) {
-				t.Fatalf("%s: element %d: fused %g != unfused %g", name, i, data[i], want[i])
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		bias := randSlice(rng, 4)
+		tanh := func(x float32) float32 { return float32(math.Tanh(float64(x))) }
+		chains := map[string][]Stage{
+			"bias":            {{Kind: StageBias, Vec: bias, C: 4}},
+			"relu":            {{Kind: StageRelu}},
+			"clamp":           {{Kind: StageClamp, Lo: -0.5, Hi: 1.25}},
+			"bias+relu":       {{Kind: StageBias, Vec: bias, C: 4}, {Kind: StageRelu}},
+			"bias+relu+clamp": {{Kind: StageBias, Vec: bias, C: 4}, {Kind: StageRelu}, {Kind: StageClamp, Lo: 0, Hi: 1}},
+			"relu+clamp":      {{Kind: StageRelu}, {Kind: StageClamp, Lo: 0.1, Hi: 2}},
+			"bias+clamp":      {{Kind: StageBias, Vec: bias, C: 4}, {Kind: StageClamp, Lo: -1, Hi: 1}},
+			"bias+tanh+clamp": {{Kind: StageBias, Vec: bias, C: 4}, {Kind: StageMap, F: tanh}, {Kind: StageClamp, Lo: -0.9, Hi: 0.9}},
+			"map+scale":       {{Kind: StageMap, F: tanh}, {Kind: StageScale, A: 2}},
+			"scale":           {{Kind: StageScale, A: -1.5}},
+		}
+		for name, stages := range chains {
+			data := randSlice(rng, 64)
+			want := append([]float32{}, data...)
+			applyUnfused(stages, want)
+			Epilogue(stages).Apply(data)
+			for i := range data {
+				if math.Float32bits(data[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%s: element %d: fused %g != unfused %g", name, i, data[i], want[i])
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestEpilogueCanonicalDetection checks that only in-order
@@ -125,39 +127,41 @@ func TestEpilogueEmptyIsNoop(t *testing.T) {
 // each with applyUnfused over the whole tensor, which indexes the bias
 // by the element's flat index, i%c.
 func TestEpilogueBiasIndexesFromChannelBoundary(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	tanh := func(x float32) float32 { return float32(math.Tanh(float64(x))) }
-	for _, c := range []int{1, 3, 8} {
-		b := Stage{Kind: StageBias, Vec: randSlice(rng, c), C: c}
-		chains := []struct {
-			name   string
-			canon  bool
-			stages []Stage
-		}{
-			{"bias", true, []Stage{b}},
-			{"bias+relu+clamp", true, []Stage{b, {Kind: StageRelu}, {Kind: StageClamp, Lo: 0, Hi: 1}}},
-			{"bias+tanh+clamp", false, []Stage{b, {Kind: StageMap, F: tanh}, {Kind: StageClamp, Lo: -0.9, Hi: 0.9}}},
-			{"tanh+bias+scale", false, []Stage{{Kind: StageMap, F: tanh}, b, {Kind: StageScale, A: 2}}},
-		}
-		const pixels = 12
-		whole := randSlice(rng, pixels*c)
-		for _, ch := range chains {
-			if _, ok := Epilogue(ch.stages).canonical(); ok != ch.canon {
-				t.Fatalf("%s: canonical = %t", ch.name, ok)
+	forEachPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		tanh := func(x float32) float32 { return float32(math.Tanh(float64(x))) }
+		for _, c := range []int{1, 3, 8} {
+			b := Stage{Kind: StageBias, Vec: randSlice(rng, c), C: c}
+			chains := []struct {
+				name   string
+				canon  bool
+				stages []Stage
+			}{
+				{"bias", true, []Stage{b}},
+				{"bias+relu+clamp", true, []Stage{b, {Kind: StageRelu}, {Kind: StageClamp, Lo: 0, Hi: 1}}},
+				{"bias+tanh+clamp", false, []Stage{b, {Kind: StageMap, F: tanh}, {Kind: StageClamp, Lo: -0.9, Hi: 0.9}}},
+				{"tanh+bias+scale", false, []Stage{{Kind: StageMap, F: tanh}, b, {Kind: StageScale, A: 2}}},
 			}
-			want := append([]float32{}, whole...)
-			applyUnfused(ch.stages, want)
-			for _, span := range [][2]int{{0, pixels}, {1, 2}, {3, 7}, {5, pixels}, {11, pixels}} {
-				lo, hi := span[0]*c, span[1]*c
-				got := append([]float32{}, whole[lo:hi]...)
-				Epilogue(ch.stages).Apply(got)
-				for i, v := range got {
-					if math.Float32bits(v) != math.Float32bits(want[lo+i]) {
-						t.Fatalf("c=%d %s pixels [%d,%d): element %d: %#x != i%%c reference %#x",
-							c, ch.name, span[0], span[1], lo+i, math.Float32bits(v), math.Float32bits(want[lo+i]))
+			const pixels = 12
+			whole := randSlice(rng, pixels*c)
+			for _, ch := range chains {
+				if _, ok := Epilogue(ch.stages).canonical(); ok != ch.canon {
+					t.Fatalf("%s: canonical = %t", ch.name, ok)
+				}
+				want := append([]float32{}, whole...)
+				applyUnfused(ch.stages, want)
+				for _, span := range [][2]int{{0, pixels}, {1, 2}, {3, 7}, {5, pixels}, {11, pixels}} {
+					lo, hi := span[0]*c, span[1]*c
+					got := append([]float32{}, whole[lo:hi]...)
+					Epilogue(ch.stages).Apply(got)
+					for i, v := range got {
+						if math.Float32bits(v) != math.Float32bits(want[lo+i]) {
+							t.Fatalf("c=%d %s pixels [%d,%d): element %d: %#x != i%%c reference %#x",
+								c, ch.name, span[0], span[1], lo+i, math.Float32bits(v), math.Float32bits(want[lo+i]))
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }

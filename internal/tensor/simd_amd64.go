@@ -1,7 +1,9 @@
 package tensor
 
 // useAVX2 selects the AVX2 block kernels under ConvInto, ConvWindowInto,
-// QConvInto and QConvWindowInto. It is set once from CPUID and XGETBV:
+// QConvInto and QConvWindowInto, and the AVX2 epilogue kernel under
+// Epilogue.Apply, AddBias, Relu and Clamp and the row-max kernels under
+// MaxInto and QMaxInto. It is set once from CPUID and XGETBV:
 // the CPU must report AVX2 and the OS must save the YMM registers.
 // Tests clear it to run the portable kernels, which are the oracle the
 // AVX2 path is compared against.
@@ -67,3 +69,23 @@ func qconvPairAVX2(x, w *int8, acc0, acc1, buf *int32, za, rows, run, xrow, next
 //
 //go:noescape
 func qconvPixelAVX2(x, w *int8, acc, buf *int32, za, rows, run, xrow, wrow, n int)
+
+// epilogueAVX2 writes bias? → ReLU? → clamp of src[0:n] into dst[0:n]
+// (dst may equal src). vec, when non-nil, holds c biases and n is a
+// multiple of c; lo <= hi, and a caller with no clamp passes -Inf and
+// +Inf. See canon.applyTo for the caller.
+//
+//go:noescape
+func epilogueAVX2(dst, src, vec *float32, n, c int, lo, hi float32, relu bool)
+
+// maxRowAVX2 folds src[0:n] into dst[0:n] (dst[i] = src[i] where
+// src[i] > dst[i]); n >= 4. See MaxInto for the caller.
+//
+//go:noescape
+func maxRowAVX2(dst, src *float32, n int)
+
+// qmaxRowAVX2 folds src[0:n] into dst[0:n] (dst[i] = src[i] where
+// src[i] > dst[i]); n >= 16. See QMaxInto for the caller.
+//
+//go:noescape
+func qmaxRowAVX2(dst, src *int8, n int)

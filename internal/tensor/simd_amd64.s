@@ -732,3 +732,275 @@ qpixtail4:
 qpixdone:
 	VZEROUPPER
 	RET
+
+// tailmask holds eight all-ones lanes and then eight zero lanes: the 8
+// lanes at byte offset 32-4r enable the first r of a block.
+DATA tailmask<>+0(SB)/4, $0xffffffff
+DATA tailmask<>+4(SB)/4, $0xffffffff
+DATA tailmask<>+8(SB)/4, $0xffffffff
+DATA tailmask<>+12(SB)/4, $0xffffffff
+DATA tailmask<>+16(SB)/4, $0xffffffff
+DATA tailmask<>+20(SB)/4, $0xffffffff
+DATA tailmask<>+24(SB)/4, $0xffffffff
+DATA tailmask<>+28(SB)/4, $0xffffffff
+DATA tailmask<>+32(SB)/4, $0
+DATA tailmask<>+36(SB)/4, $0
+DATA tailmask<>+40(SB)/4, $0
+DATA tailmask<>+44(SB)/4, $0
+DATA tailmask<>+48(SB)/4, $0
+DATA tailmask<>+52(SB)/4, $0
+DATA tailmask<>+56(SB)/4, $0
+DATA tailmask<>+60(SB)/4, $0
+GLOBL tailmask<>(SB), RODATA|NOPTR, $64
+
+// RELUCLAMP applies ReLU (when Y11 is all ones) and the clamp to the
+// lanes of v, using t as scratch. Y12 is +0, Y13 lo and Y14 hi.
+// VMAXPS with v first is v > +0 ? v : +0, the scalar !(v > 0) rule
+// (NaN and -0 give +0); VBLENDVPS keeps v where Y11 is zero. The clamp
+// is lo > v ? lo : v and then hi < v ? hi : v, which is the scalar
+// "v < lo, else v > hi" whenever lo <= hi (the callers guarantee it):
+// ties and NaN keep v, bit for bit.
+#define RELUCLAMP(v, t) \
+	VMAXPS	Y12, v, t; \
+	VBLENDVPS	Y11, t, v, v; \
+	VMAXPS	v, Y13, v; \
+	VMINPS	v, Y14, v
+
+// func epilogueAVX2(dst, src, vec *float32, n, c int, lo, hi float32, relu bool)
+//
+// Writes bias? → ReLU? → clamp of src[0:n] into dst[0:n]. With vec
+// non-nil, n is a multiple of c and every pixel of c elements adds
+// vec[0:c] with VADDPS, src's lane first, like the scalar v += vec[ch]:
+// whole 8-lane blocks and then one block of c%8 masked lanes. Without
+// vec the span runs in 32- and 8-lane blocks and one masked tail. A
+// caller with no clamp passes lo = -Inf and hi = +Inf, under which the
+// clamp keeps every lane, NaN included.
+TEXT ·epilogueAVX2(SB), NOSPLIT, $0-49
+	MOVQ	dst+0(FP), DI
+	MOVQ	src+8(FP), SI
+	MOVQ	vec+16(FP), DX
+	MOVQ	n+24(FP), CX
+	SHLQ	$2, CX
+	VBROADCASTSS	lo+40(FP), Y13
+	VBROADCASTSS	hi+44(FP), Y14
+	VXORPS	Y12, Y12, Y12
+	VXORPS	Y11, Y11, Y11
+	MOVBLZX	relu+48(FP), AX
+	TESTL	AX, AX
+	JZ	epistart
+	VPCMPEQD	Y11, Y11, Y11
+
+epistart:
+	LEAQ	tailmask<>(SB), R10
+	XORQ	AX, AX
+	TESTQ	DX, DX
+	JNZ	epibias
+
+epi32:
+	LEAQ	128(AX), BX
+	CMPQ	BX, CX
+	JGT	epi8
+	VMOVUPS	(SI)(AX*1), Y0
+	VMOVUPS	32(SI)(AX*1), Y1
+	VMOVUPS	64(SI)(AX*1), Y2
+	VMOVUPS	96(SI)(AX*1), Y3
+	RELUCLAMP(Y0, Y4)
+	RELUCLAMP(Y1, Y5)
+	RELUCLAMP(Y2, Y6)
+	RELUCLAMP(Y3, Y7)
+	VMOVUPS	Y0, (DI)(AX*1)
+	VMOVUPS	Y1, 32(DI)(AX*1)
+	VMOVUPS	Y2, 64(DI)(AX*1)
+	VMOVUPS	Y3, 96(DI)(AX*1)
+	MOVQ	BX, AX
+	JMP	epi32
+
+epi8:
+	LEAQ	32(AX), BX
+	CMPQ	BX, CX
+	JGT	epitail
+	VMOVUPS	(SI)(AX*1), Y0
+	RELUCLAMP(Y0, Y4)
+	VMOVUPS	Y0, (DI)(AX*1)
+	MOVQ	BX, AX
+	JMP	epi8
+
+epitail:
+	MOVQ	CX, BX
+	SUBQ	AX, BX
+	JZ	epidone
+	NEGQ	BX
+	VMOVUPS	32(R10)(BX*1), Y15
+	VMASKMOVPS	(SI)(AX*1), Y15, Y0
+	RELUCLAMP(Y0, Y4)
+	VMASKMOVPS	Y0, Y15, (DI)(AX*1)
+	JMP	epidone
+
+epibias:
+	MOVQ	c+32(FP), BX
+	SHLQ	$2, BX
+	MOVQ	BX, R9
+	ANDQ	$31, R9
+	NEGQ	R9
+	VMOVUPS	32(R10)(R9*1), Y15
+	MOVQ	BX, R11
+	ANDQ	$-32, R11
+
+epipixel:
+	CMPQ	AX, CX
+	JGE	epidone
+	XORQ	R8, R8
+	LEAQ	(SI)(AX*1), R12
+	LEAQ	(DI)(AX*1), R13
+
+epiblock:
+	CMPQ	R8, R11
+	JGE	epiptail
+	VMOVUPS	(R12)(R8*1), Y0
+	VADDPS	(DX)(R8*1), Y0, Y0
+	RELUCLAMP(Y0, Y4)
+	VMOVUPS	Y0, (R13)(R8*1)
+	ADDQ	$32, R8
+	JMP	epiblock
+
+epiptail:
+	CMPQ	R8, BX
+	JGE	epinext
+	VMASKMOVPS	(R12)(R8*1), Y15, Y0
+	VMASKMOVPS	(DX)(R8*1), Y15, Y1
+	VADDPS	Y1, Y0, Y0
+	RELUCLAMP(Y0, Y4)
+	VMASKMOVPS	Y0, Y15, (R13)(R8*1)
+
+epinext:
+	ADDQ	BX, AX
+	JMP	epipixel
+
+epidone:
+	VZEROUPPER
+	RET
+
+// The row-max kernels fold src into dst with the strict rule
+// src > dst ? src : dst: VMAXPS with src first (ties and a NaN in src
+// keep dst) and VPMAXSB on int8. Folding a lane twice leaves it as
+// folding it once, so when n is not a multiple of the block width a
+// last block ends at n and overlaps the one before.
+
+// func maxRowAVX2(dst, src *float32, n int)
+//
+// n >= 4: 32- and 8-lane blocks, or two 4-lane blocks when n < 8.
+TEXT ·maxRowAVX2(SB), NOSPLIT, $0-24
+	MOVQ	dst+0(FP), DI
+	MOVQ	src+8(FP), SI
+	MOVQ	n+16(FP), CX
+	SHLQ	$2, CX
+	XORQ	AX, AX
+	CMPQ	CX, $32
+	JLT	max4
+
+max32:
+	LEAQ	128(AX), BX
+	CMPQ	BX, CX
+	JGT	max8
+	VMOVUPS	(SI)(AX*1), Y0
+	VMOVUPS	32(SI)(AX*1), Y1
+	VMOVUPS	64(SI)(AX*1), Y2
+	VMOVUPS	96(SI)(AX*1), Y3
+	VMAXPS	(DI)(AX*1), Y0, Y0
+	VMAXPS	32(DI)(AX*1), Y1, Y1
+	VMAXPS	64(DI)(AX*1), Y2, Y2
+	VMAXPS	96(DI)(AX*1), Y3, Y3
+	VMOVUPS	Y0, (DI)(AX*1)
+	VMOVUPS	Y1, 32(DI)(AX*1)
+	VMOVUPS	Y2, 64(DI)(AX*1)
+	VMOVUPS	Y3, 96(DI)(AX*1)
+	MOVQ	BX, AX
+	JMP	max32
+
+max8:
+	LEAQ	32(AX), BX
+	CMPQ	BX, CX
+	JGT	maxtail
+	VMOVUPS	(SI)(AX*1), Y0
+	VMAXPS	(DI)(AX*1), Y0, Y0
+	VMOVUPS	Y0, (DI)(AX*1)
+	MOVQ	BX, AX
+	JMP	max8
+
+maxtail:
+	CMPQ	AX, CX
+	JGE	maxdone
+	LEAQ	-32(CX), AX
+	JMP	max8
+
+max4:
+	VMOVUPS	(SI), X0
+	VMAXPS	(DI), X0, X0
+	VMOVUPS	X0, (DI)
+	LEAQ	-16(CX), AX
+	VMOVUPS	(SI)(AX*1), X0
+	VMAXPS	(DI)(AX*1), X0, X0
+	VMOVUPS	X0, (DI)(AX*1)
+
+maxdone:
+	VZEROUPPER
+	RET
+
+// func qmaxRowAVX2(dst, src *int8, n int)
+//
+// n >= 16: 128- and 32-lane blocks, or two 16-lane blocks when n < 32.
+TEXT ·qmaxRowAVX2(SB), NOSPLIT, $0-24
+	MOVQ	dst+0(FP), DI
+	MOVQ	src+8(FP), SI
+	MOVQ	n+16(FP), CX
+	XORQ	AX, AX
+	CMPQ	CX, $32
+	JLT	qmax16
+
+qmax128:
+	LEAQ	128(AX), BX
+	CMPQ	BX, CX
+	JGT	qmax32
+	VMOVDQU	(SI)(AX*1), Y0
+	VMOVDQU	32(SI)(AX*1), Y1
+	VMOVDQU	64(SI)(AX*1), Y2
+	VMOVDQU	96(SI)(AX*1), Y3
+	VPMAXSB	(DI)(AX*1), Y0, Y0
+	VPMAXSB	32(DI)(AX*1), Y1, Y1
+	VPMAXSB	64(DI)(AX*1), Y2, Y2
+	VPMAXSB	96(DI)(AX*1), Y3, Y3
+	VMOVDQU	Y0, (DI)(AX*1)
+	VMOVDQU	Y1, 32(DI)(AX*1)
+	VMOVDQU	Y2, 64(DI)(AX*1)
+	VMOVDQU	Y3, 96(DI)(AX*1)
+	MOVQ	BX, AX
+	JMP	qmax128
+
+qmax32:
+	LEAQ	32(AX), BX
+	CMPQ	BX, CX
+	JGT	qmaxtail
+	VMOVDQU	(SI)(AX*1), Y0
+	VPMAXSB	(DI)(AX*1), Y0, Y0
+	VMOVDQU	Y0, (DI)(AX*1)
+	MOVQ	BX, AX
+	JMP	qmax32
+
+qmaxtail:
+	CMPQ	AX, CX
+	JGE	qmaxdone
+	LEAQ	-32(CX), AX
+	JMP	qmax32
+
+qmax16:
+	VMOVDQU	(SI), X0
+	VPMAXSB	(DI), X0, X0
+	VMOVDQU	X0, (DI)
+	LEAQ	-16(CX), AX
+	VMOVDQU	(SI)(AX*1), X0
+	VPMAXSB	(DI)(AX*1), X0, X0
+	VMOVDQU	X0, (DI)(AX*1)
+
+qmaxdone:
+	VZEROUPPER
+	RET

@@ -22,3 +22,15 @@ func qconvPairAVX2(x, w *int8, acc0, acc1, buf *int32, za, rows, run, xrow, next
 func qconvPixelAVX2(x, w *int8, acc, buf *int32, za, rows, run, xrow, wrow, n int) {
 	panic("tensor: AVX2 kernel called off amd64")
 }
+
+func epilogueAVX2(dst, src, vec *float32, n, c int, lo, hi float32, relu bool) {
+	panic("tensor: AVX2 kernel called off amd64")
+}
+
+func maxRowAVX2(dst, src *float32, n int) {
+	panic("tensor: AVX2 kernel called off amd64")
+}
+
+func qmaxRowAVX2(dst, src *int8, n int) {
+	panic("tensor: AVX2 kernel called off amd64")
+}

@@ -41,9 +41,7 @@ func pathName(simd bool) string {
 
 // forEachPath runs f as one subtest per kernel path.
 func forEachPath(t *testing.T, f func(t *testing.T)) {
-	for _, simd := range kernelPaths() {
-		t.Run(pathName(simd), func(t *testing.T) { onPath(simd, func() { f(t) }) })
-	}
+	ForEachKernelPath(func(path string) { t.Run(path, f) })
 }
 
 // parityCases returns, for every output channel count n from 1 to 70,

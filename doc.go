@@ -275,8 +275,19 @@
 // tensor.QMaxInto: VPMAXSB), so each channel sees the comparisons of a
 // per-channel walk in the same order: ties keep the earlier tap, NaN
 // never wins and a window wholly in padding stays -Inf. The int8 row is
-// then mapped through the lookup table in place. Each kernel matches its
-// Go loop bit for bit, and those loops are the fallback and the oracle.
+// then mapped through the lookup table in place.
+//
+// The int8 boundary runs on the same check. tensor.Requant, the
+// canonical bias → ReLU → clamp requantize write-back of the int8 conv
+// and matmul kernels (one call per output pixel, pixel pair or matmul
+// row), computes zo + float32(acc - corr)·msc with VPSUBD, VCVTDQ2PS,
+// VMULPS and VADDPS, never a fused multiply-add; tensor.QuantizeInto,
+// which quantizes the float feed of every int8 run, computes
+// v/scale + zero with VDIVPS and VADDPS. Both clamp with VMAXPS, the
+// value first so NaN saturates to the low limit like the scalar
+// !(q > qlo), and VMINPS, round half away from zero (q plus 0.5 with q's
+// sign, truncated) and pack to int8. Each kernel matches its Go loop bit
+// for bit, and those loops are the fallback and the oracle.
 //
 // # Adaptive campaign lifecycle
 //

@@ -97,19 +97,6 @@ func (f Format) FlipBit(v float32, bit int) (float32, error) {
 	return f.Decode(raw), nil
 }
 
-// FlipBits flips each listed bit position in v's encoding (used for the
-// multi-bit fault model of §VI-B when several flips land in one value).
-func (f Format) FlipBits(v float32, bits []int) (float32, error) {
-	raw := f.Encode(v)
-	for _, b := range bits {
-		if b < 0 || b >= f.Bits() {
-			return 0, fmt.Errorf("fixpoint: bit %d out of range for %d-bit format", b, f.Bits())
-		}
-		raw ^= 1 << uint(b)
-	}
-	return f.Decode(raw), nil
-}
-
 // Quantize rounds v to the nearest representable fixed-point value,
 // saturating at the range limits. Models evaluated under a fixed-point
 // datatype quantize every operator output this way.

@@ -147,28 +147,6 @@ func TestFlipBitOutOfRange(t *testing.T) {
 	if _, err := Q32.FlipBit(1, -1); err == nil {
 		t.Fatal("want out-of-range error")
 	}
-	if _, err := Q16.FlipBits(1, []int{3, 16}); err == nil {
-		t.Fatal("want out-of-range error")
-	}
-}
-
-func TestFlipBitsMatchesSequentialFlips(t *testing.T) {
-	f := Q16
-	v := float32(12.75)
-	got, err := f.FlipBits(v, []int{0, 5, 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := f.Quantize(v)
-	for _, b := range []int{0, 5, 9} {
-		want, err = f.FlipBit(want, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got != want {
-		t.Fatalf("FlipBits = %v, sequential = %v", got, want)
-	}
 }
 
 func TestSignBitFlipNegates(t *testing.T) {

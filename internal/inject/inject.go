@@ -78,7 +78,10 @@ type Campaign struct {
 	// Format is the fixed-point datatype of the simulated datapath
 	// (fixpoint.Q32 for RQ1-3, fixpoint.Q16 for RQ4): fp32 faults strike
 	// the value's word in this encoding, Format.Bits() wide. The zero
-	// value means Q32.
+	// value means Q32. The corrupted word decodes back into a float32,
+	// which keeps 24 significant bits: on Q32 a low-order flip in a
+	// value of magnitude 2^14 or more is stored rounded and can read as
+	// masked (TestCorruptFloatRoundsWideQ32Words).
 	Format fixpoint.Format
 	// Scenario is the fault model: site sampling plus word corruption,
 	// over the word the backend stores: Format.Bits() wide on fp32, 8 bits

@@ -186,6 +186,33 @@ func TestStuckAtScenarioForcesBit(t *testing.T) {
 	}
 }
 
+// TestCorruptFloatRoundsWideQ32Words pins a known limit of the fp32
+// datapath: corruptFloat decodes the corrupted fixed-point word back
+// into a float32, which keeps 24 significant bits, while a Q32 word of
+// magnitude 2^14 or more holds 25 or more. Flipping bit 0 (2^-10) of
+// 16384 gives 16384+2^-10, a tie that rounds back to 16384, so the fault
+// is stored as the clean value and reads as masked; the same flip of
+// 8192 survives. A datapath that keeps the corrupted word must change
+// this test on purpose.
+func TestCorruptFloatRoundsWideQ32Words(t *testing.T) {
+	format := fixpoint.Q32
+	flip := BitFlips{Flips: 1}
+	wide, err := corruptFloat(flip, format, 1<<14, Site{Bit: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide != 1<<14 {
+		t.Fatalf("bit 0 of 16384 decoded to %v, want the clean 16384 (float32 rounding)", wide)
+	}
+	narrow, err := corruptFloat(flip, format, 1<<13, Site{Bit: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := float32(1<<13) + 1.0/1024; narrow != want {
+		t.Fatalf("bit 0 of 8192 decoded to %v, want %v", narrow, want)
+	}
+}
+
 func TestCampaignRunsExtendedScenarios(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
 	for _, name := range []string{"randomvalue", "stuckat1"} {

@@ -120,37 +120,22 @@ func canonicalBRC(stages []tensor.Stage) (bias []float32, relu, clamp bool, lo, 
 	return bias, relu, clamp, lo, hi, true
 }
 
-// clampRoundQ rounds a quantized-domain value and saturates it into
-// [qlo, qhi] — the requantize+saturating-clamp write-back.
-func clampRoundQ(q float32, qlo, qhi int32) int8 {
-	if !(q > float32(qlo)) { // NaN saturates low, like QParams.Quantize
-		return int8(qlo)
-	}
-	if q > float32(qhi) {
-		return int8(qhi)
-	}
-	r := tensor.RoundI32(q)
-	if r > qhi {
-		r = qhi
-	} else if r < qlo {
-		r = qlo
-	}
-	return int8(r)
-}
-
-// gemmRequant builds the per-row requantization epilogue of an int8
-// GEMM (whose accumulator is already zero-point-corrected): bias
-// folding, and either integer clamp limits (canonical bias→relu→clamp
-// chains, the fast path) or the full float stage sequence
-// (Tanh/Atan/Scale heads). All failure modes are configuration errors
-// caught here at build time; the returned closure is infallible, which
-// matters because QMatMul invokes it from concurrent shard workers.
+// gemmRequant builds the requantization epilogue of an int8 GEMM
+// (whose accumulator is already zero-point-corrected): bias folding,
+// and either integer clamp limits (canonical bias→relu→clamp chains,
+// the fast path, on tensor.Requant) or the full float stage sequence
+// (Tanh/Atan/Scale heads). The closure takes one row of n accumulators
+// or a conv pixel pair's two (see tensor.QConvInto). All failure modes
+// are configuration errors caught here at build time; the returned
+// closure is infallible, which matters because QMatMul invokes it from
+// concurrent shard workers.
 func gemmRequant(n int, inQ, wQ, outQ tensor.QParams, stages []tensor.Stage) (func(acc []int32, outRow []int8), error) {
 	m := inQ.Scale * wQ.Scale // int32 accumulator unit, in real value
 	if bias, relu, clamp, lo, hi, ok := canonicalBRC(stages); ok {
 		// Fast path: acc' = acc + biasQ; q = round(acc'*msc)+zo saturated
-		// into [qlo, qhi].
-		corr := make([]int32, n)
+		// into [qlo, qhi]. corr holds the bias correction twice, for a
+		// pixel pair's two rows.
+		corr := make([]int32, 2*n)
 		if bias != nil {
 			if len(bias) != n {
 				return nil, fmt.Errorf("quant: bias length %d for %d columns", len(bias), n)
@@ -162,6 +147,7 @@ func gemmRequant(n int, inQ, wQ, outQ tensor.QParams, stages []tensor.Stage) (fu
 				}
 				corr[j] = -int32(bq)
 			}
+			copy(corr[n:], corr[:n])
 		}
 		msc := m / outQ.Scale
 		zo := outQ.Zero
@@ -187,9 +173,7 @@ func gemmRequant(n int, inQ, wQ, outQ tensor.QParams, stages []tensor.Stage) (fu
 			qlo = qhi
 		}
 		return func(acc []int32, outRow []int8) {
-			for j, a := range acc {
-				outRow[j] = clampRoundQ(float32(zo)+float32(a-corr[j])*msc, qlo, qhi)
-			}
+			tensor.Requant(acc, corr, outRow, zo, msc, qlo, qhi)
 		}, nil
 	}
 	// General path: dequantize the accumulator and run the float stages
@@ -201,9 +185,11 @@ func gemmRequant(n int, inQ, wQ, outQ tensor.QParams, stages []tensor.Stage) (fu
 		}
 	}
 	return func(acc []int32, outRow []int8) {
-		for j, a := range acc {
-			v := float32(a) * m
-			outRow[j] = outQ.Quantize(epi.ApplyAt(v, j))
+		for r := 0; r < len(acc); r += n {
+			for j, a := range acc[r : r+n] {
+				v := float32(a) * m
+				outRow[r+j] = outQ.Quantize(epi.ApplyAt(v, j))
+			}
 		}
 	}, nil
 }

@@ -115,8 +115,10 @@ const maxPairTaps = 65793
 
 // QConvInto convolves the int8 NHWC input x with the (KH*KW*C, n) int8
 // kernel matrix w, accumulating acc[j] = Σ_p (x_p-za)·w[p,j] in int32
-// for each output pixel and handing the pixel's accumulator to requant,
-// which writes its n int8 outputs into out. It is the implicit-GEMM
+// for each output pixel and handing the accumulators to requant, which
+// writes their int8 outputs into out. requant gets one pixel's n
+// accumulators or, for a pixel pair, both pixels' 2n (the first pixel's
+// then the second's) and writes as many outputs. It is the implicit-GEMM
 // counterpart of ConvInto: taps are read straight from x one kernel row
 // at a time, taps equal to the zero point are skipped, and padding taps
 // — which an im2col would fill with the zero point — are never visited,
@@ -224,9 +226,9 @@ func (d convDims) pairable(za int32) bool {
 // the AVX2 pair kernel when d.simd, and through qconvPair when acc64
 // (n long) is non-nil; every other pixel — one whose neighbour's window
 // differs at the border, the last of a row, the last of [lo, hi) — is
-// computed alone. The block kernels add every tap, zero points
-// included, which adds (za-za)·w = 0: integer sums are exact in any
-// order.
+// computed alone. A pair is requantized in one call over both rows.
+// The block kernels add every tap, zero points included, which adds
+// (za-za)·w = 0: integer sums are exact in any order.
 func qconvPixels(xd []int8, za int32, wd, out []int8, acc []int32, acc64 []int64, d convDims, lo, hi int, requant func(acc []int32, outRow []int8)) {
 	n, c, kw, sw := d.n, d.c, d.g.KW, d.g.SW
 	acc0, acc1, taps := acc[:n], acc[n:2*n], acc[2*n:]
@@ -247,8 +249,7 @@ func qconvPixels(xd []int8, za int32, wd, out []int8, acc []int32, acc64 []int64
 							acc0[j], acc1[j] = l, int32((v-int64(l))>>32)
 						}
 					}
-					requant(acc0, out[r*n:(r+1)*n])
-					requant(acc1, out[(r+1)*n:(r+2)*n])
+					requant(acc[:2*n], out[r*n:(r+2)*n])
 					r, ix = r+2, ix+2*sw
 					continue
 				}

@@ -161,12 +161,18 @@ func (t *QTensor) Clone() *QTensor {
 }
 
 // QuantizeInto quantizes the float tensor x into dst (same element
-// count, dst's parameters) and returns dst.
+// count, dst's parameters) and returns dst. On amd64 with AVX2, tensors
+// of eight or more elements run on quantizeAVX2, QParams.Quantize bit
+// for bit.
 func QuantizeInto(dst *QTensor, x *Tensor) (*QTensor, error) {
 	if len(dst.data) != len(x.data) {
 		return nil, fmt.Errorf("%w: quantize %v into %v", ErrShape, x.shape, dst.shape)
 	}
 	p := dst.P
+	if useAVX2 && len(x.data) >= 8 {
+		quantizeAVX2(&dst.data[0], &x.data[0], len(x.data), p.Scale, float32(p.Zero))
+		return dst, nil
+	}
 	for i, v := range x.data {
 		dst.data[i] = p.Quantize(v)
 	}

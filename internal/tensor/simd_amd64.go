@@ -2,8 +2,9 @@ package tensor
 
 // useAVX2 selects the AVX2 block kernels under ConvInto, ConvWindowInto,
 // QConvInto and QConvWindowInto, and the AVX2 epilogue kernel under
-// Epilogue.Apply, AddBias, Relu and Clamp and the row-max kernels under
-// MaxInto and QMaxInto. It is set once from CPUID and XGETBV:
+// Epilogue.Apply, AddBias, Relu and Clamp, the row-max kernels under
+// MaxInto and QMaxInto, and the int8 boundary kernels under Requant and
+// QuantizeInto. It is set once from CPUID and XGETBV:
 // the CPU must report AVX2 and the OS must save the YMM registers.
 // Tests clear it to run the portable kernels, which are the oracle the
 // AVX2 path is compared against.
@@ -89,3 +90,17 @@ func maxRowAVX2(dst, src *float32, n int)
 //
 //go:noescape
 func qmaxRowAVX2(dst, src *int8, n int)
+
+// requantAVX2 writes clampRoundQ(zo + float32(acc[j]-corr[j])*msc, qlo,
+// qhi) into out[j] for j < n; n >= 8 and -128 <= qlo <= qhi <= 127. See
+// Requant for the caller.
+//
+//go:noescape
+func requantAVX2(acc, corr *int32, out *int8, n int, zo, msc float32, qlo, qhi int32)
+
+// quantizeAVX2 writes QParams{scale, zero}.Quantize(src[i]) into dst[i]
+// for i < n, zero being the zero point as a float32; n >= 8. See
+// QuantizeInto for the caller.
+//
+//go:noescape
+func quantizeAVX2(dst *int8, src *float32, n int, scale, zero float32)

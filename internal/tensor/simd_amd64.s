@@ -1004,3 +1004,127 @@ qmax16:
 qmaxdone:
 	VZEROUPPER
 	RET
+
+// The int8 boundary kernels share QROUND, which takes eight
+// quantized-domain float lanes to int8 the way clampRoundQ does. Y13
+// and Y14 hold the limits qlo and qhi as floats, Y11 and Y12 as int32,
+// Y15 0.5 and Y8 the sign bit. VMAXPS with v first is v > qlo ? v : qlo,
+// so NaN and every v <= qlo give qlo, the scalar !(v > qlo) rule; VMINPS
+// then caps v at qhi. Adding 0.5 with v's sign and truncating
+// (VCVTTPS2DQ) is RoundI32. The integer clamp is clampRoundQ's; after
+// the float clamp to integral limits it cannot bind. The saturating
+// packs leave the eight bytes in the low quadword of xv (t and xt are
+// scratch).
+#define QROUND(v, xv, t, xt) \
+	VMAXPS	Y13, v, v; \
+	VMINPS	Y14, v, v; \
+	VANDPS	Y8, v, t; \
+	VORPS	Y15, t, t; \
+	VADDPS	t, v, v; \
+	VCVTTPS2DQ	v, v; \
+	VPMAXSD	Y11, v, v; \
+	VPMINSD	Y12, v, v; \
+	VEXTRACTI128	$1, v, xt; \
+	VPACKSSDW	xt, xv, xv; \
+	VPACKSSWB	xv, xv, xv
+
+// QCONSTS loads QROUND's 0.5 into Y15 and sign bit into Y8, using R8.
+#define QCONSTS \
+	MOVL	$0x3f000000, R8; \
+	VMOVD	R8, X15; \
+	VPBROADCASTD	X15, Y15; \
+	VPCMPEQD	Y8, Y8, Y8; \
+	VPSLLD	$31, Y8, Y8
+
+// func requantAVX2(acc, corr *int32, out *int8, n int, zo, msc float32, qlo, qhi int32)
+//
+// n >= 8 and -128 <= qlo <= qhi <= 127. Each 8-lane block computes
+// zo + float32(acc-corr)*msc with VPSUBD (wrapping), VCVTDQ2PS, VMULPS
+// and VADDPS, never a fused multiply-add, then QROUND. When n is not a
+// multiple of 8 a last block ends at n and overlaps the one before; it
+// rewrites those outputs from the same inputs.
+TEXT ·requantAVX2(SB), NOSPLIT, $0-48
+	MOVQ	acc+0(FP), SI
+	MOVQ	corr+8(FP), DX
+	MOVQ	out+16(FP), DI
+	MOVQ	n+24(FP), CX
+	VBROADCASTSS	zo+32(FP), Y10
+	VBROADCASTSS	msc+36(FP), Y9
+	MOVL	qlo+40(FP), R8
+	VMOVD	R8, X11
+	VPBROADCASTD	X11, Y11
+	MOVL	qhi+44(FP), R8
+	VMOVD	R8, X12
+	VPBROADCASTD	X12, Y12
+	VCVTDQ2PS	Y11, Y13
+	VCVTDQ2PS	Y12, Y14
+	QCONSTS
+	XORQ	AX, AX
+
+rq8:
+	LEAQ	8(AX), BX
+	CMPQ	BX, CX
+	JGT	rqtail
+	VMOVDQU	(SI)(AX*4), Y0
+	VPSUBD	(DX)(AX*4), Y0, Y0
+	VCVTDQ2PS	Y0, Y0
+	VMULPS	Y9, Y0, Y0
+	VADDPS	Y0, Y10, Y0
+	QROUND(Y0, X0, Y1, X1)
+	VMOVQ	X0, (DI)(AX*1)
+	MOVQ	BX, AX
+	JMP	rq8
+
+rqtail:
+	CMPQ	AX, CX
+	JGE	rqdone
+	LEAQ	-8(CX), AX
+	JMP	rq8
+
+rqdone:
+	VZEROUPPER
+	RET
+
+// func quantizeAVX2(dst *int8, src *float32, n int, scale, zero float32)
+//
+// n >= 8. Each 8-lane block computes src/scale + zero with VDIVPS and
+// VADDPS, QParams.Quantize's two roundings, then QROUND with the limits
+// -128 and 127. The last block overlaps as in requantAVX2.
+TEXT ·quantizeAVX2(SB), NOSPLIT, $0-32
+	MOVQ	dst+0(FP), DI
+	MOVQ	src+8(FP), SI
+	MOVQ	n+16(FP), CX
+	VBROADCASTSS	scale+24(FP), Y9
+	VBROADCASTSS	zero+28(FP), Y10
+	MOVL	$-128, R8
+	VMOVD	R8, X11
+	VPBROADCASTD	X11, Y11
+	MOVL	$127, R8
+	VMOVD	R8, X12
+	VPBROADCASTD	X12, Y12
+	VCVTDQ2PS	Y11, Y13
+	VCVTDQ2PS	Y12, Y14
+	QCONSTS
+	XORQ	AX, AX
+
+qz8:
+	LEAQ	8(AX), BX
+	CMPQ	BX, CX
+	JGT	qztail
+	VMOVUPS	(SI)(AX*4), Y0
+	VDIVPS	Y9, Y0, Y0
+	VADDPS	Y10, Y0, Y0
+	QROUND(Y0, X0, Y1, X1)
+	VMOVQ	X0, (DI)(AX*1)
+	MOVQ	BX, AX
+	JMP	qz8
+
+qztail:
+	CMPQ	AX, CX
+	JGE	qzdone
+	LEAQ	-8(CX), AX
+	JMP	qz8
+
+qzdone:
+	VZEROUPPER
+	RET

@@ -34,3 +34,11 @@ func maxRowAVX2(dst, src *float32, n int) {
 func qmaxRowAVX2(dst, src *int8, n int) {
 	panic("tensor: AVX2 kernel called off amd64")
 }
+
+func requantAVX2(acc, corr *int32, out *int8, n int, zo, msc float32, qlo, qhi int32) {
+	panic("tensor: AVX2 kernel called off amd64")
+}
+
+func quantizeAVX2(dst *int8, src *float32, n int, scale, zero float32) {
+	panic("tensor: AVX2 kernel called off amd64")
+}

@@ -108,8 +108,10 @@
 // (conv computes neighbouring output pixels in pairs, both pixels'
 // operands packed into one int64 so one 64-bit multiply yields two
 // exact products; the fp32 conv pairs the same pixels, loading each
-// weight row once for both), and every other operator as a 256-entry
-// lookup table — with quantize/dequantize nodes at the graph
+// weight row once for both), elementwise operators and reshapes as
+// 256-entry lookup tables, and the residual Add (and a standalone
+// BiasAdd) as dequantize → float epilogue → requantize over blocks of
+// elements — with quantize/dequantize nodes at the graph
 // boundaries, reusing the float plan's shape layouts and liveness-based
 // buffer reuse.
 //
@@ -127,7 +129,12 @@
 // fault model the deployed format actually faces. Because a bit flip in
 // an int8 word is bounded by the tensor's quantization range,
 // quantization itself acts as a mild range restriction, and measured
-// SDC rates are accordingly lower than fp32's.
+// SDC rates are accordingly lower than fp32's. Ranger's clamps add
+// nothing to it when bounds and calibration come from the same samples:
+// each folded clamp limit equals the saturation it folds into, so the
+// protected int8 model computes exactly what the plain one does
+// (TestQuantizedZooOutputsPinned), and the clamps lower int8 SDC rates
+// only when they themselves are fault sites.
 //
 // # Incremental campaign lifecycle
 //
@@ -269,13 +276,33 @@
 // pixel with masked lanes.
 //
 // Max pooling, fp32 and int8, runs channel-contiguous: each output
-// pixel's row of maxima starts at -Inf (-128 on int8) and folds in the
-// input row of every valid tap in ascending (ky, kx) order with the
-// strict src > dst rule (tensor.MaxInto: VMAXPS with the tap first;
-// tensor.QMaxInto: VPMAXSB), so each channel sees the comparisons of a
-// per-channel walk in the same order: ties keep the earlier tap, NaN
-// never wins and a window wholly in padding stays -Inf. The int8 row is
-// then mapped through the lookup table in place.
+// pixel's row of maxima starts at -Inf (on int8, as the first valid
+// tap's input row, or -128 when the window is wholly in padding) and
+// folds in the input row of every valid tap in ascending (ky, kx) order
+// with the strict src > dst rule (tensor.MaxInto: VMAXPS with the tap
+// first; tensor.QMaxInto: VPMAXSB), so each channel sees the
+// comparisons of a per-channel walk in the same order: ties keep the
+// earlier tap, NaN never wins and a window wholly in padding stays
+// -Inf. The int8 row is then mapped through the lookup table in place.
+// tensor.Lut classifies each table once, when its kernel is built: an
+// identity table (in the benchmark's plans of the trained zoo: every
+// max-pool and reshape table, half of squeezenet's concat stripes and
+// every standalone clamp of the campaign plans) maps by copying, and in
+// place not at all.
+//
+// The int8 float leg, tensor.QEpilogue, serves the kernels whose result
+// is not a bias → ReLU → clamp requantization: the residual Add, a
+// standalone BiasAdd (its bias as the first stage) and the int8 GEMMs
+// whose epilogue holds a Tanh, Atan, ELU or Scale stage. The epilogue
+// is compiled once, runs of bias?/ReLU?/clamp? stages into one pass
+// each, and works on blocks of up to 256 values in a stack buffer, each
+// stage looping over the block instead of dispatching per element. An
+// Add under a ReLU?/clamp? epilogue runs one fused AVX2 pass; a BiasAdd
+// and the GEMM heads dequantize the block (VPMOVSXBD, VPSUBD, VCVTDQ2PS,
+// VMULPS), run the stages (the canonical ones on the epilogue kernel)
+// and quantize it like the feed. Every path matches the per-element
+// loop it replaced, which stays as the fallback and the oracle (and
+// runs an Add under any other epilogue, which no zoo model has).
 //
 // The int8 boundary runs on the same check. tensor.Requant, the
 // canonical bias → ReLU → clamp requantize write-back of the int8 conv

@@ -23,8 +23,12 @@ import (
 //     remaps) compile to 256-entry lookup tables: an int8 tensor has
 //     only 256 distinct values, so any scalar transform is one table
 //     lookup per element.
-//   - Pooling and Add evaluate in the integer/real hybrid domain and
-//     requantize per element.
+//   - Max pooling folds int8 rows (the encoding is monotone) and remaps
+//     them through a table, which is skipped where it is the identity.
+//     Add, a standalone BiasAdd and GEMMs with a non-canonical head run
+//     their float stages block by block (tensor.QEpilogue) and
+//     requantize each block; average pooling still requantizes per
+//     element.
 
 // Interface conformance for the quantization extension.
 var (
@@ -68,7 +72,7 @@ func lutKernel(opName string, inQ, outQ tensor.QParams, opF func(float32) float3
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", opName, err)
 	}
-	lut := tensor.QLut(inQ, outQ, f)
+	lut := tensor.NewLut(inQ, outQ, f)
 	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, _ *tensor.QScratch) error {
 		if len(ins) != 1 || ins[0] == nil {
 			return fmt.Errorf("%s: want 1 runtime input", opName)
@@ -79,9 +83,7 @@ func lutKernel(opName string, inQ, outQ tensor.QParams, opF func(float32) float3
 		}
 		n, h, w, c := graph.Pixels(out)
 		win.Spans(n, h, w, c, func(lo, hi int) {
-			for i, q := range xd[lo:hi] {
-				od[lo+i] = lut[tensor.LutIndex(q)]
-			}
+			lut.Map(od[lo:hi], xd[lo:hi])
 		})
 		return nil
 	}, nil
@@ -176,21 +178,17 @@ func gemmRequant(n int, inQ, wQ, outQ tensor.QParams, stages []tensor.Stage) (fu
 			tensor.Requant(acc, corr, outRow, zo, msc, qlo, qhi)
 		}, nil
 	}
-	// General path: dequantize the accumulator and run the float stages
-	// (bias included — index j is the channel) before requantizing.
-	epi := tensor.Epilogue(stages)
+	// General path: dequantize the accumulators and run the float stages
+	// (bias included — the column is the channel) block by block before
+	// requantizing.
 	for _, st := range stages {
 		if st.Kind == tensor.StageBias && st.C != n {
 			return nil, fmt.Errorf("quant: fused bias of %d elements for %d columns", st.C, n)
 		}
 	}
+	qe := tensor.NewQEpilogue(stages, outQ)
 	return func(acc []int32, outRow []int8) {
-		for r := 0; r < len(acc); r += n {
-			for j, a := range acc[r : r+n] {
-				v := float32(a) * m
-				outRow[r+j] = outQ.Quantize(epi.ApplyAt(v, j))
-			}
-		}
+		qe.Requant(acc, outRow, m)
 	}, nil
 }
 
@@ -284,8 +282,8 @@ func (c *Conv2DOp) QuantKernelStored(spec graph.QuantSpec) (graph.QuantKernel, [
 
 // QuantKernel implements graph.QuantizedOp for a standalone BiasAdd
 // (one that did not fuse into its producer, e.g. at a campaign
-// observation point): per-element dequantize, add the channel bias, run
-// the stages, requantize.
+// observation point): the Add kernel's float leg with the channel bias
+// as its first stage in place of a second operand.
 func (BiasAddOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 	if len(spec.Consts) != 2 || spec.Consts[1] == nil {
 		return nil, fmt.Errorf("biasadd: quantization needs a constant bias vector")
@@ -299,31 +297,29 @@ func (BiasAddOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 	if c == 0 {
 		return nil, fmt.Errorf("biasadd: empty bias vector")
 	}
-	inQ, outQ := spec.In[0], spec.Out
-	epi := tensor.Epilogue(spec.Epilogue)
+	inQ := spec.In[0]
+	stages := append([]tensor.Stage{{Kind: tensor.StageBias, Vec: bd, C: c}}, spec.Epilogue...)
+	qe := tensor.NewQEpilogue(stages, spec.Out)
 	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, _ *tensor.QScratch) error {
 		x := ins[0]
 		if x == nil || x.Size() != out.Size() {
 			return fmt.Errorf("biasadd: quantized input/output mismatch")
 		}
+		if r := out.Rank(); r == 0 || out.Dim(r-1) != c {
+			return fmt.Errorf("biasadd: %d biases for output shape %v", c, out.Shape())
+		}
 		xd, od := x.Data(), out.Data()
 		pn, ph, pw, pc := graph.Pixels(out)
 		win.Spans(pn, ph, pw, pc, func(lo, hi int) {
-			ch := lo % c
-			for i := lo; i < hi; i++ {
-				v := inQ.Dequantize(xd[i]) + bd[ch]
-				od[i] = outQ.Quantize(epi.ApplyAt(v, i))
-				if ch++; ch == c {
-					ch = 0
-				}
-			}
+			qe.Add(od[lo:hi], xd[lo:hi], nil, inQ, tensor.QParams{})
 		})
 		return nil
 	}, nil
 }
 
 // QuantKernel implements graph.QuantizedOp: the residual add rescales
-// both operands into the real domain and requantizes the sum.
+// both operands into the real domain, runs the epilogue and requantizes
+// the sum (tensor.QEpilogue.Add).
 func (AddOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 	if len(spec.In) != 2 {
 		return nil, fmt.Errorf("add: want 2 inputs, got %d", len(spec.In))
@@ -331,8 +327,7 @@ func (AddOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 	if spec.Consts[0] != nil || spec.Consts[1] != nil {
 		return nil, fmt.Errorf("add: constant operands are not supported")
 	}
-	outQ := spec.Out
-	epi := tensor.Epilogue(spec.Epilogue)
+	qe := tensor.NewQEpilogue(spec.Epilogue, spec.Out)
 	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, _ *tensor.QScratch) error {
 		a, b := ins[0], ins[1]
 		if a == nil || b == nil || a.Size() != b.Size() || a.Size() != out.Size() {
@@ -342,10 +337,7 @@ func (AddOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 		pa, pb := a.P, b.P
 		n, h, w, c := graph.Pixels(out)
 		win.Spans(n, h, w, c, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := pa.Dequantize(ad[i]) + pb.Dequantize(bd[i])
-				od[i] = outQ.Quantize(epi.ApplyAt(v, i))
-			}
+			qe.Add(od[lo:hi], ad[lo:hi], bd[lo:hi], pa, pb)
 		})
 		return nil
 	}, nil
@@ -400,15 +392,16 @@ func (c *ClipOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 // QuantKernel implements graph.QuantizedOp: max pooling commutes with
 // the monotone int8 encoding, so the window max runs directly on int8
 // and a table remaps into the output domain. Like the fp32 kernel it
-// runs channel-contiguous: each output pixel's row starts at -128,
-// folds in every valid tap's input row and is then mapped through the
-// table in place.
+// runs channel-contiguous: each output pixel's row starts as its first
+// valid tap's input row (-128 when the window holds none), folds in
+// every other valid tap's row and is then mapped through the table in
+// place, which an identity table skips.
 func (p *MaxPoolOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 	f, err := scalarStageFunc(nil, spec.Epilogue)
 	if err != nil {
 		return nil, fmt.Errorf("maxpool: %w", err)
 	}
-	lut := tensor.QLut(spec.In[0], spec.Out, f)
+	lut := tensor.NewLut(spec.In[0], spec.Out, f)
 	g := p.Geom
 	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, _ *tensor.QScratch) error {
 		x := ins[0]
@@ -423,9 +416,7 @@ func (p *MaxPoolOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error)
 				for ox := win.X0; ox < win.X1; ox++ {
 					o := ((b*oh+oy)*ow + ox) * c
 					best := od[o : o+c]
-					for ch := range best {
-						best[ch] = -128
-					}
+					seeded := false
 					for ky := 0; ky < g.KH; ky++ {
 						iy := oy*g.SH - g.PadH + ky
 						if iy < 0 || iy >= h {
@@ -437,12 +428,20 @@ func (p *MaxPoolOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error)
 								continue
 							}
 							i := ((b*h+iy)*w + ix) * c
-							tensor.QMaxInto(best, xd[i:i+c])
+							if seeded {
+								tensor.QMaxInto(best, xd[i:i+c])
+							} else {
+								copy(best, xd[i:i+c])
+								seeded = true
+							}
 						}
 					}
-					for ch, q := range best {
-						best[ch] = lut[tensor.LutIndex(q)]
+					if !seeded {
+						for ch := range best {
+							best[ch] = -128
+						}
 					}
+					lut.Map(best, best)
 				}
 			}
 		}
@@ -521,12 +520,12 @@ func (ConcatOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("concat: %w", err)
 	}
-	luts := make([]*[256]int8, len(spec.In))
+	luts := make([]tensor.Lut, len(spec.In))
 	for i, inQ := range spec.In {
 		if spec.Consts[i] != nil {
 			return nil, fmt.Errorf("concat: constant operands are not supported")
 		}
-		luts[i] = tensor.QLut(inQ, spec.Out, f)
+		luts[i] = tensor.NewLut(inQ, spec.Out, f)
 	}
 	return func(ins []*tensor.QTensor, out *tensor.QTensor, win graph.Window, _ *tensor.QScratch) error {
 		r := out.Rank()
@@ -553,11 +552,7 @@ func (ConcatOp) QuantKernel(spec graph.QuantSpec) (graph.QuantKernel, error) {
 			lut := luts[i]
 			win.Spans(n, h, w, 1, func(lo, hi int) {
 				for row := lo; row < hi; row++ {
-					src := td[row*c : (row+1)*c]
-					dst := od[row*totalC+off : row*totalC+off+c]
-					for j, q := range src {
-						dst[j] = lut[tensor.LutIndex(q)]
-					}
+					lut.Map(od[row*totalC+off:row*totalC+off+c], td[row*c:(row+1)*c])
 				}
 			})
 			off += c

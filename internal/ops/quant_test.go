@@ -76,6 +76,55 @@ func TestAddQuantKernelRescales(t *testing.T) {
 	})
 }
 
+// TestAddQuantKernelMatchesPerElementLoop runs the int8 residual Add on
+// random windows of NHWC and rank-2 values, under no epilogue, ReLU,
+// ReLU→clamp (resnet18's Add+Relu+RangerClip) and a Tanh head, and
+// compares every element of the window with the kernel's former
+// per-element loop: dequantize both operands, add, run the stages,
+// quantize.
+func TestAddQuantKernelMatchesPerElementLoop(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		pa, pb, outQ := qp(-2, 5), qp(-3, 3), qp(0, 6)
+		tanh := Tanh().(*unary)
+		for _, epi := range [][]tensor.Stage{
+			nil,
+			{{Kind: tensor.StageRelu}},
+			{{Kind: tensor.StageRelu}, {Kind: tensor.StageClamp, Lo: 0, Hi: 2.75}},
+			{{Kind: tensor.StageMap, F: tanh.f}},
+		} {
+			k, err := AddOp{}.QuantKernel(graph.QuantSpec{
+				In: []tensor.QParams{pa, pb}, Out: outQ, Consts: []*tensor.Tensor{nil, nil}, Epilogue: epi,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shape := range [][]int{{2, 5, 6, 24}, {1, 3, 3, 5}, {3, 40}} {
+				a := quantizeAll(tensor.New(shape...).Randn(rng, 2), pa)
+				b := quantizeAll(tensor.New(shape...).Randn(rng, 2), pb)
+				_, oh, ow, pc := graph.PixelDims(shape)
+				for iter := 0; iter < 6; iter++ {
+					win := randWindow(rng, oh, ow)
+					got := tensor.NewQ(outQ, shape...)
+					if err := k([]*tensor.QTensor{a, b}, got, win, nil); err != nil {
+						t.Fatal(err)
+					}
+					for i, v := range got.Data() {
+						p := i / pc
+						if y, x := p/ow%oh, p%ow; y < win.Y0 || y >= win.Y1 || x < win.X0 || x >= win.X1 {
+							continue
+						}
+						sum := pa.Dequantize(a.Data()[i]) + pb.Dequantize(b.Data()[i])
+						if want := outQ.Quantize(tensor.Epilogue(epi).ApplyAt(sum, i)); v != want {
+							t.Fatalf("%v window %+v: element %d: %d, want %d", shape, win, i, v, want)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 func TestConcatQuantKernelStripes(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(3))

@@ -227,6 +227,45 @@ func QLut(in, out QParams, f func(float32) float32) *[256]int8 {
 // LutIndex returns the table index of a stored int8 value.
 func LutIndex(q int8) int { return int(q) + 128 }
 
+// Lut is a QLut table classified once, when a kernel is built: an
+// identity table (a remap between equal domains, or a clamp the
+// encoding's saturation already applies) maps by copying, and in place
+// not at all.
+type Lut struct {
+	t        *[256]int8
+	identity bool
+}
+
+// NewLut builds and classifies the table QLut(in, out, f).
+func NewLut(in, out QParams, f func(float32) float32) Lut {
+	t := QLut(in, out, f)
+	for i, q := range t {
+		if int(q) != i-128 {
+			return Lut{t: t}
+		}
+	}
+	return Lut{t: t, identity: true}
+}
+
+// Identity reports whether the table maps every value to itself.
+func (l Lut) Identity() bool { return l.identity }
+
+// Map writes the table entry of src[i] into dst[i] for every
+// i < len(dst). src holds at least len(dst) elements and either is dst
+// or does not overlap it.
+func (l Lut) Map(dst, src []int8) {
+	src = src[:len(dst)]
+	if l.identity {
+		if len(dst) > 0 && &dst[0] != &src[0] {
+			copy(dst, src)
+		}
+		return
+	}
+	for i, q := range src {
+		dst[i] = l.t[LutIndex(q)]
+	}
+}
+
 // QScratch recycles the int32 and int64 temporary buffers of quantized
 // kernels (GEMM and convolution accumulators) across runs.
 type QScratch struct {

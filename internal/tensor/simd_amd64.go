@@ -3,8 +3,8 @@ package tensor
 // useAVX2 selects the AVX2 block kernels under ConvInto, ConvWindowInto,
 // QConvInto and QConvWindowInto, and the AVX2 epilogue kernel under
 // Epilogue.Apply, AddBias, Relu and Clamp, the row-max kernels under
-// MaxInto and QMaxInto, and the int8 boundary kernels under Requant and
-// QuantizeInto. It is set once from CPUID and XGETBV:
+// MaxInto and QMaxInto, the int8 boundary kernels under Requant and
+// QuantizeInto, and the int8 float-leg kernels under QEpilogue. It is set once from CPUID and XGETBV:
 // the CPU must report AVX2 and the OS must save the YMM registers.
 // Tests clear it to run the portable kernels, which are the oracle the
 // AVX2 path is compared against.
@@ -104,3 +104,23 @@ func requantAVX2(acc, corr *int32, out *int8, n int, zo, msc float32, qlo, qhi i
 //
 //go:noescape
 func quantizeAVX2(dst *int8, src *float32, n int, scale, zero float32)
+
+// dequantAVX2 writes scale*float32(src[i]-zero) into dst[i] for i < n;
+// n >= 8. See QEpilogue.Add for the caller.
+//
+//go:noescape
+func dequantAVX2(dst *float32, src *int8, n int, scale float32, zero int32)
+
+// scaleAccAVX2 writes float32(acc[i])*m into dst[i] for i < n; n >= 8.
+// See QEpilogue.Requant for the caller.
+//
+//go:noescape
+func scaleAccAVX2(dst *float32, acc *int32, n int, m float32)
+
+// qaddAVX2 writes QParams{so, zo}.Quantize of ReLU? → clamp to [lo, hi]
+// of sa*float32(a[i]-za) + sb*float32(b[i]-zb) into dst[i] for i < n; n
+// is a positive multiple of 8 and lo <= hi. See QEpilogue.Add for the
+// caller.
+//
+//go:noescape
+func qaddAVX2(dst, a, b *int8, n int, sa float32, za int32, sb float32, zb int32, lo, hi float32, relu bool, so, zo float32)

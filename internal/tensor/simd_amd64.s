@@ -1128,3 +1128,162 @@ qztail:
 qzdone:
 	VZEROUPPER
 	RET
+
+// The float leg of the int8 backend (QEpilogue): loading an int8
+// operand or int32 accumulators into float32 blocks. Each 8-lane block ends at
+// n when n is not a multiple of 8, overlapping the one before; dst is a
+// separate buffer, so it rewrites those lanes from the same inputs.
+
+// func dequantAVX2(dst *float32, src *int8, n int, scale float32, zero int32)
+//
+// n >= 8. Writes scale*float32(src[i]-zero) into dst[i]:
+// QParams.Dequantize with VPMOVSXBD, VPSUBD (wrapping like the int32
+// difference), VCVTDQ2PS and VMULPS.
+TEXT ·dequantAVX2(SB), NOSPLIT, $0-32
+	MOVQ	dst+0(FP), DI
+	MOVQ	src+8(FP), SI
+	MOVQ	n+16(FP), CX
+	VBROADCASTSS	scale+24(FP), Y9
+	MOVL	zero+28(FP), R8
+	VMOVD	R8, X10
+	VPBROADCASTD	X10, Y10
+	XORQ	AX, AX
+
+dq8:
+	LEAQ	8(AX), BX
+	CMPQ	BX, CX
+	JGT	dqtail
+	VPMOVSXBD	(SI)(AX*1), Y0
+	VPSUBD	Y10, Y0, Y0
+	VCVTDQ2PS	Y0, Y0
+	VMULPS	Y9, Y0, Y0
+	VMOVUPS	Y0, (DI)(AX*4)
+	MOVQ	BX, AX
+	JMP	dq8
+
+dqtail:
+	CMPQ	AX, CX
+	JGE	dqdone
+	LEAQ	-8(CX), AX
+	JMP	dq8
+
+dqdone:
+	VZEROUPPER
+	RET
+
+// func scaleAccAVX2(dst *float32, acc *int32, n int, m float32)
+//
+// n >= 8. Writes float32(acc[i])*m into dst[i] with VCVTDQ2PS and VMULPS.
+TEXT ·scaleAccAVX2(SB), NOSPLIT, $0-28
+	MOVQ	dst+0(FP), DI
+	MOVQ	acc+8(FP), SI
+	MOVQ	n+16(FP), CX
+	VBROADCASTSS	m+24(FP), Y9
+	XORQ	AX, AX
+
+sa8:
+	LEAQ	8(AX), BX
+	CMPQ	BX, CX
+	JGT	satail
+	VCVTDQ2PS	(SI)(AX*4), Y0
+	VMULPS	Y9, Y0, Y0
+	VMOVUPS	Y0, (DI)(AX*4)
+	MOVQ	BX, AX
+	JMP	sa8
+
+satail:
+	CMPQ	AX, CX
+	JGE	sadone
+	LEAQ	-8(CX), AX
+	JMP	sa8
+
+sadone:
+	VZEROUPPER
+	RET
+
+// qaddc127 holds eight float32 127s, the upper quantization limit
+// qaddAVX2 reads from memory (its registers are all taken).
+DATA qaddc127<>+0(SB)/4, $0x42fe0000
+DATA qaddc127<>+4(SB)/4, $0x42fe0000
+DATA qaddc127<>+8(SB)/4, $0x42fe0000
+DATA qaddc127<>+12(SB)/4, $0x42fe0000
+DATA qaddc127<>+16(SB)/4, $0x42fe0000
+DATA qaddc127<>+20(SB)/4, $0x42fe0000
+DATA qaddc127<>+24(SB)/4, $0x42fe0000
+DATA qaddc127<>+28(SB)/4, $0x42fe0000
+GLOBL qaddc127<>(SB), RODATA|NOPTR, $32
+
+// func qaddAVX2(dst, a, b *int8, n int, sa float32, za int32, sb float32, zb int32, lo, hi float32, relu bool, so, zo float32)
+//
+// n is a positive multiple of 8 and lo <= hi (a caller with no clamp
+// passes -Inf and +Inf). Writes QParams{so, zo}.Quantize of ReLU? →
+// clamp of sa*float32(a[i]-za) + sb*float32(b[i]-zb) into dst[i]: the
+// dequantize of dequantAVX2 per operand and VADDPS, RELUCLAMP's lane rules with Y7 as the
+// ReLU mask, and quantizeAVX2's divide, add, limits and rounding (the
+// integer clamp dropped: after the float limits it cannot bind, and the
+// packs saturate).
+TEXT ·qaddAVX2(SB), NOSPLIT, $0-68
+	MOVQ	dst+0(FP), DI
+	MOVQ	a+8(FP), SI
+	MOVQ	b+16(FP), DX
+	MOVQ	n+24(FP), CX
+	VBROADCASTSS	sa+32(FP), Y3
+	MOVL	za+36(FP), R8
+	VMOVD	R8, X4
+	VPBROADCASTD	X4, Y4
+	VBROADCASTSS	sb+40(FP), Y5
+	MOVL	zb+44(FP), R8
+	VMOVD	R8, X6
+	VPBROADCASTD	X6, Y6
+	VBROADCASTSS	lo+48(FP), Y13
+	VBROADCASTSS	hi+52(FP), Y14
+	VXORPS	Y12, Y12, Y12
+	VXORPS	Y7, Y7, Y7
+	MOVBLZX	relu+56(FP), AX
+	TESTL	AX, AX
+	JZ	qaddstart
+	VPCMPEQD	Y7, Y7, Y7
+
+qaddstart:
+	VBROADCASTSS	so+60(FP), Y9
+	VBROADCASTSS	zo+64(FP), Y10
+	MOVL	$0xc3000000, R8
+	VMOVD	R8, X11
+	VPBROADCASTD	X11, Y11
+	QCONSTS
+	XORQ	AX, AX
+
+qadd8:
+	CMPQ	AX, CX
+	JGE	qadddone
+	VPMOVSXBD	(SI)(AX*1), Y0
+	VPMOVSXBD	(DX)(AX*1), Y1
+	VPSUBD	Y4, Y0, Y0
+	VPSUBD	Y6, Y1, Y1
+	VCVTDQ2PS	Y0, Y0
+	VCVTDQ2PS	Y1, Y1
+	VMULPS	Y3, Y0, Y0
+	VMULPS	Y5, Y1, Y1
+	VADDPS	Y1, Y0, Y0
+	VMAXPS	Y12, Y0, Y2
+	VBLENDVPS	Y7, Y2, Y0, Y0
+	VMAXPS	Y0, Y13, Y0
+	VMINPS	Y0, Y14, Y0
+	VDIVPS	Y9, Y0, Y0
+	VADDPS	Y10, Y0, Y0
+	VMAXPS	Y11, Y0, Y0
+	VMINPS	qaddc127<>(SB), Y0, Y0
+	VANDPS	Y8, Y0, Y2
+	VORPS	Y15, Y2, Y2
+	VADDPS	Y2, Y0, Y0
+	VCVTTPS2DQ	Y0, Y0
+	VEXTRACTI128	$1, Y0, X1
+	VPACKSSDW	X1, X0, X0
+	VPACKSSWB	X0, X0, X0
+	VMOVQ	X0, (DI)(AX*1)
+	ADDQ	$8, AX
+	JMP	qadd8
+
+qadddone:
+	VZEROUPPER
+	RET

@@ -42,3 +42,15 @@ func requantAVX2(acc, corr *int32, out *int8, n int, zo, msc float32, qlo, qhi i
 func quantizeAVX2(dst *int8, src *float32, n int, scale, zero float32) {
 	panic("tensor: AVX2 kernel called off amd64")
 }
+
+func dequantAVX2(dst *float32, src *int8, n int, scale float32, zero int32) {
+	panic("tensor: AVX2 kernel called off amd64")
+}
+
+func scaleAccAVX2(dst *float32, acc *int32, n int, m float32) {
+	panic("tensor: AVX2 kernel called off amd64")
+}
+
+func qaddAVX2(dst, a, b *int8, n int, sa float32, za int32, sb float32, zb int32, lo, hi float32, relu bool, so, zo float32) {
+	panic("tensor: AVX2 kernel called off amd64")
+}

@@ -66,3 +66,20 @@ func TestBiasAddIndexesFromChannelBoundary(t *testing.T) {
 		}
 	})
 }
+
+// TestBiasAddQuantKernelRejectsChannelMismatch checks that the int8
+// BiasAdd kernel, which indexes its bias by channel from each span's
+// start, refuses an output whose last dimension is not the bias length.
+func TestBiasAddQuantKernelRejectsChannelMismatch(t *testing.T) {
+	p := qp(-2, 2)
+	k, err := BiasAddOp{}.QuantKernel(graph.QuantSpec{
+		In: []tensor.QParams{p, {}}, Out: p, Consts: []*tensor.Tensor{nil, tensor.New(4)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, out := tensor.NewQ(p, 2, 6), tensor.NewQ(p, 2, 6)
+	if err := k([]*tensor.QTensor{x, nil}, out, graph.Whole(out.Shape()), nil); err == nil {
+		t.Fatal("4 biases over 6 channels: no error")
+	}
+}

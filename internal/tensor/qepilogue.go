@@ -89,17 +89,16 @@ func NewQEpilogue(stages []Stage, out QParams) *QEpilogue {
 		next, open = r+1, true
 	}
 	flush()
-	switch len(q.steps) {
-	case 0:
-		q.fused = true
-	case 1:
-		cn := q.steps[0].cn
-		q.fused = q.steps[0].st == nil && cn.vec == nil && (!cn.clamp || cn.lo <= cn.hi)
-		q.relu = cn.relu
-	}
 	q.lo, q.hi = float32(math.Inf(-1)), float32(math.Inf(1))
-	if q.fused && len(q.steps) == 1 && q.steps[0].cn.clamp {
-		q.lo, q.hi = q.steps[0].cn.lo, q.steps[0].cn.hi
+	switch {
+	case len(q.steps) == 0:
+		q.fused = true
+	case len(q.steps) == 1 && q.steps[0].st == nil && q.steps[0].cn.vec == nil:
+		cn := q.steps[0].cn
+		if cn.clamp {
+			q.lo, q.hi = cn.lo, cn.hi
+		}
+		q.relu, q.fused = cn.relu, q.lo <= q.hi
 	}
 	return q
 }

@@ -133,7 +133,7 @@ func TestQAddSIMDMatchesGo(t *testing.T) {
 }
 
 // TestQAddTailsMatchGo runs QEpilogue.Add on spans of 1 to 40 elements
-// (the Go loop below 8 and every overlapping 8-lane tail) and across the
+// (the Go loop below 8 and every tail the 8-lane kernels leave) and across the
 // block size, with random operands, and the BiasAdd form (no second
 // operand, the bias as first stage) on channel counts that fit a block
 // several times, once, or not at all.
@@ -183,10 +183,16 @@ func TestQAddTailsMatchGo(t *testing.T) {
 	})
 }
 
+// head is a named GEMM epilogue.
+type head struct {
+	name string
+	e    Epilogue
+}
+
 // generalHeads returns non-canonical GEMM epilogues over n columns: the
 // ELU conv (comma), a bias→Tanh→Scale head and an Atan one (dave), a
 // lone Scale, and canonical stages around a map.
-func generalHeads(rng *rand.Rand, n int) map[string]Epilogue {
+func generalHeads(rng *rand.Rand, n int) []head {
 	bias := make([]float32, n)
 	for i := range bias {
 		bias[i] = float32(rng.NormFloat64())
@@ -200,13 +206,13 @@ func generalHeads(rng *rand.Rand, n int) map[string]Epilogue {
 	tanh := func(v float32) float32 { return float32(math.Tanh(float64(v))) }
 	atan := func(v float32) float32 { return float32(math.Atan(float64(v))) }
 	b := Stage{Kind: StageBias, Vec: bias, C: n}
-	return map[string]Epilogue{
-		"elu":        {b, {Kind: StageMap, F: elu}},
-		"elu-clamp":  {b, {Kind: StageMap, F: elu}, {Kind: StageClamp, Lo: -0.5, Hi: 2}},
-		"tanh-scale": {b, {Kind: StageMap, F: tanh}, {Kind: StageScale, A: 2}},
-		"atan-scale": {b, {Kind: StageMap, F: atan}, {Kind: StageScale, A: 2}},
-		"scale":      {{Kind: StageScale, A: -0.75}},
-		"relu-map":   {b, {Kind: StageRelu}, {Kind: StageMap, F: tanh}, {Kind: StageRelu}},
+	return []head{
+		{"elu", Epilogue{b, {Kind: StageMap, F: elu}}},
+		{"elu-clamp", Epilogue{b, {Kind: StageMap, F: elu}, {Kind: StageClamp, Lo: -0.5, Hi: 2}}},
+		{"tanh-scale", Epilogue{b, {Kind: StageMap, F: tanh}, {Kind: StageScale, A: 2}}},
+		{"atan-scale", Epilogue{b, {Kind: StageMap, F: atan}, {Kind: StageScale, A: 2}}},
+		{"scale", Epilogue{{Kind: StageScale, A: -0.75}}},
+		{"relu-map", Epilogue{b, {Kind: StageRelu}, {Kind: StageMap, F: tanh}, {Kind: StageRelu}}},
 	}
 }
 
@@ -245,10 +251,10 @@ func TestQRequantGeneralSIMDMatchesGo(t *testing.T) {
 			cols = append(cols, n)
 		}
 		for _, n := range cols {
-			for name, e := range generalHeads(rng, n) {
+			for _, h := range generalHeads(rng, n) {
 				for _, rows := range []int{1, 2} {
 					m := requantGeneralScales[rng.Intn(len(requantGeneralScales))]
-					checkRequantGeneral(t, rng, name, e, n, rows, m, randQParams(rng))
+					checkRequantGeneral(t, rng, h.name, h.e, n, rows, m, randQParams(rng))
 				}
 			}
 		}
@@ -415,19 +421,61 @@ func FuzzQRequantGeneralBitIdentical(f *testing.F) {
 		out := fb.params(6)
 		rng := rand.New(rand.NewSource(seed))
 		heads := generalHeads(rng, n)
-		names := []string{"elu", "elu-clamp", "tanh-scale", "atan-scale", "scale", "relu-map"}
-		name := names[int(fb.at(14))%len(names)]
+		h := heads[int(fb.at(14))%len(heads)]
 		acc := make([]int32, rows*n)
 		for i := range acc {
 			acc[i] = requantAcc(rng, m)
 		}
-		want := requantGeneralOracle(acc, n, m, out, heads[name])
-		q := NewQEpilogue(heads[name], out)
+		want := requantGeneralOracle(acc, n, m, out, h.e)
+		q := NewQEpilogue(h.e, out)
 		ForEachKernelPath(func(path string) {
 			got, buf := guarded(len(acc))
 			q.Requant(acc, got, m)
-			label := fmt.Sprintf("%s %s n=%d rows=%d m=%g out %+v", path, name, n, rows, m, out)
+			label := fmt.Sprintf("%s %s n=%d rows=%d m=%g out %+v", path, h.name, n, rows, m, out)
 			checkBoundaryOut(t, label, buf, want, func(i int) string { return fmt.Sprint("acc ", acc[i]) })
 		})
 	})
+}
+
+// TestQEpilogueConcurrentUse runs one QEpilogue's Requant and Add from
+// several goroutines at once, as the shard workers of QMatMul and
+// QConvInto call a GEMM's requantize closure, and checks every result
+// against a serial run (and, under -race, that they share no writes).
+func TestQEpilogueConcurrentUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	const n, workers = 600, 4
+	out := QParams{Scale: 0.03, Zero: -5}
+	q := NewQEpilogue(generalHeads(rng, n)[1].e, out)
+	bias := make([]float32, n)
+	for i := range bias {
+		bias[i] = float32(rng.NormFloat64())
+	}
+	qb := NewQEpilogue(Epilogue{{Kind: StageBias, Vec: bias, C: n}, {Kind: StageRelu}}, out)
+	acc, x := make([]int32, 2*n), make([]int8, 2*n)
+	for i := range acc {
+		acc[i], x[i] = requantAcc(rng, 1e-3), int8(rng.Intn(256)-128)
+	}
+	in := QParams{Scale: 0.02, Zero: 9}
+	wantR, wantA := make([]int8, 2*n), make([]int8, 2*n)
+	q.Requant(acc, wantR, 1e-3)
+	qb.Add(wantA, x, nil, in, QParams{})
+	done := make(chan [2][]int8, workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			r, a := make([]int8, 2*n), make([]int8, 2*n)
+			for it := 0; it < 20; it++ {
+				q.Requant(acc, r, 1e-3)
+				qb.Add(a, x, nil, in, QParams{})
+			}
+			done <- [2][]int8{r, a}
+		}()
+	}
+	for w := 0; w < workers; w++ {
+		got := <-done
+		for i := range wantR {
+			if got[0][i] != wantR[i] || got[1][i] != wantA[i] {
+				t.Fatalf("element %d: concurrent %d/%d, serial %d/%d", i, got[0][i], got[1][i], wantR[i], wantA[i])
+			}
+		}
+	}
 }

@@ -1130,9 +1130,10 @@ qzdone:
 	RET
 
 // The float leg of the int8 backend (QEpilogue): loading an int8
-// operand or int32 accumulators into float32 blocks. Each 8-lane block ends at
-// n when n is not a multiple of 8, overlapping the one before; dst is a
-// separate buffer, so it rewrites those lanes from the same inputs.
+// operand or int32 accumulators into float32 blocks. When n is not a
+// multiple of 8 the last 8-lane block ends at n, overlapping the one
+// before; dst is a separate buffer, so it rewrites those lanes from the
+// same inputs.
 
 // func dequantAVX2(dst *float32, src *int8, n int, scale float32, zero int32)
 //
@@ -1218,10 +1219,12 @@ GLOBL qaddc127<>(SB), RODATA|NOPTR, $32
 // n is a positive multiple of 8 and lo <= hi (a caller with no clamp
 // passes -Inf and +Inf). Writes QParams{so, zo}.Quantize of ReLU? →
 // clamp of sa*float32(a[i]-za) + sb*float32(b[i]-zb) into dst[i]: the
-// dequantize of dequantAVX2 per operand and VADDPS, RELUCLAMP's lane rules with Y7 as the
-// ReLU mask, and quantizeAVX2's divide, add, limits and rounding (the
-// integer clamp dropped: after the float limits it cannot bind, and the
-// packs saturate).
+// dequantize of dequantAVX2 per operand and VADDPS, RELUCLAMP's lane
+// rules with Y7 as the ReLU mask, and quantizeAVX2's divide, add,
+// limits and rounding (the integer clamp dropped: after the float
+// limits it cannot bind, and the packs saturate). Registers: Y3/Y4 sa
+// and za, Y5/Y6 sb and zb, Y12 +0, Y13/Y14 lo and hi, Y9/Y10 so and zo,
+// Y11 -128.0, Y8 and Y15 QROUND's sign bit and 0.5.
 TEXT ·qaddAVX2(SB), NOSPLIT, $0-68
 	MOVQ	dst+0(FP), DI
 	MOVQ	a+8(FP), SI

@@ -9,8 +9,12 @@ import (
 
 // Campaign runs fault-injection trials against one model. Configure the
 // fault model through Format and Scenario (zero values mean the paper's
-// primary model: one random bit flip in a Q32 datapath), then call Run
-// or RunWithDetector with a cancellable context. Set OnTrial — or use
+// primary model: one random bit flip in a Q32 datapath). The campaign's
+// own fields select its mode and so its entry point, each called with a
+// cancellable context: a persistent Surface runs sequences through
+// RunPersistent; otherwise a set Adaptive runs RunAdaptive, a set
+// Detector runs RunWithDetector, and anything else runs Run. A setting
+// the mode does not apply is rejected, not ignored. Set OnTrial — or use
 // Stream — to receive per-trial results while a long campaign runs.
 type Campaign = inject.Campaign
 

@@ -76,7 +76,9 @@ func TestGoldenIncrementalCampaignMatchesFullReplay(t *testing.T) {
 			campaign := func(workers int) *ranger.Campaign {
 				return &ranger.Campaign{Model: m, Trials: campaignGoldenTrials, Seed: 2027, Workers: workers}
 			}
-			full, err := campaign(1).RunWithDetector(context.Background(), feeds, silentDetector{})
+			detc := campaign(1)
+			detc.Detector = silentDetector{}
+			full, err := detc.RunWithDetector(context.Background(), feeds)
 			if err != nil {
 				t.Fatal(err)
 			}

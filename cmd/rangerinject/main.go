@@ -188,10 +188,7 @@ func run(ctx context.Context, args []string) error {
 			c.Calibration = calib
 		}
 		if *progress {
-			total := int64(*trials * len(feeds))
-			if persistent {
-				total = int64(*trials)
-			}
+			total := c.GridSize(feeds)
 			var done atomic.Int64
 			tick := func() {
 				if n := done.Add(1); n%100 == 0 || n == total {

@@ -85,8 +85,9 @@
 // in the same loop. A node is non-fusable (kept materialized, its exact
 // value delivered to hooks) when it is a fault-injection target, an
 // observation/hook subject, a profiled bounds-collection output, a
-// fetch, or has multiple consumers. Campaign.Run, RunWithDetector,
-// profiling, RunBatch, and the experiment harness all execute through
+// fetch, or has multiple consumers. Campaign.Run, RunWithDetector (a
+// campaign with Campaign.Detector set), profiling, RunBatch, and the
+// experiment harness all execute through
 // plans; fused and unfused execution are bit-identical to the per-call
 // Executor at every worker count.
 //
@@ -173,12 +174,20 @@
 // trial-indexed slots and reduced in trial order regardless of the
 // depth-grouped execution order.
 //
-// One engine runs every campaign: Run/RunSlice, RunWithDetector,
-// RunAdaptive and RunPersistent/RunPersistentSlice each build one
-// backend — the plan compiled once, quantized once when Calibration is
-// set, and the clean checkpoints and references — and run their slots
-// on one shard loop, which owns sharding, cancellation, per-slot errors
-// and the serialized OnTrial/OnSequence stream. A slot is a transient
+// One engine runs every campaign. A campaign's own fields select its
+// mode: a persistent Surface a sequence campaign; otherwise a set
+// Adaptive a stratified one, a set Detector a detector one, and anything
+// else a uniform one. Each mode has its entry points — Run/RunSlice,
+// RunWithDetector, RunAdaptive, RunPersistent/RunPersistentSlice — which
+// reject a campaign of another mode and any setting the mode does not
+// apply. Each builds one backend — the plan compiled once, quantized once
+// when Calibration is set, and the clean checkpoints and references —
+// and runs its slots on one shard loop, which owns sharding,
+// cancellation, per-slot errors and the serialized OnTrial/OnSequence
+// stream. Transient trials, uniform, stratified or detector, run through
+// one per-input loop (prepare the input, run its slots, fold in slot
+// order), and stratified trials and sequences share one round
+// allocator. A slot is a transient
 // trial or a persistent sequence, and a transient trial is a
 // one-inference sequence with nothing persisted: every slot draws its
 // sites from its private stream, plants them on a worker, infers from
@@ -187,7 +196,8 @@
 // (activation fp32 and int8, weight fp32 and int8, quantparam); the
 // trial body and the sequence body are the only per-kind code.
 //
-// Detector campaigns (RunWithDetector) run on the same workers: the
+// Detector campaigns (Campaign.Detector set on the transient surface,
+// run by RunWithDetector) run on the same workers: the
 // detector observes every node, so each of their trials replays every
 // step from step 0 of the checkpoint (Plan.RunFrom) and keeps slot
 // order. The false-positive check watches the clean pass that is

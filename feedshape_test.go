@@ -78,7 +78,8 @@ func TestErrFeedShapeOnEveryEntryPoint(t *testing.T) {
 	wantFeedShape(t, "Campaign.Run", err)
 	_, err = c.RunSlice(ctx, []graph.Feeds{good, bad}, 0, 6)
 	wantFeedShape(t, "Campaign.RunSlice", err)
-	_, err = c.RunWithDetector(ctx, []graph.Feeds{bad}, neverDetector{})
+	dc := &ranger.Campaign{Model: m, Trials: 3, Seed: 1, Detector: neverDetector{}}
+	_, err = dc.RunWithDetector(ctx, []graph.Feeds{bad})
 	wantFeedShape(t, "Campaign.RunWithDetector", err)
 	ac := &ranger.Campaign{Model: m, Trials: 3, Seed: 1, Adaptive: ranger.AdaptiveStratified}
 	_, err = ac.RunAdaptive(ctx, []graph.Feeds{bad})

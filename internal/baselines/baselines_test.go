@@ -111,8 +111,8 @@ func TestSymptomDetectorFlagsSpikes(t *testing.T) {
 	m, feeds := lenetWithInputs(t, 3)
 	maxima := profiledMaxima(t, m, feeds)
 	det := NewSymptomDetector(maxima, 1.0)
-	c := &inject.Campaign{Model: m, Trials: 80, Seed: 4}
-	out, err := c.RunWithDetector(context.Background(), feeds[:1], det)
+	c := &inject.Campaign{Model: m, Trials: 80, Seed: 4, Detector: det}
+	out, err := c.RunWithDetector(context.Background(), feeds[:1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,8 +137,9 @@ func TestDuplicationDetectorCatchesFaultAtDuplicatedNode(t *testing.T) {
 		Trials:      30,
 		Seed:        5,
 		TargetNodes: []string{"conv1"},
+		Detector:    det,
 	}
-	out, err := c.RunWithDetector(context.Background(), feeds, det)
+	out, err := c.RunWithDetector(context.Background(), feeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +161,9 @@ func TestDuplicationDetectorMissesOtherNodes(t *testing.T) {
 		Trials:      30,
 		Seed:        6,
 		TargetNodes: []string{"act9"}, // fc activation far from conv1
+		Detector:    det,
 	}
-	out, err := c.RunWithDetector(context.Background(), feeds, det)
+	out, err := c.RunWithDetector(context.Background(), feeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +180,9 @@ func TestABFTDetectorCatchesConvFaults(t *testing.T) {
 		Trials:      40,
 		Seed:        7,
 		TargetNodes: []string{"conv1", "conv2"},
+		Detector:    det,
 	}
-	out, err := c.RunWithDetector(context.Background(), feeds, det)
+	out, err := c.RunWithDetector(context.Background(), feeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +204,9 @@ func TestABFTDetectorIgnoresNonConvFaults(t *testing.T) {
 		Trials:      30,
 		Seed:        8,
 		TargetNodes: []string{"act9"},
+		Detector:    det,
 	}
-	out, err := c.RunWithDetector(context.Background(), feeds, det)
+	out, err := c.RunWithDetector(context.Background(), feeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +225,8 @@ func TestMLDetectorTrainsAndDetects(t *testing.T) {
 	if len(det.Weights) != len(det.Layers) || len(det.Layers) == 0 {
 		t.Fatalf("detector shape: %d layers, %d weights", len(det.Layers), len(det.Weights))
 	}
-	c := &inject.Campaign{Model: m, Trials: 60, Seed: 10}
-	out, err := c.RunWithDetector(context.Background(), feeds, det)
+	c := &inject.Campaign{Model: m, Trials: 60, Seed: 10, Detector: det}
+	out, err := c.RunWithDetector(context.Background(), feeds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,9 +57,10 @@ func pinOf(out inject.DetectorOutcome) detectorPin {
 // and checks both DetectorOutcomes against want.
 func runPinned(t *testing.T, name string, c inject.Campaign, feeds []graph.Feeds, det inject.Detector, want detectorPin) {
 	t.Helper()
+	c.Detector = det
 	for _, workers := range []int{1, 0} {
 		c.Workers = workers
-		out, err := c.RunWithDetector(context.Background(), feeds, det)
+		out, err := c.RunWithDetector(context.Background(), feeds)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

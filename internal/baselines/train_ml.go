@@ -46,8 +46,8 @@ func TrainMLDetector(
 		Threshold:   0.5,
 	}
 	collector := &featureCollector{det: det}
-	c := &inject.Campaign{Model: m, Format: format, Scenario: scen, Trials: trialsPerInput, Seed: seed}
-	out, err := c.RunWithDetector(ctx, inputs, collector)
+	c := &inject.Campaign{Model: m, Format: format, Scenario: scen, Trials: trialsPerInput, Seed: seed, Detector: collector}
+	out, err := c.RunWithDetector(ctx, inputs)
 	if err != nil {
 		return nil, err
 	}

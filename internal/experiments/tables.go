@@ -403,7 +403,9 @@ func (r *Runner) evaluateProtection(ctx context.Context, m *models.Model, prot *
 	case prot.AnalyticCoverage != nil:
 		row.Coverage = *prot.AnalyticCoverage
 	case prot.Detector != nil:
-		out, err := r.campaign(m, fixpoint.Q32, inject.DefaultScenario(), 0).RunWithDetector(ctx, feeds, prot.Detector)
+		c := r.campaign(m, fixpoint.Q32, inject.DefaultScenario(), 0)
+		c.Detector = prot.Detector
+		out, err := c.RunWithDetector(ctx, feeds)
 		if err != nil {
 			return Table6Row{}, err
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"ranger/internal/graph"
@@ -72,14 +73,6 @@ type stratumDef struct {
 	Band
 	name   string
 	weight float64
-}
-
-// planItem is one allocated adaptive trial as the engine tracks it.
-type planItem struct {
-	stratum int
-	local   int   // trial index within the stratum
-	seq     int64 // position in the global allocation sequence
-	input   int
 }
 
 // adaptiveSeed derives the sampling seed for stratum trial (s, local).
@@ -181,9 +174,7 @@ type AdaptiveOutcome struct {
 type AdaptiveRun struct {
 	strata
 	c      *Campaign
-	inputs []graph.Feeds
 	b      *backend
-	spaces []*FaultSpace
 	budget int64
 
 	seq     int64
@@ -199,15 +190,7 @@ type AdaptiveRun struct {
 
 // sameSpace reports whether two fault spaces agree on nodes and sizes.
 func sameSpace(a, b *FaultSpace) bool {
-	if len(a.nodes) != len(b.nodes) {
-		return false
-	}
-	for i := range a.nodes {
-		if a.nodes[i] != b.nodes[i] || a.sizes[i] != b.sizes[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.nodes, b.nodes) && slices.Equal(a.sizes, b.sizes)
 }
 
 // NewAdaptiveRun validates the campaign, builds the execution backend,
@@ -217,31 +200,26 @@ func sameSpace(a, b *FaultSpace) bool {
 // (same nodes, same sizes) — otherwise the strata would be
 // ill-defined.
 func (c *Campaign) NewAdaptiveRun(inputs []graph.Feeds) (*AdaptiveRun, error) {
-	if err := c.validate(inputs, adaptiveEntry, nil); err != nil {
+	if err := c.validateAs(stratifiedMode, inputs); err != nil {
 		return nil, err
 	}
-	b, err := c.newBackend(nil)
+	b, err := c.newBackend(inputs)
 	if err != nil {
 		return nil, err
 	}
-	spaces := make([]*FaultSpace, len(inputs))
 	for i, feeds := range inputs {
-		fs, err := c.faultSpace(b.plan, feeds)
-		if err != nil {
+		if b.spaces[i], err = c.faultSpace(b.plan, feeds); err != nil {
 			return nil, err
 		}
-		if i > 0 && !sameSpace(spaces[0], fs) {
+		if i > 0 && !sameSpace(b.spaces[0], b.spaces[i]) {
 			return nil, fmt.Errorf("inject: fault space differs across inputs; strata are ill-defined")
 		}
-		spaces[i] = fs
 	}
 	target, bands := c.stratifiedConfig()
 	return &AdaptiveRun{
-		strata: newStrata(buildStrata(spaces[0], c.bits(), bands), target),
+		strata: newStrata(buildStrata(b.spaces[0], c.bits(), bands), target),
 		c:      c,
-		inputs: inputs,
 		b:      b,
-		spaces: spaces,
 		budget: c.GridSize(inputs),
 	}, nil
 }
@@ -332,27 +310,39 @@ func (st *strata) open(mode SamplingMode) []int {
 	return open
 }
 
-// allocate hands out one round of n trials in repeated passes over the
-// open strata, each pass giving a stratum up to stratumQuantum trials.
-// add receives each trial's stratum and its stratum-local index (the
-// stratum's folded trials plus those already allocated this round). The
-// allocation is a pure function of the per-stratum counts, which is
-// what makes stratified runs reproducible and resumable. open must be
-// non-empty.
-func (st *strata) allocate(open []int, n int, add func(stratum, local int)) {
+// round is the one round allocator of stratified campaigns, transient
+// and persistent alike: it hands out up to n slots in repeated passes
+// over the open strata (open), each pass giving a stratum up to
+// stratumQuantum. Slot k takes global position seq+k, its stratum's
+// band, and the stratum-local index (the stratum's folded trials plus
+// those already allocated this round) as its trial, sampling from
+// adaptiveSeed(seed, stratum, local). The allocation is a pure function
+// of the per-stratum counts and seq, which is what makes stratified runs
+// reproducible and resumable. It returns nil when n <= 0 or every
+// stratum has closed.
+func (st *strata) round(mode SamplingMode, seed, seq int64, n int) []slot {
+	open := st.open(mode)
+	if n <= 0 || len(open) == 0 {
+		return nil
+	}
+	plan := make([]slot, 0, n)
 	inRound := make([]int, len(st.defs))
-	for k := 0; k < n; {
+	for len(plan) < n {
 		for _, si := range open {
-			for q := 0; q < stratumQuantum && k < n; q++ {
-				add(si, st.acc[si].N+inRound[si])
+			for q := 0; q < stratumQuantum && len(plan) < n; q++ {
+				local := st.acc[si].N + inRound[si]
 				inRound[si]++
-				k++
-			}
-			if k >= n {
-				break
+				plan = append(plan, slot{
+					seq:     seq + int64(len(plan)),
+					seed:    adaptiveSeed(seed, si, local),
+					stratum: si,
+					band:    &st.defs[si].Band,
+					trial:   local,
+				})
 			}
 		}
 	}
+	return plan
 }
 
 // results reports each stratum's evidence, in stratum order, and
@@ -397,28 +387,15 @@ func (ar *AdaptiveRun) roundTrials() int {
 }
 
 // allocateRound plans the next round of min(RoundTrials, remaining
-// budget) trials over the open strata (strata.allocate). The plan
-// depends only on the per-stratum counts and the global sequence
-// position, so replaying a frontier restores exactly the state the
-// allocator consumes.
-func (ar *AdaptiveRun) allocateRound() []planItem {
-	n := int(min(ar.budget-ar.seq, int64(ar.roundTrials())))
-	if n <= 0 {
-		return nil
+// budget) trials over the open strata (strata.round), trial t of a
+// stratum replaying input t mod len(inputs). The plan depends only on
+// the per-stratum counts and the global sequence position, so replaying
+// a frontier restores exactly the state the allocator consumes.
+func (ar *AdaptiveRun) allocateRound() []slot {
+	plan := ar.round(ar.c.Adaptive, ar.c.Seed, ar.seq, int(min(ar.budget-ar.seq, int64(ar.roundTrials()))))
+	for i := range plan {
+		plan[i].input = plan[i].trial % len(ar.b.inputs)
 	}
-	open := ar.open(ar.c.Adaptive)
-	if len(open) == 0 {
-		return nil
-	}
-	plan := make([]planItem, 0, n)
-	ar.allocate(open, n, func(si, local int) {
-		plan = append(plan, planItem{
-			stratum: si,
-			local:   local,
-			seq:     ar.seq + int64(len(plan)),
-			input:   local % len(ar.inputs),
-		})
-	})
 	return plan
 }
 
@@ -459,53 +436,24 @@ func (ar *AdaptiveRun) NextRound(ctx context.Context) (Outcome, error) {
 		return Outcome{}, nil
 	}
 	ar.started = true
+	groups := make([][]slot, len(ar.b.inputs))
+	for _, s := range plan {
+		groups[s.input] = append(groups[s.input], s)
+	}
 	verdicts := make([]trialVerdict, len(plan))
-	groups := make([][]int, len(ar.inputs))
-	for idx, it := range plan {
-		groups[it.input] = append(groups[it.input], idx)
-	}
-	for ii, feeds := range ar.inputs {
-		idxs := groups[ii]
-		if len(idxs) == 0 {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return Outcome{}, err
-		}
-		if err := ar.b.checkpoint(nil, feeds); err != nil {
-			return Outcome{}, err
-		}
-		ar.b.space = ar.spaces[ii]
-		sub := make([]trialVerdict, len(idxs))
-		var emit func(slot int)
-		if ar.c.OnTrial != nil {
-			emit = func(slot int) {
-				it := plan[idxs[slot]]
-				tr := sub[slot].result(it.input, it.local)
-				tr.Stratum = it.stratum
-				tr.Seq = it.seq
-				ar.c.OnTrial(tr)
+	err := ar.b.runSlots(ctx, func(ii int) []slot { return groups[ii] },
+		func(slots []slot, vs []trialVerdict, _ bool) {
+			for k, s := range slots {
+				verdicts[s.seq-ar.seq] = vs[k]
 			}
-		}
-		seed := func(slot int) (int64, *Band) {
-			it := plan[idxs[slot]]
-			return adaptiveSeed(ar.c.Seed, it.stratum, it.local), &ar.defs[it.stratum].Band
-		}
-		if err := ar.b.runTrials(ctx, sub, seed, emit); err != nil {
-			return Outcome{}, err
-		}
-		for k, idx := range idxs {
-			verdicts[idx] = sub[k]
-		}
-	}
-	if err := ctx.Err(); err != nil {
+		})
+	if err != nil {
 		return Outcome{}, err
 	}
 	var part Outcome
-	for idx, it := range plan {
-		v := verdicts[idx]
+	for i, v := range verdicts {
 		v.apply(&part)
-		ar.acc[it.stratum].Add(ar.c.isSDC(v))
+		ar.acc[plan[i].stratum].Add(ar.c.isSDC(v))
 	}
 	ar.out.Trials += part.Trials
 	ar.out.Top1SDC += part.Top1SDC
@@ -582,7 +530,7 @@ func (c *Campaign) UniformTrialsToTarget(ctx context.Context, inputs []graph.Fee
 	if err != nil {
 		return 0, false, err
 	}
-	fs := ar.spaces[0]
+	fs := ar.b.spaces[0]
 	nodeIdx := make(map[string]int, len(fs.Nodes()))
 	for i, name := range fs.Nodes() {
 		nodeIdx[name] = i
@@ -609,7 +557,7 @@ func (c *Campaign) UniformTrialsToTarget(ctx context.Context, inputs []graph.Fee
 		return ni*nBands + nBands - 1 // out-of-band bit (clamped scenarios): lowest band
 	}
 	uc := *c
-	uc.Adaptive = SamplingUniform
+	uc.Adaptive, uc.CITarget, uc.Strata = SamplingUniform, 0, 0
 	uc.Trials = int(cap)
 	uc.OnTrial = func(tr TrialResult) {
 		sdc := tr.Top1SDC

@@ -29,8 +29,8 @@ type Detector interface {
 }
 
 // CloneableDetector is implemented by detectors whose per-execution state
-// can be duplicated. Detector campaigns (RunWithDetector, and persistent
-// campaigns with Campaign.Detector) shard trials across workers when
+// can be duplicated. Campaigns with a Campaign.Detector (RunWithDetector
+// and persistent campaigns) shard trials across workers when
 // the detector supports it, each worker observing with its own clone;
 // otherwise they run one worker, which sees the trials in trial order —
 // order-dependent detectors such as training-data collectors stay
@@ -95,73 +95,57 @@ func (d DetectorOutcome) CoverageOfSDCsOK() (float64, bool) {
 	return 1 - float64(d.UncorrectedSDC)/float64(total), true
 }
 
-// RunWithDetector executes the campaign with a detection technique
-// attached. SDC accounting in the embedded Outcome refers to the raw
-// (undetected-and-uncorrected) faulty outputs; UncorrectedSDC applies the
-// detect-and-re-execute recovery model. For regressors, detected trials'
-// recorded deviations are zeroed (corrected by re-execution).
+// RunWithDetector executes the detector campaign: transient trials with
+// Campaign.Detector attached. SDC accounting in the embedded Outcome
+// refers to the raw (undetected-and-uncorrected) faulty outputs;
+// UncorrectedSDC applies the detect-and-re-execute recovery model. For
+// regressors, detected trials' recorded deviations are zeroed (corrected
+// by re-execution).
 //
 // Trials run on the same worker engine as Run: each replays the input's
 // clean checkpoint on a plan that observes every node, from step 0 so
 // the detector sees every node's output. Trials shard across workers
-// when det implements CloneableDetector (one clone per worker);
+// when the detector implements CloneableDetector (one clone per worker);
 // otherwise they run on one worker in trial order. Either way each
 // trial samples from its own hash(Seed, input, trial) stream and results
 // fold in trial order, so the DetectorOutcome is identical at every
 // worker count. Cancelling ctx makes the call return promptly with
 // ctx.Err(); OnTrial streams each trial with Detected filled in.
-func (c *Campaign) RunWithDetector(ctx context.Context, inputs []graph.Feeds, det Detector) (DetectorOutcome, error) {
-	if err := c.validate(inputs, detectorEntry, det); err != nil {
+func (c *Campaign) RunWithDetector(ctx context.Context, inputs []graph.Feeds) (DetectorOutcome, error) {
+	if err := c.validateAs(detectorMode, inputs); err != nil {
 		return DetectorOutcome{}, err
 	}
-	b, err := c.newBackend(det)
+	b, err := c.newBackend(inputs)
 	if err != nil {
 		return DetectorOutcome{}, err
 	}
-	observe := func(n *graph.Node, t *tensor.Tensor) *tensor.Tensor {
-		det.Observe(n, t)
-		return nil
-	}
 	var out DetectorOutcome
-	for ii, feeds := range inputs {
-		if err := ctx.Err(); err != nil {
-			return DetectorOutcome{}, err
-		}
-		// False-positive check: the detector watches the clean pass
-		// that is checkpointed.
-		det.Reset()
-		if err := b.prepareInput(feeds, observe); err != nil {
-			return DetectorOutcome{}, err
-		}
-		out.CleanRuns++
-		if det.Detected() {
-			out.FalsePositives++
-		}
-
-		verdicts := make([]trialVerdict, c.Trials)
-		if err := b.runGrid(ctx, ii, 0, verdicts); err != nil {
-			return DetectorOutcome{}, err
-		}
-		for _, v := range verdicts {
-			if v.detected {
-				out.DetectedFaulty++
+	err = b.runSlots(ctx, func(ii int) []slot { return c.gridSlots(ii, 0, c.GridSize(inputs)) },
+		func(_ []slot, verdicts []trialVerdict, flagged bool) {
+			// False-positive check: the detector watched the input's
+			// clean pass.
+			out.CleanRuns++
+			if flagged {
+				out.FalsePositives++
 			}
-			wasSDC := c.isSDC(v)
-			out.TrialSDC = append(out.TrialSDC, wasSDC)
-			if wasSDC && !v.detected {
-				out.UncorrectedSDC++
+			for _, v := range verdicts {
+				if v.detected {
+					out.DetectedFaulty++
+				}
+				wasSDC := c.isSDC(v)
+				out.TrialSDC = append(out.TrialSDC, wasSDC)
+				if wasSDC && !v.detected {
+					out.UncorrectedSDC++
+				}
+				// Detected regressor trials are corrected by
+				// re-execution: record a zero deviation.
+				if v.detected && v.isReg {
+					v.dev = 0
+				}
+				v.apply(&out.Outcome)
 			}
-			// Detected regressor trials are corrected by re-execution:
-			// record a zero deviation.
-			if v.detected && v.isReg {
-				v.dev = 0
-			}
-			v.apply(&out.Outcome)
-		}
-	}
-	// Mirror Run's cancellation contract: cancelled ⇒ ctx.Err(), never a
-	// fold that could pass for a completed campaign.
-	if err := ctx.Err(); err != nil {
+		})
+	if err != nil {
 		return DetectorOutcome{}, err
 	}
 	return out, nil

@@ -16,8 +16,9 @@ import (
 // The campaign engine. Every entry point — Run/RunSlice, RunWithDetector,
 // RunAdaptive, RunPersistent/RunPersistentSlice — builds one backend,
 // draws each slot's fault sites from the slot's private stream, and runs
-// the slots on one shard loop (backend.runShard). A slot is a transient
-// trial or a persistent sequence; a transient trial is a one-inference
+// the slots on one shard loop (backend.runShard): transient trials
+// through one per-input loop (backend.runSlots), persistent sequences
+// through backend.runSequences. A transient trial is a one-inference
 // sequence with nothing persisted. Both run on the same worker
 // interface: plant the sampled faults, infer from a clean checkpoint,
 // scrub the worker back to golden.
@@ -43,16 +44,19 @@ type worker interface {
 
 // backend is a campaign's execution substrate, built once per entry
 // point: the compiled plan, its int8 quantization when Calibration is
-// set, the fault space slots draw from, the detector shown every
-// inference, and the clean checkpoints and references of the inputs
-// being replayed. Transient campaigns checkpoint one input at a time;
-// persistent ones checkpoint every input up front, since a sequence
-// cycles through them. Workers share all of it read-only.
+// set, the campaign's inputs, the fault space slots draw from, the
+// detector shown every inference, and the clean checkpoints and
+// references of the inputs being replayed. Transient campaigns size each
+// input's fault space once and checkpoint one input at a time; persistent
+// ones checkpoint every input up front, since a sequence cycles through
+// them. Workers share all of it read-only.
 type backend struct {
 	c       *Campaign
 	plan    *graph.Plan
 	qp      *graph.QPlan // nil on the fp32 backend
 	det     Detector
+	inputs  []graph.Feeds
+	spaces  []*FaultSpace // transient: each input's fault space, sized on first use
 	space   *FaultSpace
 	clean   *graph.PlanState
 	qclean  *graph.QPlanState
@@ -62,23 +66,17 @@ type backend struct {
 	outNode *graph.Node // the fetch node: int8 detectors observe only it
 }
 
-// newBackend compiles the campaign's plan and, when Calibration is set,
-// quantizes it. A transient detector observes every operator output, so
-// its plan marks every node as an observation point; a persistent
-// detector sees the observation points of the plain campaign plan.
-// Persistent surfaces size their fault space here, from the stored
-// state; transient campaigns size one per input (Campaign.faultSpace).
-func (c *Campaign) newBackend(det Detector) (*backend, error) {
-	persistent := c.surface().Persistent()
-	observer := det
-	if persistent {
-		observer = nil
-	}
-	plan, err := c.compile(observer)
+// newBackend compiles the campaign's plan over inputs and, when
+// Calibration is set, quantizes it. Persistent surfaces size their fault
+// space here, from the stored state, and checkpoint every input;
+// transient campaigns size one per input (Campaign.faultSpace) and
+// checkpoint it when its slots run.
+func (c *Campaign) newBackend(inputs []graph.Feeds) (*backend, error) {
+	plan, err := c.compile()
 	if err != nil {
 		return nil, err
 	}
-	b := &backend{c: c, plan: plan, det: det}
+	b := &backend{c: c, plan: plan, det: c.Detector, inputs: inputs}
 	if c.Calibration == nil {
 		b.clean = plan.NewState()
 	} else {
@@ -91,10 +89,15 @@ func (c *Campaign) newBackend(det Detector) (*backend, error) {
 			return nil, fmt.Errorf("inject: model output %q not in graph", c.Model.Output)
 		}
 	}
-	if persistent {
-		if b.space, err = b.storedSpace(); err != nil {
-			return nil, err
-		}
+	if !c.surface().Persistent() {
+		b.spaces = make([]*FaultSpace, len(inputs))
+		return b, nil
+	}
+	if b.space, err = b.storedSpace(); err != nil {
+		return nil, err
+	}
+	if err := b.checkpoint(nil, inputs...); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -239,62 +242,101 @@ func (b *backend) runShard(ctx context.Context, n int, key func(sw *slotWorker, 
 	return nil
 }
 
-// runTrials runs len(verdicts) transient trials against the held
-// checkpoint: slot i samples from seed(i) and its verdict lands in
-// verdicts[i]. Without a detector each shard groups its block by
-// injection depth, so deep-layer faults replay back to back; detector
-// trials replay from step 0 and keep slot order.
-func (b *backend) runTrials(ctx context.Context, verdicts []trialVerdict, seed func(slot int) (int64, *Band), emit func(slot int)) error {
-	var key func(sw *slotWorker, slot int) int
-	if b.det == nil {
-		key = func(sw *slotWorker, slot int) int {
-			depth, _ := sw.plant(sw.draw(seed(slot)))
-			sw.scrub()
-			return depth
+// slot is one unit of campaign work — a transient trial or a persistent
+// sequence — with the private stream it samples from.
+type slot struct {
+	seq     int64 // position in the sequence grid or the stratified allocation
+	seed    int64
+	stratum int   // stratified campaigns' stratum; -1 for uniform sequences
+	band    *Band // the stratum's primary-site constraint; nil when uniform
+	// input and trial locate a transient trial: the input it replays and
+	// its grid trial index, or its stratum-local index when stratified.
+	input, trial int
+}
+
+// prepareInput makes input ii the held one: it sizes the input's fault
+// space (once per backend) and checkpoints its clean pass, which the
+// detector, if any, is reset for and watches.
+func (b *backend) prepareInput(ii int) error {
+	if b.spaces[ii] == nil {
+		fs, err := b.c.faultSpace(b.plan, b.inputs[ii])
+		if err != nil {
+			return err
+		}
+		b.spaces[ii] = fs
+	}
+	b.space = b.spaces[ii]
+	var hook graph.Hook
+	if b.det != nil {
+		b.det.Reset()
+		hook = func(n *graph.Node, t *tensor.Tensor) *tensor.Tensor {
+			b.det.Observe(n, t)
+			return nil
 		}
 	}
-	return b.runShard(ctx, len(verdicts), key, func(sw *slotWorker, slot int) (err error) {
-		s, band := seed(slot)
-		verdicts[slot], err = b.runTrial(sw, s, band)
-		return err
-	}, emit)
+	return b.checkpoint(hook, b.inputs[ii])
 }
 
-// prepareInput sizes one input's fault space and checkpoints its clean
-// pass under hook (nil for none), replacing the held input.
-func (b *backend) prepareInput(feeds graph.Feeds, hook graph.Hook) error {
-	fs, err := b.c.faultSpace(b.plan, feeds)
-	if err != nil {
-		return err
+// runSlots is the one transient trial loop. For each input ii, in input
+// order, that has slots — slotsOf(ii) — it checks ctx, prepares the
+// input, and runs its slots on the shard loop, streaming each through
+// OnTrial as it completes; done then receives the input's verdicts in
+// slot order, and whether the detector, if any, fired on the input's
+// clean pass. Without a detector each shard groups its block by
+// injection depth, so deep-layer faults replay back to back; detector
+// trials replay from step 0 and keep slot order. Only one input's slots
+// and verdicts are live at a time.
+func (b *backend) runSlots(ctx context.Context, slotsOf func(ii int) []slot, done func(slots []slot, verdicts []trialVerdict, flagged bool)) error {
+	for ii := range b.inputs {
+		slots := slotsOf(ii)
+		if len(slots) == 0 {
+			continue
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := b.prepareInput(ii); err != nil {
+			return err
+		}
+		flagged := b.det != nil && b.det.Detected()
+		verdicts := make([]trialVerdict, len(slots))
+		var key func(sw *slotWorker, k int) int
+		if b.det == nil {
+			key = func(sw *slotWorker, k int) int {
+				depth, _ := sw.plant(sw.draw(slots[k].seed, slots[k].band))
+				sw.scrub()
+				return depth
+			}
+		}
+		var emit func(k int)
+		if b.c.OnTrial != nil {
+			emit = func(k int) { b.c.OnTrial(verdicts[k].result(slots[k])) }
+		}
+		err := b.runShard(ctx, len(slots), key, func(sw *slotWorker, k int) (err error) {
+			verdicts[k], err = b.runTrial(sw, slots[k])
+			return err
+		}, emit)
+		if err != nil {
+			return err
+		}
+		done(slots, verdicts, flagged)
 	}
-	b.space = fs
-	return b.checkpoint(hook, feeds)
+	// A cancellation that lands as (or after) the last trials complete
+	// leaves no per-trial error behind; surface it anyway so a cancelled
+	// campaign can never masquerade as a completed one.
+	return ctx.Err()
 }
 
-// runGrid runs trials t0 .. t0+len(verdicts)-1 of input ii of the
-// uniform grid against the held input, each sampling from its
-// trialSeed(Seed, ii, trial) stream, streaming each through OnTrial.
-func (b *backend) runGrid(ctx context.Context, ii, t0 int, verdicts []trialVerdict) error {
-	c := b.c
-	var emit func(slot int)
-	if c.OnTrial != nil {
-		emit = func(slot int) { c.OnTrial(verdicts[slot].result(ii, t0+slot)) }
-	}
-	return b.runTrials(ctx, verdicts, func(slot int) (int64, *Band) {
-		return trialSeed(c.Seed, ii, t0+slot), nil
-	}, emit)
-}
-
-// runTrial executes one transient trial on sw — a one-inference sequence
+// runTrial executes transient trial s on sw — a one-inference sequence
 // with nothing persisted: draw the sites, plant them, replay the held
 // input from its checkpoint and judge the fetch against the reference.
 // Without a detector the replay covers only the fault's cone and starts
 // at its depth; a detector observes every node, so its trials replay
 // from step 0. After warmup a trial allocates nothing.
-func (b *backend) runTrial(sw *slotWorker, seed int64, band *Band) (trialVerdict, error) {
+func (b *backend) runTrial(sw *slotWorker, s slot) (trialVerdict, error) {
 	t := time.Now()
 	defer sw.scrub()
-	depth, err := sw.plant(sw.draw(seed, band))
+	depth, err := sw.plant(sw.draw(s.seed, s.band))
 	if err != nil {
 		return trialVerdict{}, err
 	}

@@ -44,7 +44,7 @@ func dryRunFaultSpace(m *models.Model, feeds graph.Feeds, extraExclude, targetNo
 func planFaultSpace(t *testing.T, m *models.Model, feeds graph.Feeds, extraExclude, targetNodes []string) *FaultSpace {
 	t.Helper()
 	c := &Campaign{Model: m, Exclude: extraExclude, TargetNodes: targetNodes}
-	plan, err := c.compile(nil)
+	plan, err := c.compile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,11 +103,13 @@ func TestPlanFaultSpaceMatchesExecutorDryRun(t *testing.T) {
 						t.Fatal(err)
 					}
 					c := &Campaign{Model: m, Exclude: exclude, TargetNodes: target.nodes}
-					observe, err := c.compile(nil)
+					observe, err := c.compile()
 					if err != nil {
 						t.Fatal(err)
 					}
-					observeAll, err := c.compile(silentDetector{})
+					dc := *c
+					dc.Detector = silentDetector{}
+					observeAll, err := dc.compile()
 					if err != nil {
 						t.Fatal(err)
 					}

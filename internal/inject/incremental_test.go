@@ -29,7 +29,9 @@ func (silentDetector) CloneDetector() Detector             { return silentDetect
 // reference the suffix-replay campaign must match.
 func fullReplayOutcome(t *testing.T, c *Campaign, feeds []graph.Feeds) Outcome {
 	t.Helper()
-	out, err := c.RunWithDetector(context.Background(), feeds, silentDetector{})
+	dc := *c
+	dc.Detector = silentDetector{}
+	out, err := dc.RunWithDetector(context.Background(), feeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestReferenceNotClobberedAcrossInputs(t *testing.T) {
 		{"int8", &Campaign{Model: m, Trials: 1, Seed: 1, Scenario: BitFlips{Flips: 1}, Calibration: calib}},
 	}
 	for _, tc := range cases {
-		b, err := tc.c.newBackend(nil)
+		b, err := tc.c.newBackend(feeds)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -161,16 +163,16 @@ func checkTrialZeroAlloc(t *testing.T, m *models.Model, feeds []graph.Feeds, cam
 		{"full", nil},
 	} {
 		c := campaign(space.targets)
-		b, err := c.newBackend(nil)
+		b, err := c.newBackend(feeds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := b.prepareInput(feeds[0], nil); err != nil {
+		if err := b.prepareInput(0); err != nil {
 			t.Fatal(err)
 		}
 		sw := b.newSlotWorker()
 		run := func(trial int) {
-			if _, err := b.runTrial(sw, trialSeed(c.Seed, 0, trial), nil); err != nil {
+			if _, err := b.runTrial(sw, slot{seed: trialSeed(c.Seed, 0, trial)}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -344,12 +346,12 @@ func TestTrialMaskedMatchesFullReplay(t *testing.T) {
 			if _, err := cone.Run(ctx, tc.feeds); err != nil {
 				t.Fatal(err)
 			}
-			full := &Campaign{Model: tc.m, Trials: 40, Seed: 11}
+			full := &Campaign{Model: tc.m, Trials: 40, Seed: 11, Detector: silentDetector{}}
 			fullTrials := record(full)
-			if _, err := full.RunWithDetector(ctx, tc.feeds, silentDetector{}); err != nil {
+			if _, err := full.RunWithDetector(ctx, tc.feeds); err != nil {
 				t.Fatal(err)
 			}
-			b, err := cone.newBackend(nil)
+			b, err := cone.newBackend(tc.feeds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -392,7 +394,7 @@ func TestTrialMaskedMatchesFullReplay(t *testing.T) {
 		if _, err := c.Run(ctx, lenetFeeds); err != nil {
 			t.Fatal(err)
 		}
-		b, err := c.newBackend(nil)
+		b, err := c.newBackend(lenetFeeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -427,7 +429,7 @@ func TestTrialMaskedMatchesFullReplay(t *testing.T) {
 				}
 				v := c.judgeData(ck.Output(0), outs[0].Data())
 				v.start, v.masked = depth, bitsEqual(outs[0].Data(), ck.Output(0).Data())
-				want, got := v.result(ii, trial), coneTrials[key{ii, trial}]
+				want, got := v.result(slot{input: ii, trial: trial}), coneTrials[key{ii, trial}]
 				if !sameVerdict(want, got) || want.ReplayStart != got.ReplayStart {
 					t.Fatalf("trial %d/%d: cone %+v, suffix replay %+v", ii, trial, got, want)
 				}

@@ -72,7 +72,15 @@ func siteBoundsError(s Site, size int) error {
 	return fmt.Errorf("%w: site %s[%d] in %d elements", ErrFaultSpaceMismatch, s.Node, s.Elem, size)
 }
 
-// Campaign runs fault-injection trials against one model.
+// Campaign runs fault-injection trials against one model. Its own
+// fields select its mode, and each mode has its entry points: a
+// persistent Surface runs sequences through RunPersistent (and, under
+// uniform sampling, RunPersistentSlice); otherwise a set Adaptive runs
+// stratified trials through RunAdaptive/NewAdaptiveRun, a set Detector
+// runs detector trials through RunWithDetector, and anything else runs
+// uniform trials through Run/RunSlice. An entry point rejects a campaign
+// of another mode, and every mode rejects the settings it does not
+// apply.
 type Campaign struct {
 	Model *models.Model
 	// Format is the fixed-point datatype of the simulated datapath
@@ -115,23 +123,25 @@ type Campaign struct {
 	// SamplingUniform, is the classic uniform grid over the fault space
 	// (Trials injections per input, run by Run/RunSlice).
 	// AdaptiveStratified and AdaptiveWorstCase instead run the
-	// stratified engine (RunAdaptive): trials allocate across
-	// (layer × bit-band) strata in deterministic rounds, each stratum
-	// stopping once its Wilson CI half-width falls below CITarget, with
-	// Trials×len(inputs) as the total budget. Run/RunSlice reject
-	// adaptive campaigns.
+	// stratified engine (RunAdaptive, or RunPersistent on a persistent
+	// surface): trials allocate across (layer × bit-band) strata in
+	// deterministic rounds, each stratum stopping once its Wilson CI
+	// half-width falls below CITarget, with the grid size as the total
+	// budget.
 	Adaptive SamplingMode
 	// CITarget is the per-stratum 95% Wilson CI half-width at which a
-	// stratum stops drawing trials (adaptive modes only); 0 means
-	// DefaultCITarget.
+	// stratum stops drawing trials (adaptive modes only, rejected
+	// elsewhere); 0 means DefaultCITarget.
 	CITarget float64
 	// Strata is the number of bit-position bands each fault-space node
-	// splits into, high bits first (adaptive modes only); 0 means
-	// DefaultStrataBands. Bands clamp to the datapath's bit width.
+	// splits into, high bits first (adaptive modes only, rejected
+	// elsewhere); 0 means DefaultStrataBands. Bands clamp to the
+	// datapath's bit width.
 	Strata int
-	// OnTrial, when non-nil, streams each trial's judged result as it
-	// completes. Calls are serialized but arrive in scheduling order, not
-	// trial order; the final Outcome is still folded deterministically.
+	// OnTrial, when non-nil, streams each transient trial's judged result
+	// as it completes. Calls are serialized but arrive in scheduling
+	// order, not trial order; the final Outcome is still folded
+	// deterministically. Persistent campaigns stream through OnSequence.
 	OnTrial func(TrialResult)
 	// Surface selects where faults live. nil (or ActivationSurface) is
 	// the transient default: faults strike operator outputs in flight,
@@ -143,25 +153,25 @@ type Campaign struct {
 	Surface Surface
 	// SequenceLen is how many inferences each persistent sequence runs
 	// before giving up undetected; 0 means DefaultSequenceLen.
-	// Persistent surfaces only.
+	// Persistent surfaces only, rejected elsewhere.
 	SequenceLen int
 	// Repair enables detection-triggered scrub-from-golden repair in
 	// persistent sequences; it requires a Detector (detection is the
 	// trigger). The post-repair replay is byte-checked against the clean
 	// reference and accounted in PersistentOutcome.PostRepairOK.
 	Repair bool
-	// Detector, when non-nil, observes every persistent inference (reset
-	// per inference) and its detections end sequences — the
-	// inferences-to-detection measurement. nil means sequences run their
-	// full length and every SDC counts as undetected. Each worker
+	// Detector, when non-nil, is reset before and observes every
+	// inference. On a persistent surface its detections end sequences —
+	// the inferences-to-detection measurement — and nil means sequences
+	// run their full length with every SDC undetected. On the transient
+	// surface a Detector makes a detector campaign (RunWithDetector): it
+	// also watches each input's clean pass for false positives, and every
+	// trial replays from step 0 so it sees every node. Each worker
 	// observes with its own clone of a CloneableDetector; any other
-	// detector forces one worker, which sees the sequences in order.
-	// Persistent surfaces only; transient campaigns pass their detector
-	// to RunWithDetector, which runs it on the same engine, replaying
-	// every trial from step 0.
+	// detector forces one worker, which sees the slots in order.
 	Detector Detector
 	// OnSequence, when non-nil, streams each persistent sequence's
-	// result as it completes. Calls are serialized but arrive in
+	// result as it completes (persistent surfaces only). Calls are serialized but arrive in
 	// scheduling order; the PersistentOutcome still folds in sequence
 	// order.
 	OnSequence func(SequenceResult)
@@ -197,46 +207,69 @@ func (c *Campaign) bits() int {
 	return c.format().Bits()
 }
 
-// entry names the entry point a campaign runs through.
-type entry int
+// mode is the campaign shape a Campaign's own fields select, and with it
+// the entry points that run it: a persistent Surface selects a sequence
+// campaign; otherwise a set Adaptive selects a stratified campaign, a set
+// Detector a detector campaign, and anything else a uniform one.
+type mode int
 
 const (
-	uniformEntry            entry = iota // Run, RunSlice
-	detectorEntry                        // RunWithDetector
-	adaptiveEntry                        // NewAdaptiveRun, RunAdaptive
-	sequenceEntry                        // RunPersistentSlice, uniform RunPersistent
-	stratifiedSequenceEntry              // RunPersistent under an adaptive mode
+	uniformMode    mode = iota // Run, RunSlice
+	detectorMode               // RunWithDetector
+	stratifiedMode             // NewAdaptiveRun, RunAdaptive
+	sequenceMode               // RunPersistent, RunPersistentSlice
 )
 
-// validate is the one configuration check: it rejects campaign
-// configurations the entry point cannot run — the sampling mode, surface,
-// backend and detector each select entry points — and then unrunnable
-// trial, input, scenario, persistent and stratified settings. det is
-// RunWithDetector's detector.
-func (c *Campaign) validate(inputs []graph.Feeds, ep entry, det Detector) error {
-	surf := c.surface()
-	adaptive := c.Adaptive == AdaptiveStratified || c.Adaptive == AdaptiveWorstCase
+// modes describes each mode: what selects it, and its entry points.
+var modes = [...]struct{ what, entry string }{
+	uniformMode:    {"uniform campaign (no persistent Surface, Adaptive or Detector set)", "Run/RunSlice"},
+	detectorMode:   {"detector campaign (Detector set)", "RunWithDetector"},
+	stratifiedMode: {"stratified campaign (Adaptive set)", "NewAdaptiveRun/RunAdaptive"},
+	sequenceMode:   {"sequence campaign (persistent Surface)", "RunPersistent/RunPersistentSlice"},
+}
+
+func (c *Campaign) mode() mode {
 	switch {
-	case ep == uniformEntry && c.Adaptive != SamplingUniform:
-		return fmt.Errorf("inject: adaptive campaigns run through RunAdaptive, not Run/RunSlice")
-	case ep == uniformEntry && surf.Persistent():
-		return fmt.Errorf("inject: persistent surface %q runs through RunPersistent, not Run/RunSlice", surf.Name())
-	case ep == detectorEntry && det == nil:
-		return fmt.Errorf("inject: nil detector")
-	case ep == detectorEntry && c.Calibration != nil:
-		return fmt.Errorf("inject: RunWithDetector observes fp32 values; quantized campaigns run through Run, RunSlice, RunAdaptive and RunPersistent")
-	case ep == detectorEntry && c.Adaptive != SamplingUniform:
-		return fmt.Errorf("inject: detector campaigns sample uniformly; unset Campaign.Adaptive")
-	case ep == detectorEntry && surf.Persistent():
-		return fmt.Errorf("inject: persistent surface %q runs through RunPersistent (set Campaign.Detector)", surf.Name())
-	case ep == adaptiveEntry && c.Adaptive == SamplingUniform:
-		return fmt.Errorf("inject: NewAdaptiveRun needs Campaign.Adaptive set")
-	case (ep == adaptiveEntry || ep == stratifiedSequenceEntry) && !adaptive:
+	case c.surface().Persistent():
+		return sequenceMode
+	case c.Adaptive != SamplingUniform:
+		return stratifiedMode
+	case c.Detector != nil:
+		return detectorMode
+	}
+	return uniformMode
+}
+
+// validateAs is every entry point's check: the campaign's fields must
+// select the entry point's own mode, and the campaign must validate.
+func (c *Campaign) validateAs(want mode, inputs []graph.Feeds) error {
+	if m := c.mode(); m != want {
+		return fmt.Errorf("inject: a %s runs through %s, not %s", modes[m].what, modes[m].entry, modes[want].entry)
+	}
+	return c.validate(inputs)
+}
+
+// validate is the one configuration check. It rejects every setting the
+// campaign's mode does not apply, then unrunnable trial, input, scenario,
+// surface, sequence and stratified settings.
+func (c *Campaign) validate(inputs []graph.Feeds) error {
+	m := c.mode()
+	stratified := c.Adaptive != SamplingUniform
+	switch {
+	case m != sequenceMode && (c.SequenceLen != 0 || c.Repair):
+		return fmt.Errorf("inject: SequenceLen and Repair apply to persistent surfaces only")
+	case m != sequenceMode && c.OnSequence != nil:
+		return fmt.Errorf("inject: OnSequence streams persistent sequences; transient campaigns stream through OnTrial")
+	case m == sequenceMode && c.OnTrial != nil:
+		return fmt.Errorf("inject: OnTrial streams transient trials; persistent campaigns stream through OnSequence")
+	case !stratified && (c.CITarget != 0 || c.Strata != 0):
+		return fmt.Errorf("inject: CITarget and Strata apply to stratified campaigns only (set Campaign.Adaptive)")
+	case m == stratifiedMode && c.Detector != nil:
+		return fmt.Errorf("inject: stratified transient campaigns take no Detector; detector campaigns sample uniformly")
+	case m == detectorMode && c.Calibration != nil:
+		return fmt.Errorf("inject: detector campaigns observe fp32 values; quantized campaigns run through Run, RunSlice, RunAdaptive and RunPersistent")
+	case stratified && c.Adaptive != AdaptiveStratified && c.Adaptive != AdaptiveWorstCase:
 		return fmt.Errorf("inject: unknown sampling mode %d", c.Adaptive)
-	case ep == adaptiveEntry && surf.Persistent():
-		return fmt.Errorf("inject: stratified persistent campaigns run in-engine through RunPersistent, not NewAdaptiveRun")
-	case ep == sequenceEntry && c.Adaptive != SamplingUniform:
-		return fmt.Errorf("inject: stratified persistent campaigns run through RunPersistent, not slices")
 	}
 	if c.Trials <= 0 {
 		return fmt.Errorf("inject: trials = %d", c.Trials)
@@ -247,27 +280,20 @@ func (c *Campaign) validate(inputs []graph.Feeds, ep entry, det Detector) error 
 	if err := c.scenario().Validate(); err != nil {
 		return err
 	}
-	if ep == sequenceEntry || ep == stratifiedSequenceEntry {
-		if !surf.Persistent() {
-			return fmt.Errorf("inject: surface %q is transient; run it through Run", surf.Name())
-		}
-		if err := surf.Validate(c); err != nil {
-			return err
-		}
-		if c.SequenceLen < 0 {
-			return fmt.Errorf("inject: sequence length = %d", c.SequenceLen)
-		}
-		if c.Repair && c.Detector == nil {
-			return fmt.Errorf("inject: Repair without a Detector: detection is what triggers the scrub")
-		}
+	if err := c.surface().Validate(c); err != nil {
+		return err
 	}
-	if ep == adaptiveEntry || ep == stratifiedSequenceEntry {
-		if c.CITarget < 0 || c.CITarget >= 1 {
-			return fmt.Errorf("inject: CI target %v outside (0,1)", c.CITarget)
-		}
-		if c.Strata < 0 {
-			return fmt.Errorf("inject: strata = %d", c.Strata)
-		}
+	if c.SequenceLen < 0 {
+		return fmt.Errorf("inject: sequence length = %d", c.SequenceLen)
+	}
+	if c.Repair && c.Detector == nil {
+		return fmt.Errorf("inject: Repair without a Detector: detection is what triggers the scrub")
+	}
+	if c.CITarget < 0 || c.CITarget >= 1 {
+		return fmt.Errorf("inject: CI target %v outside (0,1)", c.CITarget)
+	}
+	if c.Strata < 0 {
+		return fmt.Errorf("inject: strata = %d", c.Strata)
 	}
 	return nil
 }
@@ -292,8 +318,8 @@ type TrialResult struct {
 	Deviation float64
 	// IsRegression marks regressor trials (Deviation is meaningful).
 	IsRegression bool
-	// Detected reports whether the campaign's detector flagged the
-	// trial (RunWithDetector only; always false elsewhere).
+	// Detected reports whether Campaign.Detector flagged the trial
+	// (detector campaigns only; always false elsewhere).
 	Detected bool
 	// Masked reports that the faulty fetch was bit-identical to the
 	// clean reference: the model's own operators absorbed the fault.
@@ -457,12 +483,12 @@ func (c *Campaign) observeNames() []string {
 }
 
 // compile builds the campaign's shared execution plan: compiled once per
-// Run, reused across every trial and worker. A detector observes every
-// operator output, so a detector campaign's plan marks every node as an
-// observation point (no fusion).
-func (c *Campaign) compile(det Detector) (*graph.Plan, error) {
+// Run, reused across every trial and worker. A detector campaign's
+// detector observes every operator output, so its plan marks every node
+// as an observation point (no fusion).
+func (c *Campaign) compile() (*graph.Plan, error) {
 	opts := graph.CompileOptions{Observe: c.observeNames()}
-	if det != nil {
+	if c.mode() == detectorMode {
 		opts = graph.CompileOptions{ObserveAll: true}
 	}
 	plan, err := graph.CompileWith(c.Model.Graph, opts, c.Model.Output)
@@ -502,10 +528,40 @@ func (c *Campaign) Run(ctx context.Context, inputs []graph.Feeds) (Outcome, erro
 	return c.RunSlice(ctx, inputs, 0, c.GridSize(inputs))
 }
 
-// GridSize returns the linearized size of the campaign's (input, trial)
-// grid: len(inputs) * Trials.
+// GridSize returns the linearized size of the campaign's grid:
+// len(inputs) * Trials (input, trial) positions on the transient surface,
+// and Trials sequences on a persistent one, where inputs cycle within
+// each sequence instead of multiplying the grid.
 func (c *Campaign) GridSize(inputs []graph.Feeds) int64 {
+	if c.surface().Persistent() {
+		return int64(c.Trials)
+	}
 	return int64(len(inputs)) * int64(c.Trials)
+}
+
+// checkSlice rejects a slice [start, end) outside the campaign's grid.
+func (c *Campaign) checkSlice(inputs []graph.Feeds, start, end int64) error {
+	if total := c.GridSize(inputs); start < 0 || end > total || start > end {
+		return fmt.Errorf("inject: slice [%d,%d) outside grid [0,%d)", start, end, total)
+	}
+	return nil
+}
+
+// gridSlots returns input ii's share of the transient grid positions
+// [start, end) as slots: position p is trial p%Trials of input p/Trials,
+// sampling from its trialSeed(Seed, input, trial) stream.
+func (c *Campaign) gridSlots(ii int, start, end int64) []slot {
+	lo := int64(ii) * int64(c.Trials)
+	from, to := max(start, lo), min(end, lo+int64(c.Trials))
+	if from >= to {
+		return nil
+	}
+	slots := make([]slot, 0, to-from)
+	for p := from; p < to; p++ {
+		t := int(p - lo)
+		slots = append(slots, slot{input: ii, trial: t, seed: trialSeed(c.Seed, ii, t)})
+	}
+	return slots
 }
 
 // RunSlice executes the sub-range [start, end) of the campaign's
@@ -522,44 +578,24 @@ func (c *Campaign) GridSize(inputs []graph.Feeds) int64 {
 // Cancellation follows the Run contract: a cancelled slice returns
 // ctx.Err() and a zero Outcome, never a partial fold.
 func (c *Campaign) RunSlice(ctx context.Context, inputs []graph.Feeds, start, end int64) (Outcome, error) {
-	if err := c.validate(inputs, uniformEntry, nil); err != nil {
+	if err := c.validateAs(uniformMode, inputs); err != nil {
 		return Outcome{}, err
 	}
-	total := c.GridSize(inputs)
-	if start < 0 || end > total || start > end {
-		return Outcome{}, fmt.Errorf("inject: slice [%d,%d) outside grid [0,%d)", start, end, total)
+	if err := c.checkSlice(inputs, start, end); err != nil {
+		return Outcome{}, err
 	}
-	b, err := c.newBackend(nil)
+	b, err := c.newBackend(inputs)
 	if err != nil {
 		return Outcome{}, err
 	}
 	var out Outcome
-	for ii, feeds := range inputs {
-		inLo := int64(ii) * int64(c.Trials)
-		sliceLo, sliceHi := max(start, inLo), min(end, inLo+int64(c.Trials))
-		if sliceLo >= sliceHi {
-			continue
-		}
-		// The input's trial sub-range [t0, t0+n); slot i holds trial t0+i.
-		t0, n := int(sliceLo-inLo), int(sliceHi-sliceLo)
-		if err := ctx.Err(); err != nil {
-			return Outcome{}, err
-		}
-		if err := b.prepareInput(feeds, nil); err != nil {
-			return Outcome{}, err
-		}
-		verdicts := make([]trialVerdict, n)
-		if err := b.runGrid(ctx, ii, t0, verdicts); err != nil {
-			return Outcome{}, err
-		}
-		for slot := 0; slot < n; slot++ {
-			verdicts[slot].apply(&out)
-		}
-	}
-	// A cancellation that lands as (or after) the last trials complete
-	// leaves no per-trial error behind; surface it anyway so a cancelled
-	// campaign can never masquerade as a completed one.
-	if err := ctx.Err(); err != nil {
+	err = b.runSlots(ctx, func(ii int) []slot { return c.gridSlots(ii, start, end) },
+		func(_ []slot, verdicts []trialVerdict, _ bool) {
+			for _, v := range verdicts {
+				v.apply(&out)
+			}
+		})
+	if err != nil {
 		return Outcome{}, err
 	}
 	return out, nil
@@ -591,11 +627,13 @@ func (v trialVerdict) apply(out *Outcome) {
 	out.Trials++
 }
 
-// result converts the verdict into a streamable TrialResult.
-func (v trialVerdict) result(input, trial int) TrialResult {
+// result converts slot s's verdict into a streamable TrialResult.
+func (v trialVerdict) result(s slot) TrialResult {
 	return TrialResult{
-		Input:        input,
-		Trial:        trial,
+		Input:        s.input,
+		Trial:        s.trial,
+		Stratum:      s.stratum,
+		Seq:          s.seq,
 		Top1SDC:      v.top1,
 		Top5SDC:      v.top5,
 		Deviation:    v.dev,

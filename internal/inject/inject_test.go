@@ -45,6 +45,96 @@ func TestCampaignValidation(t *testing.T) {
 	}
 }
 
+// TestCampaignRejectsSettingsOutsideItsMode: a campaign's own fields
+// select its mode, each entry point runs only its own mode, and a
+// setting the mode does not apply is rejected instead of ignored. The
+// accepted rows are the campaign shapes the benchmark, the experiments,
+// the baselines, rangerd and rangerinject build; each must still run.
+func TestCampaignRejectsSettingsOutsideItsMode(t *testing.T) {
+	ctx := context.Background()
+	m, feeds := lenetInputs(t, 1)
+	calib := lenetCalibration(t, m, feeds)
+	nodes := CorruptibleNodes(m, nil, nil)
+	late := nodes[len(nodes)-len(nodes)/3:]
+	var all []string
+	for _, n := range m.Graph.Nodes() {
+		all = append(all, n.Name())
+	}
+	entries := map[string]func(c *Campaign) error{
+		"Run":                   func(c *Campaign) (err error) { _, err = c.Run(ctx, feeds); return },
+		"RunSlice":              func(c *Campaign) (err error) { _, err = c.RunSlice(ctx, feeds, 0, 1); return },
+		"RunWithDetector":       func(c *Campaign) (err error) { _, err = c.RunWithDetector(ctx, feeds); return },
+		"NewAdaptiveRun":        func(c *Campaign) (err error) { _, err = c.NewAdaptiveRun(feeds); return },
+		"RunAdaptive":           func(c *Campaign) (err error) { _, err = c.RunAdaptive(ctx, feeds); return },
+		"UniformTrialsToTarget": func(c *Campaign) (err error) { _, _, err = c.UniformTrialsToTarget(ctx, feeds, 1); return },
+		"RunPersistent":         func(c *Campaign) (err error) { _, err = c.RunPersistent(ctx, feeds); return },
+		"RunPersistentSlice":    func(c *Campaign) (err error) { _, err = c.RunPersistentSlice(ctx, feeds, 0, 1); return },
+	}
+	onTrial, onSequence := func(TrialResult) {}, func(SequenceResult) {}
+	int8 := func(c Campaign) Campaign {
+		c.Scenario, c.Calibration = BitFlips{Flips: 1}, calib
+		return c
+	}
+	benchUniform := Campaign{Seed: 1, Workers: 1, TargetNodes: late}
+	benchSequence := Campaign{Seed: 1, Workers: 1, TargetNodes: all, Surface: WeightSurface{},
+		SequenceLen: 16, Repair: true, Detector: &alwaysDetector{}}
+	benchQuantParam := int8(benchSequence)
+	benchQuantParam.Surface, benchQuantParam.Detector = QuantParamSurface{}, &alwaysDetector{}
+	stratified := Campaign{Adaptive: AdaptiveStratified, CITarget: 0.25, Strata: 2}
+	for _, r := range []struct {
+		entry, setting string
+		c              Campaign
+		ok             bool
+	}{
+		// Settings outside the mode.
+		{"Run", "Detector", Campaign{Detector: silentDetector{}}, false},
+		{"Run", "SequenceLen", Campaign{SequenceLen: 4}, false},
+		{"Run", "Repair", Campaign{Repair: true}, false},
+		{"Run", "OnSequence", Campaign{OnSequence: onSequence}, false},
+		{"Run", "Adaptive", Campaign{Adaptive: AdaptiveStratified}, false},
+		{"Run", "persistent surface", Campaign{Surface: WeightSurface{}}, false},
+		{"RunSlice", "CITarget", Campaign{CITarget: 0.1}, false},
+		{"RunSlice", "Strata", Campaign{Strata: 2}, false},
+		{"RunWithDetector", "Calibration", int8(Campaign{Detector: silentDetector{}}), false},
+		{"RunWithDetector", "no Detector", Campaign{}, false},
+		{"RunWithDetector", "persistent surface", Campaign{Surface: WeightSurface{}, Detector: &alwaysDetector{}}, false},
+		{"NewAdaptiveRun", "Detector", Campaign{Adaptive: AdaptiveStratified, Detector: silentDetector{}}, false},
+		{"NewAdaptiveRun", "persistent surface", Campaign{Surface: WeightSurface{}, Adaptive: AdaptiveStratified}, false},
+		{"NewAdaptiveRun", "unknown sampling mode", Campaign{Adaptive: 7}, false},
+		{"RunPersistent", "transient surface", Campaign{}, false},
+		{"RunPersistent", "Repair without Detector", Campaign{Surface: WeightSurface{}, Repair: true}, false},
+		{"RunPersistent", "OnTrial", Campaign{Surface: WeightSurface{}, OnTrial: onTrial}, false},
+		{"RunPersistentSlice", "Adaptive", Campaign{Surface: WeightSurface{}, Adaptive: AdaptiveStratified}, false},
+		// Shapes built across the repository.
+		{"Run", "bench campaign fp32", benchUniform, true},
+		{"Run", "bench campaign int8", int8(benchUniform), true},
+		{"Run", "experiments and baselines", Campaign{Format: fixpoint.Q32, Scenario: DefaultScenario(), Seed: 3, TargetNodes: nodes[:1]}, true},
+		{"RunSlice", "rangerd uniform job", Campaign{Scenario: DefaultScenario(), OnTrial: onTrial}, true},
+		{"RunWithDetector", "experiments Table VI", Campaign{Format: fixpoint.Q32, Scenario: DefaultScenario(), Detector: silentDetector{}}, true},
+		{"RunAdaptive", "experiments adaptive", stratified, true},
+		{"UniformTrialsToTarget", "experiments adaptive baseline", stratified, true},
+		{"NewAdaptiveRun", "rangerd adaptive job", Campaign{Adaptive: AdaptiveWorstCase, CITarget: 0.05, Strata: 4, OnTrial: onTrial}, true},
+		{"RunPersistent", "bench persistent fp32", benchSequence, true},
+		{"RunPersistent", "bench persistent int8", int8(benchSequence), true},
+		{"RunPersistent", "bench persistent quantparam", benchQuantParam, true},
+		{"RunPersistent", "bench detector probe", Campaign{Surface: WeightSurface{}, SequenceLen: 16, TargetNodes: all}, true},
+		{"RunPersistent", "stratified sequences", Campaign{Surface: WeightSurface{}, Adaptive: AdaptiveStratified, CITarget: 0.25, Strata: 2, Detector: &alwaysDetector{}, Repair: true}, true},
+		{"RunPersistentSlice", "rangerd persistent job", Campaign{Surface: WeightSurface{}, SequenceLen: 4, Repair: true, Detector: &alwaysDetector{}, OnSequence: onSequence}, true},
+	} {
+		t.Run(r.entry+"/"+r.setting, func(t *testing.T) {
+			c := r.c
+			c.Model, c.Trials = m, 1
+			err := entries[r.entry](&c)
+			if r.ok && err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			if !r.ok && err == nil {
+				t.Fatal("accepted")
+			}
+		})
+	}
+}
+
 func TestCampaignRunsAndCounts(t *testing.T) {
 	m, feeds := lenetInputs(t, 2)
 	c := &Campaign{Model: m, Trials: 25, Seed: 1}

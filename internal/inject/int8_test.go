@@ -67,8 +67,8 @@ func TestInt8ScenarioValidation(t *testing.T) {
 	calib := lenetCalibration(t, m, feeds)
 	// RunWithDetector is fp32-only; the rejection names the entry points
 	// that do take int8, RunPersistent (with a Detector) among them.
-	c := &Campaign{Model: m, Trials: 1, Calibration: calib}
-	if _, err := c.RunWithDetector(ctx, feeds, nopDetector{}); err == nil {
+	c := &Campaign{Model: m, Trials: 1, Calibration: calib, Detector: nopDetector{}}
+	if _, err := c.RunWithDetector(ctx, feeds); err == nil {
 		t.Fatal("detector ran on the quantized backend")
 	} else if !strings.Contains(err.Error(), "RunPersistent") {
 		t.Fatalf("rejection %q does not name RunPersistent", err)

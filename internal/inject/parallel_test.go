@@ -134,7 +134,8 @@ func TestRunWithDetectorDeterministicAcrossWorkerCounts(t *testing.T) {
 				detected++
 			}
 		}}
-		out, err := c.RunWithDetector(context.Background(), feeds, &countingDetector{threshold: 1e6})
+		c.Detector = &countingDetector{threshold: 1e6}
+		out, err := c.RunWithDetector(context.Background(), feeds)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,8 +181,8 @@ func (d *uncloneableDetector) Detected() bool                      { return fals
 func TestRunWithDetectorSequentialFallback(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
 	det := &uncloneableDetector{}
-	c := &Campaign{Model: m, Trials: 5, Seed: 1, Workers: 4}
-	out, err := c.RunWithDetector(context.Background(), feeds, det)
+	c := &Campaign{Model: m, Trials: 5, Seed: 1, Workers: 4, Detector: det}
+	out, err := c.RunWithDetector(context.Background(), feeds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,11 +75,8 @@ var errDUE = errors.New("inject: persistent fault made the plan unbuildable (DUE
 // streamed through Campaign.OnSequence while the campaign runs.
 type SequenceResult struct {
 	// Sequence is the sequence's position in the campaign grid (uniform
-	// sampling) or the global allocation sequence (stratified); Seq is
-	// the same value, kept as the durable frontier field name consumers
-	// of TrialResult already use.
+	// sampling) or the global allocation sequence (stratified).
 	Sequence int64
-	Seq      int64
 	// Node names the struck surface node (the first sampled site's).
 	Node string
 	// Detected reports whether the Detector flagged any inference;
@@ -214,12 +211,6 @@ func (c *Campaign) sequenceLen() int {
 	}
 	return c.SequenceLen
 }
-
-// PersistentGridSize returns the linearized size of a persistent
-// campaign's sequence grid: Trials sequences. Inputs cycle within each
-// sequence instead of multiplying the grid as they do for transient
-// campaigns.
-func (c *Campaign) PersistentGridSize() int64 { return int64(c.Trials) }
 
 // storedSpace is a persistent campaign's fault space: the stored
 // weights (fp32 Variables, or int8 kernel buffers) on the weight
@@ -492,16 +483,6 @@ func (w *quantParamWorker) plant(sites []Site) (int, error) {
 	return depth, nil
 }
 
-// plannedSeq is one allocated persistent sequence: its global position,
-// its private sampling seed, and (under stratified sampling) its
-// stratum and the stratum's site constraint.
-type plannedSeq struct {
-	seq     int64
-	seed    int64
-	stratum int // -1 under uniform sampling
-	Band
-}
-
 // bitsEqual reports byte-exact equality of two float32 slices (bit
 // patterns compare, so NaN == NaN — this is a memory check, not an
 // IEEE one).
@@ -523,14 +504,10 @@ func bitsEqual(a, b []float32) bool {
 // detection ends the sequence, optionally scrubbing the fault and
 // byte-checking the post-repair replay. The worker is always scrubbed
 // before returning.
-func (b *backend) runSequence(sw *slotWorker, ps plannedSeq) (SequenceResult, error) {
+func (b *backend) runSequence(sw *slotWorker, s slot) (SequenceResult, error) {
 	c := b.c
-	r := SequenceResult{Sequence: ps.seq, Seq: ps.seq, Stratum: ps.stratum}
-	var band *Band
-	if ps.stratum >= 0 {
-		band = &ps.Band
-	}
-	sites := sw.draw(ps.seed, band)
+	r := SequenceResult{Sequence: s.seq, Stratum: s.stratum}
+	sites := sw.draw(s.seed, s.band)
 	if len(sites) > 0 {
 		r.Node = sites[0].Node
 	}
@@ -580,7 +557,7 @@ func (b *backend) runSequence(sw *slotWorker, ps plannedSeq) (SequenceResult, er
 // runSequences runs the planned sequences on the shard loop in slot
 // order, landing results in their slots; OnSequence streams them as
 // they complete.
-func (b *backend) runSequences(ctx context.Context, plan []plannedSeq, results []SequenceResult) error {
+func (b *backend) runSequences(ctx context.Context, plan []slot, results []SequenceResult) error {
 	var emit func(slot int)
 	if b.c.OnSequence != nil {
 		emit = func(slot int) { b.c.OnSequence(results[slot]) }
@@ -589,19 +566,6 @@ func (b *backend) runSequences(ctx context.Context, plan []plannedSeq, results [
 		results[slot], err = b.runSequence(sw, plan[slot])
 		return err
 	}, emit)
-}
-
-// newSequenceBackend builds a persistent campaign's backend with every
-// input checkpointed.
-func (c *Campaign) newSequenceBackend(inputs []graph.Feeds) (*backend, error) {
-	b, err := c.newBackend(c.Detector)
-	if err != nil {
-		return nil, err
-	}
-	if err := b.checkpoint(nil, inputs...); err != nil {
-		return nil, err
-	}
-	return b, nil
 }
 
 // RunPersistent executes the persistent campaign over the given inputs:
@@ -616,7 +580,7 @@ func (c *Campaign) RunPersistent(ctx context.Context, inputs []graph.Feeds) (Per
 	if c.Adaptive != SamplingUniform {
 		return c.runPersistentStratified(ctx, inputs)
 	}
-	return c.RunPersistentSlice(ctx, inputs, 0, c.PersistentGridSize())
+	return c.RunPersistentSlice(ctx, inputs, 0, c.GridSize(inputs))
 }
 
 // RunPersistentSlice executes the sub-range [start, end) of the
@@ -628,22 +592,24 @@ func (c *Campaign) RunPersistent(ctx context.Context, inputs []graph.Feeds) (Per
 // order. This is the durable-resume primitive behind rangerd's
 // persistent jobs.
 func (c *Campaign) RunPersistentSlice(ctx context.Context, inputs []graph.Feeds, start, end int64) (PersistentOutcome, error) {
-	if err := c.validate(inputs, sequenceEntry, nil); err != nil {
+	if err := c.validateAs(sequenceMode, inputs); err != nil {
 		return PersistentOutcome{}, err
 	}
-	total := c.PersistentGridSize()
-	if start < 0 || end > total || start > end {
-		return PersistentOutcome{}, fmt.Errorf("inject: slice [%d,%d) outside grid [0,%d)", start, end, total)
+	if c.Adaptive != SamplingUniform {
+		return PersistentOutcome{}, fmt.Errorf("inject: stratified persistent campaigns run through RunPersistent, not slices")
 	}
-	b, err := c.newSequenceBackend(inputs)
+	if err := c.checkSlice(inputs, start, end); err != nil {
+		return PersistentOutcome{}, err
+	}
+	b, err := c.newBackend(inputs)
 	if err != nil {
 		return PersistentOutcome{}, err
 	}
 	n := int(end - start)
-	plan := make([]plannedSeq, n)
+	plan := make([]slot, n)
 	for i := range plan {
 		s := start + int64(i)
-		plan[i] = plannedSeq{seq: s, seed: sequenceSeed(c.Seed, s), stratum: -1}
+		plan[i] = slot{seq: s, seed: sequenceSeed(c.Seed, s), stratum: -1}
 	}
 	results := make([]SequenceResult, n)
 	if err := b.runSequences(ctx, plan, results); err != nil {
@@ -666,33 +632,23 @@ func (c *Campaign) RunPersistentSlice(ctx context.Context, inputs []graph.Feeds,
 // Wilson CI half-width over the per-sequence SDC criterion falls below
 // CITarget, with Trials as the total sequence budget.
 func (c *Campaign) runPersistentStratified(ctx context.Context, inputs []graph.Feeds) (PersistentOutcome, error) {
-	if err := c.validate(inputs, stratifiedSequenceEntry, nil); err != nil {
+	if err := c.validateAs(sequenceMode, inputs); err != nil {
 		return PersistentOutcome{}, err
 	}
-	b, err := c.newSequenceBackend(inputs)
+	b, err := c.newBackend(inputs)
 	if err != nil {
 		return PersistentOutcome{}, err
 	}
 	target, bands := c.stratifiedConfig()
 	st := newStrata(buildStrata(b.space, c.bits(), bands), target)
-	budget := c.PersistentGridSize()
+	budget := c.GridSize(inputs)
 	var out PersistentOutcome
 	var seq int64
-	for seq < budget {
-		open := st.open(c.Adaptive)
-		if len(open) == 0 {
+	for {
+		plan := st.round(c.Adaptive, c.Seed, seq, int(min(budget-seq, DefaultRoundTrials)))
+		if len(plan) == 0 {
 			break
 		}
-		n := int(min(budget-seq, DefaultRoundTrials))
-		plan := make([]plannedSeq, 0, n)
-		st.allocate(open, n, func(si, local int) {
-			plan = append(plan, plannedSeq{
-				seq:     seq + int64(len(plan)),
-				seed:    adaptiveSeed(c.Seed, si, local),
-				stratum: si,
-				Band:    st.defs[si].Band,
-			})
-		})
 		results := make([]SequenceResult, len(plan))
 		if err := b.runSequences(ctx, plan, results); err != nil {
 			return PersistentOutcome{}, err

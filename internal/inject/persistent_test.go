@@ -343,7 +343,7 @@ func TestInt8PostRepairReplays(t *testing.T) {
 		SequenceLen: 4, TargetNodes: []string{"conv1"},
 		Detector: &alwaysDetector{}, Repair: true,
 	}
-	b, err := c.newSequenceBackend(feeds)
+	b, err := c.newBackend(feeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +377,7 @@ func TestInt8PostRepairReplays(t *testing.T) {
 	}
 
 	sw.worker = &leakyScrub{int8WeightWorker: w, node: "conv1", elem: big, t: t}
-	r, err := b.runSequence(sw, plannedSeq{seq: 0, seed: sequenceSeed(c.Seed, 0), stratum: -1})
+	r, err := b.runSequence(sw, slot{seq: 0, seed: sequenceSeed(c.Seed, 0), stratum: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func FuzzWeightCorruptUndo(f *testing.F) {
 			c.Calibration = calib
 		}
 		// Snapshot the golden fp32 weights the campaign must not touch.
-		plan, err := c.compile(nil)
+		plan, err := c.compile()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -259,7 +259,8 @@ func TestShapeMismatchSurfacesError(t *testing.T) {
 		t.Fatalf("want ErrFaultSpaceMismatch, got %v", err)
 	}
 	// Detector path shares the same typed error.
-	if _, err := c.RunWithDetector(context.Background(), feeds, &uncloneableDetector{}); !errors.Is(err, ErrFaultSpaceMismatch) {
+	c.Detector = &uncloneableDetector{}
+	if _, err := c.RunWithDetector(context.Background(), feeds); !errors.Is(err, ErrFaultSpaceMismatch) {
 		t.Fatalf("detector path: want ErrFaultSpaceMismatch, got %v", err)
 	}
 }
@@ -294,8 +295,8 @@ func TestRunWithDetectorCancellation(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := &Campaign{Model: m, Trials: 100, Seed: 1}
-	_, err := c.RunWithDetector(ctx, feeds, &countingDetector{threshold: 1e6})
+	c := &Campaign{Model: m, Trials: 100, Seed: 1, Detector: &countingDetector{threshold: 1e6}}
+	_, err := c.RunWithDetector(ctx, feeds)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -498,7 +498,6 @@ func NewSequenceRecord(sr inject.SequenceResult) TrialRecord {
 func (r TrialRecord) sequenceResult() inject.SequenceResult {
 	return inject.SequenceResult{
 		Sequence:      r.Seq,
-		Seq:           r.Seq,
 		Node:          r.Node,
 		Detected:      r.Detected,
 		DetectLatency: r.Latency,

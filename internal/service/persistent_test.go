@@ -211,17 +211,17 @@ func TestPersistentSpecValidation(t *testing.T) {
 // refold cross-check in FlushPersistent rests on.
 func TestSequenceRecordRoundTrip(t *testing.T) {
 	results := []inject.SequenceResult{
-		{Sequence: 0, Seq: 0, Node: "conv1", Detected: true, DetectLatency: 2, SDCs: 1, FirstSDC: 1,
+		{Sequence: 0, Node: "conv1", Detected: true, DetectLatency: 2, SDCs: 1, FirstSDC: 1,
 			Repaired: true, PostRepairOK: true, Inferences: 2, Stratum: -1},
-		{Sequence: 1, Seq: 1, Node: "fc2", SDCs: 3, FirstSDC: 2, Inferences: 4, Stratum: -1},
-		{Sequence: 2, Seq: 2, DUE: true, Stratum: -1},
+		{Sequence: 1, Node: "fc2", SDCs: 3, FirstSDC: 2, Inferences: 4, Stratum: -1},
+		{Sequence: 2, DUE: true, Stratum: -1},
 	}
 	var want, got inject.PersistentOutcome
 	for _, sr := range results {
 		sr.Apply(&want)
 		rec := NewSequenceRecord(sr)
-		if rec.pos(0, true) != sr.Seq {
-			t.Fatalf("sequence record position = %d, want %d", rec.pos(0, true), sr.Seq)
+		if rec.pos(0, true) != sr.Sequence {
+			t.Fatalf("sequence record position = %d, want %d", rec.pos(0, true), sr.Sequence)
 		}
 		rec.applyPersistent(&got)
 	}

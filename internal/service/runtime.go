@@ -127,8 +127,12 @@ func buildRuntime(spec JobSpec, campaignWorkers int) (*jobRuntime, error) {
 	case "worstcase":
 		c.Adaptive = inject.AdaptiveWorstCase
 	}
-	c.CITarget = spec.CITarget
-	c.Strata = spec.Strata
+	// A campaign rejects stratified settings outside a stratified mode;
+	// a stored uniform spec may still carry them, and they never applied.
+	if c.Adaptive != inject.SamplingUniform {
+		c.CITarget = spec.CITarget
+		c.Strata = spec.Strata
+	}
 	switch spec.Backend {
 	case "int8":
 		calib, err := core.CalibrateModel(m, samples, feedAt)

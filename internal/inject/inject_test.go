@@ -96,6 +96,7 @@ func TestCampaignRejectsSettingsOutsideItsMode(t *testing.T) {
 		{"RunSlice", "CITarget", Campaign{CITarget: 0.1}, false},
 		{"RunSlice", "Strata", Campaign{Strata: 2}, false},
 		{"RunWithDetector", "Calibration", int8(Campaign{Detector: silentDetector{}}), false},
+		{"RunWithDetector", "Repair", Campaign{Detector: silentDetector{}, Repair: true}, false},
 		{"RunWithDetector", "no Detector", Campaign{}, false},
 		{"RunWithDetector", "persistent surface", Campaign{Surface: WeightSurface{}, Detector: &alwaysDetector{}}, false},
 		{"NewAdaptiveRun", "Detector", Campaign{Adaptive: AdaptiveStratified, Detector: silentDetector{}}, false},

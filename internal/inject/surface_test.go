@@ -66,10 +66,43 @@ func TestSurfacePersistence(t *testing.T) {
 	}
 }
 
+func TestPersistentSurfaceRejectedByTransientEntryPoints(t *testing.T) {
+	ctx := context.Background()
+	m, feeds := lenetInputs(t, 1)
+	c := &Campaign{Model: m, Trials: 1, Surface: WeightSurface{}}
+	if _, err := c.Run(ctx, feeds); err == nil {
+		t.Fatal("Run should reject persistent surfaces")
+	}
+	dc := &Campaign{Model: m, Trials: 1, Surface: WeightSurface{}, Detector: &alwaysDetector{}}
+	if _, err := dc.RunWithDetector(ctx, feeds); err == nil {
+		t.Fatal("RunWithDetector should reject persistent surfaces")
+	}
+	ac := &Campaign{Model: m, Trials: 1, Surface: WeightSurface{}, Adaptive: AdaptiveStratified}
+	if _, err := ac.NewAdaptiveRun(feeds); err == nil {
+		t.Fatal("NewAdaptiveRun should reject persistent surfaces")
+	}
+}
+
+func TestTransientSurfaceRejectedByRunPersistent(t *testing.T) {
+	m, feeds := lenetInputs(t, 1)
+	c := &Campaign{Model: m, Trials: 1}
+	if _, err := c.RunPersistent(context.Background(), feeds); err == nil {
+		t.Fatal("RunPersistent should reject the transient activation surface")
+	}
+}
+
 func TestQuantParamSurfaceRequiresInt8Backend(t *testing.T) {
 	m, feeds := lenetInputs(t, 1)
 	c := &Campaign{Model: m, Trials: 1, Surface: QuantParamSurface{}}
 	if _, err := c.RunPersistent(context.Background(), feeds); err == nil {
 		t.Fatal("quantparam surface should require the int8 backend")
+	}
+}
+
+func TestRepairRequiresDetector(t *testing.T) {
+	m, feeds := lenetInputs(t, 1)
+	c := &Campaign{Model: m, Trials: 1, Surface: WeightSurface{}, Repair: true}
+	if _, err := c.RunPersistent(context.Background(), feeds); err == nil {
+		t.Fatal("Repair without a Detector should be rejected")
 	}
 }
